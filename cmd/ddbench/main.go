@@ -10,11 +10,8 @@
 //	ddbench -run C1,C2,C3 -csv out/        # dissemination suite + CSVs
 //	ddbench -run throughput -json BENCH_throughput.json
 //	ddbench -run scenarios -scenario split-brain -workers 1,4
-//	ddbench -run scenarios -scenario slow-node -converge   # convergence overhaul on
-//	ddbench -run scenarios -both                           # legacy AND converge rows
 //	ddbench -run fuzz -seeds 20 -workers 1,2,4,8           # consistency fuzzer
 //	ddbench -run repaircost -json BENCH_simscale.json      # splice repair_cost section
-//	ddbench -run serve -conns 1000 -json BENCH_serve.json  # live TCP server load test
 //	ddbench -list
 //
 // Besides the experiment IDs, -run throughput sweeps the pipelined
@@ -23,14 +20,13 @@
 // scale, -run scenarios drives the fault-scenario suite (partition,
 // flap storm, mass crash, slow nodes, latency spike) measuring
 // availability, staleness and rounds-to-convergence per scenario
-// (optionally as JSON via -json), and -run fuzz sweeps seeded random
-// fault compositions under a recording client workload, checks the
-// session guarantees and convergence with the consistency oracle, and
-// exits nonzero with a one-line repro per violation. -run serve boots a
-// real multi-node server cluster over loopback TCP and load-tests it
-// closed-loop through the DDB1 client from -conns concurrent
-// connections, reporting ops/sec, per-op latency quantiles and the
-// zero-dropped-responses check (exits nonzero on any drop).
+// (optionally as JSON via -json; exits nonzero when a scenario does not
+// fully converge within its recovery budget), and -run fuzz sweeps
+// seeded random fault compositions under a recording client workload,
+// checks the session guarantees and convergence with the consistency
+// oracle, and exits nonzero with a one-line repro per violation. The
+// live TCP server is load-tested by the repository benchmark instead:
+// go run ./bench.
 package main
 
 import (
@@ -53,18 +49,15 @@ func main() { os.Exit(realMain()) }
 // defers installed below always run (os.Exit would skip them).
 func realMain() int {
 	var (
-		run      = flag.String("run", "all", "comma-separated experiment IDs, 'all', 'throughput', 'simscale', 'scenarios', 'fuzz', 'repaircost', or 'serve'")
+		run      = flag.String("run", "all", "comma-separated experiment IDs, 'all', 'throughput', 'simscale', 'scenarios', 'fuzz', or 'repaircost'")
 		scale    = flag.Float64("scale", 0.25, "population/trial scale (1.0 = paper scale)")
 		seed     = flag.Int64("seed", 42, "random seed")
 		csv      = flag.String("csv", "", "directory to write per-table CSV files (optional)")
 		jsonOut  = flag.String("json", "", "file to write the selected run's report as JSON (with -run throughput, simscale or scenarios)")
 		workers  = flag.String("workers", "1", "comma-separated fabric worker counts to sweep (with -run simscale or scenarios)")
 		scenario = flag.String("scenario", "all", "scenario name(s) for -run scenarios (comma-separated, or 'all')")
-		converge = flag.Bool("converge", false, "enable the convergence overhaul in -run scenarios (segmented range sync, supersession, read-repair) and measure full convergence incl. bystander copies")
-		both     = flag.Bool("both", false, "with -run scenarios, sweep each scenario in legacy AND converge mode")
 		readDist = flag.String("readdist", "", "read-workload key distribution for -run scenarios: uniform (default), zipf, hot, scan")
 		seeds    = flag.Int("seeds", 20, "number of seeded compositions for -run fuzz (seeds are -seed, -seed+1, ...)")
-		conns    = flag.String("conns", "1000", "comma-separated concurrent connection counts to sweep (with -run serve)")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the selected run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
@@ -110,7 +103,6 @@ func realMain() int {
 		fmt.Println("scenarios")
 		fmt.Println("fuzz")
 		fmt.Println("repaircost")
-		fmt.Println("serve")
 		for _, name := range experiments.ScenarioNames() {
 			fmt.Printf("scenarios -scenario %s\n", name)
 		}
@@ -138,19 +130,6 @@ func realMain() int {
 		return 0
 	}
 
-	if *run == "serve" {
-		cs, err := parseWorkers(*conns)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ddbench: -conns: %v\n", err)
-			return 2
-		}
-		if err := runServe(*seed, *scale, *jsonOut, cs); err != nil {
-			fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
 	if *run == "repaircost" {
 		if err := runRepairCost(*jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
@@ -165,11 +144,7 @@ func realMain() int {
 			fmt.Fprintf(os.Stderr, "ddbench: -workers: %v\n", err)
 			return 2
 		}
-		modes := []bool{*converge}
-		if *both {
-			modes = []bool{false, true}
-		}
-		if err := runScenarios(*seed, *scale, *scenario, *readDist, *jsonOut, ws, modes); err != nil {
+		if err := runScenarios(*seed, *scale, *scenario, *readDist, *jsonOut, ws, 0); err != nil {
 			fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
 			return 1
 		}

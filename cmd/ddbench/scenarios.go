@@ -37,11 +37,12 @@ func toScenarioRow(r *experiments.ScenarioResult) scenarioRow {
 }
 
 // runScenarios sweeps the fault-scenario suite (one scenario or all)
-// over the requested worker counts and convergence modes, fails on any
-// cross-worker digest divergence, and optionally writes the JSON report.
-// readDist selects the read workload's key distribution ("" = uniform,
-// the trace-stable legacy stream).
-func runScenarios(seed int64, scale float64, scenario, readDist, jsonPath string, workerCounts []int, modes []bool) error {
+// over the requested worker counts, optionally writes the JSON report,
+// and fails on any cross-worker digest divergence or any row that did
+// not fully converge within maxRecovery rounds (0 = the scenario
+// default). readDist selects the read workload's key distribution
+// ("" = uniform).
+func runScenarios(seed int64, scale float64, scenario, readDist, jsonPath string, workerCounts []int, maxRecovery int) error {
 	var names []string
 	if scenario == "" || scenario == "all" {
 		names = experiments.ScenarioNames()
@@ -61,40 +62,42 @@ func runScenarios(seed int64, scale float64, scenario, readDist, jsonPath string
 		Host:      fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d", runtime.GOMAXPROCS(0), runtime.NumCPU()),
 	}
 
-	fmt.Printf("scenarios: fault suite, seed %d, scale %.2f (N=%d), workers %v, converge modes %v\n",
-		seed, scale, nodes, workerCounts, modes)
-	fmt.Printf("%14s %8s %8s %8s %7s %7s %7s %9s %10s %6s %9s %10s %10s\n",
-		"scenario", "nodes", "workers", "converge", "avail", "fresh", "stale", "stale@end", "kconverge", "full", "replicas", "bystanders", "lostFault")
+	fmt.Printf("scenarios: fault suite, seed %d, scale %.2f (N=%d), workers %v\n",
+		seed, scale, nodes, workerCounts)
+	fmt.Printf("%14s %8s %8s %7s %7s %7s %9s %10s %6s %9s %10s %10s\n",
+		"scenario", "nodes", "workers", "avail", "fresh", "stale", "stale@end", "kconverge", "full", "replicas", "bystanders", "lostFault")
+	var unconverged []string
 	for _, name := range names {
-		for _, converge := range modes {
-			baseDigest := ""
-			for _, w := range workerCounts {
-				res, err := experiments.RunScenario(experiments.ScenarioConfig{
-					Name:     name,
-					Nodes:    nodes,
-					Seed:     seed,
-					Workers:  w,
-					Converge: converge,
-					ReadDist: readDist,
-				})
-				if err != nil {
-					return err
-				}
-				row := toScenarioRow(res)
-				report.Results = append(report.Results, row)
-				fmt.Printf("%14s %8d %8d %8v %7.3f %7.3f %7.3f %9.3f %10d %6d %9.2f %10.2f %10d\n",
-					row.Scenario, row.Nodes, row.Workers, row.ConvergeMode, row.AvailAny, row.AvailFresh,
-					row.StaleCopies, row.StalenessAtFaultEnd, row.RoundsToConverge,
-					row.RoundsToFullConverge, row.MeanReplicasEnd, row.BystanderCopiesEnd, row.LostFault)
-				switch {
-				case baseDigest == "":
-					baseDigest = row.Digest
-				case row.Digest != baseDigest:
-					return fmt.Errorf("determinism violation in %s (converge=%v): W=%d digest %s != W=%d digest %s",
-						name, converge, w, row.Digest, workerCounts[0], baseDigest)
-				default:
-					fmt.Printf("%14s digest identical to W=%d run\n", "", workerCounts[0])
-				}
+		baseDigest := ""
+		for _, w := range workerCounts {
+			res, err := experiments.RunScenario(experiments.ScenarioConfig{
+				Name:        name,
+				Nodes:       nodes,
+				Seed:        seed,
+				Workers:     w,
+				ReadDist:    readDist,
+				MaxRecovery: maxRecovery,
+			})
+			if err != nil {
+				return err
+			}
+			row := toScenarioRow(res)
+			report.Results = append(report.Results, row)
+			fmt.Printf("%14s %8d %8d %7.3f %7.3f %7.3f %9.3f %10d %6d %9.2f %10.2f %10d\n",
+				row.Scenario, row.Nodes, row.Workers, row.AvailAny, row.AvailFresh,
+				row.StaleCopies, row.StalenessAtFaultEnd, row.RoundsToConverge,
+				row.RoundsToFullConverge, row.MeanReplicasEnd, row.BystanderCopiesEnd, row.LostFault)
+			if !row.FullConverged {
+				unconverged = append(unconverged, fmt.Sprintf("%s W=%d", name, w))
+			}
+			switch {
+			case baseDigest == "":
+				baseDigest = row.Digest
+			case row.Digest != baseDigest:
+				return fmt.Errorf("determinism violation in %s: W=%d digest %s != W=%d digest %s",
+					name, w, row.Digest, workerCounts[0], baseDigest)
+			default:
+				fmt.Printf("%14s digest identical to W=%d run\n", "", workerCounts[0])
 			}
 		}
 	}
@@ -108,6 +111,9 @@ func runScenarios(seed int64, scale float64, scenario, readDist, jsonPath string
 			return err
 		}
 		fmt.Printf("wrote %s\n", jsonPath)
+	}
+	if len(unconverged) > 0 {
+		return fmt.Errorf("not fully converged within the recovery budget: %s", strings.Join(unconverged, ", "))
 	}
 	return nil
 }

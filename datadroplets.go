@@ -171,14 +171,6 @@ func WithWriteAcks(n int) Option {
 	return func(c *config) { c.cluster.Soft.WriteAcks = n }
 }
 
-// WithReadRepair enables read-path repair: a Get that observes divergent
-// versions among the responding replicas asynchronously pushes the
-// winning tuple to the stale responders, so reads both resolve past
-// stale copies (as always) and actively converge them.
-func WithReadRepair() Option {
-	return func(c *config) { c.cluster.ReadRepair = true }
-}
-
 // Cluster is an in-process DataDroplets deployment.
 type Cluster struct {
 	inner  *core.Cluster

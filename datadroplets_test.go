@@ -203,8 +203,8 @@ func TestFacadeRecovery(t *testing.T) {
 	}
 }
 
-func TestWithReadRepairClusterWorks(t *testing.T) {
-	c := New(WithNodes(24), WithSeed(11), WithReplication(3), WithReadRepair())
+func TestFacadeSameSeedDeterministic(t *testing.T) {
+	c := New(WithNodes(24), WithSeed(11), WithReplication(3))
 	defer c.Close()
 	c.Advance(20)
 	if err := c.Put("rr:a", []byte("v"), nil, nil); err != nil {
@@ -214,15 +214,15 @@ func TestWithReadRepairClusterWorks(t *testing.T) {
 	if err != nil || string(got.Value) != "v" {
 		t.Fatalf("Get = %v, %v", got, err)
 	}
-	// Same options, same seed: the deployment stays deterministic with
-	// read-repair enabled.
-	d := New(WithNodes(24), WithSeed(11), WithReplication(3), WithReadRepair())
+	// Same options, same seed: the deployment is deterministic, read-
+	// repair traffic included.
+	d := New(WithNodes(24), WithSeed(11), WithReplication(3))
 	defer d.Close()
 	d.Advance(20)
 	if err := d.Put("rr:a", []byte("v"), nil, nil); err != nil {
 		t.Fatalf("second cluster Put: %v", err)
 	}
 	if c.Round() != d.Round() {
-		t.Fatalf("same-seed read-repair runs diverged: rounds %d vs %d", c.Round(), d.Round())
+		t.Fatalf("same-seed runs diverged: rounds %d vs %d", c.Round(), d.Round())
 	}
 }

@@ -49,11 +49,6 @@ type ClusterConfig struct {
 	Persist epidemic.Config
 	// Vnodes is virtual nodes per soft member on the routing ring.
 	Vnodes int
-	// ReadRepair enables read-path repair in both layers: a Get (soft
-	// node) or persistent-layer lookup that observes divergent versions
-	// among its responders asynchronously pushes the winning tuple to
-	// the stale replicas. Off by default.
-	ReadRepair bool
 }
 
 func (c ClusterConfig) normalized() ClusterConfig {
@@ -65,10 +60,6 @@ func (c ClusterConfig) normalized() ClusterConfig {
 	}
 	if c.Vnodes <= 0 {
 		c.Vnodes = 32
-	}
-	if c.ReadRepair {
-		c.Soft.ReadRepair = true
-		c.Persist.ReadRepair = true
 	}
 	return c
 }

@@ -9,15 +9,14 @@ import (
 	"datadroplets/internal/tuple"
 )
 
-// readRepairCluster mutes background repair so the only convergence path
-// in play is the Get-path read-repair under test (the repair manager
+// readRepairCluster mutes the background range checks so the Get-path
+// read-repair under test is what moves the counter (the repair manager
 // stays wired: it handles the SyncPush the soft node sends).
-func readRepairCluster(seed int64, readRepair bool) *Cluster {
+func readRepairCluster(seed int64) *Cluster {
 	return NewCluster(ClusterConfig{
 		SoftNodes:       3,
 		PersistentNodes: 24,
 		Seed:            seed,
-		ReadRepair:      readRepair,
 		Persist: epidemic.Config{
 			Replication: 3, FanoutC: 3,
 			Repair: repair.Config{CheckEvery: 1 << 20},
@@ -43,7 +42,7 @@ func plantDivergence(c *Cluster, key string) (fresh, stale node.ID) {
 }
 
 func TestGetReadRepairsStaleReplica(t *testing.T) {
-	c := readRepairCluster(61, true)
+	c := readRepairCluster(61)
 	defer c.Close()
 	c.Run(10)
 	key := "rr:key"
@@ -67,22 +66,5 @@ func TestGetReadRepairsStaleReplica(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no soft node counted a read-repair")
-	}
-}
-
-func TestGetWithoutReadRepairLeavesStaleReplica(t *testing.T) {
-	c := readRepairCluster(63, false)
-	defer c.Close()
-	c.Run(10)
-	key := "rr:off"
-	_, stale := plantDivergence(c, key)
-
-	got, err := c.Get(key)
-	if err != nil || got.Version.Seq != 5 {
-		t.Fatalf("Get = %v, %v; want v5 (reads resolve past stale copies regardless)", got, err)
-	}
-	c.Run(6)
-	if left, _ := c.Pers[stale].St.Get(key); left.Version.Seq != 2 {
-		t.Fatalf("stale replica has %v; default config must not repair on reads", left)
 	}
 }

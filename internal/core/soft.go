@@ -63,8 +63,8 @@ type Op struct {
 	// of a key must not count twice.
 	ackedBy map[node.ID]bool
 	// responders records which persistent nodes answered a Get with
-	// which version, so the read-repair path (SoftConfig.ReadRepair)
-	// can push the winning tuple to stale responders exactly once each.
+	// which version, so read-repair can push the winning tuple to stale
+	// responders exactly once each.
 	responders repair.Responders
 }
 
@@ -90,10 +90,6 @@ type SoftConfig struct {
 	ReadProbes, ReadTTL int
 	// DirHints caps directory hints per key. Zero means 4.
 	DirHints int
-	// ReadRepair makes a Get that observes divergent versions among its
-	// responding replicas asynchronously push the winning tuple to the
-	// stale responders. Off by default.
-	ReadRepair bool
 }
 
 func (c SoftConfig) normalized() SoftConfig {
@@ -159,8 +155,9 @@ type SoftNode struct {
 	PersistentReads int64
 	// LocalReads counts Gets served by the LocalRead fast path.
 	LocalReads int64
-	// ReadRepairs counts winning tuples pushed to stale read responders
-	// (SoftConfig.ReadRepair).
+	// ReadRepairs counts winning tuples pushed to stale read responders:
+	// a Get that observes divergent versions among its responding
+	// replicas asynchronously pushes the winner to the stale ones.
 	ReadRepairs metrics.Counter
 }
 
@@ -534,10 +531,8 @@ func (s *SoftNode) handleReadResp(now sim.Round, m epidemic.ReadResp, from node.
 		if op.Tuple == nil || op.Tuple.Version.Less(m.Tuple.Version) {
 			op.Tuple = m.Tuple
 		}
-		if s.cfg.ReadRepair {
-			op.responders.Observe(from, m.Tuple.Version)
-			out = op.responders.Repair(op.Tuple, &s.ReadRepairs)
-		}
+		op.responders.Observe(from, m.Tuple.Version)
+		out = op.responders.Repair(op.Tuple, &s.ReadRepairs)
 		// Version-exact completion: if the soft layer knows the latest
 		// version, only that version completes the read immediately.
 		if !op.version.IsZero() && m.Tuple.Version == op.version {
@@ -603,7 +598,7 @@ func (s *SoftNode) finishGet(now sim.Round, op *Op) {
 	}
 	// Read-repair outlives the op: replicas that have not answered yet
 	// may still reply stale, and they deserve the winner too.
-	if s.cfg.ReadRepair && op.Replies < op.want && len(s.lateRepairs) < maxLateRepairs {
+	if op.Replies < op.want && len(s.lateRepairs) < maxLateRepairs {
 		deadline := op.Deadline
 		if deadline == 0 {
 			deadline = now + DefaultOpRounds

@@ -87,11 +87,6 @@ type Config struct {
 	// origin so the soft layer can build its directory. Default true
 	// (set NoHints to disable).
 	NoHints bool
-	// ReadRepair makes a read origin that observes divergent versions
-	// among its responders push the winning tuple to the stale ones —
-	// detect-and-correct on the read path, complementing the background
-	// range sync. Off by default (traces stay byte-identical).
-	ReadRepair bool
 }
 
 func (c Config) normalized() Config {
@@ -200,9 +195,10 @@ type ReadState struct {
 	Tuple   *tuple.Tuple
 	Replies int
 	Hit     bool
-	// responders records who answered with which version so the
-	// read-repair path (Config.ReadRepair) can push the winning tuple
-	// to stale responders; each responder is repaired at most once.
+	// responders records who answered with which version so read-repair
+	// can push the winning tuple to stale responders — detect-and-correct
+	// on the read path, complementing the background range sync; each
+	// responder is repaired at most once.
 	responders repair.Responders
 }
 
@@ -250,8 +246,7 @@ type Node struct {
 
 	// Stored counts sieve-accepted applications (C4 balance metric).
 	Stored int64
-	// ReadRepairs counts winning tuples pushed to stale read responders
-	// (Config.ReadRepair).
+	// ReadRepairs counts winning tuples pushed to stale read responders.
 	ReadRepairs metrics.Counter
 }
 
@@ -703,10 +698,8 @@ func (n *Node) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 					st.Tuple = m.Tuple
 				}
 				st.Hit = true
-				if n.cfg.ReadRepair {
-					st.responders.Observe(from, m.Tuple.Version)
-					out = st.responders.Repair(st.Tuple, &n.ReadRepairs)
-				}
+				st.responders.Observe(from, m.Tuple.Version)
+				out = st.responders.Repair(st.Tuple, &n.ReadRepairs)
 			}
 		}
 	case ScanReq:

@@ -351,10 +351,10 @@ func TestAntiEntropyCatchesUpRebootedNode(t *testing.T) {
 }
 
 func TestReadRepairPushesWinnerToStaleResponder(t *testing.T) {
-	// Background repair is muted (checks effectively never fire) so the
-	// only convergence path in play is read-repair; the repair manager
-	// itself stays wired, since it handles the SyncPush the repair sends.
-	c := newCluster(8, 51, Config{Replication: 3, ReadRepair: true,
+	// Range checks are muted (they effectively never fire) so read-repair
+	// is what moves the counter; the repair manager itself stays wired,
+	// since it handles the SyncPush the repair sends.
+	c := newCluster(8, 51, Config{Replication: 3,
 		Repair: repair.Config{CheckEvery: 1 << 20}})
 	c.net.Run(10)
 	key := "rr-key"
@@ -379,24 +379,6 @@ func TestReadRepairPushesWinnerToStaleResponder(t *testing.T) {
 	// The fresh responder was never "repaired".
 	if got, _ := c.nodes[2].St.Get(key); got.Version.Seq != 5 {
 		t.Fatalf("fresh responder has %v, want untouched v5", got)
-	}
-}
-
-func TestReadRepairDisabledByDefault(t *testing.T) {
-	c := newCluster(8, 53, Config{Replication: 3,
-		Repair: repair.Config{CheckEvery: 1 << 20}})
-	c.net.Run(10)
-	key := "rr-off"
-	c.nodes[2].St.Apply(mk(key, 5, "new"))
-	c.nodes[3].St.Apply(mk(key, 2, "old"))
-	_, envs := c.nodes[1].Lookup(key, []node.ID{2, 3}, 0, 0)
-	c.net.Emit(1, envs)
-	c.net.Run(12)
-	if got, _ := c.nodes[3].St.Get(key); got.Version.Seq != 2 {
-		t.Fatalf("stale responder has %v; default config must not read-repair", got)
-	}
-	if c.nodes[1].ReadRepairs.Value() != 0 {
-		t.Fatal("ReadRepairs counted with the feature off")
 	}
 }
 

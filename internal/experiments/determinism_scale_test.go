@@ -80,7 +80,6 @@ func TestHistoryDeterministicAcrossWorkers(t *testing.T) {
 		Name:          ScenarioSplitBrain,
 		Nodes:         48,
 		Seed:          4242,
-		Converge:      true,
 		ReadsPerRound: 6,
 		RecordHistory: true,
 	}

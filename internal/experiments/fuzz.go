@@ -104,7 +104,6 @@ func RunFuzzCase(seed int64, workers []int, nodes, faultRounds int) (*FuzzCaseRe
 		Nodes:         nodes,
 		Seed:          seed,
 		FaultRounds:   faultRounds,
-		Converge:      true,
 		ReadsPerRound: 6,
 		ReadDist:      dist,
 		RecordHistory: true,

@@ -95,28 +95,16 @@ type ScenarioConfig struct {
 	Warmup int
 	// FaultRounds overrides the scenario's fault-window length.
 	FaultRounds int
-	// MaxRecovery bounds the post-fault convergence wait. Zero means 800:
-	// the legacy whole-arc range sync needs several hundred rounds to
-	// clear the slow-node scenario's last stale keeper copies (524 at the
-	// baseline seed), and full convergence in Converge mode is heavy-
-	// tailed on top of that (flap-storm's last stale bystander clears
-	// around round 600 at seed 42).
+	// MaxRecovery bounds the post-fault wait for *full* convergence —
+	// every copy fresh, bystanders included. Zero means 800: full
+	// convergence is heavy-tailed (flap-storm's last stale bystander
+	// clears around round 600 at seed 42).
 	MaxRecovery int
-	// Converge enables the convergence overhaul: segmented range sync
-	// with staleness-priority scheduling, bystander supersession hints,
-	// and read-repair (driven by a small read workload, see
-	// ReadsPerRound). With it on, the recovery phase additionally waits
-	// for *full* convergence — every copy fresh, bystanders included —
-	// and reports rounds_to_full_convergence.
-	Converge bool
 	// ReadsPerRound is the read load driving read-repair during the
-	// fault window and recovery. Zero means 4 when Converge is set, else
-	// no reads (the legacy write-only workload, trace-identical to
-	// before).
+	// fault window and recovery. Zero means 4; negative means no reads.
 	ReadsPerRound int
 	// ReadDist selects the read workload's key distribution (see
-	// workload.ReadDists): uniform (default, the legacy stream —
-	// byte-identical traces), zipf, hot, or scan.
+	// workload.ReadDists): uniform (default), zipf, hot, or scan.
 	ReadDist string
 	// RecordHistory switches the workload to oracle mode: operations
 	// issue from per-client sticky sessions, every client-visible op
@@ -186,11 +174,8 @@ func (c ScenarioConfig) normalized() (ScenarioConfig, error) {
 	if c.MaxRecovery <= 0 {
 		c.MaxRecovery = 800
 	}
-	if c.Converge && c.ReadsPerRound == 0 {
+	if c.ReadsPerRound == 0 {
 		c.ReadsPerRound = 4
-	}
-	if c.ReadsPerRound < 0 {
-		c.ReadsPerRound = 0 // negative: explicitly no read workload
 	}
 	if c.Clients <= 0 {
 		c.Clients = 8
@@ -234,8 +219,7 @@ type ScenarioResult struct {
 	Converged        bool `json:"converged"`
 	// Rounds after the fault window until every live copy — bystander
 	// retentions included — held the latest version (-1 if MaxRecovery
-	// elapsed first; only measured with Converge, the legacy recovery
-	// loop stops at keeper convergence).
+	// elapsed first).
 	RoundsToFullConverge int  `json:"rounds_to_full_convergence"`
 	FullConverged        bool `json:"full_converged"`
 	// Mean alive *keeper* replicas per key once converged (or at the
@@ -277,9 +261,6 @@ type ScenarioResult struct {
 	// mean full scans are back). Excluded from Digest with the rest of
 	// the cost accounting.
 	StoreEntries int64 `json:"store_entries"`
-
-	// ConvergeMode records whether the convergence overhaul was enabled.
-	ConvergeMode bool `json:"converge"`
 
 	Sent      int64 `json:"sent"`
 	Delivered int64 `json:"delivered"`
@@ -533,13 +514,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			OrphanBatch: 2,
 		},
 	}
-	if cfg.Converge {
-		ecfg.ReadRepair = true
-		ecfg.Repair.SegBits = 3 // 8 sub-range digests per sync
-		ecfg.Repair.SupersedeEvery = 4
-		ecfg.Repair.SupersedeBatch = 16
-		ecfg.Repair.SupersedePeers = 4
-	}
 	net := sim.New(sim.Config{Seed: cfg.Seed, Workers: cfg.Workers})
 	defer net.Close()
 	build := func(id node.ID, rng *rand.Rand) sim.Machine {
@@ -652,11 +626,8 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 	}
 
-	// The read workload drives read-repair (Converge mode). Reads draw
-	// from their own seeded stream so the write/fault streams are
-	// untouched; with ReadsPerRound == 0 no stream is consumed and the
-	// trace is byte-identical to the legacy write-only workload. The
-	// uniform chooser consumes exactly the legacy rng.Intn draw.
+	// The read workload drives read-repair. Reads draw from their own
+	// seeded stream so the write/fault streams are untouched.
 	rrng := rand.New(rand.NewSource(cfg.Seed ^ 0x4ead4ead))
 	chooseKey, err := workload.NewKeyChooser(cfg.ReadDist, cfg.Keys, rrng)
 	if err != nil {
@@ -828,14 +799,12 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		StaleKeepers: sumStaleKeep / float64(cfg.FaultRounds),
 	}
 	res.StalenessAtFaultEnd = probe.staleFrac()
-	res.ConvergeMode = cfg.Converge
 
-	// Recovery: writes stop (reads continue in Converge mode to drive
-	// read-repair). Keeper convergence — every key fresh-available, no
-	// responsible replica serving old data — is the legacy criterion and
-	// stop point; in Converge mode the run continues until *full*
-	// convergence, which additionally requires every bystander retention
-	// to be fresh (see fullConverged).
+	// Recovery: writes stop, reads continue to drive read-repair. Keeper
+	// convergence — every key fresh-available, no responsible replica
+	// serving old data — is recorded on the way; the run continues until
+	// *full* convergence, which additionally requires every bystander
+	// retention to be fresh (see fullConverged).
 	res.RoundsToConverge = -1
 	res.RoundsToFullConverge = -1
 	for r := 1; r <= cfg.MaxRecovery; r++ {
@@ -853,9 +822,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		if res.RoundsToConverge < 0 && probe.converged() {
 			res.RoundsToConverge = r
 			res.Converged = true
-			if !cfg.Converge {
-				break // legacy stop: bystander copies are not waited for
-			}
 		}
 	}
 	res.MeanReplicasEnd = probe.meanHolders()

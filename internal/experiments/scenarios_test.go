@@ -43,8 +43,10 @@ func TestScenarioNamesCatalogue(t *testing.T) {
 // scenario engine: every scenario in the suite must produce an
 // identical behaviour digest at W ∈ {1, 4} — partitions, overrides,
 // flaps and mass events all execute in the serial commit phase, so the
-// worker count cannot leak into the trace. The CI scenario matrix runs
-// the same check per scenario under -race at reduced scale.
+// worker count cannot leak into the trace, with segmented sync,
+// supersession hints and read-repair (plus the read workload driving
+// them) all active. The CI scenario matrix runs the same check per
+// scenario under -race at reduced scale.
 func TestScenarioDigestStableAcrossWorkers(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		ref, err := RunScenario(smallScenario(name, 1))
@@ -153,39 +155,14 @@ func TestMassCrashRecoversMembershipAndData(t *testing.T) {
 	}
 }
 
-// TestConvergeModeDigestStableAcrossWorkers extends the determinism bar
-// to the convergence overhaul: with segmented sync, supersession hints
-// and read-repair all active (plus the read workload driving them), the
-// behaviour digest must still be identical at W ∈ {1, 4}.
-func TestConvergeModeDigestStableAcrossWorkers(t *testing.T) {
-	for _, name := range []string{ScenarioSlowNode, ScenarioSplitBrain} {
-		cfg := smallScenario(name, 1)
-		cfg.Converge = true
-		ref, err := RunScenario(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Workers = 4
-		res, err := RunScenario(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Digest() != res.Digest() {
-			t.Errorf("%s converge: W=4 digest %016x != W=1 digest %016x\n W=1: %s\n W=4: %s",
-				name, res.Digest(), ref.Digest(), ref, res)
-		}
-	}
-}
-
-// TestSlowNodeConvergeModeFullyConverges pins the convergence overhaul's
-// headline claim at test scale: with the overhaul on, the slow-node
-// scenario reaches *full* convergence — every live copy fresh, bystander
-// retentions included — and bystander accretion stays bounded, both of
-// which the legacy machinery never achieves.
-func TestSlowNodeConvergeModeFullyConverges(t *testing.T) {
+// TestSlowNodeFullyConverges pins the repair machinery's headline claim
+// at test scale: the slow-node scenario reaches *full* convergence —
+// every live copy fresh, bystander retentions included — and bystander
+// accretion stays bounded.
+func TestSlowNodeFullyConverges(t *testing.T) {
 	res, err := RunScenario(ScenarioConfig{
 		Name: ScenarioSlowNode, Nodes: 72, Seed: 42,
-		MaxRecovery: 400, Converge: true,
+		MaxRecovery: 400,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +187,7 @@ func TestSlowNodeConvergeModeFullyConverges(t *testing.T) {
 
 // TestConvergedIdleClusterSyncsCheaply pins the steady state the
 // coverage-aware, index-served sync path buys at suite scale. After a
-// converge-mode cluster fully recovers and client load stops, the idle
+// cluster fully recovers and client load stops, the idle
 // tail must show (a) background anti-entropy moving ~no tuples — the
 // coverage-carrying leaf replies end the futile re-push of one-sidedly
 // covered boundary content that previously repeated every round — and
@@ -218,7 +195,6 @@ func TestSlowNodeConvergeModeFullyConverges(t *testing.T) {
 // stores instead of walking them.
 func TestConvergedIdleClusterSyncsCheaply(t *testing.T) {
 	cfg := smallScenario(ScenarioSplitBrain, 1)
-	cfg.Converge = true
 	cfg.MaxRecovery = 400
 	cfg.IdleTail = 100
 	res, err := RunScenario(cfg)
@@ -251,12 +227,10 @@ func TestConvergedIdleClusterSyncsCheaply(t *testing.T) {
 }
 
 // TestIdleTailZeroLeavesDigestUnchanged pins that the idle-tail probe is
-// purely additive: IdleTail=0 reproduces the exact legacy digest, and a
-// positive tail only ever appends rounds (it must not perturb the
-// metrics frozen before it).
+// purely additive: a positive tail only ever appends rounds (it must
+// not perturb the metrics frozen before it).
 func TestIdleTailZeroLeavesDigestUnchanged(t *testing.T) {
 	base := smallScenario(ScenarioSplitBrain, 1)
-	base.Converge = true
 	ref, err := RunScenario(base)
 	if err != nil {
 		t.Fatal(err)
@@ -279,30 +253,5 @@ func TestIdleTailZeroLeavesDigestUnchanged(t *testing.T) {
 	if res.AvailAny != ref.AvailAny || res.StaleCopies != ref.StaleCopies ||
 		res.RoundsToFullConverge != ref.RoundsToFullConverge || res.TuplesPushed < ref.TuplesPushed {
 		t.Errorf("idle tail perturbed frozen metrics:\n ref: %s\n got: %s", ref, res)
-	}
-}
-
-// TestLegacyScenarioReportsBystandersSeparately pins the report split:
-// mean_replicas_end counts keeper copies only, with bystander copies in
-// their own column — under sustained rewrites the legacy machinery
-// accretes multiple bystander copies per key.
-func TestLegacyScenarioReportsBystandersSeparately(t *testing.T) {
-	res, err := RunScenario(ScenarioConfig{
-		Name: ScenarioSlowNode, Nodes: 72, Seed: 42, MaxRecovery: 400,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BystanderCopiesEnd <= 1 {
-		t.Errorf("legacy bystander copies = %.2f per key, expected accretion > 1", res.BystanderCopiesEnd)
-	}
-	// The legacy loop stops at keeper convergence; full convergence is
-	// only ever reported when it coincides with that very round.
-	if res.RoundsToFullConverge != -1 && res.RoundsToFullConverge != res.RoundsToConverge {
-		t.Errorf("legacy run kept measuring past keeper convergence (full=%d, keeper=%d)",
-			res.RoundsToFullConverge, res.RoundsToConverge)
-	}
-	if res.SyncSegments != 0 || res.ReadRepairs != 0 || res.BystandersSuperseded != 0 {
-		t.Errorf("legacy run moved convergence-overhaul counters: %s", res)
 	}
 }

@@ -7,12 +7,13 @@ import (
 
 // goldenSimScaleDigest pins the complete observable behaviour (fabric
 // Stats, every node's store digest, Stored counters) of a fixed-seed
-// write+churn+repair run. The value was captured on the implementation
-// preceding the paper-scale fabric optimisation (map-keyed round queue,
-// O(N) peer sampling, cloning store walks); the optimised scheduler,
-// sampler and storage engine must reproduce it byte-for-byte — that is
-// the determinism contract the refactor is not allowed to bend.
-const goldenSimScaleDigest = 0xa9f0d6cc126ee97c
+// write+churn+repair run. Scheduler, sampler and storage-engine changes
+// must reproduce it byte-for-byte — that is the determinism contract a
+// refactor is not allowed to bend. Re-pinned once (was 0xa9f0d6cc126ee97c
+// from the pre-optimisation fabric through PR 15) when segmented sync
+// and supersession became the only repair behaviour: the run's repair
+// traffic itself changed, by design.
+const goldenSimScaleDigest = 0x28e18a02121e3435
 
 var goldenConfig = SimScaleConfig{
 	Nodes:             192,

@@ -49,27 +49,27 @@ func countPushedTuples(envs []sim.Envelope) int {
 }
 
 // overlapPeers builds the partially-overlapping converged pair the
-// coverage satellite is about: A covers the left half of the ring, B a
-// half shifted right so its start falls *inside* one of A's digest
-// segments (the futile-boundary-leaf shape: that segment stays
-// digest-dirty forever because only A covers its left part). The
-// overlap content is identical on both sides; A additionally holds keys
-// only it covers.
-func overlapPeers(t testing.TB) (a, b *Manager, aID, bID node.ID, arcA node.Arc, arcB node.Arc, aOnly int) {
+// coverage gate is about: A covers the left half of the ring, B a half
+// shifted right so its start falls *inside* one of A's digest segments
+// (the futile-boundary-leaf shape: that segment stays digest-dirty
+// forever because only A covers its left part). The overlap content is
+// identical on both sides; A additionally holds keys only it covers.
+// The population keeps B's share of the straddling segment under
+// segLeafKeys, so B answers it as a version leaf (the futile-exchange
+// shape) rather than recursing past it.
+func overlapPeers(t testing.TB) (a, b *Manager, aID, bID node.ID, arcA node.Arc) {
 	half := ^uint64(0) / 2
 	arcA = node.Arc{Start: 0, Width: half}
-	// Mid-segment start: half/2 is exactly A's segment-4 boundary at
-	// SegBits=3, so shift by another half segment plus an odd nudge.
-	arcB = node.Arc{Start: node.Point(half/2 + half/16 + 12345), Width: half}
-	// SegLeafKeys above the boundary segment's population: the dirty
-	// straddling segment is answered as a version leaf (the futile-
-	// exchange shape) rather than recursed past.
-	cfg := Config{SegBits: 3, SegLeafKeys: 1024, Replication: 2, MaxPush: 1 << 20}
+	// Mid-segment start: half/2 is exactly A's segment-4 boundary (8
+	// segments), so shift by another half segment plus an odd nudge.
+	arcB := node.Arc{Start: node.Point(half/2 + half/16 + 12345), Width: half}
+	cfg := Config{Replication: 2}
 	aSt := store.New(rand.New(rand.NewSource(2)))
 	bSt := store.New(rand.New(rand.NewSource(3)))
 	a = New(1, rand.New(rand.NewSource(4)), &stubSieve{arcs: []node.Arc{arcA}}, aSt, nil, nil, cfg)
 	b = New(2, rand.New(rand.NewSource(5)), &stubSieve{arcs: []node.Arc{arcB}}, bSt, nil, nil, cfg)
-	for i := 0; i < 4096; i++ {
+	aOnly := 0
+	for i := 0; i < 256; i++ {
 		tp := mk(fmt.Sprintf("key-%05d", i), 1, "v")
 		p := tp.Point()
 		if !arcA.Contains(p) {
@@ -85,7 +85,7 @@ func overlapPeers(t testing.TB) (a, b *Manager, aID, bID node.ID, arcA node.Arc,
 	if aOnly == 0 {
 		t.Fatal("bad fixture: no A-only keys")
 	}
-	return a, b, 1, 2, arcA, arcB, aOnly
+	return a, b, 1, 2, arcA
 }
 
 // TestCoverageAwareSyncSkipsForeignPushes is the satellite's core claim:
@@ -94,7 +94,7 @@ func overlapPeers(t testing.TB) (a, b *Manager, aID, bID node.ID, arcA node.Arc,
 // and A keeps the content only it is responsible for at home, instead of
 // re-shipping it to be refused every pass.
 func TestCoverageAwareSyncSkipsForeignPushes(t *testing.T) {
-	a, b, aID, bID, arcA, _, _ := overlapPeers(t)
+	a, b, aID, bID, arcA := overlapPeers(t)
 	for round := 0; round < 3; round++ {
 		opener := []sim.Envelope{{To: bID, Msg: a.syncMsg(arcA)}}
 		wire := exchange(sim.Round(round), a, b, aID, bID, opener)
@@ -121,28 +121,6 @@ func TestCoverageAwareSyncSkipsForeignPushes(t *testing.T) {
 	}
 }
 
-// TestNilCoverageKeepsLegacyPushes pins the compatibility contract: a
-// SyncVersions with nil Coverage (legacy peers, legacy whole-arc path)
-// still pushes everything the peer lacks.
-func TestNilCoverageKeepsLegacyPushes(t *testing.T) {
-	a, _, _, bID, arcA, arcB, aOnly := overlapPeers(t)
-	// B's view of A's arc, hand-built without coverage: only the shared
-	// overlap keys, so every A-only key counts as "peer lacks it".
-	versions := make(map[string]tuple.Version)
-	for i := 0; i < 4096; i++ {
-		k := fmt.Sprintf("key-%05d", i)
-		tp := mk(k, 1, "v")
-		p := tp.Point()
-		if arcA.Contains(p) && arcB.Contains(p) {
-			versions[k] = tp.Version
-		}
-	}
-	out := a.reconcile(bID, SyncVersions{Arc: arcA, Versions: versions, Coverage: nil})
-	if pushed := countPushedTuples(out); pushed != aOnly {
-		t.Fatalf("legacy nil-Coverage reconcile pushed %d tuples, want all %d A-only keys", pushed, aOnly)
-	}
-}
-
 // TestCoverageGateStillRefreshesHeldCopies: the gate only suppresses
 // pushes of content the peer neither covers nor holds. A key the peer
 // reports holding at an older version is refreshed regardless of
@@ -151,7 +129,7 @@ func TestCoverageGateStillRefreshesHeldCopies(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	st := store.New(rng)
 	st.Apply(mk("stale-at-peer", 5, "new"))
-	m := New(1, rng, &stubSieve{arcs: []node.Arc{node.FullArc()}}, st, nil, nil, Config{SegBits: 3})
+	m := New(1, rng, &stubSieve{arcs: []node.Arc{node.FullArc()}}, st, nil, nil, Config{})
 	out := m.reconcile(2, SyncVersions{
 		Arc:      node.FullArc(),
 		Versions: map[string]tuple.Version{"stale-at-peer": {Seq: 1, Writer: 1}},
@@ -174,7 +152,7 @@ func TestSegSyncServesWithoutFullScan(t *testing.T) {
 	for i := 0; i < n; i++ {
 		st.Apply(mk(fmt.Sprintf("key-%06d", i), 1, "v"))
 	}
-	m := New(1, rng, &stubSieve{arcs: []node.Arc{node.FullArc()}}, st, nil, nil, Config{SegBits: 3})
+	m := New(1, rng, &stubSieve{arcs: []node.Arc{node.FullArc()}}, st, nil, nil, Config{})
 	arc := node.Arc{Start: 7, Width: ^uint64(0) / 16}
 	digests, _ := st.SegmentDigests(arc, 8) // the peer is converged: same vector
 	_, scanned0, _ := st.ServeStats()
@@ -204,7 +182,7 @@ func buildServeManager(tb testing.TB, n int) (*Manager, SegSyncReq) {
 			Version: tuple.Version{Seq: uint64(1 + i%5), Writer: node.ID(1 + i%7)},
 		})
 	}
-	m := New(1, rng, &stubSieve{arcs: []node.Arc{node.FullArc()}}, st, nil, nil, Config{SegBits: 3})
+	m := New(1, rng, &stubSieve{arcs: []node.Arc{node.FullArc()}}, st, nil, nil, Config{})
 	arc := node.Arc{Start: 0x12345678_9abcdef0, Width: ^uint64(0) / 16}
 	digests, _ := st.SegmentDigests(arc, 8)
 	return m, SegSyncReq{Arc: arc, Digests: digests}
@@ -212,7 +190,7 @@ func buildServeManager(tb testing.TB, n int) (*Manager, SegSyncReq) {
 
 // BenchmarkSegSyncServe measures answering a converged peer's segmented
 // sync for a ≤1/16 arc over a million-key store — the steady-state
-// serve cost a HotSyncEvery tick pays per hot arc. Gated in CI with an
+// serve cost a hotSyncEvery tick pays per hot arc. Gated in CI with an
 // allocation ceiling.
 func BenchmarkSegSyncServe(b *testing.B) {
 	m, req := buildServeManager(b, 1_000_000)

@@ -34,7 +34,9 @@ import (
 	"datadroplets/internal/tuple"
 )
 
-// Config tunes the redundancy manager.
+// Config tunes the redundancy manager's walk estimation and recruitment
+// policy — the values deployments and experiments actually vary. The
+// sync, supersession and scheduling parameters are the constants below.
 type Config struct {
 	// Replication is the target copy count r.
 	Replication int
@@ -53,67 +55,61 @@ type Config struct {
 	// Grace is how many rounds a deficit must persist before the node
 	// recruits — the transient-churn allowance. Zero means 20.
 	Grace int
-	// SyncPeers bounds how many discovered holders are synced per check.
-	// Zero means 2.
-	SyncPeers int
-	// MaxPush bounds tuples per transfer message. Zero means 512.
-	MaxPush int
 	// OrphanBatch bounds how many orphaned tuples (stored locally but no
 	// longer inside the node's responsibility, e.g. after the sieve
 	// narrowed with a growing N̂) are checked per cycle. Zero means 4.
 	OrphanBatch int
-	// OrphanRecheck is how many rounds an orphan rests after being
-	// handed off before it is re-examined. Zero means 100.
-	OrphanRecheck int
+}
 
-	// SegBits enables segmented range sync: arcs are summarised as
-	// 2^SegBits sub-range digests and reconciliation recurses only into
-	// mismatching segments (a digest tree over the arc). It also enables
-	// the staleness-priority scheduler: arcs with recent digest
-	// mismatches are re-synced every HotSyncEvery rounds instead of
-	// waiting for their round-robin CheckEvery turn. Zero keeps the
-	// legacy whole-arc SyncReq handshake, byte-identical to before.
-	SegBits int
-	// SegLeafKeys is the segment size (in locally stored keys) at which
-	// recursion stops and key-level versions are exchanged. Zero means 16.
-	SegLeafKeys int
-	// HotSyncEvery is the round interval of priority re-syncs for arcs
-	// with outstanding mismatches (only with SegBits > 0). Zero means 3.
-	HotSyncEvery int
-	// HotBatch bounds priority re-syncs per interval. Zero means 2.
-	HotBatch int
-	// HotRetire drops a hot arc after that many re-syncs without a clean
-	// confirmation (the peer may be gone). Zero means 12.
-	HotRetire int
+// The one set of sync, supersession and scheduling parameters every
+// deployment runs — simulator, facade and live server alike. They are
+// the values the fault-scenario suite validates.
+const (
+	// segBits: range sync summarises an arc as 2^segBits sub-range
+	// digests and recurses only into mismatching segments (a digest tree
+	// over the arc).
+	segBits = 3
+	// segLeafKeys is the segment size (in locally stored keys) at which
+	// recursion stops and key-level versions are exchanged.
+	segLeafKeys = 16
+	// syncPeers bounds how many discovered holders are synced per check.
+	syncPeers = 2
+	// maxPush bounds tuples per transfer message.
+	maxPush = 512
+	// orphanRecheck is how many rounds an orphan rests after being handed
+	// off before it is re-examined.
+	orphanRecheck = 100
 
-	// SupersedeEvery enables retention-aware supersession: every that
-	// many rounds the node sends (key, version) hints for a window of
-	// its store to a few sampled peers. A responsible peer holding an
+	// Staleness-priority scheduler: arcs with an outstanding mismatch are
+	// re-synced every hotSyncEvery rounds (at most hotBatch per interval)
+	// instead of waiting for their round-robin CheckEvery turn, and retire
+	// after hotRetire re-syncs without a clean confirmation (the peer may
+	// be gone).
+	hotSyncEvery = 3
+	hotBatch     = 2
+	hotRetire    = 12
+
+	// Retention-aware supersession: every supersedeEvery rounds the node
+	// sends (key, version) hints for a window of supersedeBatch stored
+	// keys to supersedePeers sampled peers. A responsible peer holding an
 	// equal-or-newer version lets a *bystander* copy (held outside the
 	// node's responsibility, e.g. a write publisher's last-resort
-	// retention) drop; a peer that is behind gets the newer tuple
-	// pushed; and any peer holding strictly newer refreshes the hinted
-	// copy in place — version-level anti-entropy that reaches even keys
-	// in rarely-checked adopted slivers. Zero disables (legacy
-	// behaviour: bystander copies only leave via the orphan walk sweep).
-	SupersedeEvery int
-	// SupersedeBatch bounds hinted keys per supersession exchange. Zero
-	// means 8.
-	SupersedeBatch int
-	// SupersedePeers is how many sampled peers receive each hint batch.
-	// In an unstructured overlay only a fraction of peers covers a given
-	// key, so fanning the same batch out to a few peers multiplies the
-	// chance of reaching a keeper per sweep. Zero means 2.
-	SupersedePeers int
-	// SupersedeMaxEvery caps the supersession sweep backoff. The sweep
-	// starts at SupersedeEvery and doubles its gap after every round of
-	// hints that surfaces no divergence, so a converged idle cluster's
-	// supersession traffic decays toward zero instead of paying the
-	// uniform cadence forever; any observed mismatch (a copy retired, a
-	// peer behind, a newer version learned) snaps the cadence back to
-	// SupersedeEvery. Zero means 64×SupersedeEvery.
-	SupersedeMaxEvery int
-}
+	// retention) drop; a peer that is behind gets the newer tuple pushed;
+	// and any peer holding strictly newer refreshes the hinted copy in
+	// place — version-level anti-entropy that reaches even keys in
+	// rarely-checked adopted slivers. Only a fraction of peers covers a
+	// given key, so fanning one batch out to a few peers multiplies the
+	// chance of reaching a keeper per sweep.
+	supersedeEvery = 4
+	supersedeBatch = 16
+	supersedePeers = 4
+	// supersedeMaxEvery caps the sweep backoff: the gap starts at
+	// supersedeEvery and doubles after every sweep that surfaces no
+	// divergence, so a converged idle cluster's supersession traffic
+	// decays toward zero; any observed mismatch (a copy retired, a peer
+	// behind, a newer version learned) snaps it back to supersedeEvery.
+	supersedeMaxEvery = 64 * supersedeEvery
+)
 
 func (c Config) normalized() Config {
 	if c.Replication < 1 {
@@ -134,38 +130,8 @@ func (c Config) normalized() Config {
 	if c.Grace == 0 {
 		c.Grace = 20
 	}
-	if c.SyncPeers == 0 {
-		c.SyncPeers = 2
-	}
-	if c.MaxPush == 0 {
-		c.MaxPush = 512
-	}
 	if c.OrphanBatch == 0 {
 		c.OrphanBatch = 4
-	}
-	if c.OrphanRecheck == 0 {
-		c.OrphanRecheck = 100
-	}
-	if c.SegLeafKeys == 0 {
-		c.SegLeafKeys = 16
-	}
-	if c.HotSyncEvery == 0 {
-		c.HotSyncEvery = 3
-	}
-	if c.HotBatch == 0 {
-		c.HotBatch = 2
-	}
-	if c.HotRetire == 0 {
-		c.HotRetire = 12
-	}
-	if c.SupersedeBatch == 0 {
-		c.SupersedeBatch = 8
-	}
-	if c.SupersedePeers == 0 {
-		c.SupersedePeers = 2
-	}
-	if c.SupersedeMaxEvery == 0 && c.SupersedeEvery > 0 {
-		c.SupersedeMaxEvery = 64 * c.SupersedeEvery
 	}
 	return c
 }
@@ -178,12 +144,11 @@ type (
 		Digest uint64
 	}
 	// SyncVersions answers a digest mismatch with key-level versions.
-	// Coverage, when non-nil, lists the responder's responsibility arcs
-	// at reply time: the receiver then skips pushing content whose point
-	// the responder does not cover (the responder would refuse it as a
-	// would-be bystander copy anyway), which is what stops partially-
-	// overlapping peers from re-shipping boundary content forever. A nil
-	// Coverage keeps the legacy push-everything semantics.
+	// Coverage lists the responder's responsibility arcs at reply time:
+	// the receiver skips pushing content whose point the responder does
+	// not cover (the responder would refuse it as a would-be bystander
+	// copy anyway), which is what stops partially-overlapping peers from
+	// re-shipping boundary content forever.
 	SyncVersions struct {
 		Arc      node.Arc
 		Versions map[string]tuple.Version
@@ -200,11 +165,11 @@ type (
 		Tuples []*tuple.Tuple
 	}
 
-	// SegSyncReq opens a segmented synchronisation (SegBits > 0): the
-	// arc summarised as equal sub-range digests. The receiver compares
-	// against its own segment vector and answers mismatching segments
-	// with either key-level versions (small segments) or a recursive
-	// SegSyncReq one level down the digest tree.
+	// SegSyncReq opens a segmented synchronisation: the arc summarised
+	// as equal sub-range digests. The receiver compares against its own
+	// segment vector and answers mismatching segments with either
+	// key-level versions (small segments) or a recursive SegSyncReq one
+	// level down the digest tree.
 	SegSyncReq struct {
 		Arc     node.Arc
 		Digests []uint64
@@ -212,7 +177,7 @@ type (
 	// SegSyncResp reports the comparison outcome for the whole request:
 	// Clean means every segment matched. The requester's staleness-
 	// priority scheduler keys off it — a dirty arc is re-synced every
-	// HotSyncEvery rounds until a clean confirmation arrives.
+	// hotSyncEvery rounds until a clean confirmation arrives.
 	SegSyncResp struct {
 		Arc   node.Arc
 		Clean bool
@@ -311,16 +276,16 @@ type Manager struct {
 	pendingOrphans []pendingOrphan
 	orphanDone     map[string]sim.Round
 
-	// hot is the staleness-priority schedule (SegBits > 0): arcs whose
-	// last digest comparison mismatched, keyed by arc, with the peer the
-	// mismatch was observed against. Hot arcs are re-synced every
-	// HotSyncEvery rounds until a clean confirmation clears them.
+	// hot is the staleness-priority schedule: arcs whose last digest
+	// comparison mismatched, keyed by arc, with the peer the mismatch was
+	// observed against. Hot arcs are re-synced every hotSyncEvery rounds
+	// until a clean confirmation clears them.
 	hot map[node.Arc]*hotArc
 
 	// checkQueue holds arcs this node just learned it may be behind on —
 	// a pushed tuple applied inside its responsibility, or a supersession
 	// hint it could not confirm. They are walk-checked at priority (next
-	// HotSyncEvery tick) instead of waiting their round-robin turn.
+	// hotSyncEvery tick) instead of waiting their round-robin turn.
 	checkQueue []node.Arc
 	queued     map[node.Arc]bool
 
@@ -332,9 +297,9 @@ type Manager struct {
 	// supersedeCursor walks the store across supersession sweeps.
 	supersedeCursor string
 	// Supersession-sweep backoff state: the next sweep fires at
-	// supersedeNext; supersedeGap doubles (capped at SupersedeMaxEvery)
+	// supersedeNext; supersedeGap doubles (capped at supersedeMaxEvery)
 	// after each sweep, and any observed divergence since the last sweep
-	// (diverged) snaps the gap back to SupersedeEvery. now mirrors the
+	// (diverged) snaps the gap back to supersedeEvery. now mirrors the
 	// round clock at Tick/Handle entry so noteDivergence can pull the
 	// next sweep forward without threading the clock through every
 	// handler.
@@ -395,7 +360,7 @@ func New(self node.ID, rng *rand.Rand, base sieve.ArcSieve, st *store.Store,
 		hot:          make(map[node.Arc]*hotArc),
 		queued:       make(map[node.Arc]bool),
 		confirms:     make(map[string]node.ID),
-		supersedeGap: cfg.normalized().SupersedeEvery,
+		supersedeGap: supersedeEvery,
 	}
 }
 
@@ -484,7 +449,7 @@ func (m *Manager) Start(now sim.Round) []sim.Envelope {
 	m.pending = nil
 	// A (re)joined node cannot assume the cluster is converged around
 	// it: restart the supersession sweep at full cadence.
-	m.supersedeGap = m.cfg.SupersedeEvery
+	m.supersedeGap = supersedeEvery
 	m.supersedeNext = now
 	m.diverged = false
 	m.now = now
@@ -503,18 +468,18 @@ func (m *Manager) Tick(now sim.Round) []sim.Envelope {
 	var out []sim.Envelope
 	out = append(out, m.harvest(now)...)
 	out = append(out, m.harvestOrphans(now)...)
-	if m.cfg.SegBits > 0 && now%sim.Round(m.cfg.HotSyncEvery) == 0 {
+	if now%hotSyncEvery == 0 {
 		out = append(out, m.syncHot()...)
 		out = append(out, m.checkQueued(now)...)
 	}
-	if m.cfg.SupersedeEvery > 0 && now >= m.supersedeNext {
+	if now >= m.supersedeNext {
 		out = append(out, m.sweepBystanders()...)
 		m.Sweeps.Inc()
 		if m.diverged {
-			m.supersedeGap = m.cfg.SupersedeEvery
+			m.supersedeGap = supersedeEvery
 			m.diverged = false
 		} else {
-			m.supersedeGap = min(m.supersedeGap*2, m.cfg.SupersedeMaxEvery)
+			m.supersedeGap = min(m.supersedeGap*2, supersedeMaxEvery)
 		}
 		m.supersedeNext = now + sim.Round(m.supersedeGap)
 	}
@@ -540,16 +505,12 @@ func (m *Manager) Tick(now sim.Round) []sim.Envelope {
 
 // probePoint picks the walk-probe position for an arc check: one walk
 // set answers for every tuple in the range at once (the paper's cost
-// reduction). The legacy scheduler always probes the midpoint; with
-// SegBits > 0 the probe walks a low-discrepancy (Weyl) sequence across
+// reduction). The probe walks a low-discrepancy (Weyl) sequence across
 // the arc, because peer arcs overlap this one only partially — a fixed
 // probe point discovers the same holder subset forever, and a peer
 // whose overlap is a narrow sliver would never be paired with, leaving
 // the keys it alone knows the latest version of stale indefinitely.
 func (m *Manager) probePoint(arc node.Arc) node.Point {
-	if m.cfg.SegBits <= 0 {
-		return arc.Start + node.Point(arc.Width/2)
-	}
 	m.probeSpin++
 	// Golden-ratio multiplicative recurrence: successive probes are
 	// maximally spread and eventually sample every overlap sliver.
@@ -558,11 +519,11 @@ func (m *Manager) probePoint(arc node.Arc) node.Point {
 }
 
 // syncMsg builds one range-sync opener toward a peer: the segmented
-// digest vector when enabled and the arc is wide enough to split, the
-// legacy whole-arc digest otherwise.
+// digest vector when the arc is wide enough to split, one whole-arc
+// digest otherwise (pinpoint adoption slivers).
 func (m *Manager) syncMsg(arc node.Arc) any {
-	nseg := 1 << m.cfg.SegBits
-	if m.cfg.SegBits <= 0 || arc.Width < uint64(nseg) {
+	const nseg = 1 << segBits
+	if arc.Width < nseg {
 		return SyncReq{Arc: arc, Digest: m.st.DigestArc(arc)}
 	}
 	digests, _ := m.st.SegmentDigests(arc, nseg)
@@ -573,7 +534,7 @@ func (m *Manager) syncMsg(arc node.Arc) any {
 // syncHot is the staleness-priority scheduler: re-sync arcs with an
 // outstanding mismatch against the peer the mismatch was observed with,
 // instead of waiting for their round-robin CheckEvery turn. Arcs are
-// visited in ring order for determinism; entries retire after HotRetire
+// visited in ring order for determinism; entries retire after hotRetire
 // attempts without a clean confirmation.
 func (m *Manager) syncHot() []sim.Envelope {
 	if len(m.hot) == 0 {
@@ -593,11 +554,11 @@ func (m *Manager) syncHot() []sim.Envelope {
 	sent := 0
 	for _, a := range arcs {
 		h := m.hot[a]
-		if h.tries >= m.cfg.HotRetire {
+		if h.tries >= hotRetire {
 			delete(m.hot, a)
 			continue
 		}
-		if sent >= m.cfg.HotBatch {
+		if sent >= hotBatch {
 			break
 		}
 		h.tries++
@@ -612,9 +573,9 @@ func (m *Manager) syncHot() []sim.Envelope {
 // containing p: the node just learned it was behind for the point (a
 // peer pushed a tuple it lacked, or hinted a version it could not
 // confirm), so the latest content for the range should be hunted down
-// now, not at the arc's round-robin turn. Only active with SegBits > 0.
+// now, not at the arc's round-robin turn.
 func (m *Manager) noteBehind(p node.Point) {
-	if m.cfg.SegBits <= 0 || len(m.checkQueue) >= 16 {
+	if len(m.checkQueue) >= 16 {
 		return
 	}
 	// Per-tuple path: walk base and adopted arcs in place (like Covers)
@@ -637,13 +598,10 @@ func (m *Manager) noteBehind(p node.Point) {
 // around this node — a copy was retired or refreshed, a peer turned out
 // to be behind, or a version this node lacked arrived. It snaps the
 // supersession sweep back to full cadence: the next sweep fires within
-// SupersedeEvery rounds and the backoff restarts from there.
+// supersedeEvery rounds and the backoff restarts from there.
 func (m *Manager) noteDivergence() {
-	if m.cfg.SupersedeEvery == 0 {
-		return
-	}
 	m.diverged = true
-	if next := m.now + sim.Round(m.cfg.SupersedeEvery); next < m.supersedeNext {
+	if next := m.now + supersedeEvery; next < m.supersedeNext {
 		m.supersedeNext = next
 	}
 }
@@ -707,7 +665,7 @@ func (m *Manager) markHot(arc node.Arc, peer node.ID) {
 // arc sits in a rarely-checked adopted sliver. Only bystander copies
 // are ever *dropped* (the receiver-side Covers guard enforces it).
 func (m *Manager) sweepBystanders() []sim.Envelope {
-	hints := make([]KeyVersion, 0, m.cfg.SupersedeBatch)
+	hints := make([]KeyVersion, 0, supersedeBatch)
 	visited := 0
 	var last string
 	// Borrowed walk: only the key (a value copy) and version leave the
@@ -715,13 +673,13 @@ func (m *Manager) sweepBystanders() []sim.Envelope {
 	m.st.ScanRef(m.supersedeCursor, 0, func(t *tuple.Tuple) bool {
 		visited++
 		last = t.Key
-		if visited > 256 || len(hints) >= m.cfg.SupersedeBatch {
+		if visited > 256 || len(hints) >= supersedeBatch {
 			return false
 		}
 		hints = append(hints, KeyVersion{Key: t.Key, Version: t.Version})
 		return true
 	})
-	if visited <= 256 && len(hints) < m.cfg.SupersedeBatch {
+	if visited <= 256 && len(hints) < supersedeBatch {
 		m.supersedeCursor = "" // reached the end: wrap
 	} else {
 		m.supersedeCursor = last
@@ -732,7 +690,7 @@ func (m *Manager) sweepBystanders() []sim.Envelope {
 	// Fan the batch out to a few peers (one shared boxed message): only
 	// ~r/N of peers covers a given key, so a single target would leave
 	// most sweeps unanswered.
-	peers := m.sampler.Sample(m.cfg.SupersedePeers)
+	peers := m.sampler.Sample(supersedePeers)
 	if len(peers) == 0 {
 		return nil
 	}
@@ -766,7 +724,7 @@ func (m *Manager) sweepOrphans(now sim.Round) []sim.Envelope {
 		if m.Covers(t.Point()) {
 			return true
 		}
-		if doneAt, ok := m.orphanDone[t.Key]; ok && now-doneAt < sim.Round(m.cfg.OrphanRecheck) {
+		if doneAt, ok := m.orphanDone[t.Key]; ok && now-doneAt < orphanRecheck {
 			return true
 		}
 		setID, envs := m.walker.Launch(
@@ -815,23 +773,17 @@ func (m *Manager) harvestOrphans(now sim.Round) []sim.Envelope {
 			out = append(out, sim.Envelope{To: h, Msg: SyncPush{Tuples: []*tuple.Tuple{t}}})
 			m.Handoffs++
 			pushed++
-			if pushed >= m.cfg.SyncPeers {
+			if pushed >= syncPeers {
 				break
 			}
 		}
-		// The tuple is fully replicated at its proper owners: release the
-		// last-resort copy so origin stores stay bounded. Convergent mode
-		// (SupersedeEvery > 0) does NOT release here: walk samples only
+		// The last-resort copy is NOT released here: walk samples only
 		// prove the holders *cover* the point, not that they store this
 		// key at this version, and the handoff pushes emitted above may
 		// still be lost — dropping on that evidence could destroy the
 		// only latest copy. The supersession exchange retires the copy
 		// instead, once a keeper explicitly confirms an equal-or-newer
 		// version (and its floor then keeps the retirement final).
-		if m.cfg.SupersedeEvery == 0 && len(holders) >= m.cfg.Replication && !m.Covers(t.Point()) {
-			m.st.Drop(po.key)
-			delete(m.orphanDone, po.key)
-		}
 		if len(set.Samples) > 0 && len(holders) == 0 {
 			// Nobody covers this point: a coverage gap. Recruit an
 			// adopter with a pinpoint arc so the tuple keeps a
@@ -882,7 +834,7 @@ func (m *Manager) judge(now sim.Round, arc node.Arc, set *randomwalk.Set) []sim.
 	// Always anti-entropy with a few holders: content convergence is
 	// useful regardless of the replica count.
 	for i, h := range holders {
-		if i >= m.cfg.SyncPeers {
+		if i >= syncPeers {
 			break
 		}
 		if h == m.self {
@@ -915,7 +867,7 @@ func (m *Manager) judge(now sim.Round, arc node.Arc, set *randomwalk.Set) []sim.
 		}
 		out = append(out, sim.Envelope{To: peer, Msg: AdoptReq{
 			Arc:    arc,
-			Tuples: m.tuplesInArc(arc, m.cfg.MaxPush),
+			Tuples: m.tuplesInArc(arc, maxPush),
 		}})
 		m.Recruits++
 		delete(m.deficitSince, arc.Start) // restart the grace clock
@@ -943,18 +895,14 @@ func (m *Manager) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 		if m.st.DigestArc(msg.Arc) == msg.Digest {
 			return nil // ranges identical
 		}
-		resp := SyncVersions{
+		// Only arcs too narrow to segment (pinpoint adoption slivers)
+		// arrive here; the reply is gated by coverage like a segmented
+		// leaf reply.
+		return []sim.Envelope{{To: from, Msg: SyncVersions{
 			Arc:      msg.Arc,
 			Versions: m.st.VersionsInArc(msg.Arc),
-		}
-		if m.cfg.SegBits > 0 {
-			// Convergent mode reaches this path for arcs too narrow to
-			// segment (pinpoint adoption slivers): report coverage so the
-			// requester's push side is gated like a segmented leaf reply.
-			// Legacy mode stays nil-Coverage — byte-identical behaviour.
-			resp.Coverage = m.Arcs()
-		}
-		return []sim.Envelope{{To: from, Msg: resp}}
+			Coverage: m.Arcs(),
+		}}}
 	case SyncVersions:
 		return m.reconcile(from, msg)
 	case SegSyncReq:
@@ -965,7 +913,7 @@ func (m *Manager) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 		// (evidence this node was behind, see reconcile) — a peer can stay
 		// digest-dirty forever about content it refuses to hold, and that
 		// must not re-trigger priority syncs.
-		if m.cfg.SegBits > 0 && msg.Clean {
+		if msg.Clean {
 			delete(m.hot, msg.Arc)
 		}
 	case SupersedeQuery:
@@ -989,12 +937,12 @@ func (m *Manager) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 		var newer []*tuple.Tuple
 		for _, t := range msg.Tuples {
 			keep := m.Keep(t)
-			if m.cfg.SegBits > 0 && !keep && m.st.Version(t.Key).IsZero() {
-				// Convergent mode: refuse content that is neither ours to
-				// keep nor already held. Arc syncs exchange the requester's
-				// whole arc, which can exceed this node's overlapping
-				// responsibility — applying the excess would mint fresh
-				// bystander copies faster than supersession retires them.
+			if !keep && m.st.Version(t.Key).IsZero() {
+				// Refuse content that is neither ours to keep nor already
+				// held. Arc syncs exchange the requester's whole arc, which
+				// can exceed this node's overlapping responsibility —
+				// applying the excess would mint fresh bystander copies
+				// faster than supersession retires them.
 				continue
 			}
 			if keep {
@@ -1022,8 +970,8 @@ func (m *Manager) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 			}
 		}
 		if len(newer) > 0 {
-			if len(newer) > m.cfg.MaxPush {
-				newer = newer[:m.cfg.MaxPush]
+			if len(newer) > maxPush {
+				newer = newer[:maxPush]
 			}
 			m.Pushed += int64(len(newer))
 			m.noteDivergence() // the sender pushed stale content
@@ -1082,7 +1030,7 @@ func (m *Manager) handleSegSync(from node.ID, msg SegSyncReq) []sim.Envelope {
 			continue
 		}
 		clean = false
-		if counts[i] <= m.cfg.SegLeafKeys || sub.Width < uint64(n) {
+		if counts[i] <= segLeafKeys || sub.Width < uint64(n) {
 			versions := make(map[string]tuple.Version, counts[i])
 			m.st.ArcRefs(sub, func(key string, _ node.Point, v tuple.Version) bool {
 				versions[key] = v
@@ -1213,8 +1161,8 @@ func (m *Manager) handleSupersedeResp(from node.ID, msg SupersedeResp) []sim.Env
 	if len(push) == 0 {
 		return nil
 	}
-	if len(push) > m.cfg.MaxPush {
-		push = push[:m.cfg.MaxPush]
+	if len(push) > maxPush {
+		push = push[:maxPush]
 	}
 	m.Pushed += int64(len(push))
 	m.noteDivergence() // a keeper lacked copies we hold
@@ -1224,10 +1172,9 @@ func (m *Manager) handleSupersedeResp(from node.ID, msg SupersedeResp) []sim.Env
 // reconcile diffs the peer's versions against local state: pull what the
 // peer has newer, push what we have newer. Local state comes from the
 // reusable sorted verBuf (AppendVersionsInArc) rather than a fresh map
-// per exchange; a non-nil msg.Coverage additionally gates the "peer
-// lacks it" pushes on the peer actually covering the key — content only
-// this side is responsible for stays home instead of being re-shipped
-// (and refused) every pass.
+// per exchange; msg.Coverage gates the "peer lacks it" pushes on the peer
+// actually covering the key — content only this side is responsible for
+// stays home instead of being re-shipped (and refused) every pass.
 func (m *Manager) reconcile(from node.ID, msg SyncVersions) []sim.Envelope {
 	m.verBuf = m.st.AppendVersionsInArc(m.verBuf[:0], msg.Arc)
 	mine := m.verBuf
@@ -1244,10 +1191,10 @@ func (m *Manager) reconcile(from node.ID, msg SyncVersions) []sim.Envelope {
 		ours, ok := lookup(key)
 		switch {
 		case !ok || ours.Less(theirs):
-			if m.cfg.SegBits > 0 && !ok && !m.Covers(node.HashKey(key)) {
-				// Convergent mode: a key that is neither held nor covered
-				// is not this node's debt — pulling it would mint a fresh
-				// bystander copy.
+			if !ok && !m.Covers(node.HashKey(key)) {
+				// A key that is neither held nor covered is not this
+				// node's debt — pulling it would mint a fresh bystander
+				// copy.
 				continue
 			}
 			pull = append(pull, key)
@@ -1257,28 +1204,26 @@ func (m *Manager) reconcile(from node.ID, msg SyncVersions) []sim.Envelope {
 			}
 		}
 	}
-	if m.cfg.SegBits > 0 {
-		// Pulls are the evidence this node is behind for the range: keep
-		// it on the priority schedule until a sync round yields nothing to
-		// pull. Digest dirtiness alone (the peer missing content of ours
-		// it refuses to hold) does not warrant hammering.
-		if len(pull) > 0 {
-			m.markHot(msg.Arc, from)
-		} else {
-			delete(m.hot, msg.Arc)
-		}
+	// Pulls are the evidence this node is behind for the range: keep it
+	// on the priority schedule until a sync round yields nothing to pull.
+	// Digest dirtiness alone (the peer missing content of ours it refuses
+	// to hold) does not warrant hammering.
+	if len(pull) > 0 {
+		m.markHot(msg.Arc, from)
+	} else {
+		delete(m.hot, msg.Arc)
 	}
 	for i := range mine {
 		kv := &mine[i]
 		if _, ok := msg.Versions[kv.Key]; ok {
 			continue
 		}
-		if msg.Coverage != nil && !arcsContain(msg.Coverage, kv.Point) {
-			// Coverage-aware reply: the peer told us it is not responsible
-			// for this point, and it holds no copy (the key is absent from
-			// its versions) — it would refuse the push as a would-be
-			// bystander copy. Boundary content only this side covers stops
-			// crossing the wire every pass.
+		if !arcsContain(msg.Coverage, kv.Point) {
+			// The peer told us it is not responsible for this point, and
+			// it holds no copy (the key is absent from its versions) — it
+			// would refuse the push as a would-be bystander copy. Boundary
+			// content only this side covers stops crossing the wire every
+			// pass.
 			m.CoverageSkips.Inc()
 			continue
 		}
@@ -1288,11 +1233,11 @@ func (m *Manager) reconcile(from node.ID, msg SyncVersions) []sim.Envelope {
 	}
 	sort.Strings(pull)
 	sort.Slice(push, func(i, j int) bool { return push[i].Key < push[j].Key })
-	if len(push) > m.cfg.MaxPush {
-		push = push[:m.cfg.MaxPush]
+	if len(push) > maxPush {
+		push = push[:maxPush]
 	}
-	if len(pull) > m.cfg.MaxPush {
-		pull = pull[:m.cfg.MaxPush]
+	if len(pull) > maxPush {
+		pull = pull[:maxPush]
 	}
 	var out []sim.Envelope
 	if len(pull) > 0 {

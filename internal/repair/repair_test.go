@@ -121,6 +121,7 @@ func TestReconcileComputesPullAndPush(t *testing.T) {
 			"both-theirs-newer": {Seq: 9, Writer: 1},
 			"only-theirs":       {Seq: 1, Writer: 1},
 		},
+		Coverage: []node.Arc{node.FullArc()},
 	}
 	envs := m.reconcile(2, msg)
 	var pulls []string
@@ -180,6 +181,10 @@ func TestSyncConvergesTwoHolders(t *testing.T) {
 		if _, ok := c.nodes[2].st.GetAny(k); !ok {
 			t.Fatalf("node 2 missing %q after sync", k)
 		}
+	}
+	// The arc is wide enough to split: the digest-tree handshake ran.
+	if c.nodes[1].mgr.Segments.Value()+c.nodes[2].mgr.Segments.Value() == 0 {
+		t.Fatal("no sub-range digests were exchanged")
 	}
 }
 
@@ -322,47 +327,6 @@ func TestSyncReqEqualDigestIsSilent(t *testing.T) {
 	}
 }
 
-func TestSegmentedSyncConvergesTwoHolders(t *testing.T) {
-	// The segmented counterpart of TestSyncConvergesTwoHolders: with
-	// SegBits on, the digest-tree handshake must converge divergent
-	// holders and actually exchange sub-range digests.
-	arc := node.Arc{Start: 0, Width: 1 << 62}
-	cfg := Config{Replication: 2, NEst: func() float64 { return 10 },
-		Walks: 60, TTL: 4, CheckEvery: 4, Grace: 1000, SegBits: 3}
-	c := newCluster(10, 3, cfg, func(i int) []node.Arc {
-		if i < 2 {
-			return []node.Arc{arc}
-		}
-		return nil
-	})
-	var inArc []string
-	for i := 0; len(inArc) < 6; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if arc.Contains(node.HashKey(k)) {
-			inArc = append(inArc, k)
-		}
-	}
-	for i, k := range inArc {
-		if i%2 == 0 {
-			c.nodes[1].st.Apply(mk(k, 1, "from1"))
-		} else {
-			c.nodes[2].st.Apply(mk(k, 1, "from2"))
-		}
-	}
-	c.net.Run(80)
-	for _, k := range inArc {
-		if _, ok := c.nodes[1].st.GetAny(k); !ok {
-			t.Fatalf("node 1 missing %q after segmented sync", k)
-		}
-		if _, ok := c.nodes[2].st.GetAny(k); !ok {
-			t.Fatalf("node 2 missing %q after segmented sync", k)
-		}
-	}
-	if c.nodes[1].mgr.Segments.Value()+c.nodes[2].mgr.Segments.Value() == 0 {
-		t.Fatal("no sub-range digests were exchanged")
-	}
-}
-
 func TestSegSyncForeignSegmentsAreClean(t *testing.T) {
 	// A peer that neither covers nor stores anything of a requested range
 	// must answer a clean verdict without exchanging versions: content it
@@ -370,7 +334,7 @@ func TestSegSyncForeignSegmentsAreClean(t *testing.T) {
 	// partially-overlapping peers re-syncing forever.
 	rng := rand.New(rand.NewSource(21))
 	st := store.New(rng)
-	m := New(1, rng, &stubSieve{}, st, nil, nil, Config{SegBits: 3})
+	m := New(1, rng, &stubSieve{}, st, nil, nil, Config{})
 	arc := node.Arc{Start: 0, Width: 1 << 40}
 	digests := make([]uint64, 8)
 	for i := range digests {
@@ -390,7 +354,7 @@ func TestSupersessionDropsConfirmedBystander(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	key := "sup-key"
 	arc := node.Arc{Start: node.HashKey(key), Width: 1024}
-	cfg := Config{SegBits: 3, SupersedeEvery: 4}
+	cfg := Config{}
 
 	keeperSt := store.New(rng)
 	keeper := New(2, rng, &stubSieve{arcs: []node.Arc{arc}}, keeperSt, nil, nil, cfg)
@@ -431,7 +395,7 @@ func TestSupersessionWantPullsBystanderCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	key := "want-key"
 	arc := node.Arc{Start: node.HashKey(key), Width: 1024}
-	cfg := Config{SegBits: 3, SupersedeEvery: 4}
+	cfg := Config{}
 
 	keeperSt := store.New(rng)
 	keeper := New(2, rng, &stubSieve{arcs: []node.Arc{arc}}, keeperSt, nil, nil, cfg)
@@ -464,7 +428,7 @@ func TestSupersessionWantPullsBystanderCopy(t *testing.T) {
 func TestSupersessionNewerRefreshesFellowBystander(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	key := "fresh-key"
-	cfg := Config{SegBits: 3, SupersedeEvery: 4}
+	cfg := Config{}
 
 	// Neither node covers the key: both are bystanders.
 	aSt := store.New(rng)
@@ -496,8 +460,7 @@ func TestHotSchedulerDrivenByPulls(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	st := store.New(rng)
 	arc := node.Arc{Start: 0, Width: 1 << 62}
-	m := New(1, rng, &stubSieve{arcs: []node.Arc{arc}}, st, nil, nil,
-		Config{SegBits: 3, HotSyncEvery: 3})
+	m := New(1, rng, &stubSieve{arcs: []node.Arc{arc}}, st, nil, nil, Config{})
 
 	// A SyncVersions with something to pull marks the arc hot...
 	var key string
@@ -512,8 +475,8 @@ func TestHotSchedulerDrivenByPulls(t *testing.T) {
 	if len(m.hot) != 1 {
 		t.Fatalf("hot = %v, want the arc scheduled after a pull", m.hot)
 	}
-	// ...and the next HotSyncEvery tick re-syncs it with the peer.
-	envs := m.Tick(3)
+	// ...and the next hotSyncEvery tick re-syncs it with the peer.
+	envs := m.Tick(hotSyncEvery)
 	found := false
 	for _, e := range envs {
 		if _, ok := e.Msg.(SegSyncReq); ok && e.To == 2 {
@@ -543,7 +506,7 @@ func TestOrphanDiscardExactlyOnceNoResurrection(t *testing.T) {
 	arc := node.Arc{Start: 0, Width: 1 << 62}
 	cfg := Config{Replication: 3, NEst: func() float64 { return 12 },
 		Walks: 80, TTL: 4, CheckEvery: 4, WaitRounds: 7, Grace: 1000,
-		SegBits: 3, SupersedeEvery: 2, OrphanBatch: 4}
+		OrphanBatch: 4}
 	c := newCluster(12, 31, cfg, func(i int) []node.Arc {
 		if i >= 1 && i <= 3 {
 			return []node.Arc{arc}
@@ -598,7 +561,7 @@ func TestFloorLiftsWhenResponsibilityReturns(t *testing.T) {
 	// surviving copies.
 	rng := rand.New(rand.NewSource(33))
 	key := "floor-key"
-	cfg := Config{SegBits: 3, SupersedeEvery: 4}
+	cfg := Config{}
 
 	st := store.New(rng)
 	m := New(1, rng, &stubSieve{}, st, nil, nil, cfg)
@@ -637,7 +600,7 @@ func TestSupersessionNeedsTwoDistinctKeeperConfirmations(t *testing.T) {
 	// version, and this copy may be the only other one.
 	rng := rand.New(rand.NewSource(35))
 	key := "quorum-key"
-	cfg := Config{Replication: 3, SegBits: 3, SupersedeEvery: 4}
+	cfg := Config{Replication: 3}
 	st := store.New(rng)
 	m := New(1, rng, &stubSieve{}, st, nil, nil, cfg)
 	st.Apply(mk(key, 2, "copy"))
@@ -662,42 +625,54 @@ func TestSupersessionNeedsTwoDistinctKeeperConfirmations(t *testing.T) {
 
 func TestSupersedeSweepBackoffSchedule(t *testing.T) {
 	// With nothing diverging, consecutive sweeps double their gap from
-	// SupersedeEvery up to SupersedeMaxEvery; a divergence signal pulls
+	// supersedeEvery up to supersedeMaxEvery; a divergence signal pulls
 	// the next sweep forward and restarts the ladder.
 	rng := rand.New(rand.NewSource(9))
 	st := store.New(rng)
 	sampler := membership.NewUniformView(1, rng, func() []node.ID { return []node.ID{1, 2} })
-	m := New(1, rng, &stubSieve{}, st, nil, sampler,
-		Config{Replication: 3, SupersedeEvery: 2, SupersedeMaxEvery: 16})
+	walker := randomwalk.New(1, rng, sampler, func(randomwalk.Query) (bool, bool) { return false, false })
+	m := New(1, rng, &stubSieve{}, st, walker, sampler, Config{Replication: 3})
+	st.Apply(mk("held-key", 1, "v")) // a bystander copy: pushes refresh it in place
 	m.Start(0)
+	// The first sweep (round 0) already doubles the gap, then the gap
+	// keeps doubling to the cap and stays there for two more sweeps.
+	want := []sim.Round{0}
+	for gap := sim.Round(2 * supersedeEvery); len(want) < 10; gap = min(2*gap, supersedeMaxEvery) {
+		want = append(want, want[len(want)-1]+gap)
+	}
+	end := want[len(want)-1]
 	var sweeps []sim.Round
 	last := int64(0)
-	for now := sim.Round(0); now < 64; now++ {
+	for now := sim.Round(0); now <= end; now++ {
 		m.Tick(now)
 		if v := m.Sweeps.Value(); v != last {
 			sweeps = append(sweeps, now)
 			last = v
 		}
 	}
-	want := []sim.Round{0, 4, 12, 28, 44, 60} // gaps 4,8,16,16,16 (doubling from 2, capped)
 	if fmt.Sprint(sweeps) != fmt.Sprint(want) {
 		t.Fatalf("sweep rounds = %v, want %v", sweeps, want)
 	}
-	// Divergence at round 63 (a push applies a version we lacked): the
-	// next sweep fires within SupersedeEvery rounds, not at 60+16=76.
-	m.Handle(63, 2, SyncPush{Tuples: []*tuple.Tuple{mk("fresh-key", 1, "v")}})
+	if got := want[len(want)-1] - want[len(want)-2]; got != supersedeMaxEvery {
+		t.Fatalf("last gap = %d, want the cap %d", got, supersedeMaxEvery)
+	}
+	// Divergence three rounds later (a push applies a version we lacked):
+	// the next sweep fires within supersedeEvery rounds, not a full capped
+	// gap away.
+	at := end + 3
+	m.Handle(at, 2, SyncPush{Tuples: []*tuple.Tuple{mk("held-key", 2, "v")}})
 	if !m.diverged {
 		t.Fatal("applied push did not flag divergence")
 	}
-	if m.supersedeNext != 65 {
-		t.Fatalf("supersedeNext = %d after divergence at 63, want 65", m.supersedeNext)
+	if m.supersedeNext != at+supersedeEvery {
+		t.Fatalf("supersedeNext = %d after divergence at %d, want %d", m.supersedeNext, at, at+supersedeEvery)
 	}
-	for now := sim.Round(64); now < 70; now++ {
+	for now := end + 1; now < at+2*supersedeEvery+1; now++ {
 		m.Tick(now)
 	}
-	// Sweep fired at 65 with the gap reset: the following one is due two
-	// rounds later (67), proving the ladder restarted from SupersedeEvery.
-	if m.Sweeps.Value() != last+2 { // 65, 67; the next (gap 4 → 71) is pending
+	// Sweeps fired at at+supersedeEvery (gap reset) and supersedeEvery
+	// rounds after that, proving the ladder restarted from the bottom.
+	if m.Sweeps.Value() != last+2 {
 		t.Fatalf("Sweeps = %d after reset window, want %d", m.Sweeps.Value(), last+2)
 	}
 }
@@ -706,11 +681,10 @@ func TestSupersedeSweepDecaysOnConvergedCluster(t *testing.T) {
 	// Four keepers of the full ring hold identical content: every hint
 	// draws an equal-version Held answer, which is the converged steady
 	// state and must NOT hold the sweep at full cadence. Over 300 rounds
-	// a uniform SupersedeEvery=2 cadence would fire 150 sweeps per node;
-	// the backoff ladder (2,4,...,128 capped) fires ~10.
+	// a uniform supersedeEvery cadence would fire 75 sweeps per node; the
+	// backoff ladder (4,8,...,256 capped) fires under 10.
 	cfg := Config{Replication: 3, NEst: func() float64 { return 4 },
-		Walks: 8, TTL: 3, CheckEvery: 10, Grace: 1000,
-		SegBits: 3, SupersedeEvery: 2}
+		Walks: 8, TTL: 3, CheckEvery: 10, Grace: 1000}
 	full := []node.Arc{node.FullArc()}
 	c := newCluster(4, 17, cfg, func(i int) []node.Arc { return full })
 	for _, tn := range c.nodes {
@@ -720,8 +694,8 @@ func TestSupersedeSweepDecaysOnConvergedCluster(t *testing.T) {
 	}
 	c.net.Run(300)
 	for id, tn := range c.nodes {
-		if got := tn.mgr.Sweeps.Value(); got > 20 {
-			t.Fatalf("node %d fired %d sweeps over 300 converged rounds, want backoff decay (<= 20)", id, got)
+		if got := tn.mgr.Sweeps.Value(); got > 12 {
+			t.Fatalf("node %d fired %d sweeps over 300 converged rounds, want backoff decay (<= 12)", id, got)
 		}
 		if got := tn.mgr.Sweeps.Value(); got < 3 {
 			t.Fatalf("node %d fired only %d sweeps, backoff should not stall the sweep entirely", id, got)

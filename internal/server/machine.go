@@ -3,7 +3,7 @@
 // serves the DDB1 client protocol (docs/PROTOCOL.md) over TCP with
 // pipelining, per-connection backpressure, per-op deadlines and graceful
 // drain. cmd/datadroplets is a thin flag wrapper around this package;
-// the load generator in cmd/ddbench boots several of these in-process.
+// the benchmark in bench/ boots several of these in-process.
 package server
 
 import (

@@ -616,6 +616,17 @@ type Stats struct {
 	// mixed-version rule (docs/PROTOCOL.md, "Inter-node framing").
 	FabricUnknownTags int64 `json:"fabric_unknown_tags"`
 
+	// Background repair this node has run (docs/OPERATIONS.md): sub-range
+	// digests exchanged by segmented sync, supersession sweeps fired,
+	// bystander copies retired on keeper confirmation, pushes withheld
+	// because the peer does not cover the key, and winning tuples pushed
+	// to stale read responders.
+	RepairSyncSegments  int64 `json:"repair_sync_segments"`
+	RepairSweeps        int64 `json:"repair_sweeps"`
+	RepairSuperseded    int64 `json:"repair_superseded"`
+	RepairCoverageSkips int64 `json:"repair_coverage_skips"`
+	ReadRepairs         int64 `json:"read_repairs"`
+
 	Put  LatencySummary `json:"put_latency_ns"`
 	Get  LatencySummary `json:"get_latency_ns"`
 	Del  LatencySummary `json:"del_latency_ns"`
@@ -654,6 +665,12 @@ func (s *Server) StatsSnapshot() (Stats, error) {
 		FabricDropped: s.host.Dropped.Value(),
 
 		FabricUnknownTags: s.host.UnknownTags.Value(),
+
+		RepairSyncSegments:  s.en.Repair.Segments.Value(),
+		RepairSweeps:        s.en.Repair.Sweeps.Value(),
+		RepairSuperseded:    s.en.Repair.Superseded.Value(),
+		RepairCoverageSkips: s.en.Repair.CoverageSkips.Value(),
+		ReadRepairs:         s.soft.ReadRepairs.Value() + s.en.ReadRepairs.Value(),
 
 		Put:  summarize(&s.Met.PutLatency),
 		Get:  summarize(&s.Met.GetLatency),

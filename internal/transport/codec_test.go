@@ -72,7 +72,7 @@ func codecCases() []any {
 		randomwalk.WalkResult{SetID: 8, Sample: randomwalk.Sample{Node: 4, Covers: true, HasKey: true}},
 		repair.SyncReq{Arc: node.Arc{Start: 100, Width: 1 << 40}, Digest: 0xdeadbeef},
 		repair.SyncVersions{Arc: node.Arc{Start: 1, Width: 2}, Versions: map[string]tuple.Version{"x": {Seq: 3, Writer: 1}}, Coverage: []node.Arc{{Start: 0, Width: 10}, {Start: 50, Width: 5}}},
-		repair.SyncVersions{Arc: node.Arc{Start: 1, Width: 2}}, // legacy: nil coverage
+		repair.SyncVersions{Arc: node.Arc{Start: 1, Width: 2}}, // covers nothing
 		repair.SyncPull{Keys: []string{"a", "b"}},
 		repair.SyncPull{},
 		repair.SyncPush{Tuples: []*tuple.Tuple{t1}},

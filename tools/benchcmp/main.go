@@ -1,24 +1,17 @@
 // Command benchcmp compares a freshly measured ddbench JSON report
 // against a committed baseline report and flags regressions. It handles
-// both report families, dispatching on the report's "benchmark" field:
+// two report families, dispatching on the report's "benchmark" field:
 //
 //   - simscale: rows match by (nodes, workers); rounds_per_sec is
 //     compared against the threshold (percent). When both reports carry
 //     a repair_cost section, the digest-serve ns/op is compared at the
 //     same threshold and the index-vs-full-scan speedup against an
 //     absolute 10x floor.
-//   - scenarios: rows match by (scenario, nodes, workers, converge);
+//   - scenarios: rows match by (scenario, nodes, workers);
 //     availability_any (absolute drop > 0.02), stale_keeper_copies
 //     (absolute rise > 0.02) and rounds_to_convergence (relative rise
 //     beyond the threshold) are compared — the dependability envelope
 //     rather than throughput.
-//   - serve: rows match by conns; ops_per_sec is compared against the
-//     threshold and the put/get p99.9 tails against double the threshold
-//     (same-host reports only, like simscale). Dropped responses > 0 and
-//     timeouts regressing from a zero baseline are regressions on any
-//     host — the pipelined protocol's zero-loss contract is not
-//     hardware-dependent, and the timeout warning carries the
-//     per-op-kind (put/get) breakdown.
 //
 // Rows without a counterpart in the baseline are skipped (the committed
 // baselines mix full-scale and CI-scale measurements — only the
@@ -47,22 +40,11 @@ type row struct {
 	Scenario     string  `json:"scenario"`
 	Nodes        int     `json:"nodes"`
 	Workers      int     `json:"workers"`
-	Converge     bool    `json:"converge"`
 	RoundsPerSec float64 `json:"rounds_per_sec"`
 
 	AvailAny         float64 `json:"availability_any"`
 	StaleKeepers     float64 `json:"stale_keeper_copies"`
 	RoundsToConverge int     `json:"rounds_to_converge"`
-
-	Conns     int     `json:"conns"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	Dropped   int64   `json:"dropped"`
-
-	Timeouts    int64   `json:"timeouts"`
-	PutTimeouts int64   `json:"put_timeouts"`
-	GetTimeouts int64   `json:"get_timeouts"`
-	PutP999Ms   float64 `json:"put_p999_ms"`
-	GetP999Ms   float64 `json:"get_p999_ms"`
 }
 
 // repairCost is the repair_cost section of a simscale (or standalone
@@ -91,7 +73,6 @@ type scenarioKey struct {
 	scenario string
 	nodes    int
 	workers  int
-	converge bool
 }
 
 func load(path string) (*report, error) {
@@ -130,7 +111,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// sameHost gates wall-clock comparisons (ops/sec, rounds/sec): a
+	// sameHost gates wall-clock comparisons (rounds/sec): a
 	// number measured on one core and one measured on four differ for
 	// hardware reasons, not code reasons. Zero CPUs means "unknown"
 	// (pre-field reports) and does not refuse.
@@ -141,12 +122,6 @@ func main() {
 	switch current.Benchmark {
 	case "scenarios":
 		compared, regressions = compareScenarios(baseline, current, *threshold)
-	case "serve":
-		if !sameHost {
-			fmt.Printf("::warning title=cross-host bench::refusing ops/sec comparison: baseline host cpus=%d gomaxprocs=%d, current host cpus=%d gomaxprocs=%d\n",
-				baseline.CPUs, baseline.GOMAXPROCS, current.CPUs, current.GOMAXPROCS)
-		}
-		compared, regressions = compareServe(baseline, current, *threshold, sameHost)
 	default:
 		// Refuse the wall-clock diff entirely for cross-host simscale
 		// reports instead of annotating phantom regressions or
@@ -235,83 +210,13 @@ func compareRepairCost(baseline, current *report, threshold float64) (compared, 
 	return compared, regressions
 }
 
-// compareServe diffs serve rows by connection count. ops/sec and the
-// tail latencies (p99.9) are only compared between same-host reports;
-// the dropped-responses check and the per-op-kind timeout comparison
-// are count-based and apply on any host.
-func compareServe(baseline, current *report, threshold float64, compareSpeed bool) (compared, regressions int) {
-	base := make(map[int]row, len(baseline.Results))
-	for _, r := range baseline.Results {
-		base[r.Conns] = r
-	}
-	for _, cur := range current.Results {
-		ref, ok := base[cur.Conns]
-		if !ok {
-			continue
-		}
-		compared++
-		status := "ok"
-		if cur.Dropped > 0 {
-			status = "REGRESSION"
-			regressions++
-			fmt.Printf("::warning title=bench regression::serve conns=%d: %d dropped responses (zero-loss contract)\n",
-				cur.Conns, cur.Dropped)
-		}
-		// Timeouts regressing from zero is a correctness-adjacent signal
-		// on any host: the baseline answered every op within the deadline
-		// at this concurrency. The per-kind split names the failing path.
-		if cur.Timeouts > 0 && ref.Timeouts == 0 {
-			status = "REGRESSION"
-			regressions++
-			fmt.Printf("::warning title=bench regression::serve conns=%d: %d timeouts (put=%d get=%d) vs baseline 0\n",
-				cur.Conns, cur.Timeouts, cur.PutTimeouts, cur.GetTimeouts)
-		}
-		change := 0.0
-		if compareSpeed && ref.OpsPerSec > 0 {
-			change = (cur.OpsPerSec/ref.OpsPerSec - 1) * 100
-			if change <= -threshold {
-				status = "REGRESSION"
-				regressions++
-				fmt.Printf("::warning title=bench regression::serve conns=%d: %.0f ops/sec vs baseline %.0f (%.1f%%)\n",
-					cur.Conns, cur.OpsPerSec, ref.OpsPerSec, change)
-			}
-		}
-		if compareSpeed {
-			// Tail latency gets double the throughput threshold: p99.9 is
-			// a handful of samples per trial and noisier than the mean.
-			for _, tail := range []struct {
-				name      string
-				cur, refV float64
-			}{
-				{"put p99.9", cur.PutP999Ms, ref.PutP999Ms},
-				{"get p99.9", cur.GetP999Ms, ref.GetP999Ms},
-			} {
-				if tail.refV <= 0 {
-					continue // baseline predates the field
-				}
-				tailChange := (tail.cur/tail.refV - 1) * 100
-				if tailChange >= 2*threshold {
-					status = "REGRESSION"
-					regressions++
-					fmt.Printf("::warning title=bench regression::serve conns=%d: %s %.2fms vs baseline %.2fms (%+.1f%%)\n",
-						cur.Conns, tail.name, tail.cur, tail.refV, tailChange)
-				}
-			}
-		}
-		fmt.Printf("conns=%-6d %10.0f ops/sec  baseline %10.0f  %+7.1f%%  dropped %d  timeouts %d (put %d / get %d)  p999 put %.2fms get %.2fms  %s\n",
-			cur.Conns, cur.OpsPerSec, ref.OpsPerSec, change, cur.Dropped,
-			cur.Timeouts, cur.PutTimeouts, cur.GetTimeouts, cur.PutP999Ms, cur.GetP999Ms, status)
-	}
-	return compared, regressions
-}
-
 func compareScenarios(baseline, current *report, threshold float64) (compared, regressions int) {
 	base := make(map[scenarioKey]row, len(baseline.Results))
 	for _, r := range baseline.Results {
-		base[scenarioKey{r.Scenario, r.Nodes, r.Workers, r.Converge}] = r
+		base[scenarioKey{r.Scenario, r.Nodes, r.Workers}] = r
 	}
 	for _, cur := range current.Results {
-		ref, ok := base[scenarioKey{cur.Scenario, cur.Nodes, cur.Workers, cur.Converge}]
+		ref, ok := base[scenarioKey{cur.Scenario, cur.Nodes, cur.Workers}]
 		if !ok {
 			continue
 		}
@@ -337,12 +242,12 @@ func compareScenarios(baseline, current *report, threshold float64) (compared, r
 			status = "REGRESSION"
 			regressions++
 			for _, b := range bad {
-				fmt.Printf("::warning title=scenario regression::%s N=%d W=%d converge=%v: %s\n",
-					cur.Scenario, cur.Nodes, cur.Workers, cur.Converge, b)
+				fmt.Printf("::warning title=scenario regression::%s N=%d W=%d: %s\n",
+					cur.Scenario, cur.Nodes, cur.Workers, b)
 			}
 		}
-		fmt.Printf("%-14s N=%-5d W=%-2d converge=%-5v avail %.3f/%.3f  staleKeep %.3f/%.3f  rounds %d/%d  %s\n",
-			cur.Scenario, cur.Nodes, cur.Workers, cur.Converge,
+		fmt.Printf("%-14s N=%-5d W=%-2d avail %.3f/%.3f  staleKeep %.3f/%.3f  rounds %d/%d  %s\n",
+			cur.Scenario, cur.Nodes, cur.Workers,
 			cur.AvailAny, ref.AvailAny, cur.StaleKeepers, ref.StaleKeepers,
 			cur.RoundsToConverge, ref.RoundsToConverge, status)
 	}
