@@ -46,8 +46,6 @@ func main() {
 		maxConns  = flag.Int("max-conns", 4096, "client connection cap (excess answered BUSY)")
 		window    = flag.Int("window", 64, "pipelined ops in flight per connection")
 		writeAcks = flag.Int("write-acks", 1, "replica acks that complete a PUT/DEL")
-		peerQueue = flag.Int("peer-queue", 0, "outbound envelope queue depth per peer (0 = default 4096); a stalled peer sheds load past this")
-		intake    = flag.Int("intake-batch", 0, "fabric events dispatched per driver wake-up (0 = default 256; 1 = per-event)")
 	)
 	flag.Parse()
 
@@ -60,19 +58,17 @@ func main() {
 	logger := log.New(os.Stderr, fmt.Sprintf("[%s] ", self), log.LstdFlags)
 
 	srv, err := server.New(server.Config{
-		Self:           self,
-		Peers:          peerList,
-		ClientAddr:     *client,
-		TickInterval:   *tick,
-		OpTimeout:      *opTimeout,
-		MaxConns:       *maxConns,
-		Window:         *window,
-		Replication:    *r,
-		FanoutC:        *fanoutC,
-		WriteAcks:      *writeAcks,
-		PeerQueueDepth: *peerQueue,
-		IntakeBatch:    *intake,
-		Logger:         logger,
+		Self:         self,
+		Peers:        peerList,
+		ClientAddr:   *client,
+		TickInterval: *tick,
+		OpTimeout:    *opTimeout,
+		MaxConns:     *maxConns,
+		Window:       *window,
+		Replication:  *r,
+		FanoutC:      *fanoutC,
+		WriteAcks:    *writeAcks,
+		Logger:       logger,
 	})
 	if err != nil {
 		logger.Fatal(err)

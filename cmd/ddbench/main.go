@@ -8,16 +8,13 @@
 //	ddbench -run all -scale 0.2            # quick pass over everything
 //	ddbench -run C8 -scale 1 -seed 7       # full-scale churn comparison
 //	ddbench -run C1,C2,C3 -csv out/        # dissemination suite + CSVs
-//	ddbench -run throughput -json BENCH_throughput.json
 //	ddbench -run scenarios -scenario split-brain -workers 1,4
 //	ddbench -run fuzz -seeds 20 -workers 1,2,4,8           # consistency fuzzer
 //	ddbench -run repaircost -json BENCH_simscale.json      # splice repair_cost section
 //	ddbench -list
 //
-// Besides the experiment IDs, -run throughput sweeps the pipelined
-// client engine over several in-flight window sizes and prints
-// ops/round and ops/sec, -run simscale benchmarks the fabric at paper
-// scale, -run scenarios drives the fault-scenario suite (partition,
+// Besides the experiment IDs, -run simscale benchmarks the fabric at
+// paper scale, -run scenarios drives the fault-scenario suite (partition,
 // flap storm, mass crash, slow nodes, latency spike) measuring
 // availability, staleness and rounds-to-convergence per scenario
 // (optionally as JSON via -json; exits nonzero when a scenario does not
@@ -49,11 +46,11 @@ func main() { os.Exit(realMain()) }
 // defers installed below always run (os.Exit would skip them).
 func realMain() int {
 	var (
-		run      = flag.String("run", "all", "comma-separated experiment IDs, 'all', 'throughput', 'simscale', 'scenarios', 'fuzz', or 'repaircost'")
+		run      = flag.String("run", "all", "comma-separated experiment IDs, 'all', 'simscale', 'scenarios', 'fuzz', or 'repaircost'")
 		scale    = flag.Float64("scale", 0.25, "population/trial scale (1.0 = paper scale)")
 		seed     = flag.Int64("seed", 42, "random seed")
 		csv      = flag.String("csv", "", "directory to write per-table CSV files (optional)")
-		jsonOut  = flag.String("json", "", "file to write the selected run's report as JSON (with -run throughput, simscale or scenarios)")
+		jsonOut  = flag.String("json", "", "file to write the selected run's report as JSON (with -run simscale, scenarios, fuzz or repaircost)")
 		workers  = flag.String("workers", "1", "comma-separated fabric worker counts to sweep (with -run simscale or scenarios)")
 		scenario = flag.String("scenario", "all", "scenario name(s) for -run scenarios (comma-separated, or 'all')")
 		readDist = flag.String("readdist", "", "read-workload key distribution for -run scenarios: uniform (default), zipf, hot, scan")
@@ -98,21 +95,12 @@ func realMain() int {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
 		}
-		fmt.Println("throughput")
 		fmt.Println("simscale")
 		fmt.Println("scenarios")
 		fmt.Println("fuzz")
 		fmt.Println("repaircost")
 		for _, name := range experiments.ScenarioNames() {
 			fmt.Printf("scenarios -scenario %s\n", name)
-		}
-		return 0
-	}
-
-	if *run == "throughput" {
-		if err := runThroughput(*seed, *scale, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
-			return 1
 		}
 		return 0
 	}

@@ -7,9 +7,6 @@
 package server
 
 import (
-	"encoding/gob"
-	"sync"
-
 	"datadroplets/internal/core"
 	"datadroplets/internal/epidemic"
 	"datadroplets/internal/membership"
@@ -17,17 +14,6 @@ import (
 	"datadroplets/internal/sim"
 	"datadroplets/internal/tuple"
 )
-
-// registerOnce adds the soft→persistent handoff message to gob's
-// registry. The transport registers every epidemic-layer type itself,
-// but WriteCmd belongs to core, which transport does not know about.
-var registerOnce sync.Once
-
-func registerMessages() {
-	registerOnce.Do(func() {
-		gob.Register(core.WriteCmd{})
-	})
-}
 
 // machine is both DataDroplets layers of one process as a single
 // sim.Machine: a soft-state node (sequencer, directory, cache, client

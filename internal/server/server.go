@@ -45,23 +45,9 @@ type Config struct {
 	// full the server stops reading the connection, which backpressures
 	// the client through TCP. Zero means 64.
 	Window int
-	// PeerQueueDepth bounds each peer's outbound fabric queue (envelopes
-	// to a stalled peer shed once it fills). Zero means the transport
-	// default (4096).
-	PeerQueueDepth int
-	// IntakeBatch caps how many fabric events the driver dispatches per
-	// wake-up before harvesting completed client ops. Zero means the
-	// transport default (256); 1 restores per-event harvesting.
-	IntakeBatch int
-	// BlockingSend forces the fabric's per-peer writers synchronous — a
-	// test knob (the batching-equivalence test proves serve results
-	// don't depend on writer asynchrony). Leave false in production.
-	BlockingSend bool
-	// Replication, FanoutC and AntiEntropyEvery tune the epidemic layer
-	// (defaults 3, 2, 10).
-	Replication      int
-	FanoutC          float64
-	AntiEntropyEvery int
+	// Replication and FanoutC tune the epidemic layer (defaults 3, 2).
+	Replication int
+	FanoutC     float64
 	// WriteAcks is how many replica acknowledgements complete a PUT/DEL.
 	// Zero means 1.
 	WriteAcks int
@@ -70,6 +56,9 @@ type Config struct {
 	// Logger receives lifecycle diagnostics; nil silences them.
 	Logger *log.Logger
 }
+
+// antiEntropyEvery is the gossip digest-pull period, in rounds.
+const antiEntropyEvery = 10
 
 func (c Config) normalized() Config {
 	if c.TickInterval <= 0 {
@@ -89,9 +78,6 @@ func (c Config) normalized() Config {
 	}
 	if c.FanoutC == 0 {
 		c.FanoutC = 2
-	}
-	if c.AntiEntropyEvery == 0 {
-		c.AntiEntropyEvery = 10
 	}
 	if c.Seed == 0 {
 		c.Seed = time.Now().UnixNano() ^ int64(c.Self)
@@ -164,7 +150,6 @@ type Server struct {
 // New builds a server; Start boots it.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.normalized()
-	registerMessages()
 	ids := make([]node.ID, 0, len(cfg.Peers))
 	for _, p := range cfg.Peers {
 		ids = append(ids, p.ID)
@@ -174,7 +159,7 @@ func New(cfg Config) (*Server, error) {
 	en := epidemic.New(cfg.Self, rng, view, epidemic.Config{
 		Replication:      cfg.Replication,
 		FanoutC:          cfg.FanoutC,
-		AntiEntropyEvery: cfg.AntiEntropyEvery,
+		AntiEntropyEvery: antiEntropyEvery,
 	})
 	soft := core.NewSoftNode(cfg.Self, rng, &entrySampler{self: cfg.Self, inner: view},
 		core.SoftConfig{WriteAcks: cfg.WriteAcks})
@@ -195,14 +180,11 @@ func New(cfg Config) (*Server, error) {
 		s.opRounds = 1
 	}
 	host, err := transport.NewHost(transport.Config{
-		Self:           cfg.Self,
-		Peers:          cfg.Peers,
-		TickInterval:   cfg.TickInterval,
-		PeerQueueDepth: cfg.PeerQueueDepth,
-		IntakeBatch:    cfg.IntakeBatch,
-		BlockingSend:   cfg.BlockingSend,
-		Logger:         cfg.Logger,
-		AfterStep:      s.afterStep,
+		Self:         cfg.Self,
+		Peers:        cfg.Peers,
+		TickInterval: cfg.TickInterval,
+		Logger:       cfg.Logger,
+		AfterStep:    s.afterStep,
 	}, newMachine(soft, en))
 	if err != nil {
 		return nil, err

@@ -1,8 +1,7 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -20,39 +19,39 @@ import (
 	"datadroplets/internal/wire"
 )
 
-// The DDN1 message codec: every protocol message the fabric carries is
-// framed as one tag byte followed by a hand-written binary body built
-// from internal/wire's primitives (internal/tuple's codec conventions:
-// uvarint lengths, zig-zag signed ints, little-endian float bits).
-// Replacing per-envelope gob with this codec removes the reflection
-// walk from the per-peer writer goroutines and lets encode buffers be
-// recycled — the encode path is allocation-free at steady state
-// (BenchmarkEncodeEnvelope pins it).
+// The DDN1 message codec — the fabric's only wire format, and the only
+// file that knows it. Every protocol message is framed as one tag byte
+// followed by a hand-written binary body built from internal/wire's
+// primitives (internal/tuple's codec conventions: uvarint lengths,
+// zig-zag signed ints, little-endian float bits). Encoding appends into
+// the per-peer writer's recycled scratch buffer and is allocation-free
+// at steady state (BenchmarkEncodeEnvelope pins it); decoding runs
+// through one sticky-error cursor per connection.
 //
-// Compatibility rules, normative in docs/PROTOCOL.md §Inter-node framing:
+// Rules, normative in docs/PROTOCOL.md §Inter-node framing:
 //
 //   - Tags are append-only. A tag, once assigned, never changes meaning
-//     and is never reused.
-//   - A decoder that meets an unknown tag skips that frame (the length
-//     prefix alone delimits it) and keeps the connection — new message
-//     types degrade to message loss on old nodes, which the epidemic
-//     protocols absorb by design.
-//   - Tag 0 is the gob escape hatch: the body is a self-contained gob
-//     stream of the message. Anything without a hand-written body —
-//     experiment payloads, types added faster than codecs — still
-//     travels; it just pays gob's cost.
+//     and is never reused; retired tags (0, 4, 32) stay reserved.
+//   - A decoder that meets a tag it does not know — unassigned or
+//     retired — skips that frame (the length prefix alone delimits it)
+//     and keeps the connection: new message types degrade to message
+//     loss on old nodes, which the epidemic protocols absorb by design.
+//   - A malformed body under a known tag, including a list count the
+//     remaining bytes cannot hold, drops the connection.
+//   - An empty list decodes as nil; the version map alone keeps nil and
+//     empty distinct (see appendVersionMap).
 //
-// The differential test in codec_test.go proves every registered
-// message type decodes byte-for-byte identically to a gob round trip,
-// including gob's nil-versus-empty slice conventions.
+// The message set is the set the protocol machines send. A message or
+// rumor payload outside it has no encoding: appendMessage reports
+// false and the peer writer logs and drops it.
 
 // Message tags. Append-only: add new tags at the end, never renumber.
+// Tag 0 (the gob frame of the first DDN1 builds), tag 4 (a top-level
+// epidemic.WritePayload) and tag 32 (a bare *tuple.Tuple) are retired.
 const (
-	tagGob            byte = 0
 	tagRumorMsg       byte = 1
 	tagDigestReq      byte = 2
 	tagDigestResp     byte = 3
-	tagWritePayload   byte = 4
 	tagStoreAck       byte = 5
 	tagReadReq        byte = 6
 	tagReadResp       byte = 7
@@ -80,52 +79,58 @@ const (
 	tagTManExchange   byte = 29
 	tagAggMass        byte = 30
 	tagWriteCmd       byte = 31
-	tagTuple          byte = 32
 
-	// tagLimit is the first unassigned tag; decodeMessage treats
-	// everything at or above it as unknown-but-skippable.
+	// tagLimit is the first unassigned tag.
 	tagLimit byte = 33
 )
 
-// Rumor payload sub-tags (gossip.Rumor.Payload is `any`; these are the
-// payload types the live fabric actually ships).
+// Rumor payload sub-tags (gossip.Rumor.Payload is `any`; the live
+// fabric ships writes or nothing). Sub-tag 2 (a bare *tuple.Tuple) is
+// retired.
 const (
 	payloadNil          byte = 0
 	payloadWritePayload byte = 1
-	payloadTuple        byte = 2
+)
+
+// Every list element occupies at least this many body bytes; the list
+// reader uses them to refuse counts the rest of the frame cannot hold.
+const (
+	minVarint     = 1
+	minString     = 1  // length prefix
+	minTuplePtr   = 1  // presence byte
+	minArc        = 2  // start, width
+	minKeyVersion = 3  // key length, seq, writer
+	minRumor      = 3  // id, hops, payload sub-tag
+	minFloat      = 8  // fixed-width bits
+	minKMVEntry   = 9  // hash, value bits
+	minDescriptor = 10 // id, value bits, age
 )
 
 // errUnknownTag marks a frame whose tag this build does not know. The
 // read loop skips the frame and counts it; it is not a connection error.
 var errUnknownTag = errors.New("transport: unknown message tag")
 
-// appendMessage appends tag+body for msg to dst. When msg (or a rumor
-// payload nested in it) has no binary body, it returns the input slice
-// unchanged and false — the caller then falls back to a gob frame.
+// ---- encoding -------------------------------------------------------------
+
+// appendMessage appends tag+body for msg to dst. It reports false when
+// msg, or a rumor payload nested in it, is outside the protocol's
+// message set; dst's contents are then unspecified.
 func appendMessage(dst []byte, msg any) ([]byte, bool) {
-	orig := dst
 	switch m := msg.(type) {
 	case gossip.RumorMsg:
-		dst = append(dst, tagRumorMsg)
-		var ok bool
-		if dst, ok = appendRumor(dst, m.Rumor); !ok {
-			return orig, false
-		}
+		return appendRumor(append(dst, tagRumorMsg), m.Rumor)
 	case gossip.DigestReq:
 		dst = append(dst, tagDigestReq)
-		dst = appendUint64Slice(dst, m.IDs)
+		dst = appendSlice(dst, m.IDs, binary.AppendUvarint)
 	case gossip.DigestResp:
 		dst = append(dst, tagDigestResp)
-		dst = appendUvarint(dst, uint64(len(m.Rumors)))
+		dst = binary.AppendUvarint(dst, uint64(len(m.Rumors)))
 		for _, r := range m.Rumors {
 			var ok bool
 			if dst, ok = appendRumor(dst, r); !ok {
-				return orig, false
+				return dst, false
 			}
 		}
-	case epidemic.WritePayload:
-		dst = append(dst, tagWritePayload)
-		dst = appendWritePayload(dst, m)
 	case epidemic.StoreAck:
 		dst = append(dst, tagStoreAck)
 		dst = wire.AppendString(dst, m.Key)
@@ -133,34 +138,34 @@ func appendMessage(dst []byte, msg any) ([]byte, bool) {
 	case epidemic.ReadReq:
 		dst = append(dst, tagReadReq)
 		dst = wire.AppendString(dst, m.Key)
-		dst = appendUvarint(dst, m.ReqID)
-		dst = appendUvarint(dst, uint64(m.Origin))
+		dst = binary.AppendUvarint(dst, m.ReqID)
+		dst = binary.AppendUvarint(dst, uint64(m.Origin))
 		dst = wire.AppendVarint(dst, int64(m.TTL))
 	case epidemic.ReadResp:
 		dst = append(dst, tagReadResp)
-		dst = appendUvarint(dst, m.ReqID)
+		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = appendTuplePtr(dst, m.Tuple)
 	case epidemic.ScanReq:
 		dst = append(dst, tagScanReq)
 		dst = wire.AppendString(dst, m.Attr)
 		dst = wire.AppendF64(dst, m.Lo)
 		dst = wire.AppendF64(dst, m.Hi)
-		dst = appendUvarint(dst, m.ReqID)
-		dst = appendUvarint(dst, uint64(m.Origin))
+		dst = binary.AppendUvarint(dst, m.ReqID)
+		dst = binary.AppendUvarint(dst, uint64(m.Origin))
 		dst = wire.AppendVarint(dst, int64(m.HopsLeft))
 		dst = appendBool(dst, m.Seeking)
 	case epidemic.ScanResp:
 		dst = append(dst, tagScanResp)
-		dst = appendUvarint(dst, m.ReqID)
-		dst = appendTuples(dst, m.Tuples)
+		dst = binary.AppendUvarint(dst, m.ReqID)
+		dst = appendSlice(dst, m.Tuples, appendTuplePtr)
 		dst = appendBool(dst, m.Done)
 	case epidemic.AggReq:
 		dst = append(dst, tagAggReq)
 		dst = wire.AppendString(dst, m.Attr)
-		dst = appendUvarint(dst, m.ReqID)
+		dst = binary.AppendUvarint(dst, m.ReqID)
 	case epidemic.AggResp:
 		dst = append(dst, tagAggResp)
-		dst = appendUvarint(dst, m.ReqID)
+		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = wire.AppendString(dst, m.Attr)
 		dst = appendBool(dst, m.Known)
 		dst = wire.AppendF64(dst, m.Avg)
@@ -171,20 +176,20 @@ func appendMessage(dst []byte, msg any) ([]byte, bool) {
 		dst = wire.AppendF64(dst, m.NEstimate)
 	case epidemic.RecoverReq:
 		dst = append(dst, tagRecoverReq)
-		dst = appendUvarint(dst, m.ReqID)
+		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = wire.AppendVarint(dst, int64(m.Limit))
 	case epidemic.RecoverResp:
 		dst = append(dst, tagRecoverResp)
-		dst = appendUvarint(dst, m.ReqID)
+		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = appendVersionMap(dst, m.Versions)
 	case sizeest.VectorPush:
 		dst = append(dst, tagVectorPush)
-		dst = appendUvarint(dst, m.Epoch)
-		dst = appendFloat64Slice(dst, m.Mins)
+		dst = binary.AppendUvarint(dst, m.Epoch)
+		dst = appendSlice(dst, m.Mins, wire.AppendF64)
 	case sizeest.VectorReply:
 		dst = append(dst, tagVectorReply)
-		dst = appendUvarint(dst, m.Epoch)
-		dst = appendFloat64Slice(dst, m.Mins)
+		dst = binary.AppendUvarint(dst, m.Epoch)
+		dst = appendSlice(dst, m.Mins, wire.AppendF64)
 	case histogram.SketchPush:
 		dst = append(dst, tagSketchPush)
 		dst = appendSketch(dst, m.Epoch, m.K, m.Entries)
@@ -193,66 +198,61 @@ func appendMessage(dst []byte, msg any) ([]byte, bool) {
 		dst = appendSketch(dst, m.Epoch, m.K, m.Entries)
 	case *randomwalk.WalkMsg:
 		dst = append(dst, tagWalkMsg)
-		dst = appendUvarint(dst, m.SetID)
-		dst = appendUvarint(dst, uint64(m.Origin))
+		dst = binary.AppendUvarint(dst, m.SetID)
+		dst = binary.AppendUvarint(dst, uint64(m.Origin))
 		dst = wire.AppendVarint(dst, int64(m.TTL))
-		dst = appendUvarint(dst, uint64(m.Query.Point))
+		dst = binary.AppendUvarint(dst, uint64(m.Query.Point))
 		dst = wire.AppendString(dst, m.Query.Key)
 	case randomwalk.WalkResult:
 		dst = append(dst, tagWalkResult)
-		dst = appendUvarint(dst, m.SetID)
-		dst = appendUvarint(dst, uint64(m.Sample.Node))
+		dst = binary.AppendUvarint(dst, m.SetID)
+		dst = binary.AppendUvarint(dst, uint64(m.Sample.Node))
 		dst = appendBool(dst, m.Sample.Covers)
 		dst = appendBool(dst, m.Sample.HasKey)
 	case repair.SyncReq:
 		dst = append(dst, tagSyncReq)
 		dst = appendArc(dst, m.Arc)
-		dst = appendUvarint(dst, m.Digest)
+		dst = binary.AppendUvarint(dst, m.Digest)
 	case repair.SyncVersions:
 		dst = append(dst, tagSyncVersions)
 		dst = appendArc(dst, m.Arc)
 		dst = appendVersionMap(dst, m.Versions)
-		dst = appendArcs(dst, m.Coverage)
+		dst = appendSlice(dst, m.Coverage, appendArc)
 	case repair.SyncPull:
 		dst = append(dst, tagSyncPull)
-		dst = appendStringSlice(dst, m.Keys)
+		dst = appendSlice(dst, m.Keys, wire.AppendString)
 	case repair.SyncPush:
 		dst = append(dst, tagSyncPush)
-		dst = appendTuples(dst, m.Tuples)
+		dst = appendSlice(dst, m.Tuples, appendTuplePtr)
 	case repair.AdoptReq:
 		dst = append(dst, tagAdoptReq)
 		dst = appendArc(dst, m.Arc)
-		dst = appendTuples(dst, m.Tuples)
+		dst = appendSlice(dst, m.Tuples, appendTuplePtr)
 	case repair.SegSyncReq:
 		dst = append(dst, tagSegSyncReq)
 		dst = appendArc(dst, m.Arc)
-		dst = appendUint64Slice(dst, m.Digests)
+		dst = appendSlice(dst, m.Digests, binary.AppendUvarint)
 	case repair.SegSyncResp:
 		dst = append(dst, tagSegSyncResp)
 		dst = appendArc(dst, m.Arc)
 		dst = appendBool(dst, m.Clean)
 	case repair.SupersedeQuery:
 		dst = append(dst, tagSupersedeQuery)
-		dst = appendKeyVersions(dst, m.Hints)
+		dst = appendSlice(dst, m.Hints, appendKeyVersion)
 	case repair.SupersedeResp:
 		dst = append(dst, tagSupersedeResp)
-		dst = appendKeyVersions(dst, m.Held)
-		dst = appendStringSlice(dst, m.Want)
-		dst = appendTuples(dst, m.Newer)
+		dst = appendSlice(dst, m.Held, appendKeyVersion)
+		dst = appendSlice(dst, m.Want, wire.AppendString)
+		dst = appendSlice(dst, m.Newer, appendTuplePtr)
 	case tman.Exchange:
 		dst = append(dst, tagTManExchange)
 		dst = wire.AppendString(dst, m.Attr)
-		dst = appendUvarint(dst, uint64(len(m.Entries)))
-		for _, d := range m.Entries {
-			dst = appendUvarint(dst, uint64(d.ID))
-			dst = wire.AppendF64(dst, d.Value)
-			dst = wire.AppendVarint(dst, int64(d.Age))
-		}
+		dst = appendSlice(dst, m.Entries, appendDescriptor)
 		dst = appendBool(dst, m.Reply)
 	case aggregate.Mass:
 		dst = append(dst, tagAggMass)
 		dst = wire.AppendString(dst, m.Attr)
-		dst = appendUvarint(dst, m.Epoch)
+		dst = binary.AppendUvarint(dst, m.Epoch)
 		dst = wire.AppendF64(dst, m.Sum)
 		dst = wire.AppendF64(dst, m.Weight)
 		dst = wire.AppendF64(dst, m.Min)
@@ -261,445 +261,20 @@ func appendMessage(dst []byte, msg any) ([]byte, bool) {
 	case core.WriteCmd:
 		dst = append(dst, tagWriteCmd)
 		dst = appendTuplePtr(dst, m.Tuple)
-		dst = appendUvarint(dst, uint64(m.ReplyTo))
-	case *tuple.Tuple:
-		dst = append(dst, tagTuple)
-		dst = appendTuplePtr(dst, m)
+		dst = binary.AppendUvarint(dst, uint64(m.ReplyTo))
 	default:
-		return orig, false
+		return dst, false
 	}
 	return dst, true
 }
 
-// encodeGobFrame appends the gob fallback frame (tag 0 + gob stream)
-// for a message no binary body covers.
-func encodeGobFrame(dst []byte, msg any) ([]byte, error) {
-	dst = append(dst, tagGob)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&gobBox{M: msg}); err != nil {
-		return nil, err
+// appendSlice writes a count, then each element through elem.
+func appendSlice[T any](dst []byte, vs []T, elem func([]byte, T) []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+	for _, v := range vs {
+		dst = elem(dst, v)
 	}
-	return append(dst, buf.Bytes()...), nil
-}
-
-// gobBox wraps the fallback message so gob can encode interface values.
-type gobBox struct{ M any }
-
-// decodeMessage parses one frame body (tag + payload). Unknown tags
-// return errUnknownTag, which the read loop treats as "skip the frame,
-// keep the connection".
-func decodeMessage(body []byte) (any, error) {
-	if len(body) == 0 {
-		return nil, wire.ErrTruncated
-	}
-	tag, body := body[0], body[1:]
-	r := wire.NewBodyReader(body)
-	switch tag {
-	case tagGob:
-		var box gobBox
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&box); err != nil {
-			return nil, fmt.Errorf("transport: gob fallback: %w", err)
-		}
-		return box.M, nil
-	case tagRumorMsg:
-		rum, err := decodeRumor(&r)
-		if err != nil {
-			return nil, err
-		}
-		return gossip.RumorMsg{Rumor: rum}, nil
-	case tagDigestReq:
-		ids, err := decodeUint64Slice(&r)
-		if err != nil {
-			return nil, err
-		}
-		return gossip.DigestReq{IDs: ids}, nil
-	case tagDigestResp:
-		n, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(r.Len()) {
-			return nil, wire.ErrTruncated
-		}
-		var rumors []gossip.Rumor
-		if n > 0 {
-			rumors = make([]gossip.Rumor, 0, n)
-		}
-		for i := uint64(0); i < n; i++ {
-			rum, err := decodeRumor(&r)
-			if err != nil {
-				return nil, err
-			}
-			rumors = append(rumors, rum)
-		}
-		return gossip.DigestResp{Rumors: rumors}, nil
-	case tagWritePayload:
-		return decodeWritePayload(&r)
-	case tagStoreAck:
-		var m epidemic.StoreAck
-		var err error
-		if m.Key, err = r.String(tuple.MaxKeyLen); err != nil {
-			return nil, err
-		}
-		if m.Version, err = decodeVersion(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagReadReq:
-		var m epidemic.ReadReq
-		var err error
-		if m.Key, err = r.String(tuple.MaxKeyLen); err != nil {
-			return nil, err
-		}
-		if m.ReqID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		var origin uint64
-		if origin, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		m.Origin = node.ID(origin)
-		var ttl int64
-		if ttl, err = r.Varint(); err != nil {
-			return nil, err
-		}
-		m.TTL = int(ttl)
-		return m, nil
-	case tagReadResp:
-		var m epidemic.ReadResp
-		var err error
-		if m.ReqID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if m.Tuple, err = decodeTuplePtr(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagScanReq:
-		var m epidemic.ScanReq
-		var err error
-		if m.Attr, err = r.String(tuple.MaxKeyLen); err != nil {
-			return nil, err
-		}
-		if m.Lo, err = r.F64(); err != nil {
-			return nil, err
-		}
-		if m.Hi, err = r.F64(); err != nil {
-			return nil, err
-		}
-		if m.ReqID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		var origin uint64
-		if origin, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		m.Origin = node.ID(origin)
-		var hops int64
-		if hops, err = r.Varint(); err != nil {
-			return nil, err
-		}
-		m.HopsLeft = int(hops)
-		if m.Seeking, err = decodeBool(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagScanResp:
-		var m epidemic.ScanResp
-		var err error
-		if m.ReqID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if m.Tuples, err = decodeTuples(&r); err != nil {
-			return nil, err
-		}
-		if m.Done, err = decodeBool(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagAggReq:
-		var m epidemic.AggReq
-		var err error
-		if m.Attr, err = r.String(tuple.MaxKeyLen); err != nil {
-			return nil, err
-		}
-		if m.ReqID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagAggResp:
-		var m epidemic.AggResp
-		var err error
-		if m.ReqID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if m.Attr, err = r.String(tuple.MaxKeyLen); err != nil {
-			return nil, err
-		}
-		if m.Known, err = decodeBool(&r); err != nil {
-			return nil, err
-		}
-		for _, p := range []*float64{&m.Avg, &m.Min, &m.Max, &m.Sum, &m.Count, &m.NEstimate} {
-			if *p, err = r.F64(); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
-	case tagRecoverReq:
-		var m epidemic.RecoverReq
-		var err error
-		if m.ReqID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		var limit int64
-		if limit, err = r.Varint(); err != nil {
-			return nil, err
-		}
-		m.Limit = int(limit)
-		return m, nil
-	case tagRecoverResp:
-		var m epidemic.RecoverResp
-		var err error
-		if m.ReqID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		if m.Versions, err = decodeVersionMap(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagVectorPush:
-		epoch, mins, err := decodeEpochFloats(&r)
-		if err != nil {
-			return nil, err
-		}
-		return sizeest.VectorPush{Epoch: epoch, Mins: mins}, nil
-	case tagVectorReply:
-		epoch, mins, err := decodeEpochFloats(&r)
-		if err != nil {
-			return nil, err
-		}
-		return sizeest.VectorReply{Epoch: epoch, Mins: mins}, nil
-	case tagSketchPush:
-		epoch, k, entries, err := decodeSketch(&r)
-		if err != nil {
-			return nil, err
-		}
-		return histogram.SketchPush{Epoch: epoch, K: k, Entries: entries}, nil
-	case tagSketchReply:
-		epoch, k, entries, err := decodeSketch(&r)
-		if err != nil {
-			return nil, err
-		}
-		return histogram.SketchReply{Epoch: epoch, K: k, Entries: entries}, nil
-	case tagWalkMsg:
-		m := &randomwalk.WalkMsg{}
-		var err error
-		if m.SetID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		var origin uint64
-		if origin, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		m.Origin = node.ID(origin)
-		var ttl int64
-		if ttl, err = r.Varint(); err != nil {
-			return nil, err
-		}
-		m.TTL = int(ttl)
-		var point uint64
-		if point, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		m.Query.Point = node.Point(point)
-		if m.Query.Key, err = r.String(tuple.MaxKeyLen); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagWalkResult:
-		var m randomwalk.WalkResult
-		var err error
-		if m.SetID, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		var id uint64
-		if id, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		m.Sample.Node = node.ID(id)
-		if m.Sample.Covers, err = decodeBool(&r); err != nil {
-			return nil, err
-		}
-		if m.Sample.HasKey, err = decodeBool(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagSyncReq:
-		var m repair.SyncReq
-		var err error
-		if m.Arc, err = decodeArc(&r); err != nil {
-			return nil, err
-		}
-		if m.Digest, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagSyncVersions:
-		var m repair.SyncVersions
-		var err error
-		if m.Arc, err = decodeArc(&r); err != nil {
-			return nil, err
-		}
-		if m.Versions, err = decodeVersionMap(&r); err != nil {
-			return nil, err
-		}
-		if m.Coverage, err = decodeArcs(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagSyncPull:
-		keys, err := decodeStringSlice(&r)
-		if err != nil {
-			return nil, err
-		}
-		return repair.SyncPull{Keys: keys}, nil
-	case tagSyncPush:
-		tuples, err := decodeTuples(&r)
-		if err != nil {
-			return nil, err
-		}
-		return repair.SyncPush{Tuples: tuples}, nil
-	case tagAdoptReq:
-		var m repair.AdoptReq
-		var err error
-		if m.Arc, err = decodeArc(&r); err != nil {
-			return nil, err
-		}
-		if m.Tuples, err = decodeTuples(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagSegSyncReq:
-		var m repair.SegSyncReq
-		var err error
-		if m.Arc, err = decodeArc(&r); err != nil {
-			return nil, err
-		}
-		if m.Digests, err = decodeUint64Slice(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagSegSyncResp:
-		var m repair.SegSyncResp
-		var err error
-		if m.Arc, err = decodeArc(&r); err != nil {
-			return nil, err
-		}
-		if m.Clean, err = decodeBool(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagSupersedeQuery:
-		hints, err := decodeKeyVersions(&r)
-		if err != nil {
-			return nil, err
-		}
-		return repair.SupersedeQuery{Hints: hints}, nil
-	case tagSupersedeResp:
-		var m repair.SupersedeResp
-		var err error
-		if m.Held, err = decodeKeyVersions(&r); err != nil {
-			return nil, err
-		}
-		if m.Want, err = decodeStringSlice(&r); err != nil {
-			return nil, err
-		}
-		if m.Newer, err = decodeTuples(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagTManExchange:
-		var m tman.Exchange
-		var err error
-		if m.Attr, err = r.String(tuple.MaxKeyLen); err != nil {
-			return nil, err
-		}
-		n, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(r.Len()) {
-			return nil, wire.ErrTruncated
-		}
-		if n > 0 {
-			m.Entries = make([]tman.Descriptor, 0, n)
-		}
-		for i := uint64(0); i < n; i++ {
-			var d tman.Descriptor
-			var id uint64
-			if id, err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-			d.ID = node.ID(id)
-			if d.Value, err = r.F64(); err != nil {
-				return nil, err
-			}
-			var age int64
-			if age, err = r.Varint(); err != nil {
-				return nil, err
-			}
-			d.Age = int(age)
-			m.Entries = append(m.Entries, d)
-		}
-		if m.Reply, err = decodeBool(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagAggMass:
-		var m aggregate.Mass
-		var err error
-		if m.Attr, err = r.String(tuple.MaxKeyLen); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		for _, p := range []*float64{&m.Sum, &m.Weight, &m.Min, &m.Max} {
-			if *p, err = r.F64(); err != nil {
-				return nil, err
-			}
-		}
-		if m.HasExt, err = decodeBool(&r); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagWriteCmd:
-		var m core.WriteCmd
-		var err error
-		if m.Tuple, err = decodeTuplePtr(&r); err != nil {
-			return nil, err
-		}
-		var replyTo uint64
-		if replyTo, err = r.Uvarint(); err != nil {
-			return nil, err
-		}
-		m.ReplyTo = node.ID(replyTo)
-		return m, nil
-	case tagTuple:
-		return decodeTuplePtr(&r)
-	default:
-		return nil, errUnknownTag
-	}
-}
-
-// ---- shared field helpers -------------------------------------------------
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
+	return dst
 }
 
 func appendBool(dst []byte, b bool) []byte {
@@ -709,244 +284,53 @@ func appendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
-func decodeBool(r *wire.BodyReader) (bool, error) {
-	b, err := r.Byte()
-	if err != nil {
-		return false, err
-	}
-	return b != 0, nil
-}
-
 func appendVersion(dst []byte, v tuple.Version) []byte {
-	dst = appendUvarint(dst, v.Seq)
-	return appendUvarint(dst, uint64(v.Writer))
-}
-
-func decodeVersion(r *wire.BodyReader) (tuple.Version, error) {
-	seq, err := r.Uvarint()
-	if err != nil {
-		return tuple.Version{}, err
-	}
-	writer, err := r.Uvarint()
-	if err != nil {
-		return tuple.Version{}, err
-	}
-	return tuple.Version{Seq: seq, Writer: node.ID(writer)}, nil
+	dst = binary.AppendUvarint(dst, v.Seq)
+	return binary.AppendUvarint(dst, uint64(v.Writer))
 }
 
 func appendArc(dst []byte, a node.Arc) []byte {
-	dst = appendUvarint(dst, uint64(a.Start))
-	return appendUvarint(dst, a.Width)
+	dst = binary.AppendUvarint(dst, uint64(a.Start))
+	return binary.AppendUvarint(dst, a.Width)
 }
 
-func decodeArc(r *wire.BodyReader) (node.Arc, error) {
-	start, err := r.Uvarint()
-	if err != nil {
-		return node.Arc{}, err
-	}
-	width, err := r.Uvarint()
-	if err != nil {
-		return node.Arc{}, err
-	}
-	return node.Arc{Start: node.Point(start), Width: width}, nil
+func appendKeyVersion(dst []byte, kv repair.KeyVersion) []byte {
+	dst = wire.AppendString(dst, kv.Key)
+	return appendVersion(dst, kv.Version)
 }
 
-func appendArcs(dst []byte, arcs []node.Arc) []byte {
-	dst = appendUvarint(dst, uint64(len(arcs)))
-	for _, a := range arcs {
-		dst = appendArc(dst, a)
-	}
-	return dst
+func appendKMVEntry(dst []byte, e histogram.KMVEntry) []byte {
+	dst = binary.AppendUvarint(dst, e.Hash)
+	return wire.AppendF64(dst, e.Value)
 }
 
-func decodeArcs(r *wire.BodyReader) ([]node.Arc, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(r.Len()) {
-		return nil, wire.ErrTruncated
-	}
-	out := make([]node.Arc, 0, n)
-	for i := uint64(0); i < n; i++ {
-		a, err := decodeArc(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
+func appendDescriptor(dst []byte, d tman.Descriptor) []byte {
+	dst = binary.AppendUvarint(dst, uint64(d.ID))
+	dst = wire.AppendF64(dst, d.Value)
+	return wire.AppendVarint(dst, int64(d.Age))
 }
 
-func appendUint64Slice(dst []byte, vs []uint64) []byte {
-	dst = appendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = appendUvarint(dst, v)
-	}
-	return dst
-}
-
-func decodeUint64Slice(r *wire.BodyReader) ([]uint64, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(r.Len()) {
-		return nil, wire.ErrTruncated
-	}
-	out := make([]uint64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func appendFloat64Slice(dst []byte, vs []float64) []byte {
-	dst = appendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = wire.AppendF64(dst, v)
-	}
-	return dst
-}
-
-func decodeFloat64Slice(r *wire.BodyReader) ([]float64, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n*8 > uint64(r.Len()) {
-		return nil, wire.ErrTruncated
-	}
-	out := make([]float64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, err := r.F64()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func appendStringSlice(dst []byte, ss []string) []byte {
-	dst = appendUvarint(dst, uint64(len(ss)))
-	for _, s := range ss {
-		dst = wire.AppendString(dst, s)
-	}
-	return dst
-}
-
-func decodeStringSlice(r *wire.BodyReader) ([]string, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(r.Len()) {
-		return nil, wire.ErrTruncated
-	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		s, err := r.String(tuple.MaxKeyLen)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
+func appendSketch(dst []byte, epoch uint64, k int, entries []histogram.KMVEntry) []byte {
+	dst = binary.AppendUvarint(dst, epoch)
+	dst = wire.AppendVarint(dst, int64(k))
+	return appendSlice(dst, entries, appendKMVEntry)
 }
 
 // appendVersionMap writes map entries in whatever order the map yields
 // them — iteration order is irrelevant to the receiver (it rebuilds a
 // map) and sorting would cost allocations on a hot repair path. The
-// count is biased by one so nil and empty maps stay distinct, matching
-// gob (which, unlike for slices, transmits empty non-nil maps).
+// count is biased by one, 0 meaning nil, so an empty map arrives empty
+// rather than nil — the one place the format tells the two apart.
 func appendVersionMap(dst []byte, m map[string]tuple.Version) []byte {
 	if m == nil {
-		return appendUvarint(dst, 0)
+		return binary.AppendUvarint(dst, 0)
 	}
-	dst = appendUvarint(dst, uint64(len(m))+1)
+	dst = binary.AppendUvarint(dst, uint64(len(m))+1)
 	for k, v := range m {
 		dst = wire.AppendString(dst, k)
 		dst = appendVersion(dst, v)
 	}
 	return dst
-}
-
-func decodeVersionMap(r *wire.BodyReader) (map[string]tuple.Version, error) {
-	biased, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if biased == 0 {
-		return nil, nil
-	}
-	n := biased - 1
-	if n > uint64(r.Len()) {
-		return nil, wire.ErrTruncated
-	}
-	out := make(map[string]tuple.Version, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := r.String(tuple.MaxKeyLen)
-		if err != nil {
-			return nil, err
-		}
-		v, err := decodeVersion(r)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
-	}
-	return out, nil
-}
-
-func appendKeyVersions(dst []byte, kvs []repair.KeyVersion) []byte {
-	dst = appendUvarint(dst, uint64(len(kvs)))
-	for _, kv := range kvs {
-		dst = wire.AppendString(dst, kv.Key)
-		dst = appendVersion(dst, kv.Version)
-	}
-	return dst
-}
-
-func decodeKeyVersions(r *wire.BodyReader) ([]repair.KeyVersion, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(r.Len()) {
-		return nil, wire.ErrTruncated
-	}
-	out := make([]repair.KeyVersion, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var kv repair.KeyVersion
-		if kv.Key, err = r.String(tuple.MaxKeyLen); err != nil {
-			return nil, err
-		}
-		if kv.Version, err = decodeVersion(r); err != nil {
-			return nil, err
-		}
-		out = append(out, kv)
-	}
-	return out, nil
 }
 
 // appendTuplePtr writes a presence byte then the tuple codec's encoding
@@ -959,190 +343,277 @@ func appendTuplePtr(dst []byte, t *tuple.Tuple) []byte {
 	return tuple.AppendMarshal(dst, t)
 }
 
-func decodeTuplePtr(r *wire.BodyReader) (*tuple.Tuple, error) {
-	present, err := r.Byte()
-	if err != nil {
-		return nil, err
-	}
-	if present == 0 {
-		return nil, nil
-	}
-	rest, err := r.Bytes(r.Len())
-	if err != nil {
-		return nil, err
-	}
-	t, consumed, err := tuple.Unmarshal(rest)
-	if err != nil {
-		return nil, err
-	}
-	// Rewind the unconsumed tail: tuple.Unmarshal reports its length.
-	if err := r.Unread(len(rest) - consumed); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func appendTuples(dst []byte, ts []*tuple.Tuple) []byte {
-	dst = appendUvarint(dst, uint64(len(ts)))
-	for _, t := range ts {
-		dst = appendTuplePtr(dst, t)
-	}
-	return dst
-}
-
-func decodeTuples(r *wire.BodyReader) ([]*tuple.Tuple, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(r.Len()) {
-		return nil, wire.ErrTruncated
-	}
-	out := make([]*tuple.Tuple, 0, n)
-	for i := uint64(0); i < n; i++ {
-		t, err := decodeTuplePtr(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-func appendWritePayload(dst []byte, m epidemic.WritePayload) []byte {
-	dst = appendTuplePtr(dst, m.Tuple)
-	dst = appendUvarint(dst, uint64(m.Origin))
-	return appendUvarint(dst, uint64(m.Entry))
-}
-
-func decodeWritePayload(r *wire.BodyReader) (epidemic.WritePayload, error) {
-	var m epidemic.WritePayload
-	var err error
-	if m.Tuple, err = decodeTuplePtr(r); err != nil {
-		return m, err
-	}
-	var origin, entry uint64
-	if origin, err = r.Uvarint(); err != nil {
-		return m, err
-	}
-	if entry, err = r.Uvarint(); err != nil {
-		return m, err
-	}
-	m.Origin, m.Entry = node.ID(origin), node.ID(entry)
-	return m, nil
-}
-
-// appendRumor encodes one rumor; payloads outside the known set report
-// !ok and the whole envelope falls back to gob.
+// appendRumor encodes one rumor; a payload outside the known set
+// reports !ok.
 func appendRumor(dst []byte, rum gossip.Rumor) ([]byte, bool) {
-	dst = appendUvarint(dst, rum.ID)
+	dst = binary.AppendUvarint(dst, rum.ID)
 	dst = wire.AppendVarint(dst, int64(rum.Hops))
 	switch p := rum.Payload.(type) {
 	case nil:
 		dst = append(dst, payloadNil)
 	case epidemic.WritePayload:
 		dst = append(dst, payloadWritePayload)
-		dst = appendWritePayload(dst, p)
-	case *tuple.Tuple:
-		dst = append(dst, payloadTuple)
-		dst = appendTuplePtr(dst, p)
+		dst = appendTuplePtr(dst, p.Tuple)
+		dst = binary.AppendUvarint(dst, uint64(p.Origin))
+		dst = binary.AppendUvarint(dst, uint64(p.Entry))
 	default:
 		return dst, false
 	}
 	return dst, true
 }
 
-func decodeRumor(r *wire.BodyReader) (gossip.Rumor, error) {
-	var rum gossip.Rumor
-	var err error
-	if rum.ID, err = r.Uvarint(); err != nil {
-		return rum, err
+// ---- decoding -------------------------------------------------------------
+
+// cursor decodes frame bodies: a wire.BodyReader whose first failure
+// sticks. After it every accessor returns its zero value without
+// touching the body, so a message decoder is straight-line code and
+// the error is checked once per frame, in decode. readLoop keeps one
+// cursor per connection and decode resets it per frame — the element
+// readers are called through function values, so a cursor declared per
+// frame would be a heap allocation per message.
+type cursor struct {
+	r   wire.BodyReader
+	err error
+}
+
+// decode parses one frame body (tag + payload). An unassigned or
+// retired tag is errUnknownTag, which the read loop treats as "skip
+// the frame, keep the connection"; any other error is a malformed body.
+func (c *cursor) decode(body []byte) (any, error) {
+	if len(body) == 0 {
+		return nil, wire.ErrTruncated
 	}
-	var hops int64
-	if hops, err = r.Varint(); err != nil {
-		return rum, err
+	c.r, c.err = wire.NewBodyReader(body[1:]), nil
+	msg := c.message(body[0])
+	if c.err != nil {
+		return nil, c.err
 	}
-	rum.Hops = int(hops)
-	sub, err := r.Byte()
-	if err != nil {
-		return rum, err
-	}
-	switch sub {
-	case payloadNil:
-	case payloadWritePayload:
-		wp, err := decodeWritePayload(r)
-		if err != nil {
-			return rum, err
-		}
-		rum.Payload = wp
-	case payloadTuple:
-		t, err := decodeTuplePtr(r)
-		if err != nil {
-			return rum, err
-		}
-		rum.Payload = t
+	return msg, nil
+}
+
+// message decodes the body of one tagged message. Go evaluates the
+// calls in a composite literal in source order, so each literal below
+// lists its fields in wire order — which is not always declaration
+// order — and is the body's layout.
+func (c *cursor) message(tag byte) any {
+	switch tag {
+	case tagRumorMsg:
+		return gossip.RumorMsg{Rumor: c.rumor()}
+	case tagDigestReq:
+		return gossip.DigestReq{IDs: list(c, minVarint, (*cursor).uvarint)}
+	case tagDigestResp:
+		return gossip.DigestResp{Rumors: list(c, minRumor, (*cursor).rumor)}
+	case tagStoreAck:
+		return epidemic.StoreAck{Key: c.str(), Version: c.version()}
+	case tagReadReq:
+		return epidemic.ReadReq{Key: c.str(), ReqID: c.uvarint(), Origin: c.id(), TTL: c.int()}
+	case tagReadResp:
+		return epidemic.ReadResp{ReqID: c.uvarint(), Tuple: c.tuplePtr()}
+	case tagScanReq:
+		return epidemic.ScanReq{Attr: c.str(), Lo: c.f64(), Hi: c.f64(), ReqID: c.uvarint(),
+			Origin: c.id(), HopsLeft: c.int(), Seeking: c.bool()}
+	case tagScanResp:
+		return epidemic.ScanResp{ReqID: c.uvarint(), Tuples: list(c, minTuplePtr, (*cursor).tuplePtr), Done: c.bool()}
+	case tagAggReq:
+		return epidemic.AggReq{Attr: c.str(), ReqID: c.uvarint()}
+	case tagAggResp:
+		return epidemic.AggResp{ReqID: c.uvarint(), Attr: c.str(), Known: c.bool(), Avg: c.f64(),
+			Min: c.f64(), Max: c.f64(), Sum: c.f64(), Count: c.f64(), NEstimate: c.f64()}
+	case tagRecoverReq:
+		return epidemic.RecoverReq{ReqID: c.uvarint(), Limit: c.int()}
+	case tagRecoverResp:
+		return epidemic.RecoverResp{ReqID: c.uvarint(), Versions: c.versionMap()}
+	case tagVectorPush:
+		return sizeest.VectorPush{Epoch: c.uvarint(), Mins: list(c, minFloat, (*cursor).f64)}
+	case tagVectorReply:
+		return sizeest.VectorReply{Epoch: c.uvarint(), Mins: list(c, minFloat, (*cursor).f64)}
+	case tagSketchPush:
+		return histogram.SketchPush{Epoch: c.uvarint(), K: c.int(), Entries: list(c, minKMVEntry, (*cursor).kmvEntry)}
+	case tagSketchReply:
+		return histogram.SketchReply{Epoch: c.uvarint(), K: c.int(), Entries: list(c, minKMVEntry, (*cursor).kmvEntry)}
+	case tagWalkMsg:
+		return &randomwalk.WalkMsg{SetID: c.uvarint(), Origin: c.id(), TTL: c.int(),
+			Query: randomwalk.Query{Point: node.Point(c.uvarint()), Key: c.str()}}
+	case tagWalkResult:
+		return randomwalk.WalkResult{SetID: c.uvarint(),
+			Sample: randomwalk.Sample{Node: c.id(), Covers: c.bool(), HasKey: c.bool()}}
+	case tagSyncReq:
+		return repair.SyncReq{Arc: c.arc(), Digest: c.uvarint()}
+	case tagSyncVersions:
+		return repair.SyncVersions{Arc: c.arc(), Versions: c.versionMap(), Coverage: list(c, minArc, (*cursor).arc)}
+	case tagSyncPull:
+		return repair.SyncPull{Keys: list(c, minString, (*cursor).str)}
+	case tagSyncPush:
+		return repair.SyncPush{Tuples: list(c, minTuplePtr, (*cursor).tuplePtr)}
+	case tagAdoptReq:
+		return repair.AdoptReq{Arc: c.arc(), Tuples: list(c, minTuplePtr, (*cursor).tuplePtr)}
+	case tagSegSyncReq:
+		return repair.SegSyncReq{Arc: c.arc(), Digests: list(c, minVarint, (*cursor).uvarint)}
+	case tagSegSyncResp:
+		return repair.SegSyncResp{Arc: c.arc(), Clean: c.bool()}
+	case tagSupersedeQuery:
+		return repair.SupersedeQuery{Hints: list(c, minKeyVersion, (*cursor).keyVersion)}
+	case tagSupersedeResp:
+		return repair.SupersedeResp{Held: list(c, minKeyVersion, (*cursor).keyVersion),
+			Want: list(c, minString, (*cursor).str), Newer: list(c, minTuplePtr, (*cursor).tuplePtr)}
+	case tagTManExchange:
+		return tman.Exchange{Attr: c.str(), Entries: list(c, minDescriptor, (*cursor).descriptor), Reply: c.bool()}
+	case tagAggMass:
+		return aggregate.Mass{Attr: c.str(), Epoch: c.uvarint(), Sum: c.f64(), Weight: c.f64(),
+			Min: c.f64(), Max: c.f64(), HasExt: c.bool()}
+	case tagWriteCmd:
+		return core.WriteCmd{Tuple: c.tuplePtr(), ReplyTo: c.id()}
 	default:
-		return rum, fmt.Errorf("transport: unknown rumor payload sub-tag %d", sub)
+		c.err = errUnknownTag
+		return nil
 	}
-	return rum, nil
 }
 
-func appendSketch(dst []byte, epoch uint64, k int, entries []histogram.KMVEntry) []byte {
-	dst = appendUvarint(dst, epoch)
-	dst = wire.AppendVarint(dst, int64(k))
-	dst = appendUvarint(dst, uint64(len(entries)))
-	for _, e := range entries {
-		dst = appendUvarint(dst, e.Hash)
-		dst = wire.AppendF64(dst, e.Value)
+// list reads a count and then that many elements through elem. It is
+// the only place a count from the wire sizes a slice, and it sizes it
+// only after fits has accepted the count. An empty list decodes as nil.
+func list[T any](c *cursor, minElemBytes int, elem func(*cursor) T) []T {
+	n := c.uvarint()
+	if n == 0 || !c.fits(n, minElemBytes) {
+		return nil
 	}
-	return dst
+	out := make([]T, 0, n)
+	for ; n > 0 && c.err == nil; n-- {
+		out = append(out, elem(c))
+	}
+	return out
 }
 
-func decodeSketch(r *wire.BodyReader) (epoch uint64, k int, entries []histogram.KMVEntry, err error) {
-	if epoch, err = r.Uvarint(); err != nil {
-		return
+// fits reports whether n more elements of at least minElemBytes each
+// can be in the body, and fails the cursor when they cannot: such a
+// count is a malformed frame however its elements would parse. The
+// test divides because n is hostile — n*minElemBytes wraps.
+func (c *cursor) fits(n uint64, minElemBytes int) bool {
+	if c.err == nil && n > uint64(c.r.Len()/minElemBytes) {
+		c.err = wire.ErrTruncated
 	}
-	var k64 int64
-	if k64, err = r.Varint(); err != nil {
-		return
-	}
-	k = int(k64)
-	var n uint64
-	if n, err = r.Uvarint(); err != nil {
-		return
-	}
-	if n == 0 {
-		return
-	}
-	if n > uint64(r.Len()) {
-		err = wire.ErrTruncated
-		return
-	}
-	entries = make([]histogram.KMVEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var e histogram.KMVEntry
-		if e.Hash, err = r.Uvarint(); err != nil {
-			return
-		}
-		if e.Value, err = r.F64(); err != nil {
-			return
-		}
-		entries = append(entries, e)
-	}
-	return
+	return c.err == nil
 }
 
-func decodeEpochFloats(r *wire.BodyReader) (uint64, []float64, error) {
-	epoch, err := r.Uvarint()
+func (c *cursor) byte() byte {
+	if c.err != nil {
+		return 0
+	}
+	var b byte
+	b, c.err = c.r.Byte()
+	return b
+}
+
+func (c *cursor) uvarint() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	var v uint64
+	v, c.err = c.r.Uvarint()
+	return v
+}
+
+func (c *cursor) varint() int64 {
+	if c.err != nil {
+		return 0
+	}
+	var v int64
+	v, c.err = c.r.Varint()
+	return v
+}
+
+func (c *cursor) f64() float64 {
+	if c.err != nil {
+		return 0
+	}
+	var v float64
+	v, c.err = c.r.F64()
+	return v
+}
+
+// str reads a key-sized string (keys, attribute names).
+func (c *cursor) str() string {
+	if c.err != nil {
+		return ""
+	}
+	var s string
+	s, c.err = c.r.String(tuple.MaxKeyLen)
+	return s
+}
+
+func (c *cursor) bool() bool  { return c.byte() != 0 }
+func (c *cursor) int() int    { return int(c.varint()) }
+func (c *cursor) id() node.ID { return node.ID(c.uvarint()) }
+
+func (c *cursor) version() tuple.Version {
+	return tuple.Version{Seq: c.uvarint(), Writer: c.id()}
+}
+
+func (c *cursor) arc() node.Arc {
+	return node.Arc{Start: node.Point(c.uvarint()), Width: c.uvarint()}
+}
+
+func (c *cursor) keyVersion() repair.KeyVersion {
+	return repair.KeyVersion{Key: c.str(), Version: c.version()}
+}
+
+func (c *cursor) kmvEntry() histogram.KMVEntry {
+	return histogram.KMVEntry{Hash: c.uvarint(), Value: c.f64()}
+}
+
+func (c *cursor) descriptor() tman.Descriptor {
+	return tman.Descriptor{ID: c.id(), Value: c.f64(), Age: c.int()}
+}
+
+// versionMap is the one count-sized allocation outside list: the count
+// is biased by one (see appendVersionMap) and sizes a map.
+func (c *cursor) versionMap() map[string]tuple.Version {
+	biased := c.uvarint()
+	if biased == 0 || !c.fits(biased-1, minKeyVersion) {
+		return nil
+	}
+	out := make(map[string]tuple.Version, biased-1)
+	for n := biased - 1; n > 0 && c.err == nil; n-- {
+		key := c.str()
+		out[key] = c.version()
+	}
+	return out
+}
+
+// tuplePtr reads a presence byte and, when set, one tuple in the tuple
+// codec's own encoding.
+func (c *cursor) tuplePtr() *tuple.Tuple {
+	if c.byte() == 0 { // absent, or the cursor has already failed
+		return nil
+	}
+	rest, err := c.r.Bytes(c.r.Len())
 	if err != nil {
-		return 0, nil, err
+		c.err = err
+		return nil
 	}
-	mins, err := decodeFloat64Slice(r)
+	t, consumed, err := tuple.Unmarshal(rest)
 	if err != nil {
-		return 0, nil, err
+		c.err = err
+		return nil
 	}
-	return epoch, mins, nil
+	// tuple.Unmarshal reports its length: rewind the unconsumed tail.
+	c.err = c.r.Unread(len(rest) - consumed)
+	return t
+}
+
+func (c *cursor) rumor() gossip.Rumor {
+	return gossip.Rumor{ID: c.uvarint(), Hops: c.int(), Payload: c.payload()}
+}
+
+// payload reads a rumor's sub-tagged payload.
+func (c *cursor) payload() any {
+	switch sub := c.byte(); sub {
+	case payloadNil:
+		return nil
+	case payloadWritePayload:
+		return epidemic.WritePayload{Tuple: c.tuplePtr(), Origin: c.id(), Entry: c.id()}
+	default:
+		c.err = fmt.Errorf("transport: unknown rumor payload sub-tag %d", sub)
+		return nil
+	}
 }

@@ -3,8 +3,11 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"encoding/hex"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"datadroplets/internal/aggregate"
@@ -31,130 +34,246 @@ func sampleTuple() *tuple.Tuple {
 	}
 }
 
-// codecCases is one instance of every message type the DDN1 codec
-// carries, in both populated and zero/empty shapes — the differential
-// test feeds each through gob and through the binary codec and demands
-// identical results, which pins gob's nil-versus-empty conventions.
-func codecCases() []any {
+// codecCase is one message the DDN1 codec carries: what the sender
+// encodes and what the receiver must decode. The two differ only where
+// the codec's conventions say so: an empty list decodes as nil, while
+// the version map keeps nil and empty distinct.
+type codecCase struct {
+	name      string
+	msg, want any
+	// mapOrder marks an encoding whose byte order follows Go's map
+	// iteration; it has no line in testdata/ddn1_golden.txt.
+	mapOrder bool
+}
+
+// same is a case that must decode to exactly what was encoded.
+func same(name string, msg any) codecCase { return codecCase{name: name, msg: msg, want: msg} }
+
+// codecCases is every message type the DDN1 codec carries, in both
+// populated and zero/empty shapes.
+func codecCases() []codecCase {
 	t1, t2 := sampleTuple(), sampleTuple()
 	t2.Key, t2.Value, t2.Deleted = "other", nil, true
-	return []any{
-		gossip.RumorMsg{Rumor: gossip.Rumor{ID: 9, Hops: 2, Payload: epidemic.WritePayload{Tuple: t1, Origin: 1, Entry: 2}}},
-		gossip.RumorMsg{Rumor: gossip.Rumor{ID: 10, Hops: 0, Payload: sampleTuple()}},
-		gossip.RumorMsg{Rumor: gossip.Rumor{ID: 11}},
-		gossip.DigestReq{IDs: []uint64{1, 5, 1 << 60}},
-		gossip.DigestReq{},
-		gossip.DigestReq{IDs: []uint64{}}, // gob decodes empty as nil; so must we
-		gossip.DigestResp{Rumors: []gossip.Rumor{{ID: 1, Hops: 3}, {ID: 2, Payload: sampleTuple()}}},
-		gossip.DigestResp{},
-		epidemic.WritePayload{Tuple: t1, Origin: 4, Entry: 5},
-		epidemic.StoreAck{Key: "k", Version: tuple.Version{Seq: 1, Writer: 9}},
-		epidemic.StoreAck{},
-		epidemic.ReadReq{Key: "k", ReqID: 77, Origin: 3, TTL: 4},
-		epidemic.ReadResp{ReqID: 77, Tuple: t2},
-		epidemic.ReadResp{ReqID: 78}, // miss: nil tuple
-		epidemic.ScanReq{Attr: "age", Lo: -10.25, Hi: 99, ReqID: 5, Origin: 2, HopsLeft: 7, Seeking: true},
-		epidemic.ScanResp{ReqID: 5, Tuples: []*tuple.Tuple{t1, t2}, Done: true},
-		epidemic.ScanResp{ReqID: 6},
-		epidemic.AggReq{Attr: "age", ReqID: 12},
-		epidemic.AggResp{ReqID: 12, Attr: "age", Known: true, Avg: 1.5, Min: -2, Max: 7, Sum: 100, Count: 3, NEstimate: 1000},
-		epidemic.RecoverReq{ReqID: 1, Limit: 64},
-		epidemic.RecoverResp{ReqID: 1, Versions: map[string]tuple.Version{"a": {Seq: 1, Writer: 2}, "b": {Seq: 9, Writer: 1}}},
-		epidemic.RecoverResp{ReqID: 2},
-		epidemic.RecoverResp{ReqID: 3, Versions: map[string]tuple.Version{}},
-		sizeest.VectorPush{Epoch: 3, Mins: []float64{0.25, 0.5}},
-		sizeest.VectorPush{Epoch: 4},
-		sizeest.VectorReply{Epoch: 3, Mins: []float64{0.125}},
-		histogram.SketchPush{Epoch: 2, K: 32, Entries: []histogram.KMVEntry{{Hash: 5, Value: 1.5}, {Hash: 9, Value: -3}}},
-		histogram.SketchPush{Epoch: 2, K: 32},
-		histogram.SketchReply{Epoch: 2, K: 16, Entries: []histogram.KMVEntry{{Hash: 1, Value: 2}}},
-		&randomwalk.WalkMsg{SetID: 8, Origin: 1, TTL: 6, Query: randomwalk.Query{Point: 1 << 50, Key: "k"}},
-		randomwalk.WalkResult{SetID: 8, Sample: randomwalk.Sample{Node: 4, Covers: true, HasKey: true}},
-		repair.SyncReq{Arc: node.Arc{Start: 100, Width: 1 << 40}, Digest: 0xdeadbeef},
-		repair.SyncVersions{Arc: node.Arc{Start: 1, Width: 2}, Versions: map[string]tuple.Version{"x": {Seq: 3, Writer: 1}}, Coverage: []node.Arc{{Start: 0, Width: 10}, {Start: 50, Width: 5}}},
-		repair.SyncVersions{Arc: node.Arc{Start: 1, Width: 2}}, // covers nothing
-		repair.SyncPull{Keys: []string{"a", "b"}},
-		repair.SyncPull{},
-		repair.SyncPush{Tuples: []*tuple.Tuple{t1}},
-		repair.AdoptReq{Arc: node.Arc{Start: 7, Width: 8}, Tuples: []*tuple.Tuple{t1, t2}},
-		repair.SegSyncReq{Arc: node.Arc{Start: 7, Width: 64}, Digests: []uint64{1, 2, 3, 4}},
-		repair.SegSyncResp{Arc: node.Arc{Start: 7, Width: 64}, Clean: true},
-		repair.SupersedeQuery{Hints: []repair.KeyVersion{{Key: "k", Version: tuple.Version{Seq: 2, Writer: 8}}}},
-		repair.SupersedeQuery{},
-		repair.SupersedeResp{Held: []repair.KeyVersion{{Key: "h", Version: tuple.Version{Seq: 1}}}, Want: []string{"w"}, Newer: []*tuple.Tuple{t2}},
-		repair.SupersedeResp{},
-		tman.Exchange{Attr: "age", Entries: []tman.Descriptor{{ID: 1, Value: 2.5, Age: 3}, {ID: 2, Value: -1, Age: 0}}, Reply: true},
-		tman.Exchange{Attr: "age"},
-		aggregate.Mass{Attr: "age", Epoch: 5, Sum: 10, Weight: 0.5, Min: -1, Max: 99, HasExt: true},
-		core.WriteCmd{Tuple: t1, ReplyTo: 6},
-		sampleTuple(),
+	write := epidemic.WritePayload{Tuple: t1, Origin: 1, Entry: 2}
+	twoVersions := epidemic.RecoverResp{ReqID: 1, Versions: map[string]tuple.Version{"a": {Seq: 1, Writer: 2}, "b": {Seq: 9, Writer: 1}}}
+	return []codecCase{
+		same("rumor-write", gossip.RumorMsg{Rumor: gossip.Rumor{ID: 9, Hops: 2, Payload: write}}),
+		same("rumor-no-payload", gossip.RumorMsg{Rumor: gossip.Rumor{ID: 11}}),
+		same("digest-req", gossip.DigestReq{IDs: []uint64{1, 5, 1 << 60}}),
+		same("digest-req-nil", gossip.DigestReq{}),
+		{name: "digest-req-empty", msg: gossip.DigestReq{IDs: []uint64{}}, want: gossip.DigestReq{}},
+		same("digest-resp", gossip.DigestResp{Rumors: []gossip.Rumor{{ID: 1, Hops: 3}, {ID: 2, Payload: write}}}),
+		same("digest-resp-nil", gossip.DigestResp{}),
+		same("store-ack", epidemic.StoreAck{Key: "k", Version: tuple.Version{Seq: 1, Writer: 9}}),
+		same("store-ack-zero", epidemic.StoreAck{}),
+		same("read-req", epidemic.ReadReq{Key: "k", ReqID: 77, Origin: 3, TTL: 4}),
+		same("read-resp", epidemic.ReadResp{ReqID: 77, Tuple: t2}),
+		same("read-resp-miss", epidemic.ReadResp{ReqID: 78}),
+		same("scan-req", epidemic.ScanReq{Attr: "age", Lo: -10.25, Hi: 99, ReqID: 5, Origin: 2, HopsLeft: 7, Seeking: true}),
+		same("scan-resp", epidemic.ScanResp{ReqID: 5, Tuples: []*tuple.Tuple{t1, t2}, Done: true}),
+		same("scan-resp-nil", epidemic.ScanResp{ReqID: 6}),
+		same("agg-req", epidemic.AggReq{Attr: "age", ReqID: 12}),
+		same("agg-resp", epidemic.AggResp{ReqID: 12, Attr: "age", Known: true, Avg: 1.5, Min: -2, Max: 7, Sum: 100, Count: 3, NEstimate: 1000}),
+		same("recover-req", epidemic.RecoverReq{ReqID: 1, Limit: 64}),
+		{name: "recover-resp", msg: twoVersions, want: twoVersions, mapOrder: true},
+		same("recover-resp-nil-map", epidemic.RecoverResp{ReqID: 2}),
+		same("recover-resp-empty-map", epidemic.RecoverResp{ReqID: 3, Versions: map[string]tuple.Version{}}), // stays empty, not nil
+		same("vector-push", sizeest.VectorPush{Epoch: 3, Mins: []float64{0.25, 0.5}}),
+		same("vector-push-nil", sizeest.VectorPush{Epoch: 4}),
+		same("vector-reply", sizeest.VectorReply{Epoch: 3, Mins: []float64{0.125}}),
+		same("sketch-push", histogram.SketchPush{Epoch: 2, K: 32, Entries: []histogram.KMVEntry{{Hash: 5, Value: 1.5}, {Hash: 9, Value: -3}}}),
+		same("sketch-push-nil", histogram.SketchPush{Epoch: 2, K: 32}),
+		same("sketch-reply", histogram.SketchReply{Epoch: 2, K: 16, Entries: []histogram.KMVEntry{{Hash: 1, Value: 2}}}),
+		same("walk-msg", &randomwalk.WalkMsg{SetID: 8, Origin: 1, TTL: 6, Query: randomwalk.Query{Point: 1 << 50, Key: "k"}}),
+		same("walk-result", randomwalk.WalkResult{SetID: 8, Sample: randomwalk.Sample{Node: 4, Covers: true, HasKey: true}}),
+		same("sync-req", repair.SyncReq{Arc: node.Arc{Start: 100, Width: 1 << 40}, Digest: 0xdeadbeef}),
+		same("sync-versions", repair.SyncVersions{Arc: node.Arc{Start: 1, Width: 2}, Versions: map[string]tuple.Version{"x": {Seq: 3, Writer: 1}}, Coverage: []node.Arc{{Start: 0, Width: 10}, {Start: 50, Width: 5}}}),
+		same("sync-versions-covers-nothing", repair.SyncVersions{Arc: node.Arc{Start: 1, Width: 2}}),
+		same("sync-pull", repair.SyncPull{Keys: []string{"a", "b"}}),
+		same("sync-pull-nil", repair.SyncPull{}),
+		same("sync-push", repair.SyncPush{Tuples: []*tuple.Tuple{t1}}),
+		same("adopt-req", repair.AdoptReq{Arc: node.Arc{Start: 7, Width: 8}, Tuples: []*tuple.Tuple{t1, t2}}),
+		same("seg-sync-req", repair.SegSyncReq{Arc: node.Arc{Start: 7, Width: 64}, Digests: []uint64{1, 2, 3, 4}}),
+		same("seg-sync-resp", repair.SegSyncResp{Arc: node.Arc{Start: 7, Width: 64}, Clean: true}),
+		same("supersede-query", repair.SupersedeQuery{Hints: []repair.KeyVersion{{Key: "k", Version: tuple.Version{Seq: 2, Writer: 8}}}}),
+		same("supersede-query-nil", repair.SupersedeQuery{}),
+		same("supersede-resp", repair.SupersedeResp{Held: []repair.KeyVersion{{Key: "h", Version: tuple.Version{Seq: 1}}}, Want: []string{"w"}, Newer: []*tuple.Tuple{t2}}),
+		same("supersede-resp-nil", repair.SupersedeResp{}),
+		same("tman-exchange", tman.Exchange{Attr: "age", Entries: []tman.Descriptor{{ID: 1, Value: 2.5, Age: 3}, {ID: 2, Value: -1, Age: 0}}, Reply: true}),
+		same("tman-exchange-nil", tman.Exchange{Attr: "age"}),
+		same("agg-mass", aggregate.Mass{Attr: "age", Epoch: 5, Sum: 10, Weight: 0.5, Min: -1, Max: 99, HasExt: true}),
+		same("write-cmd", core.WriteCmd{Tuple: t1, ReplyTo: 6}),
 	}
 }
 
-// gobRoundTrip runs msg through the gob fallback path the old transport
-// used for everything — the reference behaviour.
-func gobRoundTrip(t *testing.T, msg any) any {
+// decodeMessage decodes one frame body through a fresh cursor; the
+// read loop keeps one cursor per connection instead.
+func decodeMessage(body []byte) (any, error) {
+	var c cursor
+	return c.decode(body)
+}
+
+// encode is appendMessage for a case that must have an encoding.
+func encode(t testing.TB, tc codecCase) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&gobBox{M: msg}); err != nil {
-		t.Fatalf("gob encode %T: %v", msg, err)
+	body, ok := appendMessage(nil, tc.msg)
+	if !ok {
+		t.Fatalf("%s: %T has no DDN1 encoding", tc.name, tc.msg)
 	}
-	var box gobBox
-	if err := gob.NewDecoder(&buf).Decode(&box); err != nil {
-		t.Fatalf("gob decode %T: %v", msg, err)
-	}
-	return box.M
+	return body
 }
 
-// TestCodecGobEquivalence is the differential test: every registered
-// message type must decode from the binary codec to exactly what a gob
-// round trip yields, including gob's empty-slice→nil convention.
-func TestCodecGobEquivalence(t *testing.T) {
-	RegisterMessages()
-	for _, msg := range codecCases() {
-		body, ok := appendMessage(nil, msg)
-		if !ok {
-			t.Errorf("%T: no binary encoding (unexpected gob fallback)", msg)
-			continue
-		}
-		got, err := decodeMessage(body)
+// TestCodecRoundTrip: decode(encode(m)) is the case's want value — the
+// message itself, except where the nil/empty conventions apply.
+func TestCodecRoundTrip(t *testing.T) {
+	for _, tc := range codecCases() {
+		got, err := decodeMessage(encode(t, tc))
 		if err != nil {
-			t.Errorf("%T: decode: %v", msg, err)
+			t.Errorf("%s: decode: %v", tc.name, err)
 			continue
 		}
-		want := gobRoundTrip(t, msg)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%T: binary round trip diverges from gob\n binary: %#v\n    gob: %#v", msg, got, want)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: round trip\n got: %#v\nwant: %#v", tc.name, got, tc.want)
 		}
 	}
 }
 
-// TestCodecGobFallback proves unlisted payload types still travel via
-// the tag-0 escape hatch.
-func TestCodecGobFallback(t *testing.T) {
-	RegisterMessages()
-	msg := "plain string message" // what transport_test's pingMachine sends
-	if _, ok := appendMessage(nil, msg); ok {
-		t.Fatalf("string unexpectedly has a binary encoding")
-	}
-	body, err := encodeGobFrame(nil, msg)
+// readGolden parses testdata/ddn1_golden.txt: "<case name> <hex>" per
+// line, '#' comments.
+func readGolden(t *testing.T) map[string][]byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/ddn1_golden.txt")
 	if err != nil {
-		t.Fatalf("encodeGobFrame: %v", err)
+		t.Fatal(err)
 	}
-	if body[0] != tagGob {
-		t.Fatalf("fallback frame tag = %d, want %d", body[0], tagGob)
+	golden := map[string][]byte{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, hexBody, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("golden line %q: want \"<name> <hex>\"", line)
+		}
+		body, err := hex.DecodeString(hexBody)
+		if err != nil {
+			t.Fatalf("golden line %q: %v", name, err)
+		}
+		golden[name] = body
 	}
-	got, err := decodeMessage(body)
-	if err != nil {
-		t.Fatalf("decode fallback: %v", err)
+	return golden
+}
+
+// TestCodecGoldenBytes pins the wire format itself. The golden file was
+// generated by the encoder of the commit before gob was removed, so
+// passing means that change, and every later one, left the bytes of
+// every message alone: the encoder still produces exactly them and the
+// decoder still accepts them. A new message appends a line (the failure
+// prints it); an existing line never changes.
+func TestCodecGoldenBytes(t *testing.T) {
+	golden := readGolden(t)
+	for _, tc := range codecCases() {
+		if tc.mapOrder {
+			continue
+		}
+		body := encode(t, tc)
+		want, ok := golden[tc.name]
+		if !ok {
+			t.Errorf("no golden line for this case; the encoder produces:\n%s %x", tc.name, body)
+			continue
+		}
+		delete(golden, tc.name)
+		if !bytes.Equal(body, want) {
+			t.Errorf("%s: wire bytes changed\n got: %x\nwant: %x", tc.name, body, want)
+		}
+		got, err := decodeMessage(want)
+		if err != nil {
+			t.Errorf("%s: decode golden bytes: %v", tc.name, err)
+		} else if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: golden bytes decode to\n got: %#v\nwant: %#v", tc.name, got, tc.want)
+		}
 	}
-	if got != msg {
-		t.Fatalf("fallback round trip = %#v, want %#v", got, msg)
+	for name := range golden {
+		t.Errorf("golden line %q matches no codec case", name)
 	}
-	// Rumors with exotic payloads refuse binary encoding so the whole
-	// envelope falls back.
-	if _, ok := appendMessage(nil, gossip.RumorMsg{Rumor: gossip.Rumor{ID: 1, Payload: "exotic"}}); ok {
-		t.Fatalf("rumor with string payload unexpectedly encoded binary")
+}
+
+// TestCodecRetiredTags: the numbers of deleted encodings stay reserved
+// and decode like any tag this build does not know.
+func TestCodecRetiredTags(t *testing.T) {
+	for _, tag := range []byte{0, 4, 32} {
+		if _, err := decodeMessage([]byte{tag, 1, 2, 3}); err != errUnknownTag {
+			t.Errorf("retired tag %d: err = %v, want errUnknownTag", tag, err)
+		}
+	}
+	// The retired rumor payload sub-tag is inside a known tag, so it is
+	// a malformed body.
+	if _, err := decodeMessage([]byte{tagRumorMsg, 1, 0, 2, 0}); err == nil || err == errUnknownTag {
+		t.Errorf("retired rumor sub-tag 2: err = %v, want a malformed-body error", err)
+	}
+}
+
+// countPrefixes is, for every list- or map-bearing field of every
+// message (and the counts and lengths nested inside tuples and
+// strings), a frame body cut off right before that field's count.
+func countPrefixes() map[string][]byte {
+	tupleHead := []byte{tagReadResp, 0, 1, 0xD7, 0x01, 0, 0, 0} // ReqID; present, magic, version, empty key, seq, writer
+	return map[string][]byte{
+		"DigestReq.IDs":         {tagDigestReq},
+		"DigestResp.Rumors":     {tagDigestResp},
+		"ScanResp.Tuples":       {tagScanResp, 0},
+		"RecoverResp.Versions":  {tagRecoverResp, 0},
+		"VectorPush.Mins":       {tagVectorPush, 0},
+		"VectorReply.Mins":      {tagVectorReply, 0},
+		"SketchPush.Entries":    {tagSketchPush, 0, 0},
+		"SketchReply.Entries":   {tagSketchReply, 0, 0},
+		"SyncVersions.Versions": {tagSyncVersions, 0, 0},
+		"SyncVersions.Coverage": {tagSyncVersions, 0, 0, 0},
+		"SyncPull.Keys":         {tagSyncPull},
+		"SyncPush.Tuples":       {tagSyncPush},
+		"AdoptReq.Tuples":       {tagAdoptReq, 0, 0},
+		"SegSyncReq.Digests":    {tagSegSyncReq, 0, 0},
+		"SupersedeQuery.Hints":  {tagSupersedeQuery},
+		"SupersedeResp.Held":    {tagSupersedeResp},
+		"SupersedeResp.Want":    {tagSupersedeResp, 0},
+		"SupersedeResp.Newer":   {tagSupersedeResp, 0, 0},
+		"TManExchange.Entries":  {tagTManExchange, 0},
+		"string length":         {tagAggReq},
+		"tuple value length":    append(tupleHead[:len(tupleHead):len(tupleHead)], 2), // flags: has value
+		"tuple attr count":      append(tupleHead[:len(tupleHead):len(tupleHead)], 0),
+		"tuple tag count":       append(tupleHead[:len(tupleHead):len(tupleHead)], 0, 0),
+	}
+}
+
+// hostileCounts wrap when multiplied by an element size.
+var hostileCounts = []uint64{1 << 61, 1 << 63, 1<<64 - 1}
+
+// withCount completes a countPrefixes body: the count, then tail zero
+// bytes (which parse as zero-valued trailing fields).
+func withCount(prefix []byte, count uint64, tail int) []byte {
+	body := binary.AppendUvarint(append([]byte(nil), prefix...), count)
+	return append(body, make([]byte, tail)...)
+}
+
+// TestDecodeHostileCounts: a count the remaining bytes cannot hold is a
+// decode error — never an allocation sized by it. (A VectorPush
+// claiming 2^61 floats used to pass a multiplied guard and panic in
+// make.)
+func TestDecodeHostileCounts(t *testing.T) {
+	for name, prefix := range countPrefixes() {
+		// Control: with a zero count the same body decodes, so the
+		// prefix ends exactly at the count and the errors below are
+		// about the count.
+		if _, err := decodeMessage(withCount(prefix, 0, 64)); err != nil {
+			t.Errorf("%s: count 0: %v", name, err)
+		}
+		for _, count := range hostileCounts {
+			for _, tail := range []int{0, 64} {
+				if msg, err := decodeMessage(withCount(prefix, count, tail)); err == nil {
+					t.Errorf("%s: count %#x, %d bytes after it: decoded to %#v, want an error", name, count, tail, msg)
+				}
+			}
+		}
 	}
 }
 
@@ -178,15 +297,11 @@ func TestCodecUnknownTag(t *testing.T) {
 // garbage) — except prefixes that are themselves complete encodings is
 // impossible here because every truncation removes required bytes.
 func TestCodecTruncation(t *testing.T) {
-	RegisterMessages()
-	for _, msg := range codecCases() {
-		body, ok := appendMessage(nil, msg)
-		if !ok {
-			continue
-		}
+	for _, tc := range codecCases() {
+		body := encode(t, tc)
 		for cut := 0; cut < len(body); cut++ {
 			if _, err := decodeMessage(body[:cut]); err == nil {
-				t.Errorf("%T: decode of %d/%d-byte prefix succeeded", msg, cut, len(body))
+				t.Errorf("%s: decode of %d/%d-byte prefix succeeded", tc.name, cut, len(body))
 			}
 		}
 	}
@@ -195,14 +310,17 @@ func TestCodecTruncation(t *testing.T) {
 // FuzzDecodeMessage hammers the frame-body decoder with arbitrary
 // bytes: it must never panic, whatever the tag or payload.
 func FuzzDecodeMessage(f *testing.F) {
-	RegisterMessages()
-	for _, msg := range codecCases() {
-		if body, ok := appendMessage(nil, msg); ok {
-			f.Add(body)
+	for _, tc := range codecCases() {
+		f.Add(encode(f, tc))
+	}
+	for _, prefix := range countPrefixes() {
+		for _, count := range hostileCounts {
+			f.Add(withCount(prefix, count, 0))
+			f.Add(withCount(prefix, count, 64))
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte{tagGob, 0xff, 0x00})
+	f.Add([]byte{0, 0xff, 0x00}) // retired tag 0
 	f.Add([]byte{tagLimit})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = decodeMessage(data) // must not panic
@@ -280,26 +398,59 @@ func TestPreambleRoundTrip(t *testing.T) {
 	}
 }
 
+// envelopeBenchMessages is the serve hot path's mix: a read probe, a
+// replica ack and a rumor carrying a write.
+func envelopeBenchMessages() []any {
+	return []any{
+		epidemic.ReadReq{Key: "users/42", ReqID: 77, Origin: 3, TTL: 4},
+		epidemic.StoreAck{Key: "users/42", Version: tuple.Version{Seq: 9, Writer: 3}},
+		gossip.RumorMsg{Rumor: gossip.Rumor{ID: 9, Hops: 2, Payload: epidemic.WritePayload{Tuple: sampleTuple(), Origin: 1, Entry: 2}}},
+	}
+}
+
 // BenchmarkEncodeEnvelope pins the steady-state encode path at ~0
 // allocs/op — the per-peer writers encode into recycled scratch
 // buffers, so a hot fabric must not allocate per envelope. CI gates on
 // this benchmark's allocs/op.
 func BenchmarkEncodeEnvelope(b *testing.B) {
-	msgs := []any{
-		epidemic.ReadReq{Key: "users/42", ReqID: 77, Origin: 3, TTL: 4},
-		epidemic.StoreAck{Key: "users/42", Version: tuple.Version{Seq: 9, Writer: 3}},
-		gossip.RumorMsg{Rumor: gossip.Rumor{ID: 9, Hops: 2, Payload: epidemic.WritePayload{Tuple: sampleTuple(), Origin: 1, Entry: 2}}},
-	}
+	msgs := envelopeBenchMessages()
 	scratch := make([]byte, 0, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		body, ok := appendMessage(scratch[:0], msgs[i%len(msgs)])
 		if !ok {
-			b.Fatal("fallback hit on a registered type")
+			b.Fatal("message has no DDN1 encoding")
 		}
 		if cap(body) > cap(scratch) {
 			scratch = body
 		}
+	}
+}
+
+// decodeSink keeps the compiler from discarding the decoded message.
+var decodeSink any
+
+// BenchmarkDecodeEnvelope is the read loop's side of the same three
+// messages: one cursor, reused across frames as readLoop reuses its
+// per-connection one.
+func BenchmarkDecodeEnvelope(b *testing.B) {
+	var bodies [][]byte
+	for _, msg := range envelopeBenchMessages() {
+		body, ok := appendMessage(nil, msg)
+		if !ok {
+			b.Fatal("message has no DDN1 encoding")
+		}
+		bodies = append(bodies, body)
+	}
+	var cur cursor
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		msg, err := cur.decode(bodies[i%len(bodies)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		decodeSink = msg
 	}
 }

@@ -3,12 +3,16 @@ package transport
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"datadroplets/internal/epidemic"
+	"datadroplets/internal/gossip"
 	"datadroplets/internal/node"
+	"datadroplets/internal/repair"
 	"datadroplets/internal/sim"
 	"datadroplets/internal/tuple"
 	"datadroplets/internal/wire"
@@ -54,22 +58,21 @@ func TestStalledPeerDoesNotBlockDriver(t *testing.T) {
 	_ = ln.Close()
 	m := &pingMachine{}
 	h, err := NewHost(Config{
-		Self:           1,
-		Peers:          []Peer{{ID: 1, Addr: selfAddr}, {ID: 2, Addr: stall.Addr().String()}},
-		TickInterval:   50 * time.Millisecond,
-		PeerQueueDepth: 64,
-		WriteTimeout:   time.Second,
+		Self:         1,
+		Peers:        []Peer{{ID: 1, Addr: selfAddr}, {ID: 2, Addr: stall.Addr().String()}},
+		TickInterval: 50 * time.Millisecond,
 	}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.queueDepth, h.writeDeadline = 64, time.Second
 	if err := h.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(h.Stop)
 
 	// Big payloads overwhelm the socket buffer quickly.
-	big := &tuple.Tuple{Key: "k", Value: make([]byte, 64<<10), Version: tuple.Version{Seq: 1, Writer: 1}}
+	big := repair.SyncPush{Tuples: []*tuple.Tuple{{Key: "k", Value: make([]byte, 64<<10), Version: tuple.Version{Seq: 1, Writer: 1}}}}
 	var worst time.Duration
 	for i := 0; i < 500; i++ {
 		start := time.Now()
@@ -203,9 +206,9 @@ func TestUnknownTagSkipsFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Frame 2: a valid message.
-	valid, ok := appendMessage(nil, sampleTuple())
+	valid, ok := appendMessage(nil, epidemic.ReadResp{ReqID: 1, Tuple: sampleTuple()})
 	if !ok {
-		t.Fatal("sample tuple has no binary encoding")
+		t.Fatal("ReadResp has no DDN1 encoding")
 	}
 	if err := wire.WriteNodeFrame(bw, valid); err != nil {
 		t.Fatal(err)
@@ -255,61 +258,93 @@ func TestPostAsync(t *testing.T) {
 	}
 }
 
-// TestBlockingSendDrains covers the test knob the batching-equivalence
-// test relies on: with BlockingSend, Do does not return until the peer
-// writer has flushed everything the closure sent.
-func TestBlockingSendDrains(t *testing.T) {
+// TestUnencodableMessageIsDroppedAndCounted: a message outside the
+// protocol's set addressed to a remote peer is a programming error the
+// peer writer drops and counts — it is not shipped by reflection, and
+// it costs the connection nothing: the next real message arrives.
+func TestUnencodableMessageIsDroppedAndCounted(t *testing.T) {
+	if _, ok := appendMessage(nil, "plain string message"); ok {
+		t.Fatal("string unexpectedly has a DDN1 encoding")
+	}
+	if _, ok := appendMessage(nil, gossip.RumorMsg{Rumor: gossip.Rumor{ID: 1, Payload: "exotic"}}); ok {
+		t.Fatal("rumor with a string payload unexpectedly has a DDN1 encoding")
+	}
 	machines := map[node.ID]*pingMachine{}
-	peers := make([]Peer, 2)
-	hosts := make([]*Host, 2)
-	for i := range peers {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		_ = ln.Close()
-		peers[i] = Peer{ID: node.ID(i + 1), Addr: addr}
-	}
-	for i := range hosts {
+	hosts := startHosts(t, 2, func(id node.ID, peers []Peer) sim.Machine {
 		m := &pingMachine{}
-		machines[peers[i].ID] = m
-		h, err := NewHost(Config{
-			Self: peers[i].ID, Peers: peers,
-			TickInterval: 20 * time.Millisecond,
-			BlockingSend: true,
-		}, m)
-		if err != nil {
-			t.Fatal(err)
+		machines[id] = m
+		return m
+	})
+	if err := hosts[0].Do(func(sim.Machine, sim.Round) []sim.Envelope {
+		return []sim.Envelope{
+			{To: 2, Msg: "plain string message"},
+			{To: 2, Msg: epidemic.AggReq{Attr: "real"}},
 		}
-		if err := h.Start(); err != nil {
-			t.Fatal(err)
-		}
-		hosts[i] = h
-		t.Cleanup(h.Stop)
-	}
-	// Each closure observes the backlog left by the previous iteration's
-	// send: it runs in the driver strictly after that send's waitDrain,
-	// so with BlockingSend it must always see an empty queue. (Do's ack
-	// fires before the driver sends, so checking from the test goroutine
-	// would race.)
-	for i := 0; i < 50; i++ {
-		var backlog int
-		if err := hosts[0].Do(func(_ sim.Machine, _ sim.Round) []sim.Envelope {
-			backlog = hosts[0].PeerBacklog(2)
-			return []sim.Envelope{{To: 2, Msg: "sync"}}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if backlog != 0 {
-			t.Fatalf("iteration %d: backlog %d carried into the next op despite BlockingSend", i, backlog)
-		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for machines[2].count() < 50 {
+	for machines[2].count() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d/50", machines[2].count())
+			t.Fatal("message after the unencodable one was not delivered")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	machines[2].mu.Lock()
+	got := machines[2].received[0]
+	machines[2].mu.Unlock()
+	if got != "n0001:{real 0}" {
+		t.Fatalf("received %q, want the AggReq", got)
+	}
+	if d, s := hosts[0].Dropped.Value(), hosts[0].Sent.Value(); d != 1 || s != 1 {
+		t.Fatalf("Dropped = %d, Sent = %d; want 1 and 1", d, s)
+	}
+}
+
+// TestHostileCountDropsConnectionNotProcess is TestDecodeHostileCounts
+// at the socket: any TCP peer can write the 11-byte VectorPush body
+// claiming 2^61 floats. The connection is dropped, the process lives,
+// and a well-behaved peer's next envelope is still delivered.
+func TestHostileCountDropsConnectionNotProcess(t *testing.T) {
+	machines := map[node.ID]*pingMachine{}
+	hosts := startHosts(t, 2, func(id node.ID, peers []Peer) sim.Machine {
+		m := &pingMachine{}
+		machines[id] = m
+		return m
+	})
+	c, err := net.Dial("tcp", hosts[1].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bw := bufio.NewWriter(c)
+	if err := wire.WriteNodePreamble(bw, 9); err != nil {
+		t.Fatal(err)
+	}
+	hostile := []byte{tagVectorPush, 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
+	if err := wire.WriteNodeFrame(bw, hostile); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after the hostile frame: %v, want EOF (connection dropped)", err)
+	}
+	if err := hosts[0].Do(func(sim.Machine, sim.Round) []sim.Envelope {
+		return []sim.Envelope{{To: 2, Msg: epidemic.AggReq{Attr: "still here"}}}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for machines[2].count() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("envelope from the well-behaved peer was not delivered")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := hosts[1].UnknownTags.Value(); got != 0 {
+		t.Fatalf("UnknownTags = %d: a malformed body is not an unknown tag", got)
 	}
 }

@@ -11,9 +11,9 @@
 //
 //   - The driver appends outbound envelopes to bounded per-peer queues;
 //     a dedicated writer goroutine per peer owns dialing, encoding
-//     (the DDN1 binary codec in codec.go, gob only as a fallback) and
-//     flushing through a bufio writer — flushed on queue drain, not per
-//     envelope, so one syscall carries a burst.
+//     (the DDN1 binary codec in codec.go, the fabric's only wire format)
+//     and flushing through a bufio writer — flushed on queue drain, not
+//     per envelope, so one syscall carries a burst.
 //   - Self-addressed envelopes go to a driver-owned slice, never the
 //     mailbox: self-delivery is loss-free and allocation-cheap, exactly
 //     like the simulator, and it is the per-client-op fast path (write
@@ -25,7 +25,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log"
@@ -33,28 +32,27 @@ import (
 	"sync"
 	"time"
 
-	"datadroplets/internal/aggregate"
-	"datadroplets/internal/core"
-	"datadroplets/internal/epidemic"
-	"datadroplets/internal/gossip"
-	"datadroplets/internal/histogram"
 	"datadroplets/internal/metrics"
 	"datadroplets/internal/node"
-	"datadroplets/internal/randomwalk"
-	"datadroplets/internal/repair"
 	"datadroplets/internal/sim"
-	"datadroplets/internal/sizeest"
-	"datadroplets/internal/tman"
-	"datadroplets/internal/tuple"
 	"datadroplets/internal/wire"
 )
 
-// Tuning defaults. Overridable per host through Config.
+// The fabric's one configuration.
 const (
 	defaultTickInterval = 200 * time.Millisecond
-	defaultPeerQueue    = 4096
-	defaultIntakeBatch  = 256
-	defaultWriteTimeout = 5 * time.Second
+
+	// peerQueueDepth bounds each peer's outbound queue. When a peer
+	// stalls (dead, partitioned, or not reading), its queue fills and
+	// further envelopes to it are dropped — load-shedding per peer, the
+	// driver never blocks.
+	peerQueueDepth = 4096
+	// intakeBatch caps how many mailbox/request events the driver
+	// dispatches per wake-up before harvesting completions (AfterStep).
+	intakeBatch = 256
+	// writeTimeout bounds one batch write to a peer socket; past it the
+	// connection is dropped and re-dialed.
+	writeTimeout = 5 * time.Second
 
 	mailboxDepth  = 4096
 	requestsDepth = 1024
@@ -68,51 +66,6 @@ const (
 
 // ErrStopped is returned by Do/Post after the host shut down.
 var ErrStopped = errors.New("transport: host stopped")
-
-// RegisterMessages registers every protocol message with gob. The DDN1
-// codec carries these types in binary; gob registration still matters
-// for the tag-0 fallback frame (unlisted payload types) and for the
-// differential codec tests. Safe to call multiple times in one process.
-var registerOnce sync.Once
-
-// RegisterMessages makes all wire types known to gob.
-func RegisterMessages() {
-	registerOnce.Do(func() {
-		gob.Register(gossip.RumorMsg{})
-		gob.Register(gossip.DigestReq{})
-		gob.Register(gossip.DigestResp{})
-		gob.Register(gossip.Rumor{})
-		gob.Register(epidemic.WritePayload{})
-		gob.Register(epidemic.StoreAck{})
-		gob.Register(epidemic.ReadReq{})
-		gob.Register(epidemic.ReadResp{})
-		gob.Register(epidemic.ScanReq{})
-		gob.Register(epidemic.ScanResp{})
-		gob.Register(epidemic.AggReq{})
-		gob.Register(epidemic.AggResp{})
-		gob.Register(epidemic.RecoverReq{})
-		gob.Register(epidemic.RecoverResp{})
-		gob.Register(sizeest.VectorPush{})
-		gob.Register(sizeest.VectorReply{})
-		gob.Register(histogram.SketchPush{})
-		gob.Register(histogram.SketchReply{})
-		gob.Register(&randomwalk.WalkMsg{})
-		gob.Register(randomwalk.WalkResult{})
-		gob.Register(repair.SyncReq{})
-		gob.Register(repair.SyncVersions{})
-		gob.Register(repair.SyncPull{})
-		gob.Register(repair.SyncPush{})
-		gob.Register(repair.AdoptReq{})
-		gob.Register(repair.SegSyncReq{})
-		gob.Register(repair.SegSyncResp{})
-		gob.Register(repair.SupersedeQuery{})
-		gob.Register(repair.SupersedeResp{})
-		gob.Register(tman.Exchange{})
-		gob.Register(aggregate.Mass{})
-		gob.Register(core.WriteCmd{})
-		gob.Register(&tuple.Tuple{})
-	})
-}
 
 // envelope is one delivered message with its sender.
 type envelope struct {
@@ -136,24 +89,6 @@ type Config struct {
 	// TickInterval is the wall-clock length of one protocol round.
 	// Zero means 200ms.
 	TickInterval time.Duration
-	// PeerQueueDepth bounds each peer's outbound queue. When a peer
-	// stalls (dead, partitioned, or not reading), its queue fills and
-	// further envelopes to it are dropped — load-shedding per peer, the
-	// driver never blocks. Zero means 4096.
-	PeerQueueDepth int
-	// IntakeBatch caps how many mailbox/request events the driver
-	// dispatches per wake-up before harvesting completions (AfterStep).
-	// Zero means 256; 1 restores per-event harvesting.
-	IntakeBatch int
-	// WriteTimeout bounds one batch write to a peer socket; past it the
-	// connection is dropped and re-dialed. Zero means 5s.
-	WriteTimeout time.Duration
-	// BlockingSend makes send() wait until the peer writers have
-	// drained every envelope the call enqueued — the legacy
-	// driver-synchronous behaviour through the same code path. A test
-	// knob (the batching-equivalence test runs writers "off"); leave it
-	// false in production.
-	BlockingSend bool
 	// Logger receives connection diagnostics; nil silences them.
 	Logger *log.Logger
 	// AfterStep, when set, runs inside the driver goroutine after every
@@ -170,6 +105,12 @@ type Config struct {
 type Host struct {
 	cfg     Config
 	machine sim.Machine
+
+	// queueDepth and writeDeadline are peerQueueDepth and writeTimeout;
+	// the in-package tests that need a shallow queue or a short
+	// deadline overwrite them between NewHost and Start.
+	queueDepth    int
+	writeDeadline time.Duration
 
 	listener net.Listener
 	mailbox  chan envelope
@@ -208,15 +149,6 @@ func NewHost(cfg Config, m sim.Machine) (*Host, error) {
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = defaultTickInterval
 	}
-	if cfg.PeerQueueDepth <= 0 {
-		cfg.PeerQueueDepth = defaultPeerQueue
-	}
-	if cfg.IntakeBatch <= 0 {
-		cfg.IntakeBatch = defaultIntakeBatch
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = defaultWriteTimeout
-	}
 	addrs := make(map[node.ID]string, len(cfg.Peers))
 	var selfAddr string
 	for _, p := range cfg.Peers {
@@ -228,16 +160,17 @@ func NewHost(cfg Config, m sim.Machine) (*Host, error) {
 	if selfAddr == "" {
 		return nil, errors.New("transport: self not in peer list")
 	}
-	RegisterMessages()
 	return &Host{
-		cfg:      cfg,
-		machine:  m,
-		mailbox:  make(chan envelope, mailboxDepth),
-		requests: make(chan func(sim.Machine, sim.Round) []sim.Envelope, requestsDepth),
-		senders:  make(map[node.ID]*peerSender, len(cfg.Peers)),
-		inbound:  make(map[net.Conn]struct{}),
-		addrs:    addrs,
-		done:     make(chan struct{}),
+		cfg:           cfg,
+		machine:       m,
+		queueDepth:    peerQueueDepth,
+		writeDeadline: writeTimeout,
+		mailbox:       make(chan envelope, mailboxDepth),
+		requests:      make(chan func(sim.Machine, sim.Round) []sim.Envelope, requestsDepth),
+		senders:       make(map[node.ID]*peerSender, len(cfg.Peers)),
+		inbound:       make(map[net.Conn]struct{}),
+		addrs:         addrs,
+		done:          make(chan struct{}),
 	}, nil
 }
 
@@ -397,13 +330,14 @@ func (h *Host) readLoop(c net.Conn) {
 		return
 	}
 	var buf []byte
+	var cur cursor
 	for {
 		body, err := wire.ReadNodeFrame(br, buf)
 		if err != nil {
 			return // peer closed or garbage: epidemic protocols tolerate loss
 		}
 		buf = body[:0]
-		msg, err := decodeMessage(body)
+		msg, err := cur.decode(body)
 		if err != nil {
 			if errors.Is(err, errUnknownTag) {
 				h.UnknownTags.Inc()
@@ -460,7 +394,7 @@ func (h *Host) driverLoop() {
 			default:
 			}
 		}
-		for n := 1; n < h.cfg.IntakeBatch; n++ {
+		for n := 1; n < intakeBatch; n++ {
 			select {
 			case env := <-h.mailbox:
 				h.send(h.machine.Handle(h.round, env.From, env.Msg))
@@ -515,13 +449,6 @@ func (h *Host) send(envs []sim.Envelope) {
 			h.Dropped.Inc()
 		}
 	}
-	if h.cfg.BlockingSend {
-		for _, e := range envs {
-			if ps := h.senders[e.To]; ps != nil {
-				ps.waitDrain()
-			}
-		}
-	}
 }
 
 func (h *Host) logf(format string, args ...any) {
@@ -543,7 +470,6 @@ type peerSender struct {
 	mu     sync.Mutex
 	cond   sync.Cond
 	queue  []any
-	busy   bool // writer is encoding/writing a taken batch
 	closed bool
 	conn   net.Conn // under mu so stop() can unblock a stalled write
 
@@ -563,7 +489,7 @@ func newPeerSender(h *Host, id node.ID, addr string) *peerSender {
 // queue is full or the sender is stopped (the message is shed).
 func (ps *peerSender) enqueue(msg any) bool {
 	ps.mu.Lock()
-	if ps.closed || len(ps.queue) >= ps.h.cfg.PeerQueueDepth {
+	if ps.closed || len(ps.queue) >= ps.h.queueDepth {
 		ps.mu.Unlock()
 		return false
 	}
@@ -571,16 +497,6 @@ func (ps *peerSender) enqueue(msg any) bool {
 	ps.mu.Unlock()
 	ps.cond.Broadcast()
 	return true
-}
-
-// waitDrain blocks until the writer has consumed and written everything
-// enqueued so far (or the sender stopped). Only used with BlockingSend.
-func (ps *peerSender) waitDrain() {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for (len(ps.queue) > 0 || ps.busy) && !ps.closed {
-		ps.cond.Wait()
-	}
 }
 
 // stop closes the sender; a writer stalled inside a socket write is
@@ -618,10 +534,6 @@ func (ps *peerSender) writeLoop() {
 func (ps *peerSender) take(spare []any) ([]any, bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	ps.busy = false
-	if len(ps.queue) == 0 {
-		ps.cond.Broadcast() // wake waitDrain: fully drained
-	}
 	for len(ps.queue) == 0 && !ps.closed {
 		ps.cond.Wait()
 	}
@@ -630,7 +542,6 @@ func (ps *peerSender) take(spare []any) ([]any, bool) {
 	}
 	batch := ps.queue
 	ps.queue = spare
-	ps.busy = true
 	return batch, true
 }
 
@@ -647,17 +558,15 @@ func (ps *peerSender) writeBatch(batch []any) {
 		ps.h.Dropped.Add(int64(len(batch)))
 		return
 	}
-	_ = c.SetWriteDeadline(time.Now().Add(ps.h.cfg.WriteTimeout))
+	_ = c.SetWriteDeadline(time.Now().Add(ps.h.writeDeadline))
 	for i, msg := range batch {
 		body, ok := appendMessage(ps.scratch[:0], msg)
 		if !ok {
-			var err error
-			body, err = encodeGobFrame(ps.scratch[:0], msg)
-			if err != nil {
-				ps.h.logf("peer %v: encode %T: %v", ps.id, msg, err)
-				ps.h.Dropped.Inc()
-				continue
-			}
+			// A programming error, not a network fault: the machine sent
+			// something outside the protocol's message set.
+			ps.h.logf("peer %v: %T has no DDN1 encoding, dropped", ps.id, msg)
+			ps.h.Dropped.Inc()
+			continue
 		}
 		if cap(body) > cap(ps.scratch) {
 			ps.scratch = body

@@ -80,7 +80,7 @@ func TestPointToPointDelivery(t *testing.T) {
 		return m
 	})
 	err := hosts[0].Do(func(m sim.Machine, now sim.Round) []sim.Envelope {
-		return []sim.Envelope{{To: 2, Msg: "hello"}}
+		return []sim.Envelope{{To: 2, Msg: epidemic.AggReq{Attr: "hello"}}}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestPointToPointDelivery(t *testing.T) {
 	machines[2].mu.Lock()
 	got := machines[2].received[0]
 	machines[2].mu.Unlock()
-	if got != "n0001:hello" {
+	if got != "n0001:{hello 0}" {
 		t.Fatalf("received %q", got)
 	}
 }
@@ -130,7 +130,7 @@ func TestSendToDeadPeerDropsNotBlocks(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		_ = hosts[0].Do(func(m sim.Machine, now sim.Round) []sim.Envelope {
-			return []sim.Envelope{{To: 2, Msg: "into the void"}}
+			return []sim.Envelope{{To: 2, Msg: epidemic.AggReq{Attr: "into the void"}}}
 		})
 		close(done)
 	}()
@@ -241,7 +241,9 @@ func TestAfterStepHook(t *testing.T) {
 		_ = ln.Close()
 		peers[i] = Peer{ID: node.ID(i + 1), Addr: addr}
 	}
-	for i := range hosts {
+	// Host 2 starts first: host 1's hook fires during its own Start, and
+	// an envelope dialled before host 2 listens is shed, not retried.
+	for i := len(hosts) - 1; i >= 0; i-- {
 		m := &pingMachine{}
 		machines[peers[i].ID] = m
 		cfg := Config{Self: peers[i].ID, Peers: peers, TickInterval: 10 * time.Millisecond}
@@ -253,7 +255,7 @@ func TestAfterStepHook(t *testing.T) {
 				atomic.AddInt64(&hookCalls, 1)
 				var out []sim.Envelope
 				sentOnce.Do(func() {
-					out = []sim.Envelope{{To: 2, Msg: "from-hook"}}
+					out = []sim.Envelope{{To: 2, Msg: epidemic.AggReq{Attr: "from-hook"}}}
 				})
 				return out
 			}
