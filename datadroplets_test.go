@@ -226,3 +226,48 @@ func TestFacadeSameSeedDeterministic(t *testing.T) {
 		t.Fatalf("same-seed runs diverged: rounds %d vs %d", c.Round(), d.Round())
 	}
 }
+
+// TestPutDoesNotAliasCallerValue: inside the cluster a written tuple is
+// shared, never copied — soft cache, rumor and every replica's store
+// hold the same one — so the facade is where caller-owned memory is
+// copied in, and where results are copied out. Whatever the caller does
+// to its buffers after Put, or to a tuple Get returned, later reads see
+// what was written, whether the soft cache or the persistent layer
+// serves them.
+func TestPutDoesNotAliasCallerValue(t *testing.T) {
+	c := New(WithNodes(24), WithSoftNodes(2), WithReplication(3), WithSeed(7), WithFanoutC(3))
+	defer c.Close()
+	c.Advance(15)
+	value := []byte("original")
+	attrs := map[string]float64{"price": 1}
+	tags := []string{"eu"}
+	if err := c.Put("direct", value, attrs, tags); err != nil {
+		t.Fatal(err)
+	}
+	if errs := c.BatchPut([]PutOp{{Key: "batched", Value: value, Attrs: attrs, Tags: tags}}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	value[0], attrs["price"], attrs["added"], tags[0] = 'X', 2, 1, "us"
+
+	check := func(servedBy string) {
+		t.Helper()
+		for _, key := range []string{"direct", "batched"} {
+			got, err := c.Get(key)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", servedBy, key, err)
+			}
+			if string(got.Value) != "original" || len(got.Attrs) != 1 || got.Attrs["price"] != 1 ||
+				len(got.Tags) != 1 || got.Tags[0] != "eu" {
+				t.Fatalf("%s, %s: Get = %q %v %v, want what was written", servedBy, key, got.Value, got.Attrs, got.Tags)
+			}
+			got.Value[0], got.Attrs["price"], got.Tags[0] = 'Y', 3, "zz"
+		}
+	}
+	check("soft cache")
+	c.WipeSoftLayer()
+	if _, err := c.RecoverSoftLayer(); err != nil {
+		t.Fatal(err)
+	}
+	check("persistent layer")
+	check("soft cache refilled by that read")
+}

@@ -46,9 +46,10 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Put inserts or refreshes the cached copy of t (cloned; the cache never
-// aliases caller memory). Older cached versions are overwritten only by
-// newer ones, so a racing stale fill cannot clobber a fresh entry.
+// Put inserts or refreshes the cached tuple. It retains t rather than
+// copying it: tuples are immutable once sequenced (docs/DESIGN.md §1).
+// Older cached versions are overwritten only by newer ones, so a racing
+// stale fill cannot clobber a fresh entry.
 func (c *Cache) Put(t *tuple.Tuple) {
 	if t == nil {
 		return
@@ -58,7 +59,7 @@ func (c *Cache) Put(t *tuple.Tuple) {
 		if t.Version.Less(cur.tup.Version) {
 			return // never downgrade
 		}
-		cur.tup = t.Clone()
+		cur.tup = t
 		c.ll.MoveToFront(el)
 		return
 	}
@@ -69,7 +70,7 @@ func (c *Cache) Put(t *tuple.Tuple) {
 			delete(c.items, oldest.Value.(*entry).key)
 		}
 	}
-	c.items[t.Key] = c.ll.PushFront(&entry{key: t.Key, tup: t.Clone()})
+	c.items[t.Key] = c.ll.PushFront(&entry{key: t.Key, tup: t})
 }
 
 // Get returns the cached tuple only if its version is exactly latest —

@@ -91,14 +91,25 @@ func TestGetReturnsClone(t *testing.T) {
 	}
 }
 
-func TestPutClones(t *testing.T) {
+// TestPutRetainsGetClones pins the cache's half of the ownership rule
+// (docs/DESIGN.md §1): Put keeps the tuple it is handed, because a
+// sequenced tuple is immutable and a copy would only be a second 1 KiB
+// held per write, while Get still hands out a copy, so no reader can
+// reach the shared one.
+func TestPutRetainsGetClones(t *testing.T) {
 	c := New(2)
 	src := mk("a", 1, "orig")
 	c.Put(src)
-	src.Value[0] = 'X'
+	if held := c.items["a"].Value.(*entry).tup; held != src {
+		t.Fatal("Put copied the tuple instead of retaining it")
+	}
 	got, _ := c.Get("a", v(1))
-	if string(got.Value) != "orig" {
-		t.Fatal("cache aliased caller memory")
+	if got == src {
+		t.Fatal("Get handed out the shared tuple")
+	}
+	got.Value[0] = 'X'
+	if string(src.Value) != "orig" {
+		t.Fatal("Get aliased the shared tuple's value")
 	}
 }
 

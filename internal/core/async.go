@@ -10,6 +10,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"datadroplets/internal/epidemic"
@@ -139,13 +141,15 @@ func (c *Cluster) settle(p *Pending, op *Op) {
 	p.s.ForgetOp(op.ID)
 }
 
-// PutAsync submits a write and returns immediately.
+// PutAsync submits a write and returns immediately. value, attrs and
+// tags stay the caller's: this is the boundary that copies them, once,
+// into the tuple the cluster then shares (SoftNode.Put).
 func (c *Cluster) PutAsync(key string, value []byte, attrs map[string]float64, tags []string) *Pending {
 	s := c.Route(key)
 	if s == nil {
 		return failedPending(OpPut, key, errNoSoft)
 	}
-	opID, envs := s.Put(c.Net.Round(), key, value, attrs, tags, false)
+	opID, envs := s.Put(c.Net.Round(), key, slices.Clone(value), maps.Clone(attrs), slices.Clone(tags), false)
 	return c.track(s, OpPut, key, opID, envs, DefaultOpRounds)
 }
 

@@ -297,7 +297,10 @@ func (s *SoftNode) ForgetOp(id uint64) {
 }
 
 // Put sequences a write and hands it to the persistent layer for
-// epidemic dissemination. Returns the op ID and envelopes to emit.
+// epidemic dissemination. Returns the op ID and envelopes to emit. It
+// takes ownership of value, attrs and tags: they become the one tuple
+// that the cache, the rumor and every replica's store then share, so a
+// caller that keeps using its own memory copies before calling.
 func (s *SoftNode) Put(now sim.Round, key string, value []byte, attrs map[string]float64, tags []string, deleted bool) (uint64, []sim.Envelope) {
 	op := s.newOp(OpPut, key)
 	if deleted {
@@ -319,7 +322,7 @@ func (s *SoftNode) Put(now sim.Round, key string, value []byte, attrs map[string
 		s.complete(op)
 		return op.ID, nil
 	}
-	return op.ID, []sim.Envelope{{To: entry, Msg: WriteCmd{Tuple: t.Clone(), ReplyTo: s.Self}}}
+	return op.ID, []sim.Envelope{{To: entry, Msg: WriteCmd{Tuple: t, ReplyTo: s.Self}}}
 }
 
 // Get serves a read: version-exact cache first, then the persistent
@@ -608,5 +611,8 @@ func (s *SoftNode) finishGet(now sim.Round, op *Op) {
 		}
 	}
 	s.Cache.Put(op.Tuple)
+	// The cache, the late-repair entry and any read-repair push share the
+	// tuple from here on; the client gets its own copy, like every read.
+	op.Tuple = op.Tuple.Clone()
 	s.complete(op)
 }

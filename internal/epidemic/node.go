@@ -364,6 +364,7 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, cfg Config) *
 		Fanout:           gossip.FanoutLnN(nEst, cfg.FanoutC),
 		AntiEntropyEvery: cfg.AntiEntropyEvery,
 		OnDeliver:        n.onDeliver,
+		PayloadBytes:     payloadBytes,
 	})
 
 	// Ordered overlay for range scans over the quantile attribute.
@@ -424,6 +425,28 @@ func (n *Node) orderValue() float64 {
 	return frac
 }
 
+// payloadBytes sizes a write for the gossip payload cache's byte budget:
+// what the tuple's fields hold, plus a fixed share for the Tuple struct,
+// the boxed WritePayload and the cache entry. It is at least the
+// payload's DDN1 encoding, which is what lets a whole-cache DigestResp
+// fit one frame.
+func payloadBytes(payload any) int {
+	wp, ok := payload.(WritePayload)
+	if !ok || wp.Tuple == nil {
+		return 0
+	}
+	const fixed, perField = 128, 16
+	t := wp.Tuple
+	n := fixed + len(t.Key) + len(t.Value)
+	for name := range t.Attrs {
+		n += perField + len(name)
+	}
+	for _, tag := range t.Tags {
+		n += perField + len(tag)
+	}
+	return n
+}
+
 // onDeliver is the gossip delivery hook: apply the sieve, store, ack.
 func (n *Node) onDeliver(r gossip.Rumor) {
 	wp, ok := r.Payload.(WritePayload)
@@ -469,17 +492,18 @@ func (n *Node) onDeliver(r gossip.Rumor) {
 }
 
 // Write starts epidemic dissemination of a sequenced tuple from this
-// node. The caller must have assigned t.Version (soft layer contract).
+// node. The caller must have assigned t.Version (soft layer contract)
+// and hands t over: from here on the rumor, the payload cache and every
+// store that keeps it share the one tuple, which nobody may change.
 func (n *Node) Write(now sim.Round, t *tuple.Tuple) []sim.Envelope {
-	_, envs := n.Diss.Publish(now, WritePayload{Tuple: t.Clone(), Origin: n.Self, Entry: n.Self})
-	return append(envs, n.drain()...)
+	return n.WriteFrom(now, n.Self, t)
 }
 
 // WriteFrom disseminates a tuple on behalf of an external origin (used
 // by the soft layer when it is collocated with a different persistent
 // node).
 func (n *Node) WriteFrom(now sim.Round, origin node.ID, t *tuple.Tuple) []sim.Envelope {
-	_, envs := n.Diss.Publish(now, WritePayload{Tuple: t.Clone(), Origin: origin, Entry: n.Self})
+	_, envs := n.Diss.Publish(now, WritePayload{Tuple: t, Origin: origin, Entry: n.Self})
 	return append(envs, n.drain()...)
 }
 

@@ -3,6 +3,7 @@ package epidemic
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"testing"
 
 	"datadroplets/internal/sim"
@@ -10,13 +11,19 @@ import (
 	"datadroplets/internal/tuple"
 )
 
-// deepChecksum folds full tuple content (including value bytes and
-// attrs) into one hash, so any mutation through a borrowed reference —
-// not just key/version drift — is detectable.
+// tupleChecksum folds one tuple's full content (including value bytes
+// and attrs) into h, so any mutation — not just key/version drift — is
+// detectable.
+func tupleChecksum(h io.Writer, t *tuple.Tuple) {
+	fmt.Fprintf(h, "%s|%d@%d|%v|%x|%v|%v;", t.Key, t.Version.Seq, t.Version.Writer, t.Deleted, t.Value, t.Attrs, t.Tags)
+}
+
+// deepChecksum is tupleChecksum over a whole store: a mutation through a
+// borrowed reference changes it.
 func deepChecksum(s *store.Store) uint64 {
 	h := fnv.New64a()
 	s.ForEach(func(t *tuple.Tuple) bool {
-		fmt.Fprintf(h, "%s|%d@%d|%v|%x|%v|%v;", t.Key, t.Version.Seq, t.Version.Writer, t.Deleted, t.Value, t.Attrs, t.Tags)
+		tupleChecksum(h, t)
 		return true
 	})
 	return h.Sum64()

@@ -27,8 +27,8 @@ func TestDeterminismAtScale(t *testing.T) {
 		MeanDowntime:      10,
 		AggregateAttr:     "v",
 	}
-	a := RunSimScale(cfg)
-	b := RunSimScale(cfg)
+	a := runSimScale(t, cfg)
+	b := runSimScale(t, cfg)
 	compareSimScaleRuns(t, "run A (serial)", "run B (serial)", a, b)
 }
 
@@ -55,11 +55,11 @@ func TestDeterminismAtScaleAcrossWorkers(t *testing.T) {
 		MeanDowntime:      10,
 		AggregateAttr:     "v",
 	}
-	ref := RunSimScale(cfg)
+	ref := runSimScale(t, cfg)
 	for _, w := range []int{2, 4, 8} {
 		pcfg := cfg
 		pcfg.Workers = w
-		res := RunSimScale(pcfg)
+		res := runSimScale(t, pcfg)
 		compareSimScaleRuns(t, "serial", fmt.Sprintf("W=%d", w), ref, res)
 		if t.Failed() {
 			t.FailNow()
@@ -87,10 +87,7 @@ func TestHistoryDeterministicAcrossWorkers(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		cfg := base
 		cfg.Workers = w
-		res, err := RunScenario(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runScenario(t, cfg)
 		if res.History.Len() == 0 {
 			t.Fatal("oracle mode recorded no operations")
 		}

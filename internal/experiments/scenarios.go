@@ -261,6 +261,11 @@ type ScenarioResult struct {
 	// mean full scans are back). Excluded from Digest with the rest of
 	// the cost accounting.
 	StoreEntries int64 `json:"store_entries"`
+	// GossipEvictions sums the payloads every node's gossip cache dropped
+	// to its byte budget. No workload here writes near the budget, so
+	// anything but 0 means the budget has started to shape simulated
+	// behaviour; the tests assert 0.
+	GossipEvictions int64 `json:"-"`
 
 	Sent      int64 `json:"sent"`
 	Delivered int64 `json:"delivered"`
@@ -877,6 +882,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		res.DigestEntriesScanned += scanned
 		res.DigestBucketsFolded += folded
 		res.StoreEntries += int64(en.St.Total())
+		res.GossipEvictions += en.Diss.Evicted
 		res.StoreDigest ^= en.St.DigestArc(full) * (uint64(i)*2 + 1)
 		if en.Repair != nil {
 			res.SyncSegments += en.Repair.Segments.Value()

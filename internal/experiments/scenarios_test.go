@@ -21,6 +21,23 @@ func smallScenario(name string, workers int) ScenarioConfig {
 	}
 }
 
+// runScenario is RunScenario for a config that must be valid, held to
+// the simulator's standing condition on the gossip payload budget: no
+// workload here writes anywhere near it, so a single eviction means the
+// budget has started to shape simulated behaviour (and the committed
+// digests with it).
+func runScenario(t *testing.T, cfg ScenarioConfig) *ScenarioResult {
+	t.Helper()
+	res, err := RunScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GossipEvictions != 0 {
+		t.Fatalf("%s: %d gossip payloads evicted by the byte budget, want 0", cfg.Name, res.GossipEvictions)
+	}
+	return res
+}
+
 func TestScenarioNamesCatalogue(t *testing.T) {
 	names := ScenarioNames()
 	if len(names) != 5 {
@@ -49,14 +66,8 @@ func TestScenarioNamesCatalogue(t *testing.T) {
 // scenario under -race at reduced scale.
 func TestScenarioDigestStableAcrossWorkers(t *testing.T) {
 	for _, name := range ScenarioNames() {
-		ref, err := RunScenario(smallScenario(name, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunScenario(smallScenario(name, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := runScenario(t, smallScenario(name, 1))
+		res := runScenario(t, smallScenario(name, 4))
 		if ref.Digest() != res.Digest() {
 			t.Errorf("%s: W=4 digest %016x != W=1 digest %016x\n W=1: %s\n W=4: %s",
 				name, res.Digest(), ref.Digest(), ref, res)
@@ -75,24 +86,15 @@ func TestScenarioDigestStableAcrossWorkers(t *testing.T) {
 // TestScenarioSameSeedTwice guards the harness itself against
 // map-iteration or shared-state leaks between runs in one process.
 func TestScenarioSameSeedTwice(t *testing.T) {
-	a, err := RunScenario(smallScenario(ScenarioSplitBrain, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunScenario(smallScenario(ScenarioSplitBrain, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runScenario(t, smallScenario(ScenarioSplitBrain, 1))
+	b := runScenario(t, smallScenario(ScenarioSplitBrain, 1))
 	if a.Digest() != b.Digest() {
 		t.Fatalf("same-seed scenario runs diverged:\n a: %s\n b: %s", a, b)
 	}
-	c, err := RunScenario(ScenarioConfig{
+	c := runScenario(t, ScenarioConfig{
 		Name: ScenarioSplitBrain, Nodes: 64, Keys: 128, Seed: 43,
 		Warmup: 10, FaultRounds: 20, MaxRecovery: 120,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if a.Digest() == c.Digest() {
 		t.Fatal("different seeds produced identical scenario digests (suspicious)")
 	}
@@ -104,13 +106,10 @@ func TestScenarioSameSeedTwice(t *testing.T) {
 // sides diverge (stale replicas accumulate), and after the heal the
 // anti-entropy/repair machinery converges the cluster again.
 func TestSplitBrainDivergesAndRepairs(t *testing.T) {
-	res, err := RunScenario(ScenarioConfig{
+	res := runScenario(t, ScenarioConfig{
 		Name: ScenarioSplitBrain, Nodes: 96, Keys: 192, Seed: 42,
 		Warmup: 12, MaxRecovery: 300,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.LostFault == 0 {
 		t.Fatal("split brain dropped no messages — the partition never took effect")
 	}
@@ -133,13 +132,10 @@ func TestSplitBrainDivergesAndRepairs(t *testing.T) {
 // join wave lands while they are down, the revived cohort re-syncs, and
 // the cluster converges with the full membership back.
 func TestMassCrashRecoversMembershipAndData(t *testing.T) {
-	res, err := RunScenario(ScenarioConfig{
+	res := runScenario(t, ScenarioConfig{
 		Name: ScenarioMassCrash, Nodes: 96, Keys: 192, Seed: 42,
 		Warmup: 12, MaxRecovery: 450,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.LostDead == 0 {
 		t.Fatal("mass crash produced no dead-target drops — the crash never took effect")
 	}
@@ -160,13 +156,10 @@ func TestMassCrashRecoversMembershipAndData(t *testing.T) {
 // every live copy fresh, bystander retentions included — and bystander
 // accretion stays bounded.
 func TestSlowNodeFullyConverges(t *testing.T) {
-	res, err := RunScenario(ScenarioConfig{
+	res := runScenario(t, ScenarioConfig{
 		Name: ScenarioSlowNode, Nodes: 72, Seed: 42,
 		MaxRecovery: 400,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !res.FullConverged {
 		t.Fatalf("did not fully converge within 400 recovery rounds: %s", res)
 	}
@@ -197,10 +190,7 @@ func TestConvergedIdleClusterSyncsCheaply(t *testing.T) {
 	cfg := smallScenario(ScenarioSplitBrain, 1)
 	cfg.MaxRecovery = 400
 	cfg.IdleTail = 100
-	res, err := RunScenario(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runScenario(t, cfg)
 	if !res.FullConverged {
 		t.Fatalf("cluster did not fully converge, idle tail is meaningless: %s", res)
 	}
@@ -231,16 +221,10 @@ func TestConvergedIdleClusterSyncsCheaply(t *testing.T) {
 // not perturb the metrics frozen before it).
 func TestIdleTailZeroLeavesDigestUnchanged(t *testing.T) {
 	base := smallScenario(ScenarioSplitBrain, 1)
-	ref, err := RunScenario(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runScenario(t, base)
 	tail := base
 	tail.IdleTail = 16
-	res, err := RunScenario(tail)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runScenario(t, tail)
 	if ref.IdleRounds != 0 || ref.IdleDigestServes != 0 {
 		t.Errorf("IdleTail=0 run reported idle metrics: %+v", ref)
 	}

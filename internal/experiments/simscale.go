@@ -110,6 +110,10 @@ type SimScaleResult struct {
 	DigestEntriesScanned int64 `json:"digest_entries_scanned"`
 	DigestBucketsFolded  int64 `json:"digest_buckets_folded"`
 
+	// GossipEvictions sums the payloads every node's gossip cache dropped
+	// to its byte budget; the tests assert 0 (see ScenarioResult).
+	GossipEvictions int64 `json:"-"`
+
 	// Per-node end state (ID order), for granular determinism checks.
 	NodeDigests []uint64 `json:"-"`
 	NodeStored  []int64  `json:"-"`
@@ -263,6 +267,7 @@ func RunSimScale(cfg SimScaleConfig) *SimScaleResult {
 		res.DigestServes += ops
 		res.DigestEntriesScanned += scanned
 		res.DigestBucketsFolded += folded
+		res.GossipEvictions += en.Diss.Evicted
 		d := en.St.DigestArc(full)
 		res.NodeDigests[i] = d
 		res.NodeStored[i] = en.Stored

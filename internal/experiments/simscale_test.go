@@ -28,10 +28,21 @@ var goldenConfig = SimScaleConfig{
 	AggregateAttr:     "v",
 }
 
+// runSimScale is RunSimScale under runScenario's condition: the gossip
+// payload budget never binds in a simulator run.
+func runSimScale(t *testing.T, cfg SimScaleConfig) *SimScaleResult {
+	t.Helper()
+	res := RunSimScale(cfg)
+	if res.GossipEvictions != 0 {
+		t.Fatalf("%d gossip payloads evicted by the byte budget, want 0", res.GossipEvictions)
+	}
+	return res
+}
+
 // TestSimScaleGoldenDigest proves byte-identical behaviour across the
 // scheduler/store refactor for a fixed seed.
 func TestSimScaleGoldenDigest(t *testing.T) {
-	res := RunSimScale(goldenConfig)
+	res := runSimScale(t, goldenConfig)
 	if got := res.Digest(); got != goldenSimScaleDigest {
 		t.Fatalf("behaviour digest drifted: got %#016x want %#016x\n"+
 			"full result: %+v\n"+
@@ -48,8 +59,8 @@ func TestSimScaleSameSeedTwice(t *testing.T) {
 	cfg := goldenConfig
 	cfg.Nodes = 96
 	cfg.Rounds = 60
-	a := RunSimScale(cfg)
-	b := RunSimScale(cfg)
+	a := runSimScale(t, cfg)
+	b := runSimScale(t, cfg)
 	if a.Digest() != b.Digest() {
 		t.Fatalf("same-seed runs diverged:\n a=%+v\n b=%+v", a, b)
 	}
@@ -63,14 +74,14 @@ func TestSimScaleSameSeedTwice(t *testing.T) {
 // compared against the serial run so a divergence names the first node
 // that drifted rather than only failing the folded digest.
 func TestSimScaleGoldenDigestAcrossWorkerCounts(t *testing.T) {
-	ref := RunSimScale(goldenConfig) // serial reference (Workers = 0 → 1)
+	ref := runSimScale(t, goldenConfig) // serial reference (Workers = 0 → 1)
 	if got := ref.Digest(); got != goldenSimScaleDigest {
 		t.Fatalf("serial digest drifted: got %#016x want %#016x", got, uint64(goldenSimScaleDigest))
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		cfg := goldenConfig
 		cfg.Workers = w
-		res := RunSimScale(cfg)
+		res := runSimScale(t, cfg)
 		if got := res.Digest(); got != goldenSimScaleDigest {
 			t.Errorf("W=%d: behaviour digest drifted: got %#016x want %#016x", w, got, uint64(goldenSimScaleDigest))
 		}

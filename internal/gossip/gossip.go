@@ -12,9 +12,10 @@
 package gossip
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"datadroplets/internal/membership"
 	"datadroplets/internal/node"
@@ -52,10 +53,25 @@ type Config struct {
 	// (0 disables). Anti-entropy is what recovers rumors lost while a
 	// node was rebooting.
 	AntiEntropyEvery int
-	// Retention is how many rounds rumor payloads and seen-markers are
-	// kept for anti-entropy and duplicate suppression. Zero means 100.
+	// Retention is how many rounds seen-markers are kept for duplicate
+	// suppression, and the longest a rumor payload is kept for
+	// anti-entropy replies (payloads also leave early, oldest first, once
+	// they outgrow payloadCacheBytes). Zero means 100.
 	Retention int
+	// PayloadBytes sizes a payload for the payload cache's byte budget —
+	// the one thing the otherwise payload-opaque protocol must be told.
+	// Nil means every payload counts as 0 bytes, so only Retention bounds
+	// the cache (test markers).
+	PayloadBytes func(payload any) int
 }
+
+// payloadCacheBytes is the payload cache's budget. A node that hears
+// every write must not also hold every write for Retention rounds: past
+// the budget the oldest payloads go, and a peer that needed one of them
+// is caught up by the persistent layer's range repair instead of by a
+// digest pull. At most wire.MaxNodeFrame/2, so that a DigestResp
+// carrying the whole cache still fits one frame.
+const payloadCacheBytes = 32 << 20
 
 // FanoutLnN returns the paper's fanout law ln(N̂)+c over a size estimate.
 func FanoutLnN(sizeEstimate func() float64, c float64) func() float64 {
@@ -90,11 +106,17 @@ type Disseminator struct {
 	// fabric, and the flat pointer-free layout is invisible to the
 	// garbage collector's scan phase.
 	seen *seenTable
-	// cache retains rumor payloads for anti-entropy replies. It is nil
-	// while anti-entropy is disabled — retaining every payload for the
-	// whole retention window would otherwise dominate the live heap at
-	// paper-scale populations.
-	cache map[uint64]Rumor
+	// cache retains rumor payloads for anti-entropy replies, oldest
+	// first from cacheHead on; it stays empty while anti-entropy is
+	// disabled. First-seen rounds never decrease along it, so retention
+	// expiry and budget eviction are the same pop-front. cacheBytes is
+	// the PayloadBytes sum of what it holds, kept at or below budget
+	// (payloadCacheBytes; in-package tests lower it between New and first
+	// use).
+	cache      []cachedRumor
+	cacheHead  int
+	cacheBytes int
+	budget     int
 
 	// expiry buckets rumor IDs by the round they were first seen so
 	// pruning drains exactly one bucket per tick instead of walking the
@@ -117,6 +139,17 @@ type Disseminator struct {
 	Relayed   int64 // rumor copies sent (dissemination effort)
 	Delivered int64 // distinct rumors delivered locally
 	Dupes     int64 // duplicate receipts suppressed
+	// Evicted counts payloads the byte budget pushed out of the cache
+	// before their retention ended.
+	Evicted int64
+}
+
+// cachedRumor is one payload-cache entry: the rumor, the round it was
+// first seen and its PayloadBytes size.
+type cachedRumor struct {
+	rumor Rumor
+	at    sim.Round
+	bytes int
 }
 
 var _ sim.Machine = (*Disseminator)(nil)
@@ -126,7 +159,7 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, cfg Config) *
 	if cfg.Retention <= 0 {
 		cfg.Retention = 100
 	}
-	d := &Disseminator{
+	return &Disseminator{
 		self:     self,
 		rng:      rng,
 		sampler:  sampler,
@@ -134,11 +167,8 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, cfg Config) *
 		seen:     newSeenTable(),
 		expiry:   make([][]uint64, cfg.Retention+2),
 		prunedTo: -1, // round 0's bucket has not been drained yet
+		budget:   payloadCacheBytes,
 	}
-	if cfg.AntiEntropyEvery > 0 {
-		d.cache = make(map[uint64]Rumor)
-	}
-	return d
 }
 
 // seenMeta is the per-rumor receipt record: the round (retention window)
@@ -179,13 +209,18 @@ func (d *Disseminator) Tick(now sim.Round) []sim.Envelope {
 	if peer == node.None {
 		return nil
 	}
+	return []sim.Envelope{{To: peer, Msg: DigestReq{IDs: d.digest()}}}
+}
+
+// digest returns every seen rumor ID, ascending so the wire content is
+// deterministic for a given state.
+func (d *Disseminator) digest() []uint64 {
 	ids := make([]uint64, 0, d.seen.len())
 	d.seen.each(func(id uint64, _ seenMeta) {
 		ids = append(ids, id)
 	})
-	// Sorted so the wire content is deterministic for a given state.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return []sim.Envelope{{To: peer, Msg: DigestReq{IDs: ids}}}
+	slices.Sort(ids)
+	return ids
 }
 
 // Handle implements sim.Machine.
@@ -197,19 +232,20 @@ func (d *Disseminator) Handle(now sim.Round, from node.ID, msg any) []sim.Envelo
 		// IDs arrive ascending (the sender sorts for deterministic wire
 		// content), so membership is a binary search — no per-request
 		// map. A malformed unsorted digest only costs redundant rumor
-		// resends; receive is idempotent.
+		// resends; receive is idempotent. Only what the cache still holds
+		// can be supplied.
 		var missing []Rumor
-		for id, r := range d.cache {
-			i := sort.Search(len(m.IDs), func(i int) bool { return m.IDs[i] >= id })
-			if i >= len(m.IDs) || m.IDs[i] != id {
-				missing = append(missing, r)
+		for _, c := range d.cache[d.cacheHead:] {
+			if _, found := slices.BinarySearch(m.IDs, c.rumor.ID); !found {
+				missing = append(missing, c.rumor)
 			}
 		}
 		if len(missing) == 0 {
 			return nil
 		}
-		// Deterministic reply order regardless of map iteration.
-		sort.Slice(missing, func(i, j int) bool { return missing[i].ID < missing[j].ID })
+		// By ID, not arrival order: the reply is a function of the two
+		// nodes' state alone.
+		slices.SortFunc(missing, func(a, b Rumor) int { return cmp.Compare(a.ID, b.ID) })
 		return []sim.Envelope{{To: from, Msg: DigestResp{Rumors: missing}}}
 	case DigestResp:
 		var out []sim.Envelope
@@ -279,11 +315,37 @@ func (d *Disseminator) deliver(r Rumor) {
 
 func (d *Disseminator) markSeen(now sim.Round, r Rumor) {
 	d.seen.put(r.ID, seenMeta{at: now, hops: int32(r.Hops)})
-	if d.cache != nil {
-		d.cache[r.ID] = r
-	}
 	slot := int(uint64(now) % uint64(len(d.expiry)))
 	d.expiry[slot] = append(d.expiry[slot], r.ID)
+	if d.cfg.AntiEntropyEvery <= 0 {
+		return
+	}
+	c := cachedRumor{rumor: r, at: now}
+	if d.cfg.PayloadBytes != nil {
+		c.bytes = d.cfg.PayloadBytes(r.Payload)
+	}
+	d.cache = append(d.cache, c)
+	d.cacheBytes += c.bytes
+	for d.cacheBytes > d.budget {
+		d.popCache()
+		d.Evicted++
+	}
+}
+
+// popCache drops the oldest cached payload. The dead prefix it leaves is
+// compacted away once it is half the slice: amortised O(1), and the
+// slice stays within twice what the cache holds whether or not the
+// budget ever binds.
+func (d *Disseminator) popCache() {
+	d.cacheBytes -= d.cache[d.cacheHead].bytes
+	d.cache[d.cacheHead] = cachedRumor{} // release the payload
+	d.cacheHead++
+	if d.cacheHead*2 >= len(d.cache) {
+		n := copy(d.cache, d.cache[d.cacheHead:])
+		clear(d.cache[n:])
+		d.cache = d.cache[:n]
+		d.cacheHead = 0
+	}
 }
 
 // prune drops seen-markers and cached payloads older than the retention
@@ -297,6 +359,9 @@ func (d *Disseminator) prune(now sim.Round) {
 	expired := now - sim.Round(d.cfg.Retention) - 1
 	if expired < 0 || expired <= d.prunedTo {
 		return
+	}
+	for d.cacheHead < len(d.cache) && d.cache[d.cacheHead].at <= expired {
+		d.popCache()
 	}
 	from := d.prunedTo + 1
 	d.prunedTo = expired
@@ -327,9 +392,6 @@ func (d *Disseminator) drainExpiry(slot int, expired sim.Round) {
 			continue
 		}
 		d.seen.del(id)
-		if d.cache != nil {
-			delete(d.cache, id)
-		}
 	}
 	d.expiry[slot] = kept
 }
@@ -339,6 +401,12 @@ func (d *Disseminator) Seen(id uint64) bool {
 	_, ok := d.seen.get(id)
 	return ok
 }
+
+// SeenLen returns how many rumor IDs are within retention.
+func (d *Disseminator) SeenLen() int { return d.seen.len() }
+
+// CacheBytes returns the PayloadBytes sum of the cached payloads.
+func (d *Disseminator) CacheBytes() int { return d.cacheBytes }
 
 // HopsOf returns the hop count recorded for a rumor, or -1 if unseen.
 func (d *Disseminator) HopsOf(id uint64) int {

@@ -3,11 +3,13 @@ package gossip
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"datadroplets/internal/membership"
 	"datadroplets/internal/node"
 	"datadroplets/internal/sim"
+	"datadroplets/internal/wire"
 )
 
 // cluster wires n Disseminators over a UniformView of the population.
@@ -253,5 +255,128 @@ func TestRetentionPrunesAcrossDowntime(t *testing.T) {
 	c.net.Run(1) // first post-revival tick prunes the backlog
 	if d.Seen(id) {
 		t.Fatal("rumor survived its retention window across downtime")
+	}
+}
+
+// lone builds one Disseminator with no peers, driven by hand.
+func lone(cfg Config) *Disseminator { return newCluster(1, 1, cfg).machines[1] }
+
+// replyIDs lists the rumor IDs of a DigestReq reply (nil envelopes: none).
+func replyIDs(envs []sim.Envelope) []uint64 {
+	var out []uint64
+	for _, e := range envs {
+		for _, r := range e.Msg.(DigestResp).Rumors {
+			out = append(out, r.ID)
+		}
+	}
+	return out
+}
+
+// TestPayloadCacheBudget pins the byte budget's contract: past it the
+// oldest payloads leave first; their IDs stay seen, so a late copy is
+// still a suppressed duplicate; a digest pull is answered from what the
+// cache still holds and nothing else; and once retention has drained
+// the cache the byte account is back at zero.
+func TestPayloadCacheBudget(t *testing.T) {
+	if payloadCacheBytes > wire.MaxNodeFrame/2 {
+		t.Fatalf("budget %d exceeds half a node frame (%d): a whole-cache DigestResp may not fit one", payloadCacheBytes, wire.MaxNodeFrame/2)
+	}
+	d := lone(Config{
+		Fanout:           FixedFanout(0),
+		AntiEntropyEvery: 1000,
+		Retention:        20,
+		PayloadBytes:     func(p any) int { return len(p.(string)) },
+	})
+	d.budget = 100
+	payload := "thirty bytes of rumor payload.." // 31 bytes: three fit the budget
+	var ids []uint64
+	for r := 0; r < 10; r++ {
+		id, _ := d.Publish(sim.Round(r), payload)
+		ids = append(ids, id)
+		if d.CacheBytes() > d.budget {
+			t.Fatalf("round %d: %d bytes cached, budget %d", r, d.CacheBytes(), d.budget)
+		}
+	}
+	if d.Evicted != 7 || d.CacheBytes() != 3*len(payload) {
+		t.Fatalf("evicted %d, %d bytes cached; want 7 and %d", d.Evicted, d.CacheBytes(), 3*len(payload))
+	}
+	// A peer that has seen nothing is sent the three newest, by ID.
+	if got := replyIDs(d.Handle(10, 2, DigestReq{})); !slices.Equal(got, ids[7:]) {
+		t.Fatalf("digest reply = %x, want the three newest %x", got, ids[7:])
+	}
+	// A peer that has seen exactly those three gets no reply, although it
+	// lacks the seven evicted ones: they can no longer be supplied here.
+	if envs := d.Handle(10, 2, DigestReq{IDs: ids[7:]}); envs != nil {
+		t.Fatalf("digest reply carries evicted rumors: %x", replyIDs(envs))
+	}
+	for _, id := range ids[:7] {
+		if !d.Seen(id) {
+			t.Fatalf("evicted rumor %x is no longer seen", id)
+		}
+		d.Handle(10, 2, RumorMsg{Rumor: Rumor{ID: id, Payload: payload, Hops: 1}})
+	}
+	if d.Dupes != 7 || d.Delivered != 10 {
+		t.Fatalf("late copies of evicted rumors: %d dupes, %d delivered; want 7 and 10", d.Dupes, d.Delivered)
+	}
+	d.Tick(9 + 20) // the newest rumor's last round inside retention
+	if d.CacheBytes() != len(payload) || !d.Seen(ids[9]) {
+		t.Fatalf("a round early: %d bytes cached, newest seen = %v", d.CacheBytes(), d.Seen(ids[9]))
+	}
+	d.Tick(9 + 20 + 1)
+	if d.CacheBytes() != 0 || len(d.cache) != 0 || d.Seen(ids[9]) {
+		t.Fatalf("retention drained: %d bytes, %d entries, newest seen = %v", d.CacheBytes(), len(d.cache), d.Seen(ids[9]))
+	}
+	if d.Evicted != 7 {
+		t.Fatalf("retention expiry counted as eviction: %d", d.Evicted)
+	}
+}
+
+// TestUnsizedPayloadsBookkeepingIsBounded: with PayloadBytes nil the
+// budget never binds, and every structure the Disseminator keeps per
+// rumor must still be bounded by the retention window alone — the
+// eviction order and the retention order are one FIFO precisely so that
+// nothing is trimmed only when the budget binds.
+func TestUnsizedPayloadsBookkeepingIsBounded(t *testing.T) {
+	d := lone(Config{Fanout: FixedFanout(0), AntiEntropyEvery: 10})
+	type sizes struct{ cached, cacheCap, seen, seenSlots, expiry, expiryCap int }
+	measure := func() sizes {
+		s := sizes{
+			cached: len(d.cache) - d.cacheHead, cacheCap: cap(d.cache),
+			seen: d.SeenLen(), seenSlots: len(d.seen.keys),
+		}
+		for _, b := range d.expiry {
+			s.expiry += len(b)
+			s.expiryCap += cap(b)
+		}
+		return s
+	}
+	var early sizes
+	for r := 0; r < 10000; r++ {
+		d.Publish(sim.Round(r), r)
+		d.Tick(sim.Round(r))
+		if r == 999 {
+			early = measure()
+		}
+	}
+	if late := measure(); late != early {
+		t.Fatalf("bookkeeping at round 10000 = %+v, at round 1000 = %+v", late, early)
+	}
+	if early.cached != 101 || d.CacheBytes() != 0 || d.Evicted != 0 {
+		t.Fatalf("%d cached (want the 101 rounds inside retention), %d bytes, %d evicted", early.cached, d.CacheBytes(), d.Evicted)
+	}
+}
+
+var digestSink []uint64
+
+// BenchmarkDigestBuild is the anti-entropy tick's share of the driver at
+// serve-write's steady state: collecting and sorting ~250k seen IDs.
+func BenchmarkDigestBuild(b *testing.B) {
+	d := lone(Config{Fanout: FixedFanout(0)})
+	for i := 0; i < 250000; i++ {
+		d.Publish(sim.Round(i/2500), nil)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		digestSink = d.digest()
 	}
 }

@@ -441,8 +441,8 @@ func (s *Server) dispatch(req *wire.Request, sl *slot) {
 		deleted := req.Op == wire.OpDel
 		var value []byte
 		if !deleted {
-			// Copy: req.Value is the codec's reused buffer, but the tuple
-			// outlives this frame.
+			// Copy: req.Value is the codec's reused buffer. This is the
+			// write's one copy at its origin; soft.Put takes ownership.
 			value = append([]byte(nil), req.Value...)
 		}
 		s.submit(sl, func(now sim.Round) (uint64, []sim.Envelope) {
@@ -591,6 +591,13 @@ type Stats struct {
 	StoreLen  int     `json:"store_len"`
 	NEstimate float64 `json:"n_estimate"`
 
+	// The gossip layer's memory (docs/OPERATIONS.md "Memory"): rumor IDs
+	// inside the retention window, bytes of rumor payloads still held for
+	// digest pulls, and payloads the byte budget dropped early.
+	GossipSeen           int   `json:"gossip_seen"`
+	GossipCacheBytes     int   `json:"gossip_cache_bytes"`
+	GossipCacheEvictions int64 `json:"gossip_cache_evictions"`
+
 	MailboxDepth  int   `json:"mailbox_depth"`
 	FabricSent    int64 `json:"fabric_sent"`
 	FabricDropped int64 `json:"fabric_dropped"`
@@ -663,6 +670,9 @@ func (s *Server) StatsSnapshot() (Stats, error) {
 		st.Pending = len(s.pendingOps)
 		st.StoreLen = s.en.St.Len()
 		st.NEstimate = s.en.NEstimate()
+		st.GossipSeen = s.en.Diss.SeenLen()
+		st.GossipCacheBytes = s.en.Diss.CacheBytes()
+		st.GossipCacheEvictions = s.en.Diss.Evicted
 		return nil
 	})
 	return st, err

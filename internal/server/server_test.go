@@ -284,6 +284,11 @@ func TestMetaOps(t *testing.T) {
 	if st.Put.Count != 5 || st.Put.P99 <= 0 {
 		t.Fatalf("put latency summary = %+v", st.Put)
 	}
+	// Five writes heard, their payloads (at least key + value each) held
+	// for digest pulls, far below the budget.
+	if st.GossipSeen != 5 || st.GossipCacheBytes < 5*len("meta:0v") || st.GossipCacheEvictions != 0 {
+		t.Fatalf("gossip stats = seen %d, cache %d B, %d evictions", st.GossipSeen, st.GossipCacheBytes, st.GossipCacheEvictions)
+	}
 }
 
 // TestUnknownOpcodeKeepsConnection sends an opcode from the future and

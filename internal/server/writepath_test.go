@@ -1,0 +1,60 @@
+package server
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"datadroplets/internal/core"
+	"datadroplets/internal/epidemic"
+	"datadroplets/internal/membership"
+	"datadroplets/internal/node"
+	"datadroplets/internal/sim"
+)
+
+// BenchmarkWritePath is one 1 KiB Put through the two-layer machine as
+// Server.New wires it, without sockets: soft.Put sequences and caches
+// it, the WriteCmd self-send reaches WriteFrom, the publisher's own
+// delivery applies it to the store, and the resulting hint acknowledges
+// the op. The value is handed over, as dispatch hands over its copy out
+// of the codec buffer, so B/op is what the path itself allocates: about
+// 1.1 KiB of bookkeeping and no copy of the value, which the soft
+// cache, the rumor in the gossip payload cache and the store all share.
+// CI gates on it at 2 KiB: one defensive clone put back on a hand-off
+// adds 1.1 KiB and fails the job (there were four, for 5.2 KiB/op).
+func BenchmarkWritePath(b *testing.B) {
+	const self = node.ID(1)
+	rng := rand.New(rand.NewSource(1))
+	view := membership.NewUniformView(self, rng, func() []node.ID { return []node.ID{self} })
+	en := epidemic.New(self, rng, view, epidemic.Config{AntiEntropyEvery: antiEntropyEvery})
+	soft := core.NewSoftNode(self, rng, &entrySampler{self: self, inner: view}, core.SoftConfig{})
+	m := newMachine(soft, en)
+	m.Start(0)
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("bench/key%04d", i)
+	}
+	value := make([]byte, 1024)
+	var queue []sim.Envelope
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, envs := soft.Put(1, keys[i%len(keys)], value, nil, nil, false)
+		// Self-delivery until quiescent, as transport.Host.deliverSelf does.
+		queue = append(queue[:0], envs...)
+		for j := 0; j < len(queue); j++ {
+			if queue[j].To != self {
+				b.Fatalf("envelope to %v on a one-node cluster", queue[j].To)
+			}
+			queue = append(queue, m.Handle(1, self, queue[j].Msg)...)
+		}
+		if op, ok := soft.Op(id); !ok || !op.Done || op.Err != "" {
+			b.Fatalf("put %d did not complete: %+v", i, op)
+		}
+		soft.ForgetOp(id)
+	}
+	b.StopTimer()
+	if got := en.St.Len(); got != min(b.N, len(keys)) {
+		b.Fatalf("store holds %d keys, want %d", got, min(b.N, len(keys)))
+	}
+}

@@ -176,7 +176,9 @@ func (s *Store) find(key string, path *[maxLevel]*skipNode) *skipNode {
 
 // Apply merges one tuple under last-writer-wins. It returns true if the
 // tuple was newer than local state (and above any supersession floor)
-// and was applied.
+// and was applied. An applied tuple is retained, not copied: tuples are
+// immutable once sequenced (docs/DESIGN.md §1), so the caller gives up
+// the right to change t or anything it points to.
 func (s *Store) Apply(t *tuple.Tuple) bool {
 	if f, ok := s.floors.Get(t.Key); ok && !f.v.Less(t.Version) {
 		return false // at or below the supersession watermark
@@ -192,9 +194,9 @@ func (s *Store) Apply(t *tuple.Tuple) bool {
 		}
 		s.accountRemove(existing.tup)
 		oldV := existing.tup.Version
-		existing.tup = t.Clone()
-		s.idx.replace(existing.point, oldV, existing.tup.Version)
-		s.accountAdd(existing.tup)
+		existing.tup = t
+		s.idx.replace(existing.point, oldV, t.Version)
+		s.accountAdd(t)
 		s.logi++
 		s.floors.Del(t.Key) // newer content re-admitted: floor served
 		return true
@@ -209,7 +211,7 @@ func (s *Store) Apply(t *tuple.Tuple) bool {
 	}
 	n := &skipNode{
 		key:   t.Key,
-		tup:   t.Clone(),
+		tup:   t,
 		next:  make([]*skipNode, lvl),
 		point: node.HashKey(t.Key),
 	}

@@ -469,15 +469,24 @@ func (c *cursor) message(tag byte) any {
 	}
 }
 
+// maxCountHint caps the capacity a count from the wire may reserve up
+// front. fits bounds a count by the bytes left in the frame, not by the
+// memory its elements take once decoded: 64 MiB of one-byte elements is
+// an honest count of 2^26 that would size a gigabyte of slice before a
+// single element is read. Past the hint, growth is paid for by elements
+// that actually parse.
+const maxCountHint = 64 << 10
+
 // list reads a count and then that many elements through elem. It is
 // the only place a count from the wire sizes a slice, and it sizes it
-// only after fits has accepted the count. An empty list decodes as nil.
+// only after fits has accepted the count, and by at most maxCountHint.
+// An empty list decodes as nil.
 func list[T any](c *cursor, minElemBytes int, elem func(*cursor) T) []T {
 	n := c.uvarint()
 	if n == 0 || !c.fits(n, minElemBytes) {
 		return nil
 	}
-	out := make([]T, 0, n)
+	out := make([]T, 0, min(n, maxCountHint))
 	for ; n > 0 && c.err == nil; n-- {
 		out = append(out, elem(c))
 	}
@@ -566,13 +575,14 @@ func (c *cursor) descriptor() tman.Descriptor {
 }
 
 // versionMap is the one count-sized allocation outside list: the count
-// is biased by one (see appendVersionMap) and sizes a map.
+// is biased by one (see appendVersionMap) and sizes a map, under the
+// same maxCountHint.
 func (c *cursor) versionMap() map[string]tuple.Version {
 	biased := c.uvarint()
 	if biased == 0 || !c.fits(biased-1, minKeyVersion) {
 		return nil
 	}
-	out := make(map[string]tuple.Version, biased-1)
+	out := make(map[string]tuple.Version, min(biased-1, maxCountHint))
 	for n := biased - 1; n > 0 && c.err == nil; n-- {
 		key := c.str()
 		out[key] = c.version()

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -258,8 +259,35 @@ func withCount(prefix []byte, count uint64, tail int) []byte {
 // TestDecodeHostileCounts: a count the remaining bytes cannot hold is a
 // decode error — never an allocation sized by it. (A VectorPush
 // claiming 2^61 floats used to pass a multiplied guard and panic in
-// make.)
+// make.) And a count the bytes can hold reserves no more than
+// maxCountHint elements ahead of parsing them: a full-size frame whose
+// count is honest by the byte rule, but whose first element is garbage,
+// used to size a gigabyte of slice (or map) before failing.
 func TestDecodeHostileCounts(t *testing.T) {
+	for name, f := range map[string]struct {
+		prefix  []byte
+		minElem int
+	}{
+		"SyncPull.Keys":        {[]byte{tagSyncPull}, minString},
+		"RecoverResp.Versions": {[]byte{tagRecoverResp, 0}, minKeyVersion},
+	} {
+		body := make([]byte, wire.MaxNodeFrame)
+		n := copy(body, f.prefix)
+		n += binary.PutUvarint(body[n:], uint64((len(body)-n-binary.MaxVarintLen64)/f.minElem))
+		for i := 0; i < binary.MaxVarintLen64; i++ {
+			body[n+i] = 0xff // the first element's length prefix overflows
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeMessage(body)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: full-size frame with a garbage first element decoded", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+			t.Errorf("%s: decoding allocated %d MiB ahead of the elements, want at most 8", name, got>>20)
+		}
+	}
 	for name, prefix := range countPrefixes() {
 		// Control: with a zero count the same body decodes, so the
 		// prefix ends exactly at the count and the errors below are

@@ -348,3 +348,64 @@ func TestHostileCountDropsConnectionNotProcess(t *testing.T) {
 		t.Fatalf("UnknownTags = %d: a malformed body is not an unknown tag", got)
 	}
 }
+
+// sizeMachine records the value length of every SyncPush tuple it is
+// handed (pingMachine would format a 2 MiB value into its log).
+type sizeMachine struct {
+	mu   sync.Mutex
+	lens []int
+}
+
+func (m *sizeMachine) Start(sim.Round) []sim.Envelope { return nil }
+func (m *sizeMachine) Tick(sim.Round) []sim.Envelope  { return nil }
+func (m *sizeMachine) Handle(_ sim.Round, _ node.ID, msg any) []sim.Envelope {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, t := range msg.(repair.SyncPush).Tuples {
+		m.lens = append(m.lens, len(t.Value))
+	}
+	return nil
+}
+
+// TestLargeFrameBufferNotKept: a frame above maxRecycledBuf crosses the
+// fabric intact, between two small ones on the same connection, and the
+// writer does not keep its buffer as the connection's encode scratch —
+// a whole-cache DigestResp would otherwise pin tens of MiB per peer for
+// the life of the connection.
+func TestLargeFrameBufferNotKept(t *testing.T) {
+	machines := map[node.ID]*sizeMachine{}
+	hosts := startHosts(t, 2, func(id node.ID, _ []Peer) sim.Machine {
+		machines[id] = &sizeMachine{}
+		return machines[id]
+	})
+	want := []int{16, 2 * maxRecycledBuf, 16}
+	for _, n := range want {
+		push := repair.SyncPush{Tuples: []*tuple.Tuple{{Key: "k", Value: make([]byte, n), Version: tuple.Version{Seq: 1, Writer: 1}}}}
+		if err := hosts[0].Do(func(sim.Machine, sim.Round) []sim.Envelope {
+			return []sim.Envelope{{To: 2, Msg: push}}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := machines[2]
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		m.mu.Lock()
+		got := append([]int(nil), m.lens...)
+		m.mu.Unlock()
+		if len(got) == len(want) {
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("value lengths received = %v, want %v", got, want)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("received %d of %d frames", len(got), len(want))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	hosts[0].Stop() // the writer goroutine has exited: its scratch can be read
+	if c := cap(hosts[0].senders[2].scratch); c == 0 || c > maxRecycledBuf {
+		t.Fatalf("writer kept a %d-byte scratch; want one, of at most %d", c, maxRecycledBuf)
+	}
+}

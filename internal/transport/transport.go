@@ -62,6 +62,12 @@ const (
 
 	// connBufSize sizes the per-connection bufio reader/writer.
 	connBufSize = 32 << 10
+	// maxRecycledBuf caps the frame buffer a connection keeps from one
+	// frame to the next (the writer's encode scratch, the reader's body
+	// buffer). A larger frame — a whole-cache DigestResp runs to tens of
+	// MiB — gets a buffer of its own that dies with it, instead of
+	// pinning its size per peer for the life of the connection.
+	maxRecycledBuf = 1 << 20
 )
 
 // ErrStopped is returned by Do/Post after the host shut down.
@@ -336,7 +342,10 @@ func (h *Host) readLoop(c net.Conn) {
 		if err != nil {
 			return // peer closed or garbage: epidemic protocols tolerate loss
 		}
-		buf = body[:0]
+		buf = nil
+		if cap(body) <= maxRecycledBuf {
+			buf = body[:0]
+		}
 		msg, err := cur.decode(body)
 		if err != nil {
 			if errors.Is(err, errUnknownTag) {
@@ -568,7 +577,7 @@ func (ps *peerSender) writeBatch(batch []any) {
 			ps.h.Dropped.Inc()
 			continue
 		}
-		if cap(body) > cap(ps.scratch) {
+		if cap(body) > cap(ps.scratch) && cap(body) <= maxRecycledBuf {
 			ps.scratch = body
 		}
 		if err := wire.WriteNodeFrame(ps.bw, body); err != nil {

@@ -105,8 +105,10 @@ func (t *Tuple) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy. Stores hand out clones so callers can never
-// alias internal state (copy-at-boundary).
+// Clone returns a deep copy. A tuple is immutable once sequenced
+// (docs/DESIGN.md §1), so hand-offs inside the system — cache, rumor,
+// store — share it and never clone; reads clone, because what they
+// return leaves the system: a caller may do anything to its copy.
 func (t *Tuple) Clone() *Tuple {
 	if t == nil {
 		return nil
