@@ -145,9 +145,11 @@ type SoftNode struct {
 	// replica without a fabric round trip: when the replica already
 	// holds the exact version the sequencer knows as latest, a fabric
 	// read would version-exact complete on this node's own response
-	// anyway, so the hop is pure queueing delay. The live server wires
-	// this to its in-process store; the simulation leaves it nil (soft
-	// and persistent nodes are distinct populations there).
+	// anyway, so the hop is pure queueing delay. The tuple it returns is
+	// shared with the replica, not copied: immutable like every sequenced
+	// tuple, and finishGet clones it once for the client. The live server
+	// wires this to its in-process store's Peek; the simulation leaves it
+	// nil (soft and persistent nodes are distinct populations there).
 	LocalRead func(key string) (*tuple.Tuple, bool)
 
 	// CacheHits / PersistentReads count the C13 comparison.

@@ -345,10 +345,8 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, cfg Config) *
 				}
 			}
 		}
-		hasKey := false
-		if q.Key != "" {
-			_, hasKey = n.St.GetAny(q.Key)
-		}
+		// Stored versions are never zero, so a non-zero one means "held".
+		hasKey := q.Key != "" && !n.St.Version(q.Key).IsZero()
 		return covers, hasKey
 	})
 

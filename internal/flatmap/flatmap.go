@@ -23,7 +23,10 @@ package flatmap
 // enough that steady workloads skip the first few doublings.
 const minSize = 16
 
-// Map is an open-addressed hash map from string to V.
+// Map is an open-addressed hash map from string to V. The zero Map is an
+// empty map that owns no table: it allocates on its first Put, so a
+// structure embedding several Maps by value (one per-node store each, at
+// 10^5 nodes) pays nothing for the ones it never fills.
 type Map[V any] struct {
 	keys []string
 	vals []V
@@ -62,12 +65,16 @@ func New[V any](hint int) *Map[V] {
 	}
 }
 
-// Get returns the value stored under key.
+// Get returns the value stored under key. An empty map answers without
+// hashing the key (and without a table to probe).
 func (m *Map[V]) Get(key string) (V, bool) {
+	var zero V
+	if m.n == 0 {
+		return zero, false
+	}
 	i := hashString(key) & m.mask
 	for {
 		if !m.used[i] {
-			var zero V
 			return zero, false
 		}
 		if m.keys[i] == key {
@@ -103,6 +110,9 @@ func (m *Map[V]) Put(key string, v V) {
 // probe chain by shifting displaced entries backward so lookups never
 // cross tombstones.
 func (m *Map[V]) Del(key string) bool {
+	if m.n == 0 {
+		return false
+	}
 	i := hashString(key) & m.mask
 	for {
 		if !m.used[i] {
@@ -167,7 +177,7 @@ func (m *Map[V]) Reset() {
 
 func (m *Map[V]) grow() {
 	oldKeys, oldVals, oldUsed := m.keys, m.vals, m.used
-	size := len(oldKeys) * 2
+	size := max(len(oldKeys)*2, minSize)
 	m.keys = make([]string, size)
 	m.vals = make([]V, size)
 	m.used = make([]bool, size)

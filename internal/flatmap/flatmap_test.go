@@ -31,6 +31,31 @@ func TestBasicOps(t *testing.T) {
 	}
 }
 
+// TestZeroValue: the zero Map is an empty map that owns no table until
+// its first Put; reads and deletes on it neither panic nor allocate.
+func TestZeroValue(t *testing.T) {
+	var m Map[int]
+	if n := testing.AllocsPerRun(10, func() {
+		if _, ok := m.Get("a"); ok || m.Del("a") || m.Len() != 0 {
+			t.Fatal("zero map is not empty")
+		}
+		m.Each(func(string, int) { t.Fatal("Each visited an entry of the zero map") })
+		m.Reset()
+	}); n != 0 || m.keys != nil {
+		t.Fatalf("reads of the zero map allocated (%v allocs/run, table %d slots)", n, len(m.keys))
+	}
+	m.Put("a", 1)
+	if v, ok := m.Get("a"); !ok || v != 1 || m.Len() != 1 || len(m.keys) != minSize {
+		t.Fatalf("after first Put: Get = %d,%v Len %d table %d", v, ok, m.Len(), len(m.keys))
+	}
+	if !m.Del("a") || m.Len() != 0 {
+		t.Fatal("Del after first Put failed")
+	}
+	if _, ok := m.Get("a"); ok {
+		t.Fatal("emptied map still answers")
+	}
+}
+
 func TestEmptyStringKey(t *testing.T) {
 	// "" is a legal key: occupancy is tracked out of band, not by a
 	// sentinel key value.

@@ -965,8 +965,10 @@ func (m *Manager) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 			}
 			// Rejected as stale: read-repair the sender so last-resort
 			// copies converge to the latest version.
-			if cur, ok := m.st.GetAny(t.Key); ok && t.Version.Less(cur.Version) {
-				newer = append(newer, cur)
+			if t.Version.Less(m.st.Version(t.Key)) {
+				if cur, ok := m.st.GetAny(t.Key); ok {
+					newer = append(newer, cur)
+				}
 			}
 		}
 		if len(newer) > 0 {

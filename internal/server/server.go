@@ -128,9 +128,11 @@ type Server struct {
 	ln       net.Listener
 	opRounds sim.Round
 
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	draining bool
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+	// draining is written once, under mu (so addConn's check-and-admit
+	// stays one step against Close), and read lock-free on every op.
+	draining atomic.Bool
 
 	// pendingOps maps armed op IDs to their slots. Driver-goroutine
 	// confined: touched only inside host.Do closures and the AfterStep
@@ -166,7 +168,7 @@ func New(cfg Config) (*Server, error) {
 	// Both layers live in this process, so the soft layer can serve
 	// version-exact reads straight from the collocated replica instead
 	// of round-tripping the fabric (driver-confined, like syncSeq).
-	soft.LocalRead = en.St.Get
+	soft.LocalRead = en.St.Peek
 	s := &Server{
 		cfg:        cfg,
 		soft:       soft,
@@ -243,7 +245,7 @@ func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closedCh)
 		s.mu.Lock()
-		s.draining = true
+		s.draining.Store(true)
 		for c := range s.conns {
 			if tc, ok := c.(*net.TCPConn); ok {
 				_ = tc.CloseRead()
@@ -314,7 +316,7 @@ func (s *Server) acceptLoop() {
 func (s *Server) addConn(c net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining || len(s.conns) >= s.cfg.MaxConns {
+	if s.draining.Load() || len(s.conns) >= s.cfg.MaxConns {
 		return false
 	}
 	s.conns[c] = struct{}{}
@@ -427,10 +429,7 @@ func (s *Server) writeLoop(c net.Conn, queue chan *slot, wg *sync.WaitGroup) {
 // ops settle before returning.
 func (s *Server) dispatch(req *wire.Request, sl *slot) {
 	s.Met.OpsTotal.Inc()
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.draining.Load() {
 		s.Met.Busy.Inc()
 		sl.settle(wire.StatusBusy, nil)
 		return

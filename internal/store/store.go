@@ -1,6 +1,9 @@
 // Package store is the node-local storage engine of the persistent-state
 // layer: an ordered, versioned tuple map with range scans and per-arc
-// digests for anti-entropy.
+// digests for anti-entropy. Entries are ordered by key in a skip list —
+// scans, repair cursors and deterministic walks need that order — and
+// found by key through a hash index beside it, so point reads and
+// overwrites never descend the list.
 //
 // Concurrency: a Store is confined to its owning node machine (simulator
 // rounds or the live node's event loop); it is not safe for concurrent
@@ -50,9 +53,14 @@ type attrStat struct {
 
 // Store is one node's tuple storage.
 type Store struct {
-	rng    *rand.Rand
-	head   *skipNode
-	level  int
+	rng   *rand.Rand
+	head  *skipNode
+	level int
+	// byKey is the point index: every skip-list node under its key,
+	// kept equal to the list by Apply/Drop/Wipe. It is the only point
+	// path — find never falls back to a descent — and the list is the
+	// only ordered one.
+	byKey  flatmap.Map[*skipNode]
 	total  int   // entries including tombstones
 	live   int   // entries excluding tombstones
 	bytes  int64 // approximate payload bytes of live entries
@@ -65,7 +73,7 @@ type Store struct {
 	// node-local sums in O(1) instead of re-walking and cloning the
 	// whole store every epoch. Flat open-addressed: the lookup runs once
 	// per attribute per write.
-	stats *flatmap.Map[*attrStat]
+	stats flatmap.Map[*attrStat]
 
 	// floors records supersession watermarks: keys whose local copy was
 	// discarded as redundant (Discard), with the highest version known
@@ -75,8 +83,9 @@ type Store struct {
 	// in-flight sync pushes, adoption payloads. A strictly newer apply
 	// lifts the floor (the held copy then carries the ordering itself).
 	// Flat open-addressed: the floor check runs on every Apply, the
-	// hottest store write path.
-	floors    *flatmap.Map[floorEntry]
+	// hottest store write path — and an empty map (the live server's
+	// steady state) answers it without hashing the key.
+	floors    flatmap.Map[floorEntry]
 	floorRing []floorSlot // insertion order, for deterministic eviction
 	floorGen  uint64      // ties ring slots to their map entries
 
@@ -94,6 +103,10 @@ type Store struct {
 	serveOps     int64
 	serveScanned int64
 	serveFolded  int64
+	// descents counts skip-list descents (descend): one per new-key
+	// Apply and per Drop of a present key, none for any point read,
+	// overwrite or stale Apply. In-package tests pin those exact counts.
+	descents int64
 }
 
 // floorEntry is one supersession watermark; gen identifies the ring
@@ -117,14 +130,13 @@ const maxFloors = 8192
 
 // New creates an empty store. The rand source drives skiplist level
 // choice only; determinism of the whole simulation requires it to come
-// from the node's seeded RNG.
+// from the node's seeded RNG. The three hash tables allocate on first
+// use, so an empty store carries none.
 func New(rng *rand.Rand) *Store {
 	return &Store{
-		rng:    rng,
-		head:   &skipNode{next: make([]*skipNode, maxLevel)},
-		stats:  flatmap.New[*attrStat](0),
-		floors: flatmap.New[floorEntry](0),
-		idx:    newRingIndex(),
+		rng:  rng,
+		head: &skipNode{next: make([]*skipNode, maxLevel)},
+		idx:  newRingIndex(),
 	}
 }
 
@@ -143,12 +155,23 @@ func (s *Store) randomLevel() int {
 	return lvl
 }
 
-// find returns the node with the key, or nil, filling path with the
-// rightmost node before key at every level. stop remembers the node
-// whose key is already known to be >= key: descending levels keep
-// running into the node that ended the level above, and a pointer
+// find returns the node with the key, or nil: one probe of the point
+// index, whatever the store's size.
+func (s *Store) find(key string) *skipNode {
+	n, _ := s.byKey.Get(key)
+	return n
+}
+
+// descend fills path with the rightmost node before key at every level
+// — what linking a new node in, or an old one out, needs. stop remembers
+// the node whose key is already known to be >= key: descending levels
+// keep running into the node that ended the level above, and a pointer
 // compare is much cheaper than re-comparing its key.
-func (s *Store) find(key string, path *[maxLevel]*skipNode) *skipNode {
+func (s *Store) descend(key string, path *[maxLevel]*skipNode) {
+	s.descents++
+	for i := s.level; i < maxLevel; i++ {
+		path[i] = s.head
+	}
 	x := s.head
 	var stop *skipNode
 	for i := s.level - 1; i >= 0; i-- {
@@ -164,14 +187,8 @@ func (s *Store) find(key string, path *[maxLevel]*skipNode) *skipNode {
 			stop = nxt
 			break
 		}
-		if path != nil {
-			path[i] = x
-		}
+		path[i] = x
 	}
-	if n := x.next[0]; n != nil && n.key == key {
-		return n
-	}
-	return nil
 }
 
 // Apply merges one tuple under last-writer-wins. It returns true if the
@@ -183,12 +200,7 @@ func (s *Store) Apply(t *tuple.Tuple) bool {
 	if f, ok := s.floors.Get(t.Key); ok && !f.v.Less(t.Version) {
 		return false // at or below the supersession watermark
 	}
-	var path [maxLevel]*skipNode
-	for i := s.level; i < maxLevel; i++ {
-		path[i] = s.head
-	}
-	existing := s.find(t.Key, &path)
-	if existing != nil {
+	if existing := s.find(t.Key); existing != nil {
 		if !existing.tup.Version.Less(t.Version) {
 			return false // stale or duplicate
 		}
@@ -205,6 +217,8 @@ func (s *Store) Apply(t *tuple.Tuple) bool {
 		s.capHit++
 		return false
 	}
+	var path [maxLevel]*skipNode
+	s.descend(t.Key, &path)
 	lvl := s.randomLevel()
 	if lvl > s.level {
 		s.level = lvl
@@ -220,6 +234,7 @@ func (s *Store) Apply(t *tuple.Tuple) bool {
 		path[i].next[i] = n
 	}
 	s.total++
+	s.byKey.Put(t.Key, n)
 	s.idx.add(n)
 	s.idx.maybeGrow(s.total)
 	s.accountAdd(n.tup)
@@ -236,11 +251,12 @@ func (s *Store) Apply(t *tuple.Tuple) bool {
 // supersession and orphan-handoff paths use it; plain responsibility
 // changes keep using Drop.
 func (s *Store) Discard(key string, floor tuple.Version) bool {
-	if n := s.find(key, nil); n != nil && floor.Less(n.tup.Version) {
+	n := s.find(key)
+	if n != nil && floor.Less(n.tup.Version) {
 		floor = n.tup.Version
 	}
 	s.setFloor(key, floor)
-	return s.Drop(key)
+	return s.unlink(n)
 }
 
 // setFloor records or raises a key's supersession watermark, evicting
@@ -403,17 +419,30 @@ func (s *Store) AttrExtremes(attr string) (lo, hi float64, ok bool) {
 // Get returns a clone of the live tuple, or (nil, false) if absent or
 // tombstoned.
 func (s *Store) Get(key string) (*tuple.Tuple, bool) {
-	n := s.find(key, nil)
+	t, ok := s.Peek(key)
+	if !ok {
+		return nil, false
+	}
+	return t.Clone(), true
+}
+
+// Peek is Get without the clone: a BORROWED reference to the live tuple
+// under the ForEachRef contract — the caller must not mutate it or
+// anything it points to. Unlike an iteration reference it may be
+// retained: a stored tuple is immutable once sequenced (docs/DESIGN.md
+// §1), and an overwrite replaces the pointer rather than the contents.
+func (s *Store) Peek(key string) (*tuple.Tuple, bool) {
+	n := s.find(key)
 	if n == nil || n.tup.Deleted {
 		return nil, false
 	}
-	return n.tup.Clone(), true
+	return n.tup, true
 }
 
 // GetAny returns the entry even if it is a tombstone — anti-entropy needs
 // tombstone versions to propagate deletes.
 func (s *Store) GetAny(key string) (*tuple.Tuple, bool) {
-	n := s.find(key, nil)
+	n := s.find(key)
 	if n == nil {
 		return nil, false
 	}
@@ -423,7 +452,7 @@ func (s *Store) GetAny(key string) (*tuple.Tuple, bool) {
 // Version returns the stored version for key (tombstones included), or a
 // zero version if absent.
 func (s *Store) Version(key string) tuple.Version {
-	n := s.find(key, nil)
+	n := s.find(key)
 	if n == nil {
 		return tuple.Version{}
 	}
@@ -434,20 +463,24 @@ func (s *Store) Version(key string) tuple.Version {
 // uses it when a node's responsibility shrinks; it is not a delete in the
 // data model sense (no tombstone).
 func (s *Store) Drop(key string) bool {
-	var path [maxLevel]*skipNode
-	for i := s.level; i < maxLevel; i++ {
-		path[i] = s.head
-	}
-	n := s.find(key, &path)
+	return s.unlink(s.find(key))
+}
+
+// unlink removes a held node from the list, both indexes and the
+// accounting, and reports whether there was one (n may be nil).
+func (s *Store) unlink(n *skipNode) bool {
 	if n == nil {
 		return false
 	}
+	var path [maxLevel]*skipNode
+	s.descend(n.key, &path)
 	for i := 0; i < len(n.next); i++ {
 		if path[i].next[i] == n {
 			path[i].next[i] = n.next[i]
 		}
 	}
 	s.total--
+	s.byKey.Del(n.key)
 	s.idx.remove(n)
 	s.accountRemove(n.tup)
 	return true
@@ -456,16 +489,18 @@ func (s *Store) Drop(key string) bool {
 // Wipe discards every entry, attribute statistic, and supersession
 // floor, returning the store to its freshly-created state. The level
 // RNG, capacity bound, and cumulative counters (applied writes,
-// capacity rejections, serve costs) are kept: Wipe models a node losing
-// its data, not being replaced.
+// capacity rejections, serve costs, descents) are kept: Wipe models a
+// node losing its data, not being replaced — so the hash tables are
+// emptied in place for the refill, not reallocated.
 func (s *Store) Wipe() {
 	s.head = &skipNode{next: make([]*skipNode, maxLevel)}
 	s.level = 0
 	s.total = 0
 	s.live = 0
 	s.bytes = 0
-	s.stats = flatmap.New[*attrStat](0)
-	s.floors = flatmap.New[floorEntry](0)
+	s.byKey.Reset()
+	s.stats.Reset()
+	s.floors.Reset()
 	s.floorRing = nil
 	s.idx = newRingIndex()
 }

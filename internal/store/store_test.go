@@ -287,26 +287,6 @@ func TestSkiplistLargeScale(t *testing.T) {
 	}
 }
 
-func BenchmarkApply(b *testing.B) {
-	s := newStore()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Apply(mk(fmt.Sprintf("key-%d", i%100000), uint64(i+1), "value"))
-	}
-}
-
-func BenchmarkGet(b *testing.B) {
-	s := newStore()
-	for i := 0; i < 100000; i++ {
-		s.Apply(mk(fmt.Sprintf("key-%d", i), 1, "value"))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Get(fmt.Sprintf("key-%d", i%100000))
-	}
-}
-
 func TestSegmentDigestsMatchSubArcDigests(t *testing.T) {
 	s := newStore()
 	for i := 0; i < 300; i++ {
