@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -35,41 +36,15 @@ import (
 )
 
 func main() {
-	var (
-		idFlag    = flag.Int("id", 1, "node ID (1-based index into -peers)")
-		peers     = flag.String("peers", "127.0.0.1:7001", "comma-separated gossip addresses; position i is node i+1")
-		client    = flag.String("client", "", "DDB1 client listen address (empty disables)")
-		tick      = flag.Duration("tick", 200*time.Millisecond, "gossip round interval")
-		r         = flag.Int("r", 3, "replication factor")
-		fanoutC   = flag.Float64("c", 2, "fanout constant (fanout = ln N̂ + c)")
-		opTimeout = flag.Duration("op-timeout", 3*time.Second, "per-operation server-side deadline")
-		maxConns  = flag.Int("max-conns", 4096, "client connection cap (excess answered BUSY)")
-		window    = flag.Int("window", 64, "pipelined ops in flight per connection")
-		writeAcks = flag.Int("write-acks", 1, "replica acks that complete a PUT/DEL")
-	)
-	flag.Parse()
-
-	addrs := strings.Split(*peers, ",")
-	peerList := make([]transport.Peer, 0, len(addrs))
-	for i, a := range addrs {
-		peerList = append(peerList, transport.Peer{ID: node.ID(i + 1), Addr: strings.TrimSpace(a)})
+	cfg, err := parseConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	} else if err != nil {
+		fmt.Fprintf(os.Stderr, "datadroplets: %v\n", err)
+		os.Exit(2)
 	}
-	self := node.ID(*idFlag)
-	logger := log.New(os.Stderr, fmt.Sprintf("[%s] ", self), log.LstdFlags)
-
-	srv, err := server.New(server.Config{
-		Self:         self,
-		Peers:        peerList,
-		ClientAddr:   *client,
-		TickInterval: *tick,
-		OpTimeout:    *opTimeout,
-		MaxConns:     *maxConns,
-		Window:       *window,
-		Replication:  *r,
-		FanoutC:      *fanoutC,
-		WriteAcks:    *writeAcks,
-		Logger:       logger,
-	})
+	logger := cfg.Logger
+	srv, err := server.New(cfg)
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -82,4 +57,49 @@ func main() {
 	<-sig
 	logger.Print("draining")
 	srv.Close()
+}
+
+// parseConfig turns the command line into the node's configuration. It
+// opens nothing: a bad flag or an -id outside the -peers list is an
+// error before any socket exists.
+func parseConfig(args []string) (server.Config, error) {
+	fs := flag.NewFlagSet("datadroplets", flag.ContinueOnError)
+	var (
+		idFlag    = fs.Int("id", 1, "node ID (1-based index into -peers)")
+		peers     = fs.String("peers", "127.0.0.1:7001", "comma-separated gossip addresses; position i is node i+1")
+		client    = fs.String("client", "", "DDB1 client listen address (empty disables)")
+		tick      = fs.Duration("tick", 200*time.Millisecond, "gossip round interval")
+		r         = fs.Int("r", 3, "replication factor")
+		fanoutC   = fs.Float64("c", 2, "fanout constant (fanout = ln N̂ + c)")
+		opTimeout = fs.Duration("op-timeout", 3*time.Second, "per-operation server-side deadline")
+		maxConns  = fs.Int("max-conns", 4096, "client connection cap (excess answered BUSY)")
+		window    = fs.Int("window", 64, "pipelined ops in flight per connection")
+		writeAcks = fs.Int("write-acks", 1, "replica acks that complete a PUT/DEL")
+	)
+	if err := fs.Parse(args); err != nil {
+		return server.Config{}, err
+	}
+
+	addrs := strings.Split(*peers, ",")
+	peerList := make([]transport.Peer, 0, len(addrs))
+	for i, a := range addrs {
+		peerList = append(peerList, transport.Peer{ID: node.ID(i + 1), Addr: strings.TrimSpace(a)})
+	}
+	if *idFlag < 1 || *idFlag > len(peerList) {
+		return server.Config{}, fmt.Errorf("-id %d is not a position in the %d-address -peers list", *idFlag, len(peerList))
+	}
+	self := node.ID(*idFlag)
+	return server.Config{
+		Self:         self,
+		Peers:        peerList,
+		ClientAddr:   *client,
+		TickInterval: *tick,
+		OpTimeout:    *opTimeout,
+		MaxConns:     *maxConns,
+		Window:       *window,
+		Replication:  *r,
+		FanoutC:      *fanoutC,
+		WriteAcks:    *writeAcks,
+		Logger:       log.New(os.Stderr, fmt.Sprintf("[%s] ", self), log.LstdFlags),
+	}, nil
 }

@@ -1,22 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 
 	"datadroplets/internal/experiments"
 )
-
-// fuzzReport wraps the experiments report with the benchmark envelope
-// the other ddbench JSON reports use.
-type fuzzReport struct {
-	Benchmark string  `json:"benchmark"`
-	Scale     float64 `json:"scale"`
-	Host      string  `json:"host,omitempty"`
-	*experiments.FuzzReport
-}
 
 // runFuzz drives the consistency fuzzer: seeded random fault
 // compositions under the recording client workload, each cross-checked
@@ -24,13 +12,14 @@ type fuzzReport struct {
 // convergence oracles. Any violation prints its one-line repro —
 // (seed, workers, scenario-spec) — and the run exits nonzero.
 func runFuzz(seed int64, seeds int, scale float64, jsonPath string, workerCounts []int) error {
-	nodes := int(240 * scale)
-	if nodes < 48 {
-		nodes = 48
+	nodes := max(int(240*scale), 48)
+	out, err := newSink("fuzz", seed, jsonPath, "", "seed", "nodes")
+	if err != nil {
+		return err
 	}
 	fmt.Printf("fuzz: %d seeded compositions, base seed %d, N=%d, workers %v\n",
 		seeds, seed, nodes, workerCounts)
-	rep, err := experiments.RunFuzz(experiments.FuzzConfig{
+	cases, err := experiments.RunFuzz(experiments.FuzzConfig{
 		Seeds:    seeds,
 		BaseSeed: seed,
 		Workers:  workerCounts,
@@ -39,31 +28,25 @@ func runFuzz(seed int64, seeds int, scale float64, jsonPath string, workerCounts
 	if err != nil {
 		return err
 	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(fuzzReport{
-			Benchmark:  "fuzz",
-			Scale:      scale,
-			Host:       fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d", runtime.GOMAXPROCS(0), runtime.NumCPU()),
-			FuzzReport: rep,
-		}, "", "  ")
-		if err != nil {
+	rows := make([]row, len(cases))
+	violations := 0
+	for i, c := range cases {
+		if rows[i], err = out.row(c); err != nil {
 			return err
 		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
+		for _, v := range c.Violations {
+			fmt.Printf("VIOLATION seed=%d: %s\n", c.Seed, v)
+			violations++
 		}
-		fmt.Printf("wrote %s\n", jsonPath)
+		if c.Repro != "" {
+			fmt.Printf("repro: %s\n", c.Repro)
+		}
 	}
-	if rep.Violations > 0 {
-		for _, c := range rep.Cases {
-			for _, v := range c.Violations {
-				fmt.Printf("VIOLATION seed=%d: %s\n", c.Seed, v)
-			}
-			if c.Repro != "" {
-				fmt.Printf("repro: %s\n", c.Repro)
-			}
-		}
-		return fmt.Errorf("%d consistency violations across %d seeds", rep.Violations, seeds)
+	if err := out.add(rows); err != nil {
+		return err
+	}
+	if violations > 0 {
+		return fmt.Errorf("%d consistency violations across %d seeds", violations, seeds)
 	}
 	fmt.Printf("fuzz: %d seeds clean (0 violations)\n", seeds)
 	return nil

@@ -10,20 +10,24 @@
 //	ddbench -run C1,C2,C3 -csv out/        # dissemination suite + CSVs
 //	ddbench -run scenarios -scenario split-brain -workers 1,4
 //	ddbench -run fuzz -seeds 20 -workers 1,2,4,8           # consistency fuzzer
-//	ddbench -run repaircost -json BENCH_simscale.json      # splice repair_cost section
+//	ddbench -run scenarios -scale 0.1 -workers 1,4 -verify BENCH_scenarios.json
 //	ddbench -list
 //
 // Besides the experiment IDs, -run simscale benchmarks the fabric at
 // paper scale, -run scenarios drives the fault-scenario suite (partition,
 // flap storm, mass crash, slow nodes, latency spike) measuring
-// availability, staleness and rounds-to-convergence per scenario
-// (optionally as JSON via -json; exits nonzero when a scenario does not
-// fully converge within its recovery budget), and -run fuzz sweeps
-// seeded random fault compositions under a recording client workload,
-// checks the session guarantees and convergence with the consistency
-// oracle, and exits nonzero with a one-line repro per violation. The
-// live TCP server is load-tested by the repository benchmark instead:
-// go run ./bench.
+// availability, staleness and rounds-to-convergence per scenario (exits
+// nonzero when a scenario does not fully converge within its recovery
+// budget), and -run fuzz sweeps seeded random fault compositions under a
+// recording client workload, checks the session guarantees and
+// convergence with the consistency oracle, and exits nonzero with a
+// one-line repro per violation. The live TCP server is load-tested by
+// the repository benchmark instead: go run ./bench.
+//
+// -json FILE merges the three harnesses' rows into FILE by row key;
+// -verify FILE makes simscale and scenarios run the cells FILE has a row
+// for and exit nonzero if a field that is exact per seed differs from
+// the committed row, or if no row was compared (report.go).
 package main
 
 import (
@@ -46,12 +50,13 @@ func main() { os.Exit(realMain()) }
 // defers installed below always run (os.Exit would skip them).
 func realMain() int {
 	var (
-		run      = flag.String("run", "all", "comma-separated experiment IDs, 'all', 'simscale', 'scenarios', 'fuzz', or 'repaircost'")
+		run      = flag.String("run", "all", "comma-separated experiment IDs, 'all', 'simscale', 'scenarios' or 'fuzz'")
 		scale    = flag.Float64("scale", 0.25, "population/trial scale (1.0 = paper scale)")
 		seed     = flag.Int64("seed", 42, "random seed")
 		csv      = flag.String("csv", "", "directory to write per-table CSV files (optional)")
-		jsonOut  = flag.String("json", "", "file to write the selected run's report as JSON (with -run simscale, scenarios, fuzz or repaircost)")
-		workers  = flag.String("workers", "1", "comma-separated fabric worker counts to sweep (with -run simscale or scenarios)")
+		jsonOut  = flag.String("json", "", "report file to merge the run's rows into (with -run simscale, scenarios or fuzz)")
+		verify   = flag.String("verify", "", "committed report whose rows the run must reproduce (with -run simscale or scenarios)")
+		workers  = flag.String("workers", "1", "comma-separated fabric worker counts to sweep (with -run simscale, scenarios or fuzz)")
 		scenario = flag.String("scenario", "all", "scenario name(s) for -run scenarios (comma-separated, or 'all')")
 		readDist = flag.String("readdist", "", "read-workload key distribution for -run scenarios: uniform (default), zipf, hot, scan")
 		seeds    = flag.Int("seeds", 20, "number of seeded compositions for -run fuzz (seeds are -seed, -seed+1, ...)")
@@ -92,83 +97,60 @@ func realMain() int {
 	}
 
 	if *list {
-		for _, id := range experiments.IDs() {
+		for _, id := range append(experiments.IDs(), "simscale", "scenarios", "fuzz") {
 			fmt.Println(id)
 		}
-		fmt.Println("simscale")
-		fmt.Println("scenarios")
-		fmt.Println("fuzz")
-		fmt.Println("repaircost")
 		for _, name := range experiments.ScenarioNames() {
 			fmt.Printf("scenarios -scenario %s\n", name)
 		}
 		return 0
 	}
 
-	if *run == "simscale" {
-		ws, err := parseWorkers(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ddbench: -workers: %v\n", err)
-			return 2
-		}
-		if err := runSimScale(*seed, *scale, *jsonOut, ws); err != nil {
-			fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
-			return 1
-		}
-		return 0
+	ws, err := parseWorkers(*workers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ddbench: -workers: %v\n", err)
+		return 2
 	}
-
-	if *run == "repaircost" {
-		if err := runRepairCost(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
-			return 1
-		}
-		return 0
+	if *verify != "" && *run != "simscale" && *run != "scenarios" {
+		fmt.Fprintln(os.Stderr, "ddbench: -verify needs -run simscale or -run scenarios")
+		return 2
 	}
-
-	if *run == "scenarios" {
-		ws, err := parseWorkers(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ddbench: -workers: %v\n", err)
-			return 2
-		}
-		if err := runScenarios(*seed, *scale, *scenario, *readDist, *jsonOut, ws, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
-			return 1
-		}
-		return 0
+	switch *run {
+	case "simscale":
+		err = runSimScale(*seed, *scale, *jsonOut, *verify, ws)
+	case "scenarios":
+		err = runScenarios(*seed, *scale, *scenario, *readDist, *jsonOut, *verify, ws, 0)
+	case "fuzz":
+		err = runFuzz(*seed, *seeds, *scale, *jsonOut, ws)
+	default:
+		return runExperiments(*run, *csv, experiments.Params{Scale: *scale, Seed: *seed})
 	}
-
-	if *run == "fuzz" {
-		ws, err := parseWorkers(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ddbench: -workers: %v\n", err)
-			return 2
-		}
-		if err := runFuzz(*seed, *seeds, *scale, *jsonOut, ws); err != nil {
-			fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
-			return 1
-		}
-		return 0
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
+		return 1
 	}
+	return 0
+}
 
+// runExperiments prints the tables of the selected experiment IDs and
+// writes them as CSV files into csvDir when it is set.
+func runExperiments(run, csvDir string, params experiments.Params) int {
 	var ids []string
-	if *run == "all" {
+	if run == "all" {
 		ids = experiments.IDs()
 	} else {
-		for _, id := range strings.Split(*run, ",") {
+		for _, id := range strings.Split(run, ",") {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
 
-	if *csv != "" {
-		if err := os.MkdirAll(*csv, 0o755); err != nil {
+	if csvDir != "" {
+		if err := os.MkdirAll(csvDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
 			return 1
 		}
 	}
 
-	params := experiments.Params{Scale: *scale, Seed: *seed}
 	exit := 0
 	for _, id := range ids {
 		start := time.Now()
@@ -179,11 +161,11 @@ func realMain() int {
 			continue
 		}
 		fmt.Printf("%s(%.1fs)\n", res.String(), time.Since(start).Seconds())
-		if *csv != "" {
+		if csvDir != "" {
 			for i, tb := range res.Tables {
-				name := filepath.Join(*csv, fmt.Sprintf("%s_%d.csv", id, i))
-				if err := os.WriteFile(name, []byte(tb.CSV()), 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "ddbench: write %s: %v\n", name, err)
+				name := filepath.Join(csvDir, fmt.Sprintf("%s_%d.csv", id, i))
+				if err := writeFile(name, []byte(tb.CSV())); err != nil {
+					fmt.Fprintf(os.Stderr, "ddbench: %v\n", err)
 					exit = 1
 				}
 			}

@@ -1,285 +1,53 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"math/rand"
-	"os"
-	"runtime"
-	"time"
 
-	"datadroplets/internal/dht"
 	"datadroplets/internal/experiments"
-	"datadroplets/internal/node"
 )
 
-// simscalePopulations are the cluster sizes the fabric benchmark sweeps.
-// At -scale 1 this is the 2k..10k regime the paper states its claims for.
-var simscalePopulations = []int{2000, 10000}
-
-// simscaleLargePopulation is the 100k-node configuration, swept only at
-// full scale (it is far past the CI budget). Its round count is reduced —
-// the point of the row is per-round fabric cost and worker scaling at a
-// population 10x beyond the paper's, not a long campaign.
-const (
-	simscaleLargePopulation = 100000
-	simscaleLargeRounds     = 30
-	simscaleLargeWarmup     = 10
-)
-
-// simscaleBaselineSeed is the seed the committed baseline was measured
-// under; the before/after comparison is only printed for matching runs.
-const simscaleBaselineSeed = 42
-
-// simscaleRow is one (population, worker count) measurement. Digest is
-// invariant across worker counts for a given population and seed — the
-// determinism contract — so equal digests within a sweep double as an
-// in-report equivalence check.
-type simscaleRow struct {
-	Nodes          int     `json:"nodes"`
-	Rounds         int     `json:"rounds"`
-	Workers        int     `json:"workers"`
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	RoundsPerSec   float64 `json:"rounds_per_sec"`
-	SecondsPerRnd  float64 `json:"seconds_per_round"`
-	AllocsPerRound float64 `json:"allocs_per_round"`
-	BytesPerRound  float64 `json:"bytes_per_round"`
-	Sent           int64   `json:"sent"`
-	Delivered      int64   `json:"delivered"`
-	// Digest-serve cost of the run (store.ServeStats summed across
-	// nodes); absent in reports written before the ring-bucket index.
-	DigestServes         int64  `json:"digest_serves,omitempty"`
-	DigestEntriesScanned int64  `json:"digest_entries_scanned,omitempty"`
-	DigestBucketsFolded  int64  `json:"digest_buckets_folded,omitempty"`
-	Digest               string `json:"digest"`
-}
-
-type simscaleReport struct {
-	Benchmark string `json:"benchmark"`
-	Seed      int64  `json:"seed"`
-	// Host notes hardware constraints relevant to the worker sweep
-	// (parallel speedup is bounded by the cores actually available).
-	// CPUs/GOMAXPROCS carry the same facts machine-readably: benchcmp
-	// refuses rounds/sec comparisons between reports measured on hosts
-	// with different parallel capacity.
-	Host       string           `json:"host,omitempty"`
-	CPUs       int              `json:"cpus,omitempty"`
-	GOMAXPROCS int              `json:"gomaxprocs,omitempty"`
-	Baseline   *simscaleRow     `json:"baseline_pre_pr,omitempty"`
-	SpeedupX   float64          `json:"speedup_at_baseline_n,omitempty"`
-	SoftLayer  *softLayerBench  `json:"soft_layer_million_keys,omitempty"`
-	RepairCost *repairCostBench `json:"repair_cost,omitempty"`
-	Results    []simscaleRow    `json:"results"`
-}
-
-// simscaleBaseline is the measured pre-optimisation reference (map-keyed
-// round queue, O(N) peer sampling, clone-everything store walks,
-// full-map retention prune): same workload, seed 42, N=2000, measured on
-// the commit preceding this refactor. The 10k configuration did not
-// finish within a 20+ minute budget pre-optimisation, so N=2000 is the
-// largest population with a directly measured before/after pair. The
-// determinism contract makes the runs comparable message-for-message:
-// a same-seed post-optimisation run delivers the identical 60,616,605
-// messages.
-var simscaleBaseline = simscaleRow{
-	Nodes:          2000,
-	Rounds:         200,
-	ElapsedSeconds: 222.19,
-	RoundsPerSec:   0.90,
-	SecondsPerRnd:  1.111,
-	AllocsPerRound: 490663,
-	BytesPerRound:  853271489,
-	Delivered:      60616605,
-}
-
-// softLayerBench is the million-key soft-layer measurement: the flat
-// open-addressed sequencer and directory indexes loaded with one million
-// distinct keys, reporting build throughput and steady-state lookup cost.
-type softLayerBench struct {
-	Keys                 int     `json:"keys"`
-	SequencerBuildSecs   float64 `json:"sequencer_build_seconds"`
-	SequencerNextNsPerOp float64 `json:"sequencer_next_ns_per_op"`
-	DirectoryBuildSecs   float64 `json:"directory_build_seconds"`
-	DirectoryHintNsPerOp float64 `json:"directory_hints_ns_per_op"`
-	LiveHeapMB           float64 `json:"live_heap_mb"`
-}
-
-// runSoftLayerMillionKeys loads sequencer and directory with a million
-// keys and times the hot operations over a random probe set.
-func runSoftLayerMillionKeys() softLayerBench {
-	const keys = 1_000_000
-	out := softLayerBench{Keys: keys}
-	names := make([]string, keys)
-	for i := range names {
-		names[i] = fmt.Sprintf("key-%07d", i)
+// runSimScale sweeps the fabric benchmark — a sustained write + churn +
+// repair workload, 200 measured rounds — over the populations
+// {2 000, 10 000} × scale and the worker counts. Scale 1 is the
+// 2k..10k regime the paper states its claims for and the committed rows
+// of BENCH_simscale.json; scale 5 and 10 reach N=50 000 and N=100 000.
+// Each population's rows are merged into the -json report and compared
+// against the -verify report as soon as its worker sweep ends.
+func runSimScale(seed int64, scale float64, jsonPath, verifyPath string, workerCounts []int) error {
+	out, err := newSink("simscale", seed, jsonPath, verifyPath, "nodes", "rounds", "workers")
+	if err != nil {
+		return err
 	}
-
-	var before runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-
-	seq := dht.NewSequencer(1)
-	start := time.Now()
-	for _, k := range names {
-		seq.Next(k)
-	}
-	out.SequencerBuildSecs = time.Since(start).Seconds()
-
-	dir := dht.NewDirectory(4)
-	start = time.Now()
-	for i, k := range names {
-		dir.AddHint(k, node.ID(i%64+1))
-	}
-	out.DirectoryBuildSecs = time.Since(start).Seconds()
-
-	var after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	out.LiveHeapMB = float64(after.HeapAlloc-before.HeapAlloc) / (1 << 20)
-
-	// Steady-state probes in a scrambled order so the lookup cost is not
-	// flattered by sequential cache residency.
-	rng := rand.New(rand.NewSource(1))
-	probes := make([]string, 1<<20)
-	for i := range probes {
-		probes[i] = names[rng.Intn(keys)]
-	}
-	start = time.Now()
-	for _, k := range probes {
-		seq.Next(k)
-	}
-	out.SequencerNextNsPerOp = float64(time.Since(start).Nanoseconds()) / float64(len(probes))
-	start = time.Now()
-	for _, k := range probes {
-		dir.Hints(k)
-	}
-	out.DirectoryHintNsPerOp = float64(time.Since(start).Nanoseconds()) / float64(len(probes))
-	return out
-}
-
-func toRow(r *experiments.SimScaleResult) simscaleRow {
-	return simscaleRow{
-		Nodes:                r.Nodes,
-		Rounds:               r.Rounds,
-		Workers:              r.Workers,
-		ElapsedSeconds:       r.ElapsedSeconds,
-		RoundsPerSec:         r.RoundsPerSec,
-		SecondsPerRnd:        r.SecondsPerRnd,
-		AllocsPerRound:       r.AllocsPerRound,
-		BytesPerRound:        r.BytesPerRound,
-		Sent:                 r.Sent,
-		Delivered:            r.Delivered,
-		DigestServes:         r.DigestServes,
-		DigestEntriesScanned: r.DigestEntriesScanned,
-		DigestBucketsFolded:  r.DigestBucketsFolded,
-		Digest:               fmt.Sprintf("%016x", r.Digest()),
-	}
-}
-
-// runSimScale sweeps the fabric benchmark over the population sizes and
-// worker counts, cross-checks that every worker count reproduced the
-// same digest, and optionally writes the JSON report.
-func runSimScale(seed int64, scale float64, jsonPath string, workerCounts []int) error {
-	report := simscaleReport{
-		Benchmark:  "simscale",
-		Seed:       seed,
-		Host:       fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d", runtime.GOMAXPROCS(0), runtime.NumCPU()),
-		CPUs:       runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	if scale == 1 && seed == simscaleBaselineSeed {
-		b := simscaleBaseline
-		report.Baseline = &b
-	}
-
-	// Population sweep: the paper-regime sizes always, the 100k row only
-	// at full scale (a scaled-down 100k is just another small population,
-	// and the full row is far beyond the CI budget).
-	type popCfg struct{ nodes, rounds, warmup int }
-	var pops []popCfg
-	for _, n := range simscalePopulations {
-		nodes := int(float64(n) * scale)
-		if nodes < 64 {
-			nodes = 64
-		}
-		pops = append(pops, popCfg{nodes: nodes, rounds: 200, warmup: 30})
-	}
-	if scale >= 1 {
-		pops = append(pops, popCfg{
-			nodes:  simscaleLargePopulation,
-			rounds: simscaleLargeRounds,
-			warmup: simscaleLargeWarmup,
-		})
-	}
-
+	const rounds = 200
 	fmt.Printf("simscale: write+churn+repair fabric benchmark, seed %d, scale %.2f, workers %v\n",
 		seed, scale, workerCounts)
 	fmt.Printf("%8s %8s %8s %10s %12s %14s %14s %12s\n",
 		"nodes", "rounds", "workers", "seconds", "rounds/sec", "allocs/round", "bytes/round", "delivered")
-	for _, pc := range pops {
-		nodes, rounds := pc.nodes, pc.rounds
-		baseDigest := ""
-		var w1RoundsPerSec float64
-		for _, w := range workerCounts {
-			res := experiments.RunSimScale(experiments.SimScaleConfig{
-				Nodes:             nodes,
-				Rounds:            rounds,
-				Warmup:            pc.warmup,
-				Seed:              seed,
-				WritesPerRound:    16,
-				TransientPerRound: 0.002,
-				PermanentPerRound: 0.0002,
-				MeanDowntime:      10,
-				AggregateAttr:     "v",
-				Workers:           w,
+	for _, n := range []float64{2000, 10000} {
+		nodes := max(int(n*scale), 64)
+		err := out.sweep(workerCounts,
+			func(w int) any { return experiments.SimScaleResult{Nodes: nodes, Rounds: rounds, Workers: w} },
+			func(w int) (any, error) {
+				res := experiments.RunSimScale(experiments.SimScaleConfig{
+					Nodes:             nodes,
+					Rounds:            rounds,
+					Warmup:            30,
+					Seed:              seed,
+					WritesPerRound:    16,
+					TransientPerRound: 0.002,
+					PermanentPerRound: 0.0002,
+					MeanDowntime:      10,
+					AggregateAttr:     "v",
+					Workers:           w,
+				})
+				fmt.Printf("%8d %8d %8d %10.2f %12.1f %14.0f %14.0f %12d\n",
+					res.Nodes, res.Rounds, res.Workers, res.ElapsedSeconds, res.RoundsPerSec,
+					res.AllocsPerRound, res.BytesPerRound, res.Delivered)
+				return res, nil
 			})
-			row := toRow(res)
-			report.Results = append(report.Results, row)
-			fmt.Printf("%8d %8d %8d %10.2f %12.1f %14.0f %14.0f %12d\n",
-				row.Nodes, row.Rounds, row.Workers, row.ElapsedSeconds, row.RoundsPerSec,
-				row.AllocsPerRound, row.BytesPerRound, row.Delivered)
-			switch {
-			case baseDigest == "":
-				baseDigest = row.Digest
-				w1RoundsPerSec = row.RoundsPerSec
-			case row.Digest != baseDigest:
-				return fmt.Errorf("determinism violation at N=%d: W=%d digest %s != %s",
-					nodes, w, row.Digest, baseDigest)
-			default:
-				fmt.Printf("%8s digest identical to W=%d run; speedup %.2fx\n",
-					"", workerCounts[0], row.RoundsPerSec/w1RoundsPerSec)
-			}
-			if report.Baseline != nil && row.Nodes == report.Baseline.Nodes && row.Workers == 1 {
-				report.SpeedupX = row.RoundsPerSec / report.Baseline.RoundsPerSec
-				fmt.Printf("%8s pre-PR baseline at N=%d: %.1f rounds/sec -> speedup %.1fx\n",
-					"", row.Nodes, report.Baseline.RoundsPerSec, report.SpeedupX)
-			}
-		}
-	}
-
-	// Million-key soft-layer and repair-cost rows: only at full scale,
-	// like the 100k population — CI compares fabric rows and should stay
-	// fast (-run repaircost measures the latter standalone).
-	if scale >= 1 {
-		sl := runSoftLayerMillionKeys()
-		report.SoftLayer = &sl
-		fmt.Printf("soft layer at %d keys: sequencer build %.2fs, Next %.0f ns/op; directory build %.2fs, Hints %.0f ns/op; live heap %.1f MB\n",
-			sl.Keys, sl.SequencerBuildSecs, sl.SequencerNextNsPerOp,
-			sl.DirectoryBuildSecs, sl.DirectoryHintNsPerOp, sl.LiveHeapMB)
-		rc := runRepairCostBench()
-		report.RepairCost = &rc
-		printRepairCost(rc)
-	}
-
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
 	}
-	return nil
+	return out.done()
 }

@@ -122,9 +122,6 @@ func (n *Node) Has(key string) bool {
 	return ok && !t.Deleted
 }
 
-// Len returns the number of stored tuples.
-func (n *Node) Len() int { return len(n.st) }
-
 func (n *Node) apply(t *tuple.Tuple) {
 	if cur, ok := n.st[t.Key]; ok && !cur.Version.Less(t.Version) {
 		return

@@ -37,9 +37,8 @@ type ClusterConfig struct {
 	PersistentNodes int
 	// Seed drives all randomness.
 	Seed int64
-	// Loss / MinDelay / MaxDelay configure the fabric.
-	Loss               float64
-	MinDelay, MaxDelay int
+	// Loss is the fabric's per-message loss probability.
+	Loss float64
 	// Workers shards the fabric's compute phase (sim.Config.Workers);
 	// client-visible behaviour is byte-identical at every setting. A
 	// cluster with Workers > 1 should be Closed when done.
@@ -47,9 +46,10 @@ type ClusterConfig struct {
 	// Soft tunes soft-state nodes; Persist tunes persistent nodes.
 	Soft    SoftConfig
 	Persist epidemic.Config
-	// Vnodes is virtual nodes per soft member on the routing ring.
-	Vnodes int
 }
+
+// softVnodes is virtual nodes per soft member on the routing ring.
+const softVnodes = 32
 
 func (c ClusterConfig) normalized() ClusterConfig {
 	if c.SoftNodes <= 0 {
@@ -57,9 +57,6 @@ func (c ClusterConfig) normalized() ClusterConfig {
 	}
 	if c.PersistentNodes <= 0 {
 		c.PersistentNodes = 32
-	}
-	if c.Vnodes <= 0 {
-		c.Vnodes = 32
 	}
 	return c
 }
@@ -102,9 +99,9 @@ var (
 func NewCluster(cfg ClusterConfig) *Cluster {
 	cfg = cfg.normalized()
 	c := &Cluster{
-		Net:      sim.New(sim.Config{Seed: cfg.Seed, Loss: cfg.Loss, MinDelay: cfg.MinDelay, MaxDelay: cfg.MaxDelay, Workers: cfg.Workers}),
+		Net:      sim.New(sim.Config{Seed: cfg.Seed, Loss: cfg.Loss, Workers: cfg.Workers}),
 		cfg:      cfg,
-		softRing: dht.NewRing(cfg.Vnodes),
+		softRing: dht.NewRing(softVnodes),
 		Softs:    make(map[node.ID]*SoftNode, cfg.SoftNodes),
 		Pers:     make(map[node.ID]*epidemic.Node, cfg.PersistentNodes),
 		inflight: make(map[uint64]*Pending),

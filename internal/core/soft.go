@@ -79,6 +79,12 @@ type lateRepair struct {
 // maxLateRepairs bounds the post-completion repair registry.
 const maxLateRepairs = 256
 
+// Hint-miss fallback probing.
+const (
+	readProbes = 8 // persistent nodes sampled for a read with no usable directory hint
+	readTTL    = 4 // hops each of them forwards the probe on a miss
+)
+
 // SoftConfig tunes a soft-state node.
 type SoftConfig struct {
 	// WriteAcks is how many persistent-layer storage acknowledgements
@@ -86,10 +92,6 @@ type SoftConfig struct {
 	WriteAcks int
 	// CacheSize is the tuple cache capacity. Zero means 1024.
 	CacheSize int
-	// ReadProbes / ReadTTL configure hint-miss fallback probing.
-	ReadProbes, ReadTTL int
-	// DirHints caps directory hints per key. Zero means 4.
-	DirHints int
 }
 
 func (c SoftConfig) normalized() SoftConfig {
@@ -98,12 +100,6 @@ func (c SoftConfig) normalized() SoftConfig {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
-	}
-	if c.ReadProbes == 0 {
-		c.ReadProbes = 8
-	}
-	if c.ReadTTL == 0 {
-		c.ReadTTL = 4
 	}
 	return c
 }
@@ -174,7 +170,7 @@ func NewSoftNode(self node.ID, rng *rand.Rand, persistent membership.Sampler, cf
 		rng:         rng,
 		cfg:         cfg,
 		Seq:         dht.NewSequencer(self),
-		Dir:         dht.NewDirectory(cfg.DirHints),
+		Dir:         dht.NewDirectory(0),
 		Cache:       cache.New(cfg.CacheSize),
 		persistent:  persistent,
 		ops:         make(map[uint64]*Op),
@@ -359,7 +355,7 @@ func (s *SoftNode) Get(now sim.Round, key string) (uint64, []sim.Envelope) {
 	}
 	s.PersistentReads++
 	hints := s.Dir.Hints(key)
-	probes := s.persistent.Sample(s.cfg.ReadProbes)
+	probes := s.persistent.Sample(readProbes)
 	var envs []sim.Envelope
 	seen := map[node.ID]bool{}
 	for _, h := range hints {
@@ -374,7 +370,7 @@ func (s *SoftNode) Get(now sim.Round, key string) (uint64, []sim.Envelope) {
 		if !seen[p] {
 			seen[p] = true
 			envs = append(envs, sim.Envelope{To: p, Msg: epidemic.ReadReq{
-				Key: key, ReqID: op.ID, Origin: s.Self, TTL: s.cfg.ReadTTL,
+				Key: key, ReqID: op.ID, Origin: s.Self, TTL: readTTL,
 			}})
 		}
 	}

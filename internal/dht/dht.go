@@ -88,16 +88,6 @@ func (r *Ring) Has(id node.ID) bool {
 	return ok
 }
 
-// Members returns the sorted member IDs.
-func (r *Ring) Members() []node.ID {
-	out := make([]node.ID, 0, len(r.members))
-	for id := range r.members {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Size returns the member count.
 func (r *Ring) Size() int { return len(r.members) }
 

@@ -58,15 +58,11 @@ type Config struct {
 	// QuantileAttr is the attribute for distribution-aware placement and
 	// ordered scans (required for SieveQuantile).
 	QuantileAttr string
-	// CapacityFactor scales this node's sieve grain (heterogeneity).
-	CapacityFactor float64
 	// AntiEntropyEvery enables gossip digest repair (rounds; 0 = off).
 	AntiEntropyEvery int
-	// SizeK / SizeEpochLen tune the size estimator.
-	SizeK, SizeEpochLen int
-	// DistK / DistEpochLen / DistBuckets tune distribution estimation
-	// (only used with SieveQuantile or when EstimateAttr is set).
-	DistK, DistEpochLen, DistBuckets int
+	// DistEpochLen / DistBuckets tune distribution estimation (only used
+	// with SieveQuantile or when EstimateAttr is set).
+	DistEpochLen, DistBuckets int
 	// EstimateAttr enables distribution estimation for an attribute even
 	// without a quantile sieve.
 	EstimateAttr string
@@ -83,10 +79,6 @@ type Config struct {
 	// OrderAttr builds a T-Man ordered overlay over the quantile
 	// attribute for range scans (requires SieveQuantile).
 	OrderAttr bool
-	// HintOrigins makes keepers acknowledge storage back to the write's
-	// origin so the soft layer can build its directory. Default true
-	// (set NoHints to disable).
-	NoHints bool
 }
 
 func (c Config) normalized() Config {
@@ -95,9 +87,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Sieve == 0 {
 		c.Sieve = SieveRange
-	}
-	if c.CapacityFactor <= 0 {
-		c.CapacityFactor = 1
 	}
 	return c
 }
@@ -265,7 +254,7 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, cfg Config) *
 		scans:   make(map[uint64]*ScanState),
 		Aggs:    make(map[string]*aggregate.Aggregator),
 	}
-	n.Size = sizeest.New(self, rng, sampler, sizeest.Config{K: cfg.SizeK, EpochLen: cfg.SizeEpochLen})
+	n.Size = sizeest.New(self, rng, sampler, sizeest.Config{})
 	nEst := n.Size.EstimateFunc()
 
 	// Distribution estimation (feeds quantile sieves and client quantile
@@ -276,7 +265,6 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, cfg Config) *
 	}
 	if distAttr != "" {
 		n.Dist = histogram.NewEstimator(self, rng, sampler, histogram.EstimatorConfig{
-			K:        cfg.DistK,
 			EpochLen: cfg.DistEpochLen,
 			Buckets:  cfg.DistBuckets,
 			// Borrowed iteration: emit only reads the key (copied into
@@ -305,9 +293,8 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, cfg Config) *
 
 	// Sieve.
 	scfg := sieve.Config{
-		Replication:    cfg.Replication,
-		SizeEstimate:   nEst,
-		CapacityFactor: cfg.CapacityFactor,
+		Replication:  cfg.Replication,
+		SizeEstimate: nEst,
 	}
 	var arcSieve sieve.ArcSieve
 	switch cfg.Sieve {
@@ -399,9 +386,9 @@ func (n *Node) localExtremes(attr string) (lo, hi float64, ok bool) {
 // localAggValue sums the attribute over locally stored live tuples,
 // normalised by the replication factor so that the global push-sum total
 // approximates the deduplicated sum (each tuple exists ≈ r times).
-// Served from the store's incremental statistics in O(1) — this is
-// polled at every aggregation epoch on every node, and the full cloning
-// walk it replaced was the dominating per-epoch cost at paper scale.
+// Served from the store's incremental statistics in O(1): this is
+// polled at every aggregation epoch on every node, where a walk of the
+// store would dominate the per-epoch cost at paper scale.
 func (n *Node) localAggValue(attr string) float64 {
 	if attr == "count" {
 		return float64(n.St.Len()) / float64(n.cfg.Replication)
@@ -478,7 +465,9 @@ func (n *Node) onDeliver(r gossip.Rumor) {
 			n.Repair.NoteDivergence()
 		}
 	}
-	if !n.cfg.NoHints && wp.Origin != node.None {
+	// Keepers acknowledge storage back to the write's origin so the soft
+	// layer can build its directory.
+	if wp.Origin != node.None {
 		if wp.Origin == n.Self {
 			if n.OnHint != nil {
 				n.OnHint(wp.Tuple.Key, n.Self, wp.Tuple.Version)
@@ -597,8 +586,8 @@ func (n *Node) handleScan(req ScanReq, local bool) []sim.Envelope {
 	req.Seeking = false
 	var matches []*tuple.Tuple
 	// Borrowed walk, cloning only the hits: matches are retained (scan
-	// state, response messages), so they must be copies, but the misses —
-	// the overwhelming majority — no longer pay for a deep clone each.
+	// state, response messages), so they must be copies; the misses —
+	// the overwhelming majority — are only looked at.
 	n.St.ForEachRef(func(t *tuple.Tuple) bool {
 		if t.Deleted {
 			return true
@@ -807,18 +796,3 @@ func (n *Node) NEstimate() float64 { return n.Size.Estimate() }
 
 // Grain exposes the current sieve grain.
 func (n *Node) Grain() float64 { return n.baseSieve.Grain() }
-
-// Arcs exposes the effective responsibility for coverage analysis, or
-// nil for non-arc sieves.
-func (n *Node) Arcs() []node.Arc {
-	if n.Repair != nil {
-		return n.Repair.Arcs()
-	}
-	if as, ok := n.baseSieve.(sieve.ArcSieve); ok {
-		return as.Arcs()
-	}
-	return nil
-}
-
-// Sampler exposes the node's peer sampler (used by the soft layer shim).
-func (n *Node) Sampler() membership.Sampler { return n.sampler }

@@ -19,34 +19,19 @@ import (
 // FuzzConfig parameterises a fuzz sweep.
 type FuzzConfig struct {
 	// Seeds is the number of seeded compositions to run (cases use
-	// BaseSeed, BaseSeed+1, ...). Zero means 20.
+	// BaseSeed, BaseSeed+1, ...).
 	Seeds int
 	// BaseSeed is the first case's seed.
 	BaseSeed int64
 	// Workers are the fabric worker counts every case is cross-checked
-	// over. Nil means {1, 2}.
+	// over.
 	Workers []int
-	// Nodes is the cluster size per case. Zero means 48.
+	// Nodes is the cluster size per case.
 	Nodes int
-	// FaultRounds is the fault-window length per case. Zero means 40.
-	FaultRounds int
 }
 
-func (c FuzzConfig) normalized() FuzzConfig {
-	if c.Seeds <= 0 {
-		c.Seeds = 20
-	}
-	if len(c.Workers) == 0 {
-		c.Workers = []int{1, 2}
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 48
-	}
-	if c.FaultRounds <= 0 {
-		c.FaultRounds = 40
-	}
-	return c
-}
+// fuzzFaultRounds is the fault-window length of every case of a sweep.
+const fuzzFaultRounds = 40
 
 // FuzzCaseResult reports one fuzz case: the generated schedule, the
 // cross-worker digest, and any violations (oracle findings or
@@ -54,6 +39,7 @@ func (c FuzzConfig) normalized() FuzzConfig {
 // set only when the case failed.
 type FuzzCaseResult struct {
 	Seed       int64    `json:"seed"`
+	Nodes      int      `json:"nodes"`
 	Spec       string   `json:"spec"`
 	ReadDist   string   `json:"read_dist"`
 	Digest     string   `json:"digest"`
@@ -62,16 +48,6 @@ type FuzzCaseResult struct {
 	Converged  bool     `json:"converged"`
 	Violations []string `json:"violations,omitempty"`
 	Repro      string   `json:"repro,omitempty"`
-}
-
-// FuzzReport aggregates a sweep.
-type FuzzReport struct {
-	Seeds      int              `json:"seeds"`
-	BaseSeed   int64            `json:"base_seed"`
-	Nodes      int              `json:"nodes"`
-	Workers    []int            `json:"workers"`
-	Cases      []FuzzCaseResult `json:"cases"`
-	Violations int              `json:"violations"`
 }
 
 // injectStaleReads, when set, rewinds every recorded read observation by
@@ -96,6 +72,7 @@ func RunFuzzCase(seed int64, workers []int, nodes, faultRounds int) (*FuzzCaseRe
 	events, dist := fuzzCaseEvents(seed, nodes, faultRounds)
 	cr := &FuzzCaseResult{
 		Seed:     seed,
+		Nodes:    nodes,
 		Spec:     EventsSpec(events),
 		ReadDist: dist,
 	}
@@ -132,7 +109,7 @@ func RunFuzzCase(seed int64, workers []int, nodes, faultRounds int) (*FuzzCaseRe
 				res.HistoryDigest, w, first.HistoryDigest, workers[0]))
 		}
 	}
-	cr.Digest = fmt.Sprintf("%016x", first.Digest())
+	cr.Digest = first.DigestHex
 	cr.Ops = first.History.Len()
 	cr.Rounds = first.Rounds
 	cr.Converged = first.FullConverged
@@ -157,24 +134,17 @@ func FuzzRepro(seed int64, workers []int, spec string) string {
 	return fmt.Sprintf("(seed=%d, workers=%s, scenario-spec=%s)", seed, strings.Join(ws, ","), spec)
 }
 
-// RunFuzz sweeps Seeds seeded compositions. logf (optional) receives a
-// progress line per case.
-func RunFuzz(cfg FuzzConfig, logf func(format string, args ...any)) (*FuzzReport, error) {
-	cfg = cfg.normalized()
-	rep := &FuzzReport{
-		Seeds:    cfg.Seeds,
-		BaseSeed: cfg.BaseSeed,
-		Nodes:    cfg.Nodes,
-		Workers:  cfg.Workers,
-	}
+// RunFuzz sweeps Seeds seeded compositions and returns one case per
+// seed. logf (optional) receives a progress line per case.
+func RunFuzz(cfg FuzzConfig, logf func(format string, args ...any)) ([]FuzzCaseResult, error) {
+	var cases []FuzzCaseResult
 	for i := 0; i < cfg.Seeds; i++ {
 		seed := cfg.BaseSeed + int64(i)
-		cr, err := RunFuzzCase(seed, cfg.Workers, cfg.Nodes, cfg.FaultRounds)
+		cr, err := RunFuzzCase(seed, cfg.Workers, cfg.Nodes, fuzzFaultRounds)
 		if err != nil {
 			return nil, err
 		}
-		rep.Cases = append(rep.Cases, *cr)
-		rep.Violations += len(cr.Violations)
+		cases = append(cases, *cr)
 		if logf != nil {
 			status := "ok"
 			if len(cr.Violations) > 0 {
@@ -184,5 +154,5 @@ func RunFuzz(cfg FuzzConfig, logf func(format string, args ...any)) (*FuzzReport
 				seed, cr.ReadDist, cr.Ops, cr.Rounds, cr.Digest, status, cr.Spec)
 		}
 	}
-	return rep, nil
+	return cases, nil
 }

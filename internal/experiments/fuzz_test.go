@@ -27,11 +27,11 @@ func TestFuzzCleanSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz sweep is seconds-long; skipped in -short")
 	}
-	rep, err := RunFuzz(FuzzConfig{Seeds: 4, BaseSeed: 1000, Workers: []int{1, 2}, Nodes: 36}, t.Logf)
+	cases, err := RunFuzz(FuzzConfig{Seeds: 4, BaseSeed: 1000, Workers: []int{1, 2}, Nodes: 36}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range rep.Cases {
+	for _, c := range cases {
 		for _, v := range c.Violations {
 			t.Errorf("seed %d: %s", c.Seed, v)
 		}

@@ -79,17 +79,12 @@ type ScenarioConfig struct {
 	Nodes int
 	// Keys is the preloaded key-space size. Zero means 4*Nodes.
 	Keys int
-	// WritesPerRound is the sustained write load during the fault window.
-	// Zero means 8.
-	WritesPerRound int
 	// Seed feeds the fabric, the machines, the workload and the fault
 	// schedule.
 	Seed int64
 	// Workers shards the fabric compute phase; the digest is identical
 	// at every setting.
 	Workers int
-	// Replication is the target copy count r. Zero means 3.
-	Replication int
 	// Warmup rounds let estimators settle before the preload. Zero
 	// means 30.
 	Warmup int
@@ -113,9 +108,6 @@ type ScenarioConfig struct {
 	// end-state replica map for convergence checking. Off by default;
 	// the default workload and its traces are untouched.
 	RecordHistory bool
-	// Clients is the number of recording client sessions (oracle mode
-	// only). Zero means 8.
-	Clients int
 	// Events overrides the fault schedule (nil: the Name's catalogue
 	// schedule). The fuzzer composes schedules here; Name then only
 	// labels the run.
@@ -129,6 +121,13 @@ type ScenarioConfig struct {
 	// tail entirely — rounds, trace and digests are unchanged.
 	IdleTail int
 }
+
+// The workload shape the harnesses share.
+const (
+	replication            = 3 // target copy count r of every scenario and simscale run
+	scenarioWritesPerRound = 8 // sustained write load during a scenario's fault window
+	scenarioClients        = 8 // recording client sessions (oracle mode only)
+)
 
 func (c ScenarioConfig) normalized() (ScenarioConfig, error) {
 	if len(c.Events) > 0 {
@@ -162,12 +161,6 @@ func (c ScenarioConfig) normalized() (ScenarioConfig, error) {
 	if c.Keys <= 0 {
 		c.Keys = 4 * c.Nodes
 	}
-	if c.WritesPerRound <= 0 {
-		c.WritesPerRound = 8
-	}
-	if c.Replication <= 0 {
-		c.Replication = 3
-	}
 	if c.Warmup <= 0 {
 		c.Warmup = 30
 	}
@@ -176,9 +169,6 @@ func (c ScenarioConfig) normalized() (ScenarioConfig, error) {
 	}
 	if c.ReadsPerRound == 0 {
 		c.ReadsPerRound = 4
-	}
-	if c.Clients <= 0 {
-		c.Clients = 8
 	}
 	return c, nil
 }
@@ -283,6 +273,9 @@ type ScenarioResult struct {
 	History       *workload.History    `json:"-"`
 	HistoryDigest uint64               `json:"history_digest,omitempty"`
 	Replicas      []oracle.KeyReplicas `json:"-"`
+
+	// DigestHex is Digest() as the report row carries it.
+	DigestHex string `json:"digest"`
 }
 
 // Digest folds the run's observable behaviour — fabric accounting, fault
@@ -316,8 +309,7 @@ func (r *ScenarioResult) Digest() uint64 {
 	h = mix(h, uint64(r.BystandersSuperseded))
 	if r.HistoryDigest != 0 {
 		// Only mixed when a history was recorded: mix(h, 0) != h, and
-		// default-run digests must stay byte-identical to pre-oracle
-		// baselines.
+		// default-run digests must not depend on the oracle mode.
 		h = mix(h, r.HistoryDigest)
 	}
 	return h
@@ -509,7 +501,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	ids := make([]node.ID, 0, cfg.Nodes)
 	pop := func() []node.ID { return ids }
 	ecfg := epidemic.Config{
-		Replication:      cfg.Replication,
+		Replication:      replication,
 		FanoutC:          1,
 		AntiEntropyEvery: 10,
 		Repair: repair.Config{
@@ -565,12 +557,12 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	)
 	if cfg.RecordHistory {
 		hist = workload.NewHistory()
-		clientAt = make([]node.ID, cfg.Clients)
+		clientAt = make([]node.ID, scenarioClients)
 		ackq = make(map[node.ID]*ackQueue)
 		openWrite = make(map[writeRef]int)
 		hintDir = make(map[string][]node.ID)
-		for c := 0; c < cfg.Clients; c++ {
-			origin := ids[(c*cfg.Nodes)/cfg.Clients]
+		for c := 0; c < scenarioClients; c++ {
+			origin := ids[(c*cfg.Nodes)/scenarioClients]
 			clientAt[c] = origin
 			if _, ok := ackq[origin]; !ok {
 				q := &ackQueue{}
@@ -587,7 +579,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		var origin node.ID
 		client := -1
 		if cfg.RecordHistory {
-			client = wrng.Intn(cfg.Clients)
+			client = wrng.Intn(scenarioClients)
 			origin = clientAt[client]
 			if !net.Alive(origin) {
 				return // the session's origin is down: the client cannot issue
@@ -640,7 +632,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	}
 	readKey := func() {
 		if cfg.RecordHistory {
-			client := rrng.Intn(cfg.Clients)
+			client := rrng.Intn(scenarioClients)
 			origin := clientAt[client]
 			if !net.Alive(origin) {
 				return
@@ -764,10 +756,8 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	// Schedule the fault window starting at the next round boundary. The
 	// declarative event layer (faultspec.go) owns the Step-clock vs
-	// message-clock end-round distinction; the catalogue schedules reduce
-	// to the exact Add* calls the legacy switch made, so named-scenario
-	// traces are unchanged. Explicit cfg.Events (the fuzzer) compose the
-	// same primitives.
+	// message-clock end-round distinction; the catalogue schedules and
+	// explicit cfg.Events (the fuzzer) compose the same primitives.
 	fs := net.Round()
 	spawnJoin := func(id node.ID, rng *rand.Rand) sim.Machine {
 		en := epidemic.New(id, rng, membership.NewUniformView(id, rng, pop), ecfg)
@@ -784,7 +774,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// Fault window: sustained writes, oracle measurement every round.
 	var sumAny, sumFresh, sumStale, sumStaleKeep float64
 	for r := 0; r < cfg.FaultRounds; r++ {
-		step(cfg.WritesPerRound, cfg.ReadsPerRound)
+		step(scenarioWritesPerRound, cfg.ReadsPerRound)
 		probe.observe(net, nodes)
 		a, f := probe.fractions()
 		sumAny += a
@@ -837,7 +827,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// deltas. Runs after every headline metric is frozen; the fabric
 	// accounting it adds (Sent/Delivered/...) is collected below and
 	// folds into the digest, which stays deterministic — IdleTail is a
-	// config knob like any other, and zero reproduces the old trace.
+	// config knob like any other, and zero runs no tail at all.
 	if cfg.IdleTail > 0 {
 		var pushed0, serves0, scanned0 int64
 		for _, en := range nodes {
@@ -903,6 +893,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		res.HistoryDigest = hist.Digest()
 		res.Replicas = collectReplicas(net, nodes, probe, keyName)
 	}
+	res.DigestHex = fmt.Sprintf("%016x", res.Digest())
 	return res, nil
 }
 

@@ -33,18 +33,16 @@ type SimScaleConfig struct {
 	WritesPerRound int
 	// Keys bounds the key space (keys are reused round-robin so LWW
 	// versioning and re-dissemination are exercised). Zero means
-	// 4*WritesPerRound*... — see normalize.
+	// 4*Nodes.
 	Keys int
 	// TransientPerRound / PermanentPerRound / MeanDowntime parameterise
 	// churn (per alive node per round).
 	TransientPerRound float64
 	PermanentPerRound float64
 	MeanDowntime      float64
-	// Replication is the target copy count r. Zero means 3.
-	Replication int
 	// AggregateAttr, when non-empty, enables continuous push-sum
-	// aggregation and KMV distribution estimation over that attribute —
-	// the per-epoch local store passes this PR makes clone-free.
+	// aggregation and KMV distribution estimation over that attribute,
+	// and with them the per-epoch passes over every local store.
 	AggregateAttr string
 	// Workers shards the fabric's compute phase (sim.Config.Workers).
 	// The trace — and therefore the Digest — is byte-identical at every
@@ -53,20 +51,8 @@ type SimScaleConfig struct {
 }
 
 func (c SimScaleConfig) normalized() SimScaleConfig {
-	if c.Nodes <= 0 {
-		c.Nodes = 2000
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 200
-	}
-	if c.WritesPerRound < 0 {
-		c.WritesPerRound = 0
-	}
 	if c.Keys <= 0 {
 		c.Keys = 4 * c.Nodes
-	}
-	if c.Replication <= 0 {
-		c.Replication = 3
 	}
 	if c.MeanDowntime <= 0 {
 		c.MeanDowntime = 10
@@ -84,12 +70,11 @@ type SimScaleResult struct {
 	Rounds  int `json:"rounds"`
 	Workers int `json:"workers"`
 
-	Elapsed        time.Duration `json:"-"`
-	ElapsedSeconds float64       `json:"elapsed_seconds"`
-	RoundsPerSec   float64       `json:"rounds_per_sec"`
-	SecondsPerRnd  float64       `json:"seconds_per_round"`
-	AllocsPerRound float64       `json:"allocs_per_round"`
-	BytesPerRound  float64       `json:"bytes_per_round"`
+	ElapsedSeconds float64 `json:"elapsed_seconds"`
+	RoundsPerSec   float64 `json:"rounds_per_sec"`
+	SecondsPerRnd  float64 `json:"seconds_per_round"`
+	AllocsPerRound float64 `json:"allocs_per_round"`
+	BytesPerRound  float64 `json:"bytes_per_round"`
 
 	Sent      int64 `json:"sent"`
 	Delivered int64 `json:"delivered"`
@@ -117,6 +102,9 @@ type SimScaleResult struct {
 	// Per-node end state (ID order), for granular determinism checks.
 	NodeDigests []uint64 `json:"-"`
 	NodeStored  []int64  `json:"-"`
+
+	// DigestHex is Digest() as the report row carries it.
+	DigestHex string `json:"digest"`
 }
 
 // mix is the shared digest-folding primitive of the benchmark results
@@ -166,7 +154,7 @@ func RunSimScale(cfg SimScaleConfig) *SimScaleResult {
 	// small-population experiments, and at 10^4 nodes 32 walks every 10
 	// rounds per node is pure walk traffic drowning the workload signal.
 	ecfg := epidemic.Config{
-		Replication: cfg.Replication,
+		Replication: replication,
 		FanoutC:     1,
 		Repair: repair.Config{
 			Walks:       8,
@@ -245,7 +233,6 @@ func RunSimScale(cfg SimScaleConfig) *SimScaleResult {
 		Nodes:          cfg.Nodes,
 		Rounds:         cfg.Rounds,
 		Workers:        max(cfg.Workers, 1),
-		Elapsed:        elapsed,
 		ElapsedSeconds: elapsed.Seconds(),
 		RoundsPerSec:   float64(cfg.Rounds) / elapsed.Seconds(),
 		SecondsPerRnd:  elapsed.Seconds() / float64(cfg.Rounds),
@@ -277,5 +264,6 @@ func RunSimScale(cfg SimScaleConfig) *SimScaleResult {
 		res.StoredTotal += en.Stored
 		res.TuplesTotal += en.St.Total()
 	}
+	res.DigestHex = fmt.Sprintf("%016x", res.Digest())
 	return res
 }

@@ -143,9 +143,6 @@ func (e *Estimator) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope 
 	return nil
 }
 
-// Sketch returns the current working sketch (this epoch's partial view).
-func (e *Estimator) Sketch() *KMV { return e.sketch.Clone() }
-
 // DistinctEstimate returns the estimated number of distinct tuples
 // system-wide, from the most settled sketch available.
 func (e *Estimator) DistinctEstimate() float64 {

@@ -236,8 +236,8 @@ func (s *KMV) Merge(o *KMV) {
 	s.MergeEntries(o.entries)
 }
 
-// MergeEntries folds wire entries directly into the sketch, sparing the
-// intermediate sketch rebuild the exchange path used to pay per message.
+// MergeEntries folds wire entries directly into the sketch, with no
+// intermediate sketch built per message.
 // When the input is strictly sorted ascending by hash (the Entries wire
 // format) a single linear merge replaces per-entry binary search +
 // insertion; otherwise the whole input goes through AddHashed. Either
@@ -316,15 +316,6 @@ func (s *KMV) SharedEntries() []KMVEntry {
 	}
 	s.shared = true
 	return s.entries
-}
-
-// FromEntries rebuilds a sketch from wire entries.
-func FromEntries(k int, entries []KMVEntry) *KMV {
-	s := NewKMV(k)
-	for _, e := range entries {
-		s.AddHashed(e.Hash, e.Value)
-	}
-	return s
 }
 
 // DistinctEstimate estimates the number of distinct items seen.

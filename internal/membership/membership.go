@@ -12,8 +12,8 @@
 // in-degree distribution that converges to near-uniform. It exists to
 // demonstrate that nothing in DataDroplets needs global membership — the
 // paper's headline dig at Cassandra ("knowing all nodes ... is
-// unattainable") — and its statistical quality is validated in tests and
-// experiment C1's sensitivity run.
+// unattainable"). No experiment or server constructs one: its statistical
+// quality is validated by this package's own tests.
 package membership
 
 import (

@@ -63,20 +63,6 @@ func AnalyzeArcs(sieves []ArcSieve, probes int) CoverageReport {
 	return rep
 }
 
-// ReplicasOfPoint counts how many of the sieves cover a specific point.
-func ReplicasOfPoint(sieves []ArcSieve, p node.Point) int {
-	count := 0
-	for _, s := range sieves {
-		for _, a := range s.Arcs() {
-			if a.Contains(p) {
-				count++
-				break
-			}
-		}
-	}
-	return count
-}
-
 // UniformCoverageProbability returns the analytic probability that a
 // given key is kept by at least one of n nodes running Uniform sieves
 // with replication r: 1 - (1 - r/n)^n ≈ 1 - e^(-r). This is the paper's

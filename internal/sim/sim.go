@@ -262,16 +262,6 @@ func (n *Network) state(id node.ID) *nodeState {
 	return n.nodes[id-1]
 }
 
-// Machine returns the protocol machine of a node (alive or not), or nil if
-// the ID was never spawned. Experiment drivers use it to inspect state.
-func (n *Network) Machine(id node.ID) Machine {
-	st := n.state(id)
-	if st == nil {
-		return nil
-	}
-	return st.machine
-}
-
 // Alive reports whether the node exists and is currently up.
 func (n *Network) Alive(id node.ID) bool {
 	st := n.state(id)

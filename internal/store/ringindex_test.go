@@ -397,8 +397,8 @@ func BenchmarkDigestArcFullScan(b *testing.B) {
 	}
 }
 
-// BenchmarkDigestArcMillion is BenchmarkDigestArc at the 1M-key scale of
-// the committed repair_cost numbers.
+// BenchmarkDigestArcMillion is BenchmarkDigestArc at the 1M-key scale
+// README's repair-cost paragraph cites.
 func BenchmarkDigestArcMillion(b *testing.B) {
 	s := buildBenchStore(b, 1_000_000)
 	b.ReportAllocs()

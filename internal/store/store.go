@@ -726,11 +726,6 @@ func (s *Store) ArcRefs(arc node.Arc, fn func(key string, p node.Point, v tuple.
 	})
 }
 
-// EntryHash mixes a key and version into the 64-bit value arc and
-// segment digests are folded from — exported so digest consumers can
-// recompute sub-range digests from an already-collected entry set.
-func EntryHash(key string, v tuple.Version) uint64 { return entryHash(key, v) }
-
 // VersionsInArc returns key -> version for the arc, the exchange unit of
 // range reconciliation. Allocates a fresh map per call; the repair hot
 // path uses AppendVersionsInArc instead.

@@ -26,7 +26,7 @@ import (
 
 // Descriptor advertises one node's profile value. Age counts rounds since
 // the descriptor left its origin (which always advertises itself at age
-// 0): merging keeps the freshest copy, and entries older than MaxAge are
+// 0): merging keeps the freshest copy, and entries older than maxAge are
 // evicted, which is how descriptors of dead nodes eventually disappear
 // from every view — without it, a dead node that was somebody's closest
 // neighbour would be retained forever.
@@ -52,10 +52,11 @@ type Config struct {
 	// ViewSize is the number of neighbours kept (half below, half
 	// above). Zero means 8.
 	ViewSize int
-	// MaxAge evicts descriptors not refreshed by their origin within
-	// this many rounds. Zero means 25.
-	MaxAge int
 }
+
+// maxAge evicts descriptors not refreshed by their origin within this
+// many rounds.
+const maxAge = 25
 
 // Overlay is the per-node, per-attribute ordering machine.
 type Overlay struct {
@@ -81,9 +82,6 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, value float64
 	if cfg.ViewSize <= 0 {
 		cfg.ViewSize = 8
 	}
-	if cfg.MaxAge <= 0 {
-		cfg.MaxAge = 25
-	}
 	return &Overlay{self: self, rng: rng, sampler: sampler, cfg: cfg, value: value}
 }
 
@@ -105,12 +103,12 @@ func (o *Overlay) Start(now sim.Round) []sim.Envelope { return nil }
 // both for bootstrap and for healing after churn).
 func (o *Overlay) Tick(now sim.Round) []sim.Envelope {
 	// Age every descriptor and evict the stale: dead origins stop
-	// refreshing, so their descriptors cross MaxAge everywhere within a
+	// refreshing, so their descriptors cross maxAge everywhere within a
 	// bounded window.
 	kept := o.view[:0]
 	for i := range o.view {
 		o.view[i].Age++
-		if o.view[i].Age <= o.cfg.MaxAge {
+		if o.view[i].Age <= maxAge {
 			kept = append(kept, o.view[i])
 		}
 	}
@@ -169,7 +167,7 @@ func (o *Overlay) merge(candidates []Descriptor) {
 		byID[d.ID] = d
 	}
 	for _, d := range candidates {
-		if d.ID == o.self || d.Age > o.cfg.MaxAge {
+		if d.ID == o.self || d.Age > maxAge {
 			continue
 		}
 		if cur, ok := byID[d.ID]; !ok || d.Age < cur.Age {
@@ -258,17 +256,4 @@ func (o *Overlay) Predecessor() (Descriptor, bool) {
 		}
 	}
 	return best, found
-}
-
-// Neighbors returns a copy of the current view sorted by value.
-func (o *Overlay) Neighbors() []Descriptor {
-	out := make([]Descriptor, len(o.view))
-	copy(out, o.view)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Value != out[j].Value {
-			return out[i].Value < out[j].Value
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }

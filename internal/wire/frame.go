@@ -118,12 +118,6 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// AppendByteSlice appends a uvarint length followed by the bytes.
-func AppendByteSlice(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
 // AppendVarint appends a zig-zag encoded signed integer.
 func AppendVarint(dst []byte, v int64) []byte {
 	return binary.AppendVarint(dst, v)
@@ -205,28 +199,6 @@ func (r *BodyReader) String(limit int) (string, error) {
 		return "", err
 	}
 	return string(b), nil
-}
-
-// ByteSlice reads a uvarint-length-prefixed byte slice, copied out of
-// the body so it may be retained.
-func (r *BodyReader) ByteSlice(limit int) ([]byte, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(limit) {
-		return nil, ErrTooLong
-	}
-	b, err := r.Bytes(int(n))
-	if err != nil {
-		return nil, err
-	}
-	if len(b) == 0 {
-		return nil, nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
 }
 
 // Unread rewinds the cursor by n bytes — for decoders that hand a tail

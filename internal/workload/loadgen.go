@@ -55,14 +55,6 @@ type ClosedLoopResult struct {
 	Rounds int // simulation rounds stepped while the loop ran
 }
 
-// OpsPerRound is the throughput in operations per simulated round.
-func (r ClosedLoopResult) OpsPerRound() float64 {
-	if r.Rounds == 0 {
-		return float64(r.Ops)
-	}
-	return float64(r.Ops) / float64(r.Rounds)
-}
-
 // Run drives the client until Total operations complete. All randomness
 // (op mix, keys, payloads) comes from rng, so equal seeds give equal
 // request sequences.

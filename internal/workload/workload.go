@@ -69,11 +69,10 @@ type Options struct {
 	Attr string
 	// Values draws attribute values (required when Attr != "").
 	Values func() float64
-	// Groups > 0 assigns each tuple to one of Groups correlation tags
-	// ("grp-<i>"), modelling the related-item sets of [18].
+	// Groups > 0 assigns each tuple, uniformly at random, to one of
+	// Groups correlation tags ("grp-<i>"), modelling the related-item
+	// sets of [18].
 	Groups int
-	// GroupChooser picks the group for each tuple; nil means uniform.
-	GroupChooser func() int
 	// ValueBytes is the payload size. Zero means 16.
 	ValueBytes int
 }
@@ -96,13 +95,7 @@ func Generate(opts Options, rng *rand.Rand) *Dataset {
 			t.Attrs = map[string]float64{opts.Attr: opts.Values()}
 		}
 		if opts.Groups > 0 {
-			g := 0
-			if opts.GroupChooser != nil {
-				g = opts.GroupChooser() % opts.Groups
-			} else {
-				g = rng.Intn(opts.Groups)
-			}
-			t.Tags = []string{fmt.Sprintf("grp-%d", g)}
+			t.Tags = []string{fmt.Sprintf("grp-%d", rng.Intn(opts.Groups))}
 		}
 		d.Tuples = append(d.Tuples, t)
 	}
