@@ -34,8 +34,9 @@ type Rumor struct {
 type (
 	// RumorMsg pushes one rumor.
 	RumorMsg struct{ Rumor Rumor }
-	// DigestReq advertises the sender's recently seen rumor IDs; the
-	// receiver answers with rumors absent from the digest.
+	// DigestReq advertises the IDs of the rumors whose payloads the sender
+	// still caches; the receiver answers with rumors absent from the
+	// digest.
 	DigestReq struct{ IDs []uint64 }
 	// DigestResp carries rumors the requester was missing.
 	DigestResp struct{ Rumors []Rumor }
@@ -212,13 +213,19 @@ func (d *Disseminator) Tick(now sim.Round) []sim.Envelope {
 	return []sim.Envelope{{To: peer, Msg: DigestReq{IDs: d.digest()}}}
 }
 
-// digest returns every seen rumor ID, ascending so the wire content is
-// deterministic for a given state.
+// digest returns the IDs of the rumors whose payloads this node still
+// caches, ascending so the wire content is deterministic for a given
+// state. The responder can only answer from its own cache, so the
+// digest costs O(cache), not O(seen): a rumor this node has seen but
+// already evicted may come back as a counted duplicate, at most one
+// cache's worth. While the budget does not bind the cache is exactly the
+// seen set, so the digest is too.
 func (d *Disseminator) digest() []uint64 {
-	ids := make([]uint64, 0, d.seen.len())
-	d.seen.each(func(id uint64, _ seenMeta) {
-		ids = append(ids, id)
-	})
+	live := d.cache[d.cacheHead:]
+	ids := make([]uint64, len(live))
+	for i, c := range live {
+		ids[i] = c.rumor.ID
+	}
 	slices.Sort(ids)
 	return ids
 }
