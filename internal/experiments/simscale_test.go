@@ -12,8 +12,10 @@ import (
 // refactor is not allowed to bend. Re-pinned once (was 0xa9f0d6cc126ee97c
 // from the pre-optimisation fabric through PR 15) when segmented sync
 // and supersession became the only repair behaviour: the run's repair
-// traffic itself changed, by design.
-const goldenSimScaleDigest = 0x28e18a02121e3435
+// traffic itself changed, by design. Re-pinned again (was
+// 0x28e18a02121e3435) when gossip relays stopped sending a rumor back
+// to the peer that pushed it: fewer envelopes, same random draws.
+const goldenSimScaleDigest = 0xbd327ea914f11b7d
 
 var goldenConfig = SimScaleConfig{
 	Nodes:             192,

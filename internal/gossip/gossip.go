@@ -1,8 +1,9 @@
 // Package gossip implements the epidemic dissemination protocol at the
 // heart of the persistent-state layer: rumor mongering in the
 // infect-and-die style (every node relays a rumor exactly once, to
-// fanout uniformly chosen peers), plus an optional anti-entropy digest
-// exchange that repairs rumors lost to link failures and downtime.
+// fanout uniformly chosen peers less the one that pushed it there),
+// plus an optional anti-entropy digest exchange that repairs rumors lost
+// to link failures and downtime.
 //
 // The fanout law is the paper's: relaying to ln(N)+c peers yields atomic
 // infection with probability e^(-e^(-c)) (§III-A). Fanout is fractional —
@@ -193,7 +194,7 @@ func (d *Disseminator) Publish(now sim.Round, payload any) (uint64, []sim.Envelo
 	r := Rumor{ID: d.NewRumorID(), Payload: payload, Hops: 0}
 	d.markSeen(now, r)
 	d.deliver(r)
-	return r.ID, d.relay(r)
+	return r.ID, d.relay(r, node.None)
 }
 
 // Start implements sim.Machine. Rumor state survives reboots (it lives
@@ -234,7 +235,7 @@ func (d *Disseminator) digest() []uint64 {
 func (d *Disseminator) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 	switch m := msg.(type) {
 	case RumorMsg:
-		return d.receive(now, m.Rumor)
+		return d.receive(now, m.Rumor, from)
 	case DigestReq:
 		// IDs arrive ascending (the sender sorts for deterministic wire
 		// content), so membership is a binary search — no per-request
@@ -257,7 +258,7 @@ func (d *Disseminator) Handle(now sim.Round, from node.ID, msg any) []sim.Envelo
 	case DigestResp:
 		var out []sim.Envelope
 		for _, r := range m.Rumors {
-			out = append(out, d.receive(now, r)...)
+			out = append(out, d.receive(now, r, node.None)...)
 		}
 		return out
 	}
@@ -265,8 +266,9 @@ func (d *Disseminator) Handle(now sim.Round, from node.ID, msg any) []sim.Envelo
 }
 
 // receive processes one rumor: first receipt delivers and relays
-// (infect-and-die), duplicates are suppressed.
-func (d *Disseminator) receive(now sim.Round, r Rumor) []sim.Envelope {
+// (infect-and-die), duplicates are suppressed. pusher is the peer that
+// relayed it here, node.None when it came by other means.
+func (d *Disseminator) receive(now sim.Round, r Rumor, pusher node.ID) []sim.Envelope {
 	if _, ok := d.seen.get(r.ID); ok {
 		d.Dupes++
 		return nil
@@ -274,12 +276,23 @@ func (d *Disseminator) receive(now sim.Round, r Rumor) []sim.Envelope {
 	r.Hops++
 	d.markSeen(now, r)
 	d.deliver(r)
-	return d.relay(r)
+	return d.relay(r, pusher)
 }
 
 // relay sends the rumor to fanout peers (fractional fanout in
-// expectation).
-func (d *Disseminator) relay(r Rumor) []sim.Envelope {
+// expectation), except the pusher, the peer that relayed it here: it did
+// so on its own first receipt, a network delay ago, so its seen entry has
+// a whole retention window left and a copy back can only be a duplicate.
+// Targets are drawn as if every peer were eligible and the pusher is then
+// dropped, not replaced, so the random draws — and the set of nodes each
+// round infects — are those of plain infect-and-die.
+//
+// Nobody else is provably a holder. The publisher's and a digest
+// responder's seen entries count from their own first receipt and may
+// already have expired (a digest reply serves rumors up to a retention
+// window old), so a copy to them can be a first receipt that spreads the
+// rumor again; skipping those slowed the mass-crash scenario's recovery.
+func (d *Disseminator) relay(r Rumor, pusher node.ID) []sim.Envelope {
 	f := d.cfg.Fanout()
 	k := int(f)
 	if frac := f - float64(k); frac > 0 && d.rng.Float64() < frac {
@@ -295,7 +308,14 @@ func (d *Disseminator) relay(r Rumor) []sim.Envelope {
 	} else {
 		peers = d.sampler.Sample(k)
 	}
-	// Box the message once: the k envelopes share one immutable RumorMsg
+	n := len(peers)
+	if slices.Contains(peers, pusher) { // sampled peers are distinct
+		n--
+	}
+	if n == 0 {
+		return nil
+	}
+	// Box the message once: the n envelopes share one immutable RumorMsg
 	// (handlers receive it by value), so relaying costs one interface
 	// allocation instead of one per peer. The out slice is deliberately a
 	// fresh exact-capacity allocation, NOT a sim.EnvPool buffer: relay
@@ -305,9 +325,11 @@ func (d *Disseminator) relay(r Rumor) []sim.Envelope {
 	// letting the short-lived buffer die young. The pool pays off for
 	// small fixed-size buffers like the walker hop path.
 	msg := any(RumorMsg{Rumor: r})
-	out := make([]sim.Envelope, 0, len(peers))
+	out := make([]sim.Envelope, 0, n)
 	for _, p := range peers {
-		out = append(out, sim.Envelope{To: p, Msg: msg})
+		if p != pusher {
+			out = append(out, sim.Envelope{To: p, Msg: msg})
+		}
 	}
 	d.Relayed += int64(len(out))
 	return out

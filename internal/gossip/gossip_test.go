@@ -366,17 +366,311 @@ func TestUnsizedPayloadsBookkeepingIsBounded(t *testing.T) {
 	}
 }
 
+// countingSource is a rand.Source that counts the values drawn from it.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (s *countingSource) Int63() int64 { s.draws++; return s.Source.Int63() }
+
+// draw is one recorded sampler call: the peers it returned and the
+// random values it consumed.
+type draw struct {
+	peers    []node.ID
+	rngDraws int
+}
+
+// recordingSampler wraps a UniformView and records every draw.
+type recordingSampler struct {
+	inner *membership.UniformView
+	src   *countingSource
+	draws []draw
+}
+
+func (s *recordingSampler) record(before int, peers []node.ID) []node.ID {
+	s.draws = append(s.draws, draw{peers: slices.Clone(peers), rngDraws: s.src.draws - before})
+	return peers
+}
+
+func (s *recordingSampler) Sample(k int) []node.ID {
+	before := s.src.draws
+	return s.record(before, s.inner.Sample(k))
+}
+
+func (s *recordingSampler) SampleInto(k int, buf []node.ID) []node.ID {
+	before := s.src.draws
+	return s.record(before, s.inner.SampleInto(k, buf))
+}
+
+func (s *recordingSampler) One() node.ID { return s.inner.One() }
+
+// recorder is one node under TestRelayDropsOnlyGuaranteedDuplicates:
+// every Handle is checked against the sampler draws it made.
+type recorder struct {
+	t       *testing.T
+	d       *Disseminator
+	sampler *recordingSampler
+	src     *countingSource
+	firsts  int // first receipts, each of which relayed
+	dropped int // sampled targets not relayed to
+}
+
+func (m *recorder) Start(now sim.Round) []sim.Envelope { return m.d.Start(now) }
+func (m *recorder) Tick(now sim.Round) []sim.Envelope  { return m.d.Tick(now) }
+
+func (m *recorder) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
+	t := m.t
+	r := msg.(RumorMsg).Rumor
+	first := !m.d.Seen(r.ID)
+	calls, rngBefore := len(m.sampler.draws), m.src.draws
+	out := m.d.Handle(now, from, msg)
+	rngDraws := m.src.draws - rngBefore
+	if !first {
+		if len(out) != 0 || len(m.sampler.draws) != calls || rngDraws != 0 {
+			t.Fatalf("node %v: duplicate relayed %d, drew %d times", m.d.self, len(out), rngDraws)
+		}
+		return out
+	}
+	if len(m.sampler.draws) != calls+1 {
+		t.Fatalf("node %v: %d sampler calls for one relay", m.d.self, len(m.sampler.draws)-calls)
+	}
+	m.firsts++
+	dr := m.sampler.draws[calls]
+	// One draw decides the fractional fanout; the sampler's are the rest.
+	// A replacement target would cost draws outside both.
+	if rngDraws != 1+dr.rngDraws {
+		t.Fatalf("node %v: %d random draws, want 1 + the sampler's %d", m.d.self, rngDraws, dr.rngDraws)
+	}
+	emitted := make([]node.ID, len(out))
+	for i, e := range out {
+		emitted[i] = e.To
+	}
+	var dropped []node.ID
+	for _, p := range dr.peers {
+		if !slices.Contains(emitted, p) {
+			dropped = append(dropped, p)
+		}
+	}
+	m.dropped += len(dropped)
+	for _, p := range emitted {
+		if !slices.Contains(dr.peers, p) {
+			t.Fatalf("node %v: relayed to %v, which was not sampled (%v)", m.d.self, p, dr.peers)
+		}
+	}
+	for _, p := range dropped {
+		if p != from {
+			t.Fatalf("node %v: sampled %v but did not relay to it; it was pushed by %v", m.d.self, p, from)
+		}
+	}
+	if len(emitted)+len(dropped) != len(dr.peers) {
+		t.Fatalf("node %v: emitted %v + dropped %v != sampled %v", m.d.self, emitted, dropped, dr.peers)
+	}
+	return out
+}
+
+// TestRelayDropsOnlyGuaranteedDuplicates pins the relay filter to its
+// contract at paper-like fanout (N=200, c=1): every target relayed to was
+// sampled, every sampled target not relayed to is the peer that pushed
+// the rumor, and the random draws are exactly those of an unfiltered
+// relay — one for the fractional fanout plus the sampler's — so nothing
+// is redrawn to replace a dropped target.
+func TestRelayDropsOnlyGuaranteedDuplicates(t *testing.T) {
+	const n = 200
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		net := sim.New(sim.Config{Seed: seed})
+		ids := make([]node.ID, n)
+		for i := range ids {
+			ids[i] = node.ID(i + 1)
+		}
+		pop := func() []node.ID { return ids }
+		nodes := make([]*recorder, 0, n)
+		for i := 0; i < n; i++ {
+			net.Spawn(func(id node.ID, _ *rand.Rand) sim.Machine {
+				src := &countingSource{Source: rand.NewSource(seed*1000 + int64(id))}
+				rng := rand.New(src)
+				s := &recordingSampler{inner: membership.NewUniformView(id, rng, pop), src: src}
+				m := &recorder{t: t, sampler: s, src: src,
+					d: New(id, rng, s, Config{Fanout: FanoutLnN(func() float64 { return n }, 1)})}
+				nodes = append(nodes, m)
+				return m
+			})
+		}
+		for r := 0; r < 3; r++ {
+			pub := nodes[(int(seed)*17+r*31)%n]
+			_, envs := pub.d.Publish(net.Round(), r)
+			net.Emit(pub.d.self, envs)
+		}
+		net.Quiesce(60)
+		firsts, dropped, sent, dupes := 0, 0, int64(0), int64(0)
+		for _, m := range nodes {
+			firsts += m.firsts
+			dropped += m.dropped
+			sent += m.d.Relayed
+			dupes += m.d.Dupes
+		}
+		// The rumors spread (c=1 is atomic about 69% of the time), the
+		// filter had targets to drop, and every copy sent arrived as a
+		// first receipt or a counted duplicate.
+		if firsts < 3*n/2 || dropped == 0 || int64(firsts)+dupes != sent {
+			t.Fatalf("seed %d: %d first receipts, %d dropped, %d sent, %d dupes", seed, firsts, dropped, sent, dupes)
+		}
+	}
+}
+
+// TestRelaySkipsOnlyThePusher: with three nodes and a fanout that samples
+// every peer, a publish goes to both others and a pushed rumor goes on to
+// every sampled peer but the one that pushed it — the publisher included,
+// because its seen entry may have expired: then that copy is a first
+// receipt again. A rumor from a digest reply skips nobody, because the
+// responder may forget it before the copy arrives.
+func TestRelaySkipsOnlyThePusher(t *testing.T) {
+	c := newCluster(3, 1, Config{Fanout: FixedFanout(3), Retention: 5})
+	targets := func(envs []sim.Envelope) []node.ID {
+		var out []node.ID
+		for _, e := range envs {
+			out = append(out, e.To)
+		}
+		slices.Sort(out)
+		return out
+	}
+	id, envs := c.machines[1].Publish(0, "x")
+	if got := targets(envs); !slices.Equal(got, []node.ID{2, 3}) {
+		t.Fatalf("publish relays to %v, want [2 3]", got)
+	}
+	msg := envs[0].Msg
+	if got := targets(c.machines[2].Handle(0, 1, msg)); !slices.Equal(got, []node.ID{3}) {
+		t.Fatalf("first receipt from the publisher relays to %v, want [3]", got)
+	}
+	c.machines[1].Tick(6) // the publisher's retention ends
+	if got := targets(c.machines[3].Handle(6, 2, msg)); !slices.Equal(got, []node.ID{1}) {
+		t.Fatalf("first receipt pushed by a non-publisher relays to %v, want [1]", got)
+	}
+	if c.machines[1].Seen(id) || c.machines[1].Handle(7, 3, msg) == nil || !c.machines[1].Seen(id) {
+		t.Fatal("a publisher past retention must take its own rumor as a first receipt")
+	}
+	requester := newCluster(3, 2, Config{Fanout: FixedFanout(3)}).machines[3]
+	resp := DigestResp{Rumors: []Rumor{msg.(RumorMsg).Rumor}}
+	if got := targets(requester.Handle(0, 2, resp)); !slices.Equal(got, []node.ID{1, 2}) {
+		t.Fatalf("first receipt from a digest reply relays to %v, want [1 2]", got)
+	}
+
+	// With every target skipped nothing is boxed and nothing allocated.
+	pair := newCluster(2, 3, Config{Fanout: FixedFanout(3)}).machines[2]
+	r := msg.(RumorMsg).Rumor
+	if allocs := testing.AllocsPerRun(100, func() {
+		if pair.relay(r, 1) != nil {
+			t.Fatal("a relay whose only target is the pusher sends")
+		}
+	}); allocs != 0 {
+		t.Fatalf("a relay with every target skipped allocates %v times", allocs)
+	}
+}
+
+// cachedIDs lists the IDs whose payloads d still caches, ascending.
+func cachedIDs(d *Disseminator) []uint64 {
+	var ids []uint64
+	for _, c := range d.cache[d.cacheHead:] {
+		ids = append(ids, c.rumor.ID)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestDigestIsTheCache pins what a digest pull advertises: the IDs the
+// requester still caches, ascending. While the budget does not bind that
+// is every seen ID, the digest before the cache bounded it; once it binds
+// it is the cache alone, and the reply still carries everything the
+// responder could supply that the requester has not seen.
+func TestDigestIsTheCache(t *testing.T) {
+	sized := Config{
+		Fanout:           FixedFanout(0),
+		AntiEntropyEvery: 1000,
+		PayloadBytes:     func(p any) int { return 10 },
+	}
+	// rumors feeds d, oldest first, count rounds of: one receipt from
+	// each of origin and origin+1 (their sequence numbers counting down
+	// to 1), then one publish of its own — so arrival order is not ID
+	// order.
+	rumors := func(d *Disseminator, origin node.ID, count int) []uint64 {
+		var ids []uint64
+		for i := 0; i < count; i++ {
+			for _, o := range []node.ID{origin, origin + 1} {
+				rid := uint64(o)<<32 | uint64(count-i)
+				d.Handle(0, o, RumorMsg{Rumor: Rumor{ID: rid, Payload: i}})
+				ids = append(ids, rid)
+			}
+			id, _ := d.Publish(0, i)
+			ids = append(ids, id)
+		}
+		return ids
+	}
+
+	unsized := sized
+	unsized.PayloadBytes = nil
+	d := lone(unsized)
+	ids := rumors(d, 5, 300)
+	slices.Sort(ids)
+	if got := d.digest(); !slices.Equal(got, ids) || len(got) != d.SeenLen() {
+		t.Fatalf("unbounded cache: digest has %d IDs, want all %d seen", len(got), d.SeenLen())
+	}
+
+	req := lone(sized)
+	req.budget = 10 * 200
+	rumors(req, 5, 300)
+	if got := req.digest(); !slices.Equal(got, cachedIDs(req)) || len(got) != 200 || req.SeenLen() != 900 {
+		t.Fatalf("bounded cache: digest has %d IDs, %d seen; want the 200 cached", len(got), req.SeenLen())
+	}
+
+	// The responder's cache (its newest 500) holds its own rumors, which
+	// the requester never saw, and origins 5 and 6 from sequence ~166
+	// down: the requester still caches the lowest ~67 of those and has
+	// seen but evicted the rest.
+	resp := newCluster(2, 2, sized).machines[2]
+	resp.budget = 10 * 500
+	rumors(resp, 7, 200)
+	rumors(resp, 5, 200)
+	digest := req.digest()
+	reply := replyIDs(resp.Handle(0, 1, DigestReq{IDs: digest}))
+	var mustSend []uint64
+	for _, id := range cachedIDs(resp) {
+		if !req.Seen(id) {
+			mustSend = append(mustSend, id)
+		}
+		if _, found := slices.BinarySearch(digest, id); found == slices.Contains(reply, id) {
+			t.Fatalf("reply rule: %x in the requester's digest = %v, in the reply = %v", id, found, !found)
+		}
+	}
+	for _, id := range mustSend {
+		if !slices.Contains(reply, id) {
+			t.Fatalf("reply lacks %x, cached by the responder and never seen by the requester", id)
+		}
+	}
+	if len(mustSend) == 0 || len(reply) <= len(mustSend) {
+		t.Fatalf("reply %d, responder-cache minus requester-seen %d: the case does not exercise eviction", len(reply), len(mustSend))
+	}
+}
+
 var digestSink []uint64
 
-// BenchmarkDigestBuild is the anti-entropy tick's share of the driver at
-// serve-write's steady state: collecting and sorting ~250k seen IDs.
+// BenchmarkDigestBuild is the anti-entropy tick's digest at serve-write's
+// steady state: 1.4M rumors of 1 KiB inside retention (~70k writes/s for
+// 20 s), so the payload budget binds and the digest is the cache, not
+// the seen table. ids/op is the digest's length; it must stay at or
+// below the cache's entry count, payloadCacheBytes/1 KiB.
 func BenchmarkDigestBuild(b *testing.B) {
-	d := lone(Config{Fanout: FixedFanout(0)})
-	for i := 0; i < 250000; i++ {
-		d.Publish(sim.Round(i/2500), nil)
+	d := lone(Config{
+		Fanout:           FixedFanout(0),
+		AntiEntropyEvery: 10,
+		PayloadBytes:     func(any) int { return 1 << 10 },
+	})
+	const published = 1_400_000
+	for i := 0; i < published; i++ {
+		d.Publish(sim.Round(i/(published/100)), nil)
 	}
 	b.ReportAllocs()
 	for b.Loop() {
 		digestSink = d.digest()
 	}
+	b.ReportMetric(float64(len(digestSink)), "ids/op")
 }

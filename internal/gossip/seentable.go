@@ -112,16 +112,6 @@ func (t *seenTable) del(id uint64) {
 	t.n--
 }
 
-// each visits all entries (no particular order — callers needing
-// determinism must sort what they collect).
-func (t *seenTable) each(fn func(id uint64, m seenMeta)) {
-	for i, k := range t.keys {
-		if k != 0 {
-			fn(k, t.vals[i])
-		}
-	}
-}
-
 func (t *seenTable) len() int { return t.n }
 
 func (t *seenTable) grow() {

@@ -51,15 +51,14 @@ func TestSeenTableAgainstMap(t *testing.T) {
 			}
 		}
 	}
-	// Full sweep at the end: each must enumerate exactly ref.
-	count := 0
-	tab.each(func(id uint64, m seenMeta) {
-		count++
-		if wm, ok := ref[id]; !ok || wm != m {
-			t.Fatalf("each yielded %x=%v, want %v (present=%v)", id, m, wm, ok)
+	// Full sweep at the end: every key of ref is found with its value, and
+	// with the lengths equal the table holds nothing else.
+	for id, wm := range ref {
+		if gm, ok := tab.get(id); !ok || gm != wm {
+			t.Fatalf("final get(%x) = %v,%v want %v,true", id, gm, ok, wm)
 		}
-	})
-	if count != len(ref) {
-		t.Fatalf("each visited %d entries, want %d", count, len(ref))
+	}
+	if tab.len() != len(ref) {
+		t.Fatalf("final len %d != %d", tab.len(), len(ref))
 	}
 }

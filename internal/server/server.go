@@ -223,9 +223,6 @@ func (s *Server) ClientAddr() string {
 	return s.ln.Addr().String()
 }
 
-// GossipAddr returns the bound gossip listen address.
-func (s *Server) GossipAddr() string { return s.host.Addr() }
-
 // InFlight returns the number of client ops currently being served.
 func (s *Server) InFlight() int64 { return s.inflight.Load() }
 
@@ -592,10 +589,14 @@ type Stats struct {
 
 	// The gossip layer's memory (docs/OPERATIONS.md "Memory"): rumor IDs
 	// inside the retention window, bytes of rumor payloads still held for
-	// digest pulls, and payloads the byte budget dropped early.
+	// digest pulls, and payloads the byte budget dropped early. Then its
+	// traffic: rumor copies sent, and copies received that were already
+	// held — together the fabric's useful-to-attempted ratio.
 	GossipSeen           int   `json:"gossip_seen"`
 	GossipCacheBytes     int   `json:"gossip_cache_bytes"`
 	GossipCacheEvictions int64 `json:"gossip_cache_evictions"`
+	GossipRelayed        int64 `json:"gossip_relayed"`
+	GossipDupes          int64 `json:"gossip_dupes"`
 
 	MailboxDepth  int   `json:"mailbox_depth"`
 	FabricSent    int64 `json:"fabric_sent"`
@@ -672,6 +673,8 @@ func (s *Server) StatsSnapshot() (Stats, error) {
 		st.GossipSeen = s.en.Diss.SeenLen()
 		st.GossipCacheBytes = s.en.Diss.CacheBytes()
 		st.GossipCacheEvictions = s.en.Diss.Evicted
+		st.GossipRelayed = s.en.Diss.Relayed
+		st.GossipDupes = s.en.Diss.Dupes
 		return nil
 	})
 	return st, err

@@ -289,6 +289,62 @@ func TestMetaOps(t *testing.T) {
 	if st.GossipSeen != 5 || st.GossipCacheBytes < 5*len("meta:0v") || st.GossipCacheEvictions != 0 {
 		t.Fatalf("gossip stats = seen %d, cache %d B, %d evictions", st.GossipSeen, st.GossipCacheBytes, st.GossipCacheEvictions)
 	}
+	// A lone node has nobody to relay to and hears nothing twice; the
+	// traffic fields are reported all the same.
+	for _, field := range []string{`"gossip_relayed":0`, `"gossip_dupes":0`} {
+		if !bytes.Contains(raw, []byte(field)) {
+			t.Fatalf("stats lack %s: %s", field, raw)
+		}
+	}
+}
+
+// TestRelayTrafficPerPut counts the rumor copies a 3-node cluster sends
+// per Put. Every node samples both peers and a relay skips the peer that
+// pushed the rumor to it, so the publisher sends 2 and each other node 1
+// — 4 per Put, 2 of them duplicates (6 and 4 when relays went back to
+// their pusher). A digest pull that lands while Puts are in flight turns
+// a few more pushes into duplicates, more the slower the host, so the
+// bound sits between the 2 000 expected and the 4 000 of the old rule.
+func TestRelayTrafficPerPut(t *testing.T) {
+	servers := startCluster(t, 3, func(_ int, cfg *Config) { cfg.TickInterval = 10 * time.Millisecond })
+	c := dial(t, servers[0])
+	const puts = 1000
+	futs := make([]*ddclient.Future, puts)
+	for i := range futs {
+		f, err := c.Do(&wire.Request{Op: wire.OpPut, Key: fmt.Sprintf("relay:%d", i), Value: []byte("v")})
+		if err != nil {
+			t.Fatalf("submit put %d: %v", i, err)
+		}
+		futs[i] = f
+	}
+	for i, f := range futs {
+		if resp, err := f.Wait(); err != nil || resp.Status != wire.StatusOK {
+			t.Fatalf("put %d: %v %v", i, resp.Status, err)
+		}
+	}
+	// Sum STATS over the nodes until the relays in flight have landed: two
+	// equal sums 50 ms (five rounds) apart.
+	relayed, dupes := int64(-1), int64(-1)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		var r, d int64
+		for _, srv := range servers {
+			st, err := srv.StatsSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r += st.GossipRelayed
+			d += st.GossipDupes
+		}
+		settled := r == relayed && d == dupes
+		relayed, dupes = r, d
+		if settled || time.Now().After(deadline) {
+			break
+		}
+	}
+	t.Logf("%d Puts: %d rumor copies sent, %d duplicates", puts, relayed, dupes)
+	if relayed < 3*puts || relayed > 4*puts || dupes >= 3*puts {
+		t.Fatalf("%d Puts: %d rumor copies sent, %d duplicates; want [%d, %d] and under %d", puts, relayed, dupes, 3*puts, 4*puts, 3*puts)
+	}
 }
 
 // TestUnknownOpcodeKeepsConnection sends an opcode from the future and

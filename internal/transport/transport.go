@@ -184,18 +184,6 @@ func NewHost(cfg Config, m sim.Machine) (*Host, error) {
 // mailbox for the driver goroutine — the host's inbound backlog gauge.
 func (h *Host) QueueDepth() int { return len(h.mailbox) }
 
-// PeerBacklog reports the number of envelopes queued for one peer's
-// writer (0 for unknown peers and self).
-func (h *Host) PeerBacklog(id node.ID) int {
-	ps := h.senders[id]
-	if ps == nil {
-		return 0
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return len(ps.queue)
-}
-
 // Addr returns the bound listen address (useful with ":0" configs).
 func (h *Host) Addr() string {
 	if h.listener == nil {
