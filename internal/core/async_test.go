@@ -204,14 +204,14 @@ func TestWriteAcksCountDistinctReplicas(t *testing.T) {
 	op1, _ := s.Op(id1)
 	op2, _ := s.Op(id2)
 	// Replica 1 stores both versions: that is still one replica.
-	s.Handle(1, 1, epidemic.StoreAck{Key: "k", Version: op1.version})
-	s.Handle(1, 1, epidemic.StoreAck{Key: "k", Version: op2.version})
+	s.Handle(1, 1, epidemic.StoreAck{Key: "k", Version: op1.Version})
+	s.Handle(1, 1, epidemic.StoreAck{Key: "k", Version: op2.Version})
 	if op1.Done || op2.Done {
 		t.Fatalf("one replica satisfied WriteAcks=2: op1=%v op2=%v", op1.Done, op2.Done)
 	}
 	// A second, distinct replica acking the newest version completes
 	// both writes (the newer version supersedes the older).
-	s.Handle(2, 2, epidemic.StoreAck{Key: "k", Version: op2.version})
+	s.Handle(2, 2, epidemic.StoreAck{Key: "k", Version: op2.Version})
 	if !op1.Done || !op2.Done {
 		t.Fatalf("two distinct replicas did not complete: op1=%v op2=%v", op1.Done, op2.Done)
 	}

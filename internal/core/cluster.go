@@ -12,20 +12,6 @@ import (
 	"datadroplets/internal/tuple"
 )
 
-// persistAdapter lets the epidemic node accept the soft layer's
-// WriteCmd without the epidemic package knowing about core types.
-type persistAdapter struct {
-	*epidemic.Node
-}
-
-// Handle intercepts WriteCmd and delegates everything else.
-func (a *persistAdapter) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
-	if cmd, ok := msg.(WriteCmd); ok {
-		return a.Node.WriteFrom(now, cmd.ReplyTo, cmd.Tuple)
-	}
-	return a.Node.Handle(now, from, msg)
-}
-
 // ClusterConfig sizes a DataDroplets deployment.
 type ClusterConfig struct {
 	// SoftNodes is the size of the structured soft-state layer
@@ -112,7 +98,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		id := c.Net.Spawn(func(id node.ID, rng *rand.Rand) sim.Machine {
 			en := epidemic.New(id, rng, membership.NewUniformView(id, rng, persPop), cfg.Persist)
 			c.Pers[id] = en
-			return &persistAdapter{Node: en}
+			return en
 		})
 		c.persIDs = append(c.persIDs, id)
 	}

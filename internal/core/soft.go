@@ -51,8 +51,11 @@ type Op struct {
 	// the op; partial results (e.g. Scan tuples) are kept.
 	Deadline sim.Round
 	Expired  bool
-	want     int // replies that complete the op
-	version  tuple.Version
+	// Version is the version a Put or Delete was sequenced at; for a
+	// Get, the target version whose arrival completes it early (zero
+	// when the soft layer knows none).
+	Version tuple.Version
+	want    int // replies that complete the op
 	// armed marks ops whose completion the cluster engine wants to hear
 	// about; completing an armed op queues it (see TakeCompleted) instead
 	// of calling into cluster state — Handle/Tick run inside the fabric's
@@ -305,7 +308,7 @@ func (s *SoftNode) Put(now sim.Round, key string, value []byte, attrs map[string
 		op.Kind = OpDelete
 	}
 	version := s.Seq.Next(key)
-	op.version = version
+	op.Version = version
 	t := &tuple.Tuple{Key: key, Value: value, Attrs: attrs, Tags: tags, Version: version, Deleted: deleted}
 	if err := t.Validate(); err != nil {
 		op.Err = err.Error()
@@ -320,7 +323,7 @@ func (s *SoftNode) Put(now sim.Round, key string, value []byte, attrs map[string
 		s.complete(op)
 		return op.ID, nil
 	}
-	return op.ID, []sim.Envelope{{To: entry, Msg: WriteCmd{Tuple: t, ReplyTo: s.Self}}}
+	return op.ID, []sim.Envelope{{To: entry, Msg: epidemic.WriteCmd{Tuple: t, ReplyTo: s.Self}}}
 }
 
 // Get serves a read: version-exact cache first, then the persistent
@@ -347,7 +350,7 @@ func (s *SoftNode) Get(now sim.Round, key string) (uint64, []sim.Envelope) {
 			if t, ok := s.LocalRead(key); ok && t.Version == latest {
 				s.LocalReads++
 				op.Tuple = t
-				op.version = latest
+				op.Version = latest
 				s.finishGet(now, op)
 				return op.ID, nil
 			}
@@ -375,7 +378,7 @@ func (s *SoftNode) Get(now sim.Round, key string) (uint64, []sim.Envelope) {
 		}
 	}
 	op.want = len(envs)
-	op.version = latest
+	op.Version = latest
 	if op.want == 0 {
 		op.Err = "not found"
 		s.complete(op)
@@ -437,13 +440,6 @@ func (s *SoftNode) Wipe() {
 	s.Cache.Wipe()
 }
 
-// WriteCmd is the soft→persistent handoff: the receiving persistent node
-// disseminates the tuple with the soft node as hint origin.
-type WriteCmd struct {
-	Tuple   *tuple.Tuple
-	ReplyTo node.ID
-}
-
 // Start implements sim.Machine.
 func (s *SoftNode) Start(now sim.Round) []sim.Envelope { return nil }
 
@@ -470,7 +466,7 @@ func (s *SoftNode) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 			if !live || op.Done {
 				continue
 			}
-			if m.Version.Less(op.version) || op.ackedBy[from] {
+			if m.Version.Less(op.Version) || op.ackedBy[from] {
 				continue
 			}
 			if op.ackedBy == nil {
@@ -536,7 +532,7 @@ func (s *SoftNode) handleReadResp(now sim.Round, m epidemic.ReadResp, from node.
 		out = op.responders.Repair(op.Tuple, &s.ReadRepairs)
 		// Version-exact completion: if the soft layer knows the latest
 		// version, only that version completes the read immediately.
-		if !op.version.IsZero() && m.Tuple.Version == op.version {
+		if !op.Version.IsZero() && m.Tuple.Version == op.Version {
 			s.finishGet(now, op)
 			return out
 		}

@@ -6,9 +6,10 @@
 //
 // The node is a single sim.Machine that routes messages to its
 // sub-machines by type — the same composition the live driver runs over
-// TCP. Client-facing operations (Write/Lookup/Scan) are initiated by the
+// TCP. Client-facing writes and reads (Write/Lookup) are started by the
 // soft-state layer, which is the only component allowed to assign
-// versions.
+// versions; its range scans arrive as ScanReqs and are answered to
+// their origin.
 package epidemic
 
 import (
@@ -93,6 +94,13 @@ func (c Config) normalized() Config {
 
 // Client-path messages.
 type (
+	// WriteCmd is the soft→persistent handoff: the receiving persistent
+	// node disseminates the tuple (WriteFrom) with ReplyTo, the soft node
+	// that sequenced it, as hint origin.
+	WriteCmd struct {
+		Tuple   *tuple.Tuple
+		ReplyTo node.ID
+	}
 	// WritePayload rides inside gossip rumors. Entry is the persistent
 	// node that published the rumor: it retains the tuple regardless of
 	// its sieve (replica of last resort — a key whose sieve keeper set
@@ -191,12 +199,6 @@ type ReadState struct {
 	responders repair.Responders
 }
 
-// ScanState tracks an outstanding ordered scan at its origin.
-type ScanState struct {
-	Tuples []*tuple.Tuple
-	Done   bool
-}
-
 // Node is one persistent-state layer member.
 type Node struct {
 	Self node.ID
@@ -226,7 +228,6 @@ type Node struct {
 	// read workload that never calls ForgetRead) must not grow the map
 	// without bound.
 	readOrder []uint64
-	scans     map[uint64]*ScanState
 
 	// OnHint, when set, receives storage acknowledgements for writes
 	// this node originated (wired to the soft layer's directory): which
@@ -251,7 +252,6 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, cfg Config) *
 		sampler: sampler,
 		St:      store.New(rng),
 		reads:   make(map[uint64]*ReadState),
-		scans:   make(map[uint64]*ScanState),
 		Aggs:    make(map[string]*aggregate.Aggregator),
 	}
 	n.Size = sizeest.New(self, rng, sampler, sizeest.Config{})
@@ -552,27 +552,8 @@ func (n *Node) Read(reqID uint64) (*ReadState, bool) {
 // ForgetRead releases a read's state.
 func (n *Node) ForgetRead(reqID uint64) { delete(n.reads, reqID) }
 
-// Scan starts an ordered range scan over the quantile attribute,
-// entering the overlay at this node and walking successors. maxHops
-// bounds the traversal.
-func (n *Node) Scan(attr string, lo, hi float64, maxHops int) (uint64, []sim.Envelope) {
-	n.nextReq++
-	reqID := uint64(n.Self)<<32 | n.nextReq
-	n.scans[reqID] = &ScanState{}
-	req := ScanReq{Attr: attr, Lo: lo, Hi: hi, ReqID: reqID, Origin: n.Self, HopsLeft: maxHops}
-	// Handle locally first, then let the forwarding logic route onward.
-	envs := n.handleScan(req, true)
-	return reqID, envs
-}
-
-// ScanResult returns the state of an outstanding scan.
-func (n *Node) ScanResult(reqID uint64) (*ScanState, bool) {
-	st, ok := n.scans[reqID]
-	return st, ok
-}
-
 // handleScan collects local matches and forwards along the overlay.
-func (n *Node) handleScan(req ScanReq, local bool) []sim.Envelope {
+func (n *Node) handleScan(req ScanReq) []sim.Envelope {
 	// Seeking phase: descend to the first node at or below the range
 	// start before collecting, so the entry point does not truncate
 	// results (the origin keeps its scan state while the request seeks).
@@ -585,9 +566,9 @@ func (n *Node) handleScan(req ScanReq, local bool) []sim.Envelope {
 	}
 	req.Seeking = false
 	var matches []*tuple.Tuple
-	// Borrowed walk, cloning only the hits: matches are retained (scan
-	// state, response messages), so they must be copies; the misses —
-	// the overwhelming majority — are only looked at.
+	// Borrowed walk, cloning only the hits: matches are retained (the
+	// response messages), so they must be copies; the misses — the
+	// overwhelming majority — are only looked at.
 	n.St.ForEachRef(func(t *tuple.Tuple) bool {
 		if t.Deleted {
 			return true
@@ -607,12 +588,6 @@ func (n *Node) handleScan(req ScanReq, local bool) []sim.Envelope {
 			out = append(out, sim.Envelope{To: succ.ID, Msg: fwd})
 			done = false
 		}
-	}
-	if local {
-		st := n.scans[req.ReqID]
-		st.Tuples = append(st.Tuples, matches...)
-		st.Done = done
-		return out
 	}
 	out = append(out, sim.Envelope{To: req.Origin, Msg: ScanResp{ReqID: req.ReqID, Tuples: matches, Done: done}})
 	return out
@@ -672,6 +647,8 @@ func (n *Node) Tick(now sim.Round) []sim.Envelope {
 func (n *Node) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 	var out []sim.Envelope
 	switch m := msg.(type) {
+	case WriteCmd:
+		out = n.WriteFrom(now, m.ReplyTo, m.Tuple)
 	case gossip.RumorMsg, gossip.DigestReq, gossip.DigestResp:
 		out = n.Diss.Handle(now, from, msg)
 	case sizeest.VectorPush, sizeest.VectorReply:
@@ -714,12 +691,7 @@ func (n *Node) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 			}
 		}
 	case ScanReq:
-		out = n.handleScan(m, false)
-	case ScanResp:
-		if st, ok := n.scans[m.ReqID]; ok {
-			st.Tuples = append(st.Tuples, m.Tuples...)
-			st.Done = st.Done || m.Done
-		}
+		out = n.handleScan(m)
 	case AggReq:
 		resp := AggResp{ReqID: m.ReqID, Attr: m.Attr, NEstimate: n.Size.Estimate()}
 		if a, ok := n.Aggs[m.Attr]; ok {

@@ -313,21 +313,37 @@ func TestQuantileSieveWithScan(t *testing.T) {
 	if lost > writes/10 {
 		t.Fatalf("%d of %d tuples lost under quantile sieve", lost, writes)
 	}
-	// Ordered scan from some node for a mid-range slice.
-	scanner := c.nodes[7]
-	reqID, envs := scanner.Scan("price", 90, 110, 40)
-	c.net.Emit(7, envs)
+	// Ordered scan for a mid-range slice, entering the overlay at node 7
+	// on behalf of a client outside the persistent population — the role
+	// a soft node plays — which collects the ScanResps.
+	col := &scanCollector{}
+	origin := c.net.Spawn(func(node.ID, *rand.Rand) sim.Machine { return col })
+	c.net.Emit(origin, []sim.Envelope{{To: 7, Msg: ScanReq{
+		Attr: "price", Lo: 90, Hi: 110, ReqID: 1, Origin: origin, HopsLeft: 40,
+	}}})
 	c.net.Run(45)
-	st, _ := scanner.ScanResult(reqID)
-	if len(st.Tuples) == 0 {
+	if len(col.tuples) == 0 {
 		t.Fatal("scan returned nothing")
 	}
-	for _, tp := range st.Tuples {
+	for _, tp := range col.tuples {
 		v := tp.Attrs["price"]
 		if v < 90 || v > 110 {
 			t.Fatalf("scan returned out-of-range value %v", v)
 		}
 	}
+}
+
+// scanCollector is a scan origin outside the persistent layer: it keeps
+// the tuples of every ScanResp sent back to it.
+type scanCollector struct{ tuples []*tuple.Tuple }
+
+func (s *scanCollector) Start(sim.Round) []sim.Envelope { return nil }
+func (s *scanCollector) Tick(sim.Round) []sim.Envelope  { return nil }
+func (s *scanCollector) Handle(_ sim.Round, _ node.ID, msg any) []sim.Envelope {
+	if m, ok := msg.(ScanResp); ok {
+		s.tuples = append(s.tuples, m.Tuples...)
+	}
+	return nil
 }
 
 func TestAntiEntropyCatchesUpRebootedNode(t *testing.T) {

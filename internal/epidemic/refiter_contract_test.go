@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"datadroplets/internal/node"
 	"datadroplets/internal/sim"
 	"datadroplets/internal/store"
 	"datadroplets/internal/tuple"
@@ -22,7 +23,7 @@ func tupleChecksum(h io.Writer, t *tuple.Tuple) {
 // borrowed reference changes it.
 func deepChecksum(s *store.Store) uint64 {
 	h := fnv.New64a()
-	s.ForEach(func(t *tuple.Tuple) bool {
+	s.ForEachRef(func(t *tuple.Tuple) bool {
 		tupleChecksum(h, t)
 		return true
 	})
@@ -86,10 +87,12 @@ func TestBorrowedWalkCallersPreserveStore(t *testing.T) {
 			t.Fatalf("node %v: fixture must enable distribution estimation", id)
 		}
 		n.Dist.Start(now)
-		// Ordered-scan collection (local half of handleScan).
-		reqID, _ := n.Scan("price", 0, 1000, 0)
-		if st, ok := n.ScanResult(reqID); ok {
-			scanned += len(st.Tuples)
+		// Ordered-scan collection, answered to a foreign origin.
+		foreign := node.ID(len(c.ids) + 1)
+		for _, e := range n.Handle(now, foreign, ScanReq{Attr: "price", Lo: 0, Hi: 1000, ReqID: 1, Origin: foreign}) {
+			if resp, ok := e.Msg.(ScanResp); ok && e.To == foreign {
+				scanned += len(resp.Tuples)
+			}
 		}
 		// Recovery dump walks every entry's key+version.
 		n.Handle(now, c.ids[0], RecoverReq{ReqID: 7, Limit: 0})
@@ -101,7 +104,7 @@ func TestBorrowedWalkCallersPreserveStore(t *testing.T) {
 		}
 	}
 	if scanned == 0 {
-		t.Fatal("local scans matched nothing; fixture is not exercising the scan walk")
+		t.Fatal("scans matched nothing; fixture is not exercising the scan walk")
 	}
 
 	for _, id := range c.ids {

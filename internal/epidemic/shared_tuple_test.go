@@ -46,7 +46,7 @@ func TestSharedTupleNeverMutated(t *testing.T) {
 		_, envs := s.Put(c.Net.Round(), key, []byte(fmt.Sprintf("value-%03d", i)),
 			map[string]float64{"price": float64(i)}, []string{"grp", key}, i%10 == 9)
 		for _, e := range envs {
-			tp := e.Msg.(core.WriteCmd).Tuple
+			tp := e.Msg.(epidemic.WriteCmd).Tuple
 			atPut[tp] = checksum(tp)
 			byVersion[versionOf(tp)] = atPut[tp]
 		}

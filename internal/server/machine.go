@@ -7,43 +7,73 @@
 package server
 
 import (
+	"math/rand"
+
 	"datadroplets/internal/core"
 	"datadroplets/internal/epidemic"
 	"datadroplets/internal/membership"
 	"datadroplets/internal/node"
 	"datadroplets/internal/sim"
 	"datadroplets/internal/tuple"
+	"datadroplets/internal/wire"
 )
 
 // machine is both DataDroplets layers of one process as a single
 // sim.Machine: a soft-state node (sequencer, directory, cache, client
 // op tracking) stacked on an epidemic persistent node, sharing one node
-// ID. Dispatch is by message type — the soft-bound reply types
-// (StoreAck, ReadResp, ScanResp, AggResp, RecoverResp) are disjoint
-// from the epidemic-bound ones, and WriteCmd is the documented handoff
-// from the soft layer into epidemic dissemination.
+// ID. It is also the one place a client PUT, DEL or GET runs: submit
+// starts the op, and the end of every Tick and Handle settles the ops
+// that step completed. Dispatch is by message type — the soft-bound
+// reply types (StoreAck, ReadResp, ScanResp, AggResp, RecoverResp) are
+// disjoint from the epidemic-bound ones.
 type machine struct {
 	soft *core.SoftNode
 	en   *epidemic.Node
 	// now mirrors the last round the driver reported; OnHint fires from
 	// inside epidemic processing, which has no round parameter.
 	now sim.Round
+	// opRounds is a client op's deadline, in rounds after its submission.
+	opRounds sim.Round
+	// pending maps armed op IDs to the slots they will settle.
+	pending map[uint64]*slot
+	// finish settles a slot from its resolved op. It runs wherever the
+	// machine runs — on the transport driver in the live server, inside
+	// the node's compute slot under the simulator — so it may touch only
+	// its slot and atomic counters.
+	finish func(sl *slot, op *core.Op)
 }
 
-// newMachine wires the two layers together. The epidemic node's OnHint
-// hook — called when this node stores a write it itself originated,
-// the common case since the soft layer enters writes locally — is
-// bridged into the soft half as a synthetic StoreAck, so local storage
-// acknowledges the client op exactly like a remote replica would.
-func newMachine(soft *core.SoftNode, en *epidemic.Node) *machine {
-	m := &machine{soft: soft, en: en}
+// newMachine builds node cfg.Self (cfg normalized) of the population ids
+// and wires its two layers together. Both live in this process, so the
+// soft layer serves version-exact reads straight from the collocated
+// replica instead of round-tripping the fabric (LocalRead). The epidemic
+// node's OnHint hook — called when this node stores a write it itself
+// originated, the common case since the soft layer enters writes
+// locally — is bridged into the soft half as a synthetic StoreAck, so
+// local storage acknowledges the client op exactly like a remote
+// replica would.
+func newMachine(cfg Config, rng *rand.Rand, ids []node.ID, finish func(*slot, *core.Op)) *machine {
+	view := membership.NewUniformView(cfg.Self, rng, func() []node.ID { return ids })
+	en := epidemic.New(cfg.Self, rng, view, epidemic.Config{
+		Replication:      cfg.Replication,
+		FanoutC:          cfg.FanoutC,
+		AntiEntropyEvery: antiEntropyEvery,
+	})
+	soft := core.NewSoftNode(cfg.Self, rng, &entrySampler{self: cfg.Self, inner: view},
+		core.SoftConfig{WriteAcks: cfg.WriteAcks})
+	soft.LocalRead = en.St.Peek
+	m := &machine{
+		soft:     soft,
+		en:       en,
+		opRounds: max(1, sim.Round(cfg.OpTimeout/cfg.TickInterval)),
+		pending:  make(map[uint64]*slot),
+		finish:   finish,
+	}
 	en.OnHint = func(key string, holder node.ID, v tuple.Version) {
 		m.soft.Handle(m.now, holder, epidemic.StoreAck{Key: key, Version: v})
 	}
 	return m
 }
-
-var _ sim.Machine = (*machine)(nil)
 
 func (m *machine) Start(now sim.Round) []sim.Envelope {
 	m.now = now
@@ -52,6 +82,7 @@ func (m *machine) Start(now sim.Round) []sim.Envelope {
 
 func (m *machine) Tick(now sim.Round) []sim.Envelope {
 	m.now = now
+	defer m.settle()
 	// The soft tick expires client ops whose deadline passed; the
 	// epidemic tick runs gossip, anti-entropy and estimation.
 	return append(m.en.Tick(now), m.soft.Tick(now)...)
@@ -59,14 +90,56 @@ func (m *machine) Tick(now sim.Round) []sim.Envelope {
 
 func (m *machine) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 	m.now = now
-	switch c := msg.(type) {
-	case core.WriteCmd:
-		return m.en.WriteFrom(now, c.ReplyTo, c.Tuple)
+	defer m.settle()
+	switch msg.(type) {
 	case epidemic.StoreAck, epidemic.ReadResp, epidemic.ScanResp,
 		epidemic.AggResp, epidemic.RecoverResp:
 		return m.soft.Handle(now, from, msg)
-	default:
-		return m.en.Handle(now, from, msg)
+	}
+	return m.en.Handle(now, from, msg)
+}
+
+// submit starts the client op sl carries (PUT, DEL or GET) on key; value
+// is a PUT's own copy, which the soft layer takes over. Every server
+// sequences its own clients' writes (docs/DESIGN.md §4), so another node
+// may have minted newer versions of key: the collocated store's version
+// is folded into the sequencer first, the soft layer's cheapest witness
+// of them. Without it a cache hit could serve a value this very node's
+// store already knows is superseded — e.g. a delete issued through a
+// different node. An op that resolves during submission (a cache hit, a
+// validation failure) is finished at once; any other is armed with its
+// deadline and settles later.
+func (m *machine) submit(now sim.Round, sl *slot, key string, value []byte) []sim.Envelope {
+	m.now = now
+	if v := m.en.St.Version(key); !v.IsZero() {
+		m.soft.Seq.Observe(key, v)
+	}
+	var id uint64
+	var envs []sim.Envelope
+	if sl.kind == wire.OpGet {
+		id, envs = m.soft.Get(now, key)
+	} else {
+		id, envs = m.soft.Put(now, key, value, nil, nil, sl.kind == wire.OpDel)
+	}
+	if op, _ := m.soft.Op(id); op.Done {
+		m.finish(sl, op)
+		m.soft.ForgetOp(id)
+	} else {
+		m.soft.Arm(id, now+m.opRounds)
+		m.pending[id] = sl
+	}
+	return envs
+}
+
+// settle finishes every armed op the step just run completed; Tick and
+// Handle defer it, so it runs once their own work is done.
+func (m *machine) settle() {
+	for _, op := range m.soft.TakeCompleted() {
+		if sl, ok := m.pending[op.ID]; ok {
+			delete(m.pending, op.ID)
+			m.finish(sl, op)
+		}
+		m.soft.ForgetOp(op.ID)
 	}
 }
 
@@ -78,8 +151,6 @@ type entrySampler struct {
 	self  node.ID
 	inner membership.Sampler
 }
-
-var _ membership.Sampler = (*entrySampler)(nil)
 
 func (e *entrySampler) One() node.ID { return e.self }
 

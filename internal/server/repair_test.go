@@ -18,7 +18,7 @@ func storedVersion(t *testing.T, srv *Server, key string) tuple.Version {
 	t.Helper()
 	var v tuple.Version
 	err := srv.host.Do(func(sim.Machine, sim.Round) []sim.Envelope {
-		v = srv.en.St.Version(key)
+		v = srv.m.en.St.Version(key)
 		return nil
 	})
 	if err != nil {
@@ -76,7 +76,7 @@ func TestLiveServerRunsBackgroundRepair(t *testing.T) {
 	newer := tuple.Version{Seq: cur.Seq + 1, Writer: node.ID(1)}
 	for _, srv := range servers[:2] {
 		err := srv.host.Do(func(sim.Machine, sim.Round) []sim.Envelope {
-			srv.en.St.Apply(&tuple.Tuple{Key: key, Value: []byte("v2"), Version: newer})
+			srv.m.en.St.Apply(&tuple.Tuple{Key: key, Value: []byte("v2"), Version: newer})
 			return nil
 		})
 		if err != nil {

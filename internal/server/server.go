@@ -13,13 +13,10 @@ import (
 	"time"
 
 	"datadroplets/internal/core"
-	"datadroplets/internal/epidemic"
-	"datadroplets/internal/membership"
 	"datadroplets/internal/metrics"
 	"datadroplets/internal/node"
 	"datadroplets/internal/sim"
 	"datadroplets/internal/transport"
-	"datadroplets/internal/tuple"
 	"datadroplets/internal/wire"
 )
 
@@ -108,10 +105,6 @@ type slot struct {
 	done    chan struct{}
 	status  wire.Status
 	payload []byte
-	// version is captured at submit time for PUT/DEL: the sequencer's
-	// latest for the key right after submission is this op's version,
-	// even with later pipelined writes to the same key in flight.
-	version tuple.Version
 }
 
 func (sl *slot) settle(st wire.Status, payload []byte) {
@@ -121,23 +114,16 @@ func (sl *slot) settle(st wire.Status, payload []byte) {
 
 // Server is one live DataDroplets node.
 type Server struct {
-	cfg      Config
-	host     *transport.Host
-	soft     *core.SoftNode
-	en       *epidemic.Node
-	ln       net.Listener
-	opRounds sim.Round
+	cfg  Config
+	host *transport.Host
+	m    *machine
+	ln   net.Listener
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 	// draining is written once, under mu (so addConn's check-and-admit
 	// stays one step against Close), and read lock-free on every op.
 	draining atomic.Bool
-
-	// pendingOps maps armed op IDs to their slots. Driver-goroutine
-	// confined: touched only inside host.Do closures and the AfterStep
-	// hook, both of which run on the transport driver.
-	pendingOps map[uint64]*slot
 
 	inflight atomic.Int64
 	connWG   sync.WaitGroup
@@ -156,38 +142,18 @@ func New(cfg Config) (*Server, error) {
 	for _, p := range cfg.Peers {
 		ids = append(ids, p.ID)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	view := membership.NewUniformView(cfg.Self, rng, func() []node.ID { return ids })
-	en := epidemic.New(cfg.Self, rng, view, epidemic.Config{
-		Replication:      cfg.Replication,
-		FanoutC:          cfg.FanoutC,
-		AntiEntropyEvery: antiEntropyEvery,
-	})
-	soft := core.NewSoftNode(cfg.Self, rng, &entrySampler{self: cfg.Self, inner: view},
-		core.SoftConfig{WriteAcks: cfg.WriteAcks})
-	// Both layers live in this process, so the soft layer can serve
-	// version-exact reads straight from the collocated replica instead
-	// of round-tripping the fabric (driver-confined, like syncSeq).
-	soft.LocalRead = en.St.Peek
 	s := &Server{
-		cfg:        cfg,
-		soft:       soft,
-		en:         en,
-		conns:      make(map[net.Conn]struct{}),
-		pendingOps: make(map[uint64]*slot),
-		closedCh:   make(chan struct{}),
+		cfg:      cfg,
+		conns:    make(map[net.Conn]struct{}),
+		closedCh: make(chan struct{}),
 	}
-	s.opRounds = sim.Round(cfg.OpTimeout / cfg.TickInterval)
-	if s.opRounds < 1 {
-		s.opRounds = 1
-	}
+	s.m = newMachine(cfg, rand.New(rand.NewSource(cfg.Seed)), ids, s.finishOp)
 	host, err := transport.NewHost(transport.Config{
 		Self:         cfg.Self,
 		Peers:        cfg.Peers,
 		TickInterval: cfg.TickInterval,
 		Logger:       cfg.Logger,
-		AfterStep:    s.afterStep,
-	}, newMachine(soft, en))
+	}, s.m)
 	if err != nil {
 		return nil, err
 	}
@@ -270,31 +236,18 @@ func (s *Server) Close() {
 		}
 		s.mu.Unlock()
 		s.host.Stop()
-		// Stop ran every stranded submit closure, so pendingOps is
-		// final: anything still registered lost its deadline ticks.
-		// Settle those slots BUSY so no response pipeline hangs.
-		for id, sl := range s.pendingOps {
-			delete(s.pendingOps, id)
+		// Stop ran every stranded submit closure, so the machine's
+		// pending ops are final: anything still registered lost its
+		// deadline ticks. Settle those slots BUSY so no response
+		// pipeline hangs.
+		for id, sl := range s.m.pending {
+			delete(s.m.pending, id)
 			s.inflight.Add(-1)
 			s.Met.Busy.Inc()
 			sl.settle(wire.StatusBusy, nil)
 		}
 		s.logf("node %s: stopped", s.cfg.Self)
 	})
-}
-
-// afterStep is the transport's post-event hook: it runs on the driver
-// goroutine after every Tick/Handle/Do, collects the client ops that
-// event completed, and settles their connection slots.
-func (s *Server) afterStep(now sim.Round) []sim.Envelope {
-	for _, op := range s.soft.TakeCompleted() {
-		if sl, ok := s.pendingOps[op.ID]; ok {
-			delete(s.pendingOps, op.ID)
-			s.finishOp(sl, op)
-		}
-		s.soft.ForgetOp(op.ID)
-	}
-	return nil
 }
 
 func (s *Server) acceptLoop() {
@@ -421,9 +374,10 @@ func (s *Server) writeLoop(c net.Conn, queue chan *slot, wg *sync.WaitGroup) {
 	}
 }
 
-// dispatch submits one decoded request. Slow ops (PUT/GET/DEL) enter
-// the soft layer inside host.Do and settle later via afterStep; cheap
-// ops settle before returning.
+// dispatch submits one decoded request. PUT/DEL/GET are posted to the
+// machine, which settles them when they resolve: the connection
+// goroutine does not wait, so one slow op never serialises a
+// connection's intake. Cheap ops settle before returning.
 func (s *Server) dispatch(req *wire.Request, sl *slot) {
 	s.Met.OpsTotal.Inc()
 	if s.draining.Load() {
@@ -432,33 +386,28 @@ func (s *Server) dispatch(req *wire.Request, sl *slot) {
 		return
 	}
 	switch req.Op {
-	case wire.OpPut, wire.OpDel:
+	case wire.OpPut, wire.OpDel, wire.OpGet:
 		key := req.Key
-		deleted := req.Op == wire.OpDel
 		var value []byte
-		if !deleted {
+		if req.Op == wire.OpPut {
 			// Copy: req.Value is the codec's reused buffer. This is the
-			// write's one copy at its origin; soft.Put takes ownership.
+			// write's one copy at its origin; the soft layer takes it over.
 			value = append([]byte(nil), req.Value...)
 		}
-		s.submit(sl, func(now sim.Round) (uint64, []sim.Envelope) {
-			s.syncSeq(key)
-			opID, envs := s.soft.Put(now, key, value, nil, nil, deleted)
-			if v, ok := s.soft.Seq.Latest(key); ok {
-				sl.version = v
-			}
-			return opID, envs
+		s.inflight.Add(1)
+		err := s.host.Post(func(_ sim.Machine, now sim.Round) []sim.Envelope {
+			return s.m.submit(now, sl, key, value)
 		})
-	case wire.OpGet:
-		key := req.Key
-		s.submit(sl, func(now sim.Round) (uint64, []sim.Envelope) {
-			s.syncSeq(key)
-			return s.soft.Get(now, key)
-		})
+		if err != nil {
+			// Host stopped mid-dispatch: answer BUSY rather than dropping.
+			s.inflight.Add(-1)
+			s.Met.Busy.Inc()
+			sl.settle(wire.StatusBusy, nil)
+		}
 	case wire.OpNEst:
-		s.readState(sl, func() []byte { return wire.AppendFloat64(nil, s.en.NEstimate()) })
+		s.readState(sl, func() []byte { return wire.AppendFloat64(nil, s.m.en.NEstimate()) })
 	case wire.OpLen:
-		s.readState(sl, func() []byte { return wire.AppendUint64(nil, uint64(s.en.St.Len())) })
+		s.readState(sl, func() []byte { return wire.AppendUint64(nil, uint64(s.m.en.St.Len())) })
 	case wire.OpStats:
 		s.serveStats(sl)
 	case wire.OpPing:
@@ -467,51 +416,6 @@ func (s *Server) dispatch(req *wire.Request, sl *slot) {
 	default:
 		s.Met.Errors.Inc()
 		sl.settle(wire.StatusErr, fmt.Appendf(nil, "unknown opcode %d", uint8(req.Op)))
-	}
-}
-
-// syncSeq folds the collocated persistent store's version for key into
-// the sequencer before an op starts. Every server sequences its own
-// clients' writes (docs/DESIGN.md §4), so another node may have minted
-// newer versions of this key; the local replica is the soft layer's
-// cheapest witness of them. Without this, a cache hit could serve a
-// value this very node's store already knows is superseded — e.g. a
-// delete issued through a different node. Driver-goroutine confined.
-func (s *Server) syncSeq(key string) {
-	if v := s.en.St.Version(key); !v.IsZero() {
-		s.soft.Seq.Observe(key, v)
-	}
-}
-
-// submit posts a soft-layer op starter to the driver, which arms its
-// deadline and registers its slot; the connection goroutine does not
-// wait (the response pipeline settles the slot later), so one slow op
-// never serialises a connection's intake. Ops that resolve during
-// submission (cache hits, validation failures) settle inside the
-// posted closure.
-func (s *Server) submit(sl *slot, start func(now sim.Round) (uint64, []sim.Envelope)) {
-	s.inflight.Add(1)
-	err := s.host.Post(func(_ sim.Machine, now sim.Round) []sim.Envelope {
-		opID, envs := start(now)
-		op, ok := s.soft.Op(opID)
-		if !ok {
-			s.finishTimeout(sl)
-			return envs
-		}
-		if op.Done {
-			s.finishOp(sl, op)
-			s.soft.ForgetOp(opID)
-			return envs
-		}
-		s.soft.Arm(opID, now+s.opRounds)
-		s.pendingOps[opID] = sl
-		return envs
-	})
-	if err != nil {
-		// Host stopped mid-dispatch: answer BUSY rather than dropping.
-		s.inflight.Add(-1)
-		s.Met.Busy.Inc()
-		sl.settle(wire.StatusBusy, nil)
 	}
 }
 
@@ -532,8 +436,8 @@ func (s *Server) readState(sl *slot, build func() []byte) {
 	sl.settle(wire.StatusOK, payload)
 }
 
-// finishOp settles a slot from a resolved soft-layer op. Runs on the
-// driver goroutine.
+// finishOp settles a slot from a resolved soft-layer op: the machine's
+// finish callback, so it touches only the slot and atomic counters.
 func (s *Server) finishOp(sl *slot, op *core.Op) {
 	defer s.inflight.Add(-1)
 	lat := time.Since(sl.start).Nanoseconds()
@@ -559,17 +463,9 @@ func (s *Server) finishOp(sl *slot, op *core.Op) {
 		s.Met.Errors.Inc()
 		sl.settle(wire.StatusErr, []byte(op.Err))
 	default:
-		// PUT/DEL success: the payload is the version captured at submit.
-		sl.settle(wire.StatusOK, wire.AppendVersion(nil, sl.version))
+		// PUT/DEL success: the payload is the version it was sequenced at.
+		sl.settle(wire.StatusOK, wire.AppendVersion(nil, op.Version))
 	}
-}
-
-// finishTimeout settles a slot whose op vanished (cannot happen in the
-// current soft layer; defensive).
-func (s *Server) finishTimeout(sl *slot) {
-	s.inflight.Add(-1)
-	s.Met.Timeouts.Inc()
-	sl.settle(wire.StatusTimeout, nil)
 }
 
 // Stats is the STATS response document.
@@ -655,11 +551,11 @@ func (s *Server) StatsSnapshot() (Stats, error) {
 
 		FabricUnknownTags: s.host.UnknownTags.Value(),
 
-		RepairSyncSegments:  s.en.Repair.Segments.Value(),
-		RepairSweeps:        s.en.Repair.Sweeps.Value(),
-		RepairSuperseded:    s.en.Repair.Superseded.Value(),
-		RepairCoverageSkips: s.en.Repair.CoverageSkips.Value(),
-		ReadRepairs:         s.soft.ReadRepairs.Value() + s.en.ReadRepairs.Value(),
+		RepairSyncSegments:  s.m.en.Repair.Segments.Value(),
+		RepairSweeps:        s.m.en.Repair.Sweeps.Value(),
+		RepairSuperseded:    s.m.en.Repair.Superseded.Value(),
+		RepairCoverageSkips: s.m.en.Repair.CoverageSkips.Value(),
+		ReadRepairs:         s.m.soft.ReadRepairs.Value() + s.m.en.ReadRepairs.Value(),
 
 		Put:  summarize(&s.Met.PutLatency),
 		Get:  summarize(&s.Met.GetLatency),
@@ -667,14 +563,15 @@ func (s *Server) StatsSnapshot() (Stats, error) {
 		Meta: summarize(&s.Met.MetaLatency),
 	}
 	err := s.host.Do(func(_ sim.Machine, _ sim.Round) []sim.Envelope {
-		st.Pending = len(s.pendingOps)
-		st.StoreLen = s.en.St.Len()
-		st.NEstimate = s.en.NEstimate()
-		st.GossipSeen = s.en.Diss.SeenLen()
-		st.GossipCacheBytes = s.en.Diss.CacheBytes()
-		st.GossipCacheEvictions = s.en.Diss.Evicted
-		st.GossipRelayed = s.en.Diss.Relayed
-		st.GossipDupes = s.en.Diss.Dupes
+		en := s.m.en
+		st.Pending = len(s.m.pending)
+		st.StoreLen = en.St.Len()
+		st.NEstimate = en.NEstimate()
+		st.GossipSeen = en.Diss.SeenLen()
+		st.GossipCacheBytes = en.Diss.CacheBytes()
+		st.GossipCacheEvictions = en.Diss.Evicted
+		st.GossipRelayed = en.Diss.Relayed
+		st.GossipDupes = en.Diss.Dupes
 		return nil
 	})
 	return st, err

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -446,5 +448,74 @@ func TestDrainAnswersBusy(t *testing.T) {
 	err := c.Ping()
 	if err == nil {
 		t.Fatal("ping succeeded after Close")
+	}
+}
+
+// TestCloseLeaksNothing serves about a thousand pipelined ops on a
+// 3-node loopback cluster, closes clients and servers, and requires the
+// process to be back where it started within 2 s: no more goroutines
+// (within 2) and, on Linux, no more open file descriptors (within 2)
+// than before boot.
+func TestCloseLeaksNothing(t *testing.T) {
+	// The netpoller's own descriptors open on first use and stay open;
+	// open them before taking the baseline.
+	if ln, err := net.Listen("tcp", "127.0.0.1:0"); err == nil {
+		_ = ln.Close()
+	}
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1
+		}
+		return len(ents)
+	}
+	baseG, baseFD := runtime.NumGoroutine(), fds()
+
+	servers := startCluster(t, 3, nil)
+	var clients []*ddclient.Client
+	var futures []*ddclient.Future
+	for i, srv := range servers {
+		c, err := ddclient.Dial(srv.ClientAddr(), ddclient.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, c)
+		for j := 0; j < 333; j++ {
+			req := wire.Request{Op: wire.OpPut, Key: fmt.Sprintf("leak/%d/%d", i, j%50), Value: []byte("v")}
+			switch j % 3 {
+			case 1:
+				req = wire.Request{Op: wire.OpGet, Key: req.Key}
+			case 2:
+				req = wire.Request{Op: wire.OpDel, Key: req.Key}
+			}
+			f, err := c.Do(&req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			futures = append(futures, f)
+		}
+	}
+	for i, f := range futures {
+		if _, err := f.Wait(); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	for _, c := range clients {
+		_ = c.Close()
+	}
+	for _, srv := range servers {
+		srv.Close()
+	}
+
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		g, fd := runtime.NumGoroutine(), fds()
+		if g <= baseG+2 && fd <= baseFD+2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after Close: %d goroutines (%d before boot), %d fds (%d before boot; -1: not Linux)", g, baseG, fd, baseFD)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

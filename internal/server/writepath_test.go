@@ -8,7 +8,6 @@ import (
 
 	"datadroplets/internal/core"
 	"datadroplets/internal/epidemic"
-	"datadroplets/internal/membership"
 	"datadroplets/internal/node"
 	"datadroplets/internal/sim"
 )
@@ -58,14 +57,10 @@ func BenchmarkWritePath(b *testing.B) {
 // included, on a one-node cluster and without sockets.
 func oneNodeMachine() (*core.SoftNode, *epidemic.Node, *machine) {
 	const self = node.ID(1)
-	rng := rand.New(rand.NewSource(1))
-	view := membership.NewUniformView(self, rng, func() []node.ID { return []node.ID{self} })
-	en := epidemic.New(self, rng, view, epidemic.Config{AntiEntropyEvery: antiEntropyEvery})
-	soft := core.NewSoftNode(self, rng, &entrySampler{self: self, inner: view}, core.SoftConfig{})
-	soft.LocalRead = en.St.Peek
-	m := newMachine(soft, en)
+	cfg := Config{Self: self, Seed: 1}.normalized()
+	m := newMachine(cfg, rand.New(rand.NewSource(cfg.Seed)), []node.ID{self}, func(*slot, *core.Op) {})
 	m.Start(0)
-	return soft, en, m
+	return m.soft, m.en, m
 }
 
 // TestLocalGetCopiesValueOnce: a Get answered by the collocated replica

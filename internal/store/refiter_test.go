@@ -11,12 +11,12 @@ import (
 )
 
 // deepChecksum folds every entry's full content (key, version, deleted
-// flag, value bytes, attrs, tags) into one hash via the cloning walk.
+// flag, value bytes, attrs, tags) into one hash, reading only.
 // Unlike DigestArc it notices value/attr mutations, which is what the
 // borrowed-iteration contract tests need to detect.
 func deepChecksum(s *Store) uint64 {
 	h := fnv.New64a()
-	s.ForEach(func(t *tuple.Tuple) bool {
+	s.ForEachRef(func(t *tuple.Tuple) bool {
 		fmt.Fprintf(h, "%s|%d@%d|%v|%x|%v|%v;", t.Key, t.Version.Seq, t.Version.Writer, t.Deleted, t.Value, t.Attrs, t.Tags)
 		return true
 	})
@@ -44,46 +44,30 @@ func seedStore(t *testing.T, n int) *Store {
 	return s
 }
 
-// TestForEachRefMatchesForEach pins that the borrowed walk visits the
-// same entries in the same order as the cloning walk.
-func TestForEachRefMatchesForEach(t *testing.T) {
+// TestScanRefMatchesForEachRef pins ScanRef against the full walk for
+// starting points and limits: the entries from the first key >= from,
+// tombstones included, in key order, cut at limit.
+func TestScanRefMatchesForEachRef(t *testing.T) {
 	s := seedStore(t, 40)
-	var cloned, borrowed []string
-	s.ForEach(func(tp *tuple.Tuple) bool {
-		cloned = append(cloned, fmt.Sprintf("%s@%v", tp.Key, tp.Deleted))
-		return true
-	})
+	var all []string
 	s.ForEachRef(func(tp *tuple.Tuple) bool {
-		borrowed = append(borrowed, fmt.Sprintf("%s@%v", tp.Key, tp.Deleted))
+		all = append(all, tp.Key)
 		return true
 	})
-	if len(cloned) != len(borrowed) {
-		t.Fatalf("walk lengths differ: %d vs %d", len(cloned), len(borrowed))
-	}
-	for i := range cloned {
-		if cloned[i] != borrowed[i] {
-			t.Fatalf("entry %d differs: %s vs %s", i, cloned[i], borrowed[i])
-		}
-	}
-}
-
-// TestScanRefMatchesScanAll pins ScanRef against ScanAll for starting
-// points and limits.
-func TestScanRefMatchesScanAll(t *testing.T) {
-	s := seedStore(t, 40)
 	for _, from := range []string{"", "key-010", "key-0355", "zzz"} {
 		for _, limit := range []int{0, 1, 7} {
-			var a, b []string
-			s.ScanAll(from, limit, func(tp *tuple.Tuple) bool {
-				a = append(a, tp.Key)
-				return true
-			})
+			var want, got []string
+			for _, k := range all {
+				if k >= from && (limit == 0 || len(want) < limit) {
+					want = append(want, k)
+				}
+			}
 			s.ScanRef(from, limit, func(tp *tuple.Tuple) bool {
-				b = append(b, tp.Key)
+				got = append(got, tp.Key)
 				return true
 			})
-			if fmt.Sprint(a) != fmt.Sprint(b) {
-				t.Fatalf("from=%q limit=%d: ScanAll=%v ScanRef=%v", from, limit, a, b)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("from=%q limit=%d: ScanRef=%v want %v", from, limit, got, want)
 			}
 		}
 	}

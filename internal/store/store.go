@@ -517,73 +517,6 @@ func (s *Store) Bytes() int64 { return s.bytes }
 // CapacityRejections returns how many inserts the capacity bound refused.
 func (s *Store) CapacityRejections() int64 { return s.capHit }
 
-// Scan visits live tuples with key >= from in key order until fn returns
-// false or limit tuples have been visited (limit <= 0 means no limit).
-// Tuples are cloned: callers cannot corrupt store state.
-func (s *Store) Scan(from string, limit int, fn func(*tuple.Tuple) bool) {
-	x := s.head
-	for i := s.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && x.next[i].key < from {
-			x = x.next[i]
-		}
-	}
-	n := 0
-	for e := x.next[0]; e != nil; e = e.next[0] {
-		if e.tup.Deleted {
-			continue
-		}
-		if limit > 0 && n >= limit {
-			return
-		}
-		n++
-		if !fn(e.tup.Clone()) {
-			return
-		}
-	}
-}
-
-// ScanAll visits entries with key >= from in key order, tombstones
-// included, until fn returns false or limit entries have been visited
-// (limit <= 0 means no limit). The repair layer's orphan sweep uses it:
-// tombstones must be handed off like live tuples or deletes un-happen.
-func (s *Store) ScanAll(from string, limit int, fn func(*tuple.Tuple) bool) {
-	x := s.head
-	for i := s.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && x.next[i].key < from {
-			x = x.next[i]
-		}
-	}
-	n := 0
-	for e := x.next[0]; e != nil; e = e.next[0] {
-		if limit > 0 && n >= limit {
-			return
-		}
-		n++
-		if !fn(e.tup.Clone()) {
-			return
-		}
-	}
-}
-
-// ScanRange visits live tuples with from <= key < to in key order.
-func (s *Store) ScanRange(from, to string, fn func(*tuple.Tuple) bool) {
-	s.Scan(from, 0, func(t *tuple.Tuple) bool {
-		if to != "" && t.Key >= to {
-			return false
-		}
-		return fn(t)
-	})
-}
-
-// ForEach visits every entry, tombstones included, in key order.
-func (s *Store) ForEach(fn func(*tuple.Tuple) bool) {
-	for e := s.head.next[0]; e != nil; e = e.next[0] {
-		if !fn(e.tup.Clone()) {
-			return
-		}
-	}
-}
-
 // ForEachRef visits every entry, tombstones included, in key order,
 // passing BORROWED references: the callback must not mutate the tuple
 // (including its Value/Attrs/Tags contents) and must not retain the
@@ -600,9 +533,10 @@ func (s *Store) ForEachRef(fn func(*tuple.Tuple) bool) {
 
 // ScanRef visits entries with key >= from in key order, tombstones
 // included, until fn returns false or limit entries have been visited
-// (limit <= 0 means no limit). It is the borrowed-reference counterpart
-// of ScanAll and carries the same contract as ForEachRef: no mutation,
-// no retention.
+// (limit <= 0 means no limit). It carries the same contract as
+// ForEachRef: no mutation, no retention. The repair layer's orphan sweep
+// uses it: tombstones must be handed off like live tuples or deletes
+// un-happen.
 func (s *Store) ScanRef(from string, limit int, fn func(*tuple.Tuple) bool) {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {

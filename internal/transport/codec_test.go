@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"datadroplets/internal/aggregate"
-	"datadroplets/internal/core"
 	"datadroplets/internal/epidemic"
 	"datadroplets/internal/gossip"
 	"datadroplets/internal/histogram"
@@ -103,7 +102,7 @@ func codecCases() []codecCase {
 		same("tman-exchange", tman.Exchange{Attr: "age", Entries: []tman.Descriptor{{ID: 1, Value: 2.5, Age: 3}, {ID: 2, Value: -1, Age: 0}}, Reply: true}),
 		same("tman-exchange-nil", tman.Exchange{Attr: "age"}),
 		same("agg-mass", aggregate.Mass{Attr: "age", Epoch: 5, Sum: 10, Weight: 0.5, Min: -1, Max: 99, HasExt: true}),
-		same("write-cmd", core.WriteCmd{Tuple: t1, ReplyTo: 6}),
+		same("write-cmd", epidemic.WriteCmd{Tuple: t1, ReplyTo: 6}),
 	}
 }
 

@@ -19,8 +19,9 @@
 //     like the simulator, and it is the per-client-op fast path (write
 //     commands and read probes both start as self-sends).
 //   - The driver drains its mailbox and request queue in bounded
-//     batches per wake-up and runs AfterStep once per batch, amortising
-//     completion harvesting across concurrent client operations.
+//     batches per wake-up, then delivers the self-sends the batch
+//     produced. The machine settles whatever a step completed inside
+//     its own Tick and Handle, so the host has no post-step hook.
 package transport
 
 import (
@@ -48,7 +49,7 @@ const (
 	// driver never blocks.
 	peerQueueDepth = 4096
 	// intakeBatch caps how many mailbox/request events the driver
-	// dispatches per wake-up before harvesting completions (AfterStep).
+	// dispatches per wake-up before delivering the batch's self-sends.
 	intakeBatch = 256
 	// writeTimeout bounds one batch write to a peer socket; past it the
 	// connection is dropped and re-dialed.
@@ -97,14 +98,6 @@ type Config struct {
 	TickInterval time.Duration
 	// Logger receives connection diagnostics; nil silences them.
 	Logger *log.Logger
-	// AfterStep, when set, runs inside the driver goroutine after every
-	// dispatched event batch (Start, then once per wake-up covering the
-	// ticks, deliveries and Do/Post requests the batch dispatched),
-	// with the machine quiescent. It is the one safe place outside Do
-	// to read machine state — the live server uses it to collect
-	// completed client operations the batch resolved. Any envelopes it
-	// returns are sent like machine output.
-	AfterStep func(now sim.Round) []sim.Envelope
 }
 
 // Host runs one protocol machine over TCP.
@@ -353,43 +346,24 @@ func (h *Host) readLoop(c net.Conn) {
 
 // driverLoop is the machine's single owner. Each wake-up dispatches one
 // blocking event plus a bounded non-blocking drain of further
-// mailbox/request events, delivers any self-sends those produced, then
-// harvests completions (AfterStep) once for the whole batch.
+// mailbox/request events, then delivers any self-sends those produced.
 func (h *Host) driverLoop() {
 	defer h.wg.Done()
 	ticker := time.NewTicker(h.cfg.TickInterval)
 	defer ticker.Stop()
 	h.send(h.machine.Start(h.round))
 	h.deliverSelf()
-	h.afterStep()
 	for {
-		if len(h.selfQ) == 0 {
-			select {
-			case <-h.done:
-				return
-			case <-ticker.C:
-				h.round++
-				h.send(h.machine.Tick(h.round))
-			case env := <-h.mailbox:
-				h.send(h.machine.Handle(h.round, env.From, env.Msg))
-			case f := <-h.requests:
-				h.send(f(h.machine, h.round))
-			}
-		} else {
-			// Self work pending (AfterStep produced it): poll for other
-			// events but do not block.
-			select {
-			case <-h.done:
-				return
-			case <-ticker.C:
-				h.round++
-				h.send(h.machine.Tick(h.round))
-			case env := <-h.mailbox:
-				h.send(h.machine.Handle(h.round, env.From, env.Msg))
-			case f := <-h.requests:
-				h.send(f(h.machine, h.round))
-			default:
-			}
+		select {
+		case <-h.done:
+			return
+		case <-ticker.C:
+			h.round++
+			h.send(h.machine.Tick(h.round))
+		case env := <-h.mailbox:
+			h.send(h.machine.Handle(h.round, env.From, env.Msg))
+		case f := <-h.requests:
+			h.send(f(h.machine, h.round))
 		}
 		for n := 1; n < intakeBatch; n++ {
 			select {
@@ -404,7 +378,6 @@ func (h *Host) driverLoop() {
 			break
 		}
 		h.deliverSelf()
-		h.afterStep()
 	}
 }
 
@@ -418,13 +391,6 @@ func (h *Host) deliverSelf() {
 		h.send(h.machine.Handle(h.round, env.From, env.Msg))
 	}
 	h.selfQ = h.selfQ[:0]
-}
-
-// afterStep runs the configured post-batch hook in the driver goroutine.
-func (h *Host) afterStep() {
-	if h.cfg.AfterStep != nil {
-		h.send(h.cfg.AfterStep(h.round))
-	}
 }
 
 // send routes envelopes: self-sends to the driver-owned queue

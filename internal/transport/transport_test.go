@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,74 +221,4 @@ func nettestListen(t *testing.T) (interface {
 }, error) {
 	t.Helper()
 	return net.Listen("tcp", "127.0.0.1:0")
-}
-
-// TestAfterStepHook verifies the post-event hook runs in the driver
-// goroutine after ticks, handles and requests, and that envelopes it
-// returns are delivered.
-func TestAfterStepHook(t *testing.T) {
-	machines := map[node.ID]*pingMachine{}
-	var hookCalls int64
-	peers := make([]Peer, 2)
-	hosts := make([]*Host, 2)
-	for i := range peers {
-		ln, err := nettestListen(t)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		_ = ln.Close()
-		peers[i] = Peer{ID: node.ID(i + 1), Addr: addr}
-	}
-	// Host 2 starts first: host 1's hook fires during its own Start, and
-	// an envelope dialled before host 2 listens is shed, not retried.
-	for i := len(hosts) - 1; i >= 0; i-- {
-		m := &pingMachine{}
-		machines[peers[i].ID] = m
-		cfg := Config{Self: peers[i].ID, Peers: peers, TickInterval: 10 * time.Millisecond}
-		if i == 0 {
-			// Host 1's hook fires a one-shot message to host 2 after its
-			// first event and counts every invocation.
-			var sentOnce sync.Once
-			cfg.AfterStep = func(now sim.Round) []sim.Envelope {
-				atomic.AddInt64(&hookCalls, 1)
-				var out []sim.Envelope
-				sentOnce.Do(func() {
-					out = []sim.Envelope{{To: 2, Msg: epidemic.AggReq{Attr: "from-hook"}}}
-				})
-				return out
-			}
-		}
-		h, err := NewHost(cfg, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Start(); err != nil {
-			t.Fatal(err)
-		}
-		hosts[i] = h
-		t.Cleanup(h.Stop)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for machines[2].count() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("hook envelope not delivered")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The hook must also run for ticks (10ms interval on host 1).
-	for atomic.LoadInt64(&hookCalls) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("hook ran %d times, want >= 2", atomic.LoadInt64(&hookCalls))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// And it must observe Do-requests too.
-	before := atomic.LoadInt64(&hookCalls)
-	if err := hosts[0].Do(func(m sim.Machine, now sim.Round) []sim.Envelope { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if atomic.LoadInt64(&hookCalls) <= before {
-		t.Fatal("hook did not run after a Do request")
-	}
 }
