@@ -75,7 +75,9 @@ func (c *Cache) Put(t *tuple.Tuple) {
 
 // Get returns the cached tuple only if its version is exactly latest —
 // the version the sequencer knows to be current. Anything else is a miss;
-// stale entries are evicted immediately.
+// stale entries are evicted immediately. The tuple returned is the one
+// held, not a copy: sequenced tuples are immutable, and the copy a
+// client may write to is made where the read leaves the system.
 func (c *Cache) Get(key string, latest tuple.Version) (*tuple.Tuple, bool) {
 	el, ok := c.items[key]
 	if !ok {
@@ -92,7 +94,7 @@ func (c *Cache) Get(key string, latest tuple.Version) (*tuple.Tuple, bool) {
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
-	return e.tup.Clone(), true
+	return e.tup, true
 }
 
 // Invalidate removes a key outright.

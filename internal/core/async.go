@@ -124,10 +124,12 @@ func (c *Cluster) reap() {
 }
 
 // settle folds a finished op into its handle and releases the op from
-// the soft node's registry.
+// the soft node's registry. A Get's tuple is shared inside the cluster
+// (soft cache, stores, rumors); this is where the read leaves it, so the
+// caller gets its own copy.
 func (c *Cluster) settle(p *Pending, op *Op) {
 	p.done = true
-	p.tuple, p.tuples, p.agg = op.Tuple, op.Tuples, op.Agg
+	p.tuple, p.tuples, p.agg = op.Tuple.Clone(), op.Tuples, op.Agg
 	switch {
 	case op.Expired:
 		p.err = ErrTimeout

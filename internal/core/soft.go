@@ -146,7 +146,7 @@ type SoftNode struct {
 	// read would version-exact complete on this node's own response
 	// anyway, so the hop is pure queueing delay. The tuple it returns is
 	// shared with the replica, not copied: immutable like every sequenced
-	// tuple, and finishGet clones it once for the client. The live server
+	// tuple, and copied only where the read leaves the system. The live server
 	// wires this to its in-process store's Peek; the simulation leaves it
 	// nil (soft and persistent nodes are distinct populations there).
 	LocalRead func(key string) (*tuple.Tuple, bool)
@@ -604,9 +604,9 @@ func (s *SoftNode) finishGet(now sim.Round, op *Op) {
 			winner: op.Tuple, want: op.want, replies: op.Replies, deadline: deadline,
 		}
 	}
+	// The cache, the late-repair entry, any read-repair push and the
+	// completed op share the tuple from here on; the copy a client may
+	// write to is made where the read leaves the system.
 	s.Cache.Put(op.Tuple)
-	// The cache, the late-repair entry and any read-repair push share the
-	// tuple from here on; the client gets its own copy, like every read.
-	op.Tuple = op.Tuple.Clone()
 	s.complete(op)
 }

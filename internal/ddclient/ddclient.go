@@ -1,9 +1,12 @@
 // Package ddclient is the Go client for the DataDroplets server's DDB1
 // wire protocol (docs/PROTOCOL.md). One Client owns one TCP connection
-// and pipelines requests over it: Do returns a Future immediately after
-// the request is written, and a single reader goroutine settles futures
-// in request order — the protocol guarantees the n-th response answers
-// the n-th request, so no request IDs are needed. The pipeline window is
+// and pipelines requests over it: Do queues a request and returns its
+// Future at once, and a single reader goroutine settles futures in
+// request order — the protocol guarantees the n-th response answers the
+// n-th request, so no request IDs are needed. A queued request is
+// written together with whatever else is queued by the time the
+// connection's writer wakes, so a burst of requests leaves in one
+// write(2), and Do never waits behind a syscall. The pipeline window is
 // bounded client-side too: when Window futures are outstanding, Do
 // blocks until the oldest settles, mirroring the server's per-connection
 // backpressure so a fast issuer cannot buffer unboundedly.
@@ -18,7 +21,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"datadroplets/internal/tuple"
@@ -60,20 +62,29 @@ type Options struct {
 // concurrent use; responses are matched to requests by order.
 type Client struct {
 	conn net.Conn
-	wmu  sync.Mutex // guards w and write-side of pending
-	w    *bufio.Writer
-	// waiters counts goroutines queued on wmu. A writer that sees
-	// others waiting skips its flush — the last one out flushes, so a
-	// burst of concurrent requests coalesces into one syscall.
-	waiters atomic.Int32
+	// slots holds one token per outstanding request; its capacity is the
+	// window. Do takes a token before queueing, the reader gives it back
+	// once the response is decoded.
+	slots chan struct{}
+
+	wmu sync.Mutex // guards buf and the send side of pending
+	buf []byte     // encoded frames not yet handed to the flusher
+	// kick wakes the flusher. One slot: a Do that finds it full knows a
+	// wake-up is already due and will see its frame.
+	kick chan struct{}
 
 	pending chan *Future // FIFO of unanswered requests; cap = window
 
 	closeOnce sync.Once
 	closed    chan struct{}
+	loops     sync.WaitGroup // the reader and the flusher
 	errMu     sync.Mutex
 	err       error // first fatal transport error
 }
+
+// maxKeptBuf bounds the write buffer the flusher keeps for reuse: a
+// burst of large values grows it, and the buffer is let go after it.
+const maxKeptBuf = 1 << 20
 
 // Future is one in-flight request. Wait blocks until the response
 // arrives (or the connection dies) and maps the status to the sentinel
@@ -105,11 +116,9 @@ func (f *Future) Wait() (wire.Response, error) {
 	}
 }
 
-// Dial connects, sends the protocol magic, and starts the reader.
+// Dial connects, sends the protocol magic, and starts the reader and
+// the flusher.
 func Dial(addr string, opts Options) (*Client, error) {
-	if opts.Window <= 0 {
-		opts.Window = 64
-	}
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 5 * time.Second
 	}
@@ -120,29 +129,41 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	w := bufio.NewWriter(conn)
-	if err := wire.WriteMagic(w); err != nil {
+	c, err := newClient(conn, opts)
+	if err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
-	if err := w.Flush(); err != nil {
-		_ = conn.Close()
+	return c, nil
+}
+
+// newClient runs the protocol over an established connection.
+func newClient(conn net.Conn, opts Options) (*Client, error) {
+	if opts.Window <= 0 {
+		opts.Window = 64
+	}
+	if err := wire.WriteMagic(conn); err != nil {
 		return nil, err
 	}
 	c := &Client{
 		conn:    conn,
-		w:       w,
+		slots:   make(chan struct{}, opts.Window),
+		kick:    make(chan struct{}, 1),
 		pending: make(chan *Future, opts.Window),
 		closed:  make(chan struct{}),
 	}
+	c.loops.Add(2)
 	go c.readLoop()
+	go c.flushLoop()
 	return c, nil
 }
 
-// Close tears the connection down. Outstanding futures settle with
-// ErrClosed (or the first transport error observed). Idempotent.
+// Close tears the connection down and returns once the client's own
+// goroutines have exited. Outstanding futures settle with ErrClosed (or
+// the first transport error observed). Idempotent.
 func (c *Client) Close() error {
 	c.fail(ErrClosed)
+	c.loops.Wait()
 	return nil
 }
 
@@ -168,8 +189,10 @@ func (c *Client) fatalErr() error {
 	return ErrClosed
 }
 
-// readLoop settles futures in FIFO order as response frames arrive.
+// readLoop settles futures in FIFO order as response frames arrive and
+// returns each one's window token.
 func (c *Client) readLoop() {
+	defer c.loops.Done()
 	r := bufio.NewReader(c.conn)
 	for {
 		var f *Future
@@ -187,6 +210,7 @@ func (c *Client) readLoop() {
 			return
 		}
 		close(f.done)
+		<-c.slots
 	}
 }
 
@@ -204,49 +228,78 @@ func (c *Client) drainPending() {
 	}
 }
 
-// Do writes one request and returns its Future. It blocks while the
-// pipeline window is full. Concurrent callers are serialised on the
-// write lock, which also fixes the request/response order; their
-// flushes coalesce (only the last waiter flushes).
+// flushLoop writes whatever Do has queued, once per wake-up: it swaps
+// the queued frames for its spare buffer under the lock and writes them
+// outside it, so the requests queued while one write is in progress
+// all leave in the next.
+func (c *Client) flushLoop() {
+	defer c.loops.Done()
+	var spare []byte
+	for {
+		select {
+		case <-c.kick:
+		case <-c.closed:
+			return
+		}
+		c.wmu.Lock()
+		out := c.buf
+		c.buf = spare[:0]
+		c.wmu.Unlock()
+		// The spare is always the slice just taken, written or not: Do
+		// appends to the other one from here on.
+		spare = out
+		if cap(spare) > maxKeptBuf {
+			spare = nil
+		}
+		if len(out) == 0 {
+			continue
+		}
+		if _, err := c.conn.Write(out); err != nil {
+			c.fail(fmt.Errorf("ddclient: write: %w", err))
+			return
+		}
+	}
+}
+
+// Do queues one request and returns its Future. It blocks only while
+// the pipeline window is full. The request is encoded before Do
+// returns, so the caller may reuse req.Value at once; the flusher
+// writes it together with whatever else is queued by then. Concurrent
+// callers are serialised on a short lock, which fixes the
+// request/response order. A key or value over the protocol's limits is
+// refused with the wire error and queues nothing.
 func (c *Client) Do(req *wire.Request) (*Future, error) {
+	// The window token comes first: a Do blocked on the window while
+	// holding the lock would stop the flusher from sending the requests
+	// whose responses free it.
+	select {
+	case c.slots <- struct{}{}:
+	case <-c.closed:
+		return nil, c.fatalErr()
+	}
 	f := &Future{c: c, done: make(chan struct{})}
-	c.waiters.Add(1)
 	c.wmu.Lock()
-	c.waiters.Add(-1)
 	select {
 	case <-c.closed:
 		c.wmu.Unlock()
 		return nil, c.fatalErr()
 	default:
 	}
-	// Enqueue before writing: the reader must know about the request by
-	// the time its response can arrive. The channel cap enforces the
-	// window; blocking here is the client-side backpressure. Before
-	// blocking, flush whatever earlier writers delegated to us — their
-	// responses are what free the window.
-	select {
-	case c.pending <- f:
-	default:
-		if err := c.w.Flush(); err != nil {
-			c.wmu.Unlock()
-			c.fail(fmt.Errorf("ddclient: write: %w", err))
-			return nil, c.fatalErr()
-		}
-		select {
-		case c.pending <- f:
-		case <-c.closed:
-			c.wmu.Unlock()
-			return nil, c.fatalErr()
-		}
-	}
-	err := wire.EncodeRequest(c.w, req)
-	if err == nil && c.waiters.Load() == 0 {
-		err = c.w.Flush()
-	}
-	c.wmu.Unlock()
+	buf, err := wire.AppendRequest(c.buf, req)
 	if err != nil {
-		c.fail(fmt.Errorf("ddclient: write: %w", err))
-		return nil, c.fatalErr()
+		c.wmu.Unlock()
+		<-c.slots
+		return nil, err
+	}
+	c.buf = buf
+	// Enqueued in the same critical section as the frame, so the reader
+	// knows every request before its response can arrive. The token
+	// taken above guarantees room.
+	c.pending <- f
+	c.wmu.Unlock()
+	select {
+	case c.kick <- struct{}{}:
+	default:
 	}
 	return f, nil
 }

@@ -1,12 +1,15 @@
 package ddclient_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -236,4 +239,156 @@ func TestCloseSettlesInFlightFutures(t *testing.T) {
 		t.Fatalf("second close: %v", err)
 	}
 	silent.Wait()
+}
+
+// TestReusedValueBufferArrivesIntact has several goroutines share one
+// client and pipeline Puts the way a bulk loader does: each rewrites the
+// same value buffer right after every Do. Do copies the frame before it
+// returns and the flusher never writes the buffer Do is appending to,
+// so every key must read back its own value.
+func TestReusedValueBufferArrivesIntact(t *testing.T) {
+	c := startNode(t, ddclient.Options{})
+	const (
+		writers = 4
+		perW    = 2000
+	)
+	key := func(g, i int) string { return fmt.Sprintf("reuse-%d-%04d", g, i) }
+	fill := func(buf []byte, g, i int) {
+		for j := range buf {
+			buf[j] = byte(g*131 + i*7 + j)
+		}
+	}
+	errs := make(chan error, writers)
+	for g := 0; g < writers; g++ {
+		go func() {
+			buf := make([]byte, 256)
+			futs := make([]*ddclient.Future, 0, perW)
+			for i := 0; i < perW; i++ {
+				fill(buf, g, i)
+				f, err := c.Do(&wire.Request{Op: wire.OpPut, Key: key(g, i), Value: buf})
+				if err != nil {
+					errs <- fmt.Errorf("put %s: %w", key(g, i), err)
+					return
+				}
+				futs = append(futs, f)
+			}
+			for i, f := range futs {
+				if resp, err := f.Wait(); err != nil || resp.Status != wire.StatusOK {
+					errs <- fmt.Errorf("put %s: status %v, %v", key(g, i), resp.Status, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < writers; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]byte, 256)
+	for g := 0; g < writers; g++ {
+		futs := make([]*ddclient.Future, perW)
+		for i := range futs {
+			f, err := c.Do(&wire.Request{Op: wire.OpGet, Key: key(g, i)})
+			if err != nil {
+				t.Fatalf("get %s: %v", key(g, i), err)
+			}
+			futs[i] = f
+		}
+		for i, f := range futs {
+			resp, err := f.Wait()
+			fill(want, g, i)
+			if err != nil || resp.Status != wire.StatusValue || !bytes.Equal(resp.Payload, want) {
+				t.Fatalf("get %s: status %v, %v; value intact = %v", key(g, i), resp.Status, err, bytes.Equal(resp.Payload, want))
+			}
+		}
+	}
+}
+
+// TestPeerDropFailsPipeline has the peer hang up with requests in
+// flight: every outstanding future and the next Do must fail with the
+// transport error, promptly, rather than hang or report ErrClosed.
+func TestPeerDropFailsPipeline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		// Take the magic and the first request, then drop the line.
+		var req wire.Request
+		r := bufio.NewReader(conn)
+		if wire.ReadMagic(r) == nil {
+			_ = wire.DecodeRequest(r, &req)
+		}
+		_ = conn.Close()
+	}()
+	c, err := ddclient.Dial(ln.Addr().String(), ddclient.Options{Window: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var futures []*ddclient.Future
+	for i := 0; i < 8; i++ {
+		f, err := c.Do(&wire.Request{Op: wire.OpPut, Key: fmt.Sprintf("k%d", i), Value: []byte("v")})
+		if err != nil {
+			break // the drop can already have been seen
+		}
+		futures = append(futures, f)
+	}
+	if len(futures) == 0 {
+		t.Fatal("the first Do failed before the peer could drop")
+	}
+	results := make(chan error, len(futures))
+	for _, f := range futures {
+		go func() {
+			_, err := f.Wait()
+			results <- err
+		}()
+	}
+	hang := time.After(2 * time.Second)
+	for i := range futures {
+		select {
+		case err := <-results:
+			if err == nil || errors.Is(err, ddclient.ErrClosed) {
+				t.Fatalf("future settled with %v, want the transport error", err)
+			}
+		case <-hang:
+			t.Fatalf("%d of %d futures still pending 2 s after the peer dropped", len(futures)-i, len(futures))
+		}
+	}
+	if _, err := c.Do(&wire.Request{Op: wire.OpPing}); err == nil || errors.Is(err, ddclient.ErrClosed) {
+		t.Fatalf("Do after the drop: %v, want the transport error", err)
+	}
+}
+
+// TestCloseLeavesNoGoroutine checks that the reader and the flusher are
+// gone once Close returns, whether the client was idle or busy.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	c := startNode(t, ddclient.Options{})
+	for i := 0; i < 100; i++ {
+		if _, err := c.Do(&wire.Request{Op: wire.OpPing}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "ddclient.(*Client)") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("client goroutines still running after Close:\n%s", stacks)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

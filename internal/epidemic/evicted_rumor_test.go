@@ -28,7 +28,7 @@ func TestEvictedRumorRecoveredByRepair(t *testing.T) {
 	c.net.Run(20)
 	c.net.Kill(late, false)
 
-	// 80 × 512 KiB is 40 MiB against a 32 MiB budget. The tuples share
+	// 80 × 512 KiB is 40 MiB against an 8 MiB budget. The tuples share
 	// one value — immutable, like everything sequenced — so the test
 	// holds 512 KiB, not 40 MiB.
 	value := make([]byte, 512<<10)

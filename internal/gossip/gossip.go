@@ -73,8 +73,11 @@ type Config struct {
 // the budget the oldest payloads go, and a peer that needed one of them
 // is caught up by the persistent layer's range repair instead of by a
 // digest pull. At most wire.MaxNodeFrame/2, so that a DigestResp
-// carrying the whole cache still fits one frame.
-const payloadCacheBytes = 32 << 20
+// carrying the whole cache still fits one frame. 8 MiB is about what a
+// pull needs rather than what a frame allows: under a sustained write
+// load most cached payloads are already superseded, and the cache is
+// held on every node beside the store.
+const payloadCacheBytes = 8 << 20
 
 // FanoutLnN returns the paper's fanout law ln(N̂)+c over a size estimate.
 func FanoutLnN(sizeEstimate func() float64, c float64) func() float64 {

@@ -107,8 +107,11 @@ func (t *Tuple) Validate() error {
 
 // Clone returns a deep copy. A tuple is immutable once sequenced
 // (docs/DESIGN.md §1), so hand-offs inside the system — cache, rumor,
-// store — share it and never clone; reads clone, because what they
-// return leaves the system: a caller may do anything to its copy.
+// store, a soft node's Get result — share it and never clone. A read
+// clones only where its result leaves the system (the facade's
+// core.Cluster.settle, Store.Get/GetAny), because a caller may do
+// anything to its copy; the server copies the value into the response
+// frame instead.
 func (t *Tuple) Clone() *Tuple {
 	if t == nil {
 		return nil

@@ -166,24 +166,45 @@ func ReadMagic(r io.Reader) error {
 // EncodeRequest writes one request frame. It validates the section
 // lengths so a misbehaving caller cannot emit an unframeable message.
 func EncodeRequest(w *bufio.Writer, req *Request) error {
-	if len(req.Key) > MaxKeyLen {
-		return ErrKeyTooLong
+	hdr, err := requestHeader(req)
+	if err != nil {
+		return err
 	}
-	if len(req.Value) > MaxValueLen {
-		return ErrValueTooLong
-	}
-	var hdr [reqHeaderLen]byte
-	hdr[0] = byte(req.Op)
-	binary.BigEndian.PutUint16(hdr[1:3], uint16(len(req.Key)))
-	binary.BigEndian.PutUint32(hdr[3:7], uint32(len(req.Value)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	if _, err := w.WriteString(req.Key); err != nil {
 		return err
 	}
-	_, err := w.Write(req.Value)
+	_, err = w.Write(req.Value)
 	return err
+}
+
+// AppendRequest appends one request frame to dst, byte for byte what
+// EncodeRequest writes. On a length error dst is returned unchanged.
+func AppendRequest(dst []byte, req *Request) ([]byte, error) {
+	hdr, err := requestHeader(req)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, hdr[:]...)
+	dst = append(dst, req.Key...)
+	return append(dst, req.Value...), nil
+}
+
+// requestHeader checks a request's section lengths and renders its
+// fixed header.
+func requestHeader(req *Request) (hdr [reqHeaderLen]byte, err error) {
+	if len(req.Key) > MaxKeyLen {
+		return hdr, ErrKeyTooLong
+	}
+	if len(req.Value) > MaxValueLen {
+		return hdr, ErrValueTooLong
+	}
+	hdr[0] = byte(req.Op)
+	binary.BigEndian.PutUint16(hdr[1:3], uint16(len(req.Key)))
+	binary.BigEndian.PutUint32(hdr[3:7], uint32(len(req.Value)))
+	return hdr, nil
 }
 
 // DecodeRequest reads one request frame into req, reusing req.Value's

@@ -25,6 +25,20 @@ func encodeReq(req *Request) []byte {
 	return buf.Bytes()
 }
 
+// sameAppended fails unless AppendRequest, appending after a prefix,
+// produces exactly the bytes EncodeRequest wrote and leaves the prefix.
+func sameAppended(t *testing.T, req *Request, encoded []byte) {
+	t.Helper()
+	prefix := []byte("prefix")
+	got, err := AppendRequest(prefix, req)
+	if err != nil {
+		t.Fatalf("%s: AppendRequest: %v", req.Op, err)
+	}
+	if !bytes.Equal(got[:len(prefix)], []byte("prefix")) || !bytes.Equal(got[len(prefix):], encoded) {
+		t.Fatalf("%s: AppendRequest and EncodeRequest disagree:\n%x\n%x", req.Op, got[len(prefix):], encoded)
+	}
+}
+
 func TestRequestRoundTrip(t *testing.T) {
 	cases := []Request{
 		{Op: OpPut, Key: "user:1", Value: []byte("alice")},
@@ -40,6 +54,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	for _, want := range cases {
 		raw := encodeReq(&want)
+		sameAppended(t, &want, raw)
 		var got Request
 		if err := DecodeRequest(bufio.NewReader(bytes.NewReader(raw)), &got); err != nil {
 			t.Fatalf("%s: DecodeRequest: %v", want.Op, err)
@@ -160,6 +175,13 @@ func TestEncodeRequestRejectsOversize(t *testing.T) {
 	if err := EncodeRequest(w, &Request{Op: OpPut, Key: "k", Value: make([]byte, MaxValueLen+1)}); !errors.Is(err, ErrValueTooLong) {
 		t.Fatalf("long value: err = %v", err)
 	}
+	dst := []byte("kept")
+	if got, err := AppendRequest(dst, &Request{Op: OpPut, Key: strings.Repeat("k", MaxKeyLen+1)}); !errors.Is(err, ErrKeyTooLong) || string(got) != "kept" {
+		t.Fatalf("append long key: %q, %v", got, err)
+	}
+	if got, err := AppendRequest(dst, &Request{Op: OpPut, Key: "k", Value: make([]byte, MaxValueLen+1)}); !errors.Is(err, ErrValueTooLong) || string(got) != "kept" {
+		t.Fatalf("append long value: %q, %v", got, err)
+	}
 }
 
 func TestMagic(t *testing.T) {
@@ -200,7 +222,8 @@ func TestPayloadHelpers(t *testing.T) {
 // FuzzDecodeRequest feeds arbitrary bytes through the request decoder:
 // it must never panic or over-allocate, and anything it accepts must
 // re-encode to bytes that decode to the same request (the codec is its
-// own inverse on its accepted set).
+// own inverse on its accepted set), and AppendRequest must produce the
+// same bytes as EncodeRequest.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(encodeReq(&Request{Op: OpPut, Key: "user:1", Value: []byte("alice")}))
 	f.Add(encodeReq(&Request{Op: OpGet, Key: "user:1"}))
@@ -219,6 +242,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("decoded request failed to re-encode: %v", err)
 		}
 		_ = w.Flush()
+		sameAppended(t, &req, buf.Bytes())
 		var again Request
 		if err := DecodeRequest(bufio.NewReader(&buf), &again); err != nil {
 			t.Fatalf("re-encoded request failed to decode: %v", err)
