@@ -98,6 +98,38 @@ func TestCacheServesRepeatReads(t *testing.T) {
 	}
 }
 
+// TestGetReturnsClone: inside the cluster a Get resolves to the shared
+// immutable tuple (soft cache, stores), and Cluster.settle is where the
+// read leaves it — so a caller scribbling on its result must not reach
+// what the next Get sees, whether that Get hits the soft cache or goes
+// to the persistent layer after a cache wipe.
+func TestGetReturnsClone(t *testing.T) {
+	c := smallCluster(9)
+	c.Run(10)
+	if err := c.Put("a", []byte("orig"), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(10)
+	s := c.Route("a")
+	for _, wipe := range []bool{false, true} {
+		if wipe {
+			s.Cache.Wipe()
+		}
+		got, err := c.Get("a")
+		if err != nil {
+			t.Fatalf("wipe=%v: Get: %v", wipe, err)
+		}
+		got.Value[0] = 'X'
+		again, err := c.Get("a")
+		if err != nil {
+			t.Fatalf("wipe=%v: second Get: %v", wipe, err)
+		}
+		if string(again.Value) != "orig" {
+			t.Fatalf("wipe=%v: value = %q after scribbling on a Get result; cluster leaked internal state", wipe, again.Value)
+		}
+	}
+}
+
 func TestDirectoryHintsPopulated(t *testing.T) {
 	c := smallCluster(6)
 	c.Run(10)
