@@ -7,7 +7,11 @@
 // That design translates into a version-exact LRU: a lookup provides the
 // latest version (from the sequencer) and only an entry carrying exactly
 // that version is a hit. Stale entries are never served — they are evicted
-// on sight — so there is no invalidation protocol and no read quorum.
+// on sight — so there is no invalidation protocol and no read quorum. The
+// premise is the sequencer's: in the live server it is fed every version
+// the node receives, stored or not (docs/DESIGN.md §4), and the cache
+// holds only tuples read over the fabric and the node's own writes — a
+// collocated replica's tuples are read from the replica.
 package cache
 
 import (
@@ -21,17 +25,12 @@ import (
 // machine here.
 type Cache struct {
 	capacity int
-	ll       *list.List // front = most recent
+	ll       *list.List // of *tuple.Tuple, front = most recent
 	items    map[string]*list.Element
 
 	hits   int64
 	misses int64
 	stale  int64
-}
-
-type entry struct {
-	key string
-	tup *tuple.Tuple
 }
 
 // New creates a cache holding up to capacity tuples (minimum 1).
@@ -55,11 +54,10 @@ func (c *Cache) Put(t *tuple.Tuple) {
 		return
 	}
 	if el, ok := c.items[t.Key]; ok {
-		cur := el.Value.(*entry)
-		if t.Version.Less(cur.tup.Version) {
+		if t.Version.Less(el.Value.(*tuple.Tuple).Version) {
 			return // never downgrade
 		}
-		cur.tup = t
+		el.Value = t
 		c.ll.MoveToFront(el)
 		return
 	}
@@ -67,10 +65,10 @@ func (c *Cache) Put(t *tuple.Tuple) {
 		oldest := c.ll.Back()
 		if oldest != nil {
 			c.ll.Remove(oldest)
-			delete(c.items, oldest.Value.(*entry).key)
+			delete(c.items, oldest.Value.(*tuple.Tuple).Key)
 		}
 	}
-	c.items[t.Key] = c.ll.PushFront(&entry{key: t.Key, tup: t})
+	c.items[t.Key] = c.ll.PushFront(t)
 }
 
 // Get returns the cached tuple only if its version is exactly latest —
@@ -84,8 +82,8 @@ func (c *Cache) Get(key string, latest tuple.Version) (*tuple.Tuple, bool) {
 		c.misses++
 		return nil, false
 	}
-	e := el.Value.(*entry)
-	if e.tup.Version != latest {
+	t := el.Value.(*tuple.Tuple)
+	if t.Version != latest {
 		c.stale++
 		c.misses++
 		c.ll.Remove(el)
@@ -94,15 +92,7 @@ func (c *Cache) Get(key string, latest tuple.Version) (*tuple.Tuple, bool) {
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
-	return e.tup, true
-}
-
-// Invalidate removes a key outright.
-func (c *Cache) Invalidate(key string) {
-	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
-	}
+	return t, true
 }
 
 // Len returns the number of cached tuples.
@@ -111,15 +101,6 @@ func (c *Cache) Len() int { return c.ll.Len() }
 // Stats returns cumulative hits, misses, and stale evictions.
 func (c *Cache) Stats() (hits, misses, stale int64) {
 	return c.hits, c.misses, c.stale
-}
-
-// HitRatio returns hits / lookups, or 0 before any lookup.
-func (c *Cache) HitRatio() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }
 
 // Wipe clears contents (statistics survive; C14 wipes soft state, not

@@ -24,6 +24,13 @@ func TestHitOnExactVersion(t *testing.T) {
 	if hits != 1 || misses != 0 {
 		t.Fatalf("stats = %d/%d", hits, misses)
 	}
+	// An absent key is a miss, not a stale eviction.
+	if _, ok := c.Get("b", v(3)); ok {
+		t.Fatal("absent key served")
+	}
+	if hits, misses, stale := c.Stats(); hits != 1 || misses != 1 || stale != 0 {
+		t.Fatalf("stats after absent-key lookup = %d/%d/%d", hits, misses, stale)
+	}
 }
 
 func TestStaleVersionIsMissAndEvicted(t *testing.T) {
@@ -70,16 +77,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(2)
-	c.Put(mk("a", 1, "x"))
-	c.Invalidate("a")
-	c.Invalidate("missing") // no-op
-	if _, ok := c.Get("a", v(1)); ok {
-		t.Fatal("invalidated entry served")
-	}
-}
-
 // TestPutAndGetShareTuple pins the cache's half of the ownership rule
 // (docs/DESIGN.md §1): a sequenced tuple is immutable, so Put keeps the
 // tuple it is handed and Get hands that same tuple back — a copy on
@@ -89,24 +86,11 @@ func TestPutAndGetShareTuple(t *testing.T) {
 	c := New(2)
 	src := mk("a", 1, "orig")
 	c.Put(src)
-	if held := c.items["a"].Value.(*entry).tup; held != src {
+	if held := c.items["a"].Value.(*tuple.Tuple); held != src {
 		t.Fatal("Put copied the tuple instead of retaining it")
 	}
 	if got, ok := c.Get("a", v(1)); !ok || got != src {
 		t.Fatalf("Get = %p, %v; want the held tuple %p", got, ok, src)
-	}
-}
-
-func TestHitRatio(t *testing.T) {
-	c := New(8)
-	if c.HitRatio() != 0 {
-		t.Fatal("empty cache hit ratio should be 0")
-	}
-	c.Put(mk("a", 1, "x"))
-	c.Get("a", v(1))
-	c.Get("b", v(1))
-	if r := c.HitRatio(); r != 0.5 {
-		t.Fatalf("hit ratio = %v", r)
 	}
 }
 

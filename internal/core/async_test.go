@@ -308,7 +308,7 @@ func TestSyncSemanticsUnchanged(t *testing.T) {
 	if got := c.InFlightOps(); got != 0 {
 		t.Fatalf("in-flight after sync put = %d", got)
 	}
-	if got := c.Route("k").PendingOps(); got != 0 {
-		t.Fatalf("pending ops on soft node after sync put = %d", got)
+	if got := len(c.Route("k").ops); got != 0 {
+		t.Fatalf("ops tracked on soft node after sync put = %d", got)
 	}
 }

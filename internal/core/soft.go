@@ -141,21 +141,23 @@ type SoftNode struct {
 	lateRepairs map[uint64]*lateRepair
 
 	// LocalRead, when set, lets Get answer from a collocated persistent
-	// replica without a fabric round trip: when the replica already
-	// holds the exact version the sequencer knows as latest, a fabric
-	// read would version-exact complete on this node's own response
-	// anyway, so the hop is pure queueing delay. The tuple it returns is
-	// shared with the replica, not copied: immutable like every sequenced
-	// tuple, and copied only where the read leaves the system. The live server
-	// wires this to its in-process store's Peek; the simulation leaves it
-	// nil (soft and persistent nodes are distinct populations there).
+	// replica without a fabric round trip: a replica tuple at exactly the
+	// version the sequencer knows as latest is the reply a fabric read
+	// would complete on. Such a read completes like a cache hit and
+	// caches nothing, since the replica already holds the tuple; it is
+	// shared, not copied (sequenced tuples are immutable). The live
+	// server wires this to its in-process store's Peek and feeds Seq every
+	// version the node receives; the simulation leaves it nil (soft and
+	// persistent nodes are distinct populations there).
 	LocalRead func(key string) (*tuple.Tuple, bool)
 
-	// CacheHits / PersistentReads count the C13 comparison.
+	// CacheHits, LocalReads and PersistentReads split Gets by where they
+	// were answered: the cache, the collocated replica (LocalRead), or
+	// the persistent layer over the fabric. C13 compares the first and
+	// the last.
 	CacheHits       int64
+	LocalReads      int64
 	PersistentReads int64
-	// LocalReads counts Gets served by the LocalRead fast path.
-	LocalReads int64
 	// ReadRepairs counts winning tuples pushed to stale read responders:
 	// a Get that observes divergent versions among its responding
 	// replicas asynchronously pushes the winner to the stale ones.
@@ -236,18 +238,6 @@ func (s *SoftNode) TakeCompleted() []*Op {
 	return out
 }
 
-// PendingOps returns the number of live (not yet completed) ops the
-// node is tracking.
-func (s *SoftNode) PendingOps() int {
-	n := 0
-	for _, op := range s.ops {
-		if !op.Done {
-			n++
-		}
-	}
-	return n
-}
-
 // expire fails every live op whose deadline has passed (in ID order so
 // runs with equal seeds stay byte-identical) and prunes exhausted
 // late-repair entries.
@@ -326,34 +316,23 @@ func (s *SoftNode) Put(now sim.Round, key string, value []byte, attrs map[string
 	return op.ID, []sim.Envelope{{To: entry, Msg: epidemic.WriteCmd{Tuple: t, ReplyTo: s.Self}}}
 }
 
-// Get serves a read: version-exact cache first, then the persistent
-// layer via directory hints with random probing as fallback.
+// Get serves a read. When the sequencer knows the key's latest version,
+// a tuple at exactly that version — from the cache, else from the
+// collocated replica — completes the read at once, the very rule a
+// fabric read applies to its replies. Anything else reads through the
+// persistent layer: directory hints, with random probing as fallback.
 func (s *SoftNode) Get(now sim.Round, key string) (uint64, []sim.Envelope) {
 	op := s.newOp(OpGet, key)
 	latest, known := s.Seq.Latest(key)
 	if known {
-		if t, ok := s.Cache.Get(key, latest); ok {
+		if t, ok := s.exact(key, latest); ok {
 			op.Tuple = t
 			if t.Deleted {
 				op.Tuple = nil
 				op.Err = "not found"
 			}
-			s.CacheHits++
 			s.complete(op)
 			return op.ID, nil
-		}
-		// Version-exact local replica: the same completion rule the
-		// fabric read would apply, minus the round trip. Only an exact
-		// match short-circuits — an older local copy still reads through
-		// the fabric, which also read-repairs it.
-		if s.LocalRead != nil {
-			if t, ok := s.LocalRead(key); ok && t.Version == latest {
-				s.LocalReads++
-				op.Tuple = t
-				op.Version = latest
-				s.finishGet(now, op)
-				return op.ID, nil
-			}
 		}
 	}
 	s.PersistentReads++
@@ -384,6 +363,22 @@ func (s *SoftNode) Get(now sim.Round, key string) (uint64, []sim.Envelope) {
 		s.complete(op)
 	}
 	return op.ID, envs
+}
+
+// exact returns key's tuple at version latest from the cache, else from
+// the collocated replica; an older copy reads through the fabric instead.
+func (s *SoftNode) exact(key string, latest tuple.Version) (*tuple.Tuple, bool) {
+	if t, ok := s.Cache.Get(key, latest); ok {
+		s.CacheHits++
+		return t, true
+	}
+	if s.LocalRead != nil {
+		if t, ok := s.LocalRead(key); ok && t.Version == latest {
+			s.LocalReads++
+			return t, true
+		}
+	}
+	return nil, false
 }
 
 // Scan launches an ordered range scan through a persistent entry node.

@@ -11,8 +11,10 @@ import (
 
 	"datadroplets/internal/core"
 	"datadroplets/internal/epidemic"
+	"datadroplets/internal/gossip"
 	"datadroplets/internal/membership"
 	"datadroplets/internal/node"
+	"datadroplets/internal/repair"
 	"datadroplets/internal/sim"
 	"datadroplets/internal/tuple"
 	"datadroplets/internal/wire"
@@ -26,11 +28,18 @@ import (
 // that step completed. Dispatch is by message type — the soft-bound
 // reply types (StoreAck, ReadResp, ScanResp, AggResp, RecoverResp) are
 // disjoint from the epidemic-bound ones.
+//
+// Every server sequences its own clients' writes (docs/DESIGN.md §4), so
+// Handle first folds the version of every tuple the node receives into
+// the sequencer, whether or not the sieve keeps it: the floor covers
+// every version the node has heard of, its store's included, so a
+// version-exact read serves no superseded tuple and a write never loses
+// to one the node heard of without storing.
 type machine struct {
 	soft *core.SoftNode
 	en   *epidemic.Node
-	// now mirrors the last round the driver reported; OnHint fires from
-	// inside epidemic processing, which has no round parameter.
+	// now mirrors the last round Start, Tick or Handle reported; OnHint
+	// fires from inside epidemic processing, which has no round parameter.
 	now sim.Round
 	// opRounds is a client op's deadline, in rounds after its submission.
 	opRounds sim.Round
@@ -91,6 +100,7 @@ func (m *machine) Tick(now sim.Round) []sim.Envelope {
 func (m *machine) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 	m.now = now
 	defer m.settle()
+	m.observe(msg)
 	switch msg.(type) {
 	case epidemic.StoreAck, epidemic.ReadResp, epidemic.ScanResp,
 		epidemic.AggResp, epidemic.RecoverResp:
@@ -99,21 +109,40 @@ func (m *machine) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 	return m.en.Handle(now, from, msg)
 }
 
-// submit starts the client op sl carries (PUT, DEL or GET) on key; value
-// is a PUT's own copy, which the soft layer takes over. Every server
-// sequences its own clients' writes (docs/DESIGN.md §4), so another node
-// may have minted newer versions of key: the collocated store's version
-// is folded into the sequencer first, the soft layer's cheapest witness
-// of them. Without it a cache hit could serve a value this very node's
-// store already knows is superseded — e.g. a delete issued through a
-// different node. An op that resolves during submission (a cache hit, a
-// validation failure) is finished at once; any other is armed with its
-// deadline and settles later.
-func (m *machine) submit(now sim.Round, sl *slot, key string, value []byte) []sim.Envelope {
-	m.now = now
-	if v := m.en.St.Version(key); !v.IsZero() {
-		m.soft.Seq.Observe(key, v)
+// observe folds into the sequencer the version of every tuple msg
+// carries: a rumor push or digest reply, or a repair message that ships
+// tuples.
+func (m *machine) observe(msg any) {
+	var rumors []gossip.Rumor
+	var ts []*tuple.Tuple
+	switch msg := msg.(type) {
+	case gossip.RumorMsg:
+		rumors = []gossip.Rumor{msg.Rumor}
+	case gossip.DigestResp:
+		rumors = msg.Rumors
+	case repair.SyncPush:
+		ts = msg.Tuples
+	case repair.AdoptReq:
+		ts = msg.Tuples
+	case repair.SupersedeResp:
+		ts = msg.Newer
 	}
+	for _, r := range rumors {
+		if wp, ok := r.Payload.(epidemic.WritePayload); ok {
+			m.soft.Seq.Observe(wp.Tuple.Key, wp.Tuple.Version)
+		}
+	}
+	for _, t := range ts {
+		m.soft.Seq.Observe(t.Key, t.Version)
+	}
+}
+
+// submit starts the client op sl carries (PUT, DEL or GET) on key; value
+// is a PUT's own copy, which the soft layer takes over. An op that
+// resolves during submission (a version-exact read, a validation
+// failure) is finished at once; any other is armed with its deadline
+// and settles later.
+func (m *machine) submit(now sim.Round, sl *slot, key string, value []byte) []sim.Envelope {
 	var id uint64
 	var envs []sim.Envelope
 	if sl.kind == wire.OpGet {

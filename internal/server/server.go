@@ -512,6 +512,14 @@ type Stats struct {
 	RepairCoverageSkips int64 `json:"repair_coverage_skips"`
 	ReadRepairs         int64 `json:"read_repairs"`
 
+	// Where the soft layer answered Gets — its cache, the collocated
+	// replica, or the fabric — and its version floor's size: one entry
+	// per key written anywhere in the cluster that this node heard of.
+	SoftCacheHits   int64 `json:"soft_cache_hits"`
+	SoftLocalReads  int64 `json:"soft_local_reads"`
+	SoftFabricReads int64 `json:"soft_fabric_reads"`
+	SoftSeqKeys     int   `json:"soft_seq_keys"`
+
 	Put  LatencySummary `json:"put_latency_ns"`
 	Get  LatencySummary `json:"get_latency_ns"`
 	Del  LatencySummary `json:"del_latency_ns"`
@@ -563,7 +571,7 @@ func (s *Server) StatsSnapshot() (Stats, error) {
 		Meta: summarize(&s.Met.MetaLatency),
 	}
 	err := s.host.Do(func(_ sim.Machine, _ sim.Round) []sim.Envelope {
-		en := s.m.en
+		en, soft := s.m.en, s.m.soft
 		st.Pending = len(s.m.pending)
 		st.StoreLen = en.St.Len()
 		st.NEstimate = en.NEstimate()
@@ -572,6 +580,10 @@ func (s *Server) StatsSnapshot() (Stats, error) {
 		st.GossipCacheEvictions = en.Diss.Evicted
 		st.GossipRelayed = en.Diss.Relayed
 		st.GossipDupes = en.Diss.Dupes
+		st.SoftCacheHits = soft.CacheHits
+		st.SoftLocalReads = soft.LocalReads
+		st.SoftFabricReads = soft.PersistentReads
+		st.SoftSeqKeys = soft.Seq.Len()
 		return nil
 	})
 	return st, err

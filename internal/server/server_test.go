@@ -264,6 +264,16 @@ func TestMetaOps(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
+	// The node's own writes are cached at the version it sequenced; a
+	// key nobody wrote reads through the fabric.
+	for i := 0; i < 5; i++ {
+		if _, err := c.Get(fmt.Sprintf("meta:%d", i)); err != nil {
+			t.Fatalf("get %d: %v", i, err)
+		}
+	}
+	if _, err := c.Get("meta:absent"); !errors.Is(err, ddclient.ErrNotFound) {
+		t.Fatalf("get of an absent key: %v, want not found", err)
+	}
 	n, err := c.Len()
 	if err != nil || n != 5 {
 		t.Fatalf("len = %d, %v; want 5", n, err)
@@ -285,6 +295,10 @@ func TestMetaOps(t *testing.T) {
 	}
 	if st.Put.Count != 5 || st.Put.P99 <= 0 {
 		t.Fatalf("put latency summary = %+v", st.Put)
+	}
+	if st.SoftCacheHits != 5 || st.SoftLocalReads != 0 || st.SoftFabricReads != 1 || st.SoftSeqKeys != 5 {
+		t.Fatalf("soft read split = %d cache, %d local, %d fabric; %d keys in the floor; want 5, 0, 1 and 5",
+			st.SoftCacheHits, st.SoftLocalReads, st.SoftFabricReads, st.SoftSeqKeys)
 	}
 	// Five writes heard, their payloads (at least key + value each) held
 	// for digest pulls, far below the budget.

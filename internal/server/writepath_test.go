@@ -10,6 +10,7 @@ import (
 	"datadroplets/internal/epidemic"
 	"datadroplets/internal/node"
 	"datadroplets/internal/sim"
+	"datadroplets/internal/tuple"
 )
 
 // BenchmarkWritePath is one 1 KiB Put through the two-layer machine as
@@ -65,24 +66,21 @@ func oneNodeMachine() (*core.SoftNode, *epidemic.Node, *machine) {
 
 // TestLocalGetCopiesNothing: a Get answered by the collocated replica
 // completes with the very tuple the store holds and copies no value —
-// neither for the op nor to refill the soft cache. The value is copied
-// once, later, into the DDB1 response frame.
+// neither for the op nor into the soft cache, which it leaves as it
+// was: the replica already holds the tuple. The value is copied once,
+// later, into the DDB1 response frame. The node is seeded as a replica
+// that has heard of the key's version but never cached it.
 func TestLocalGetCopiesNothing(t *testing.T) {
-	soft, en, m := oneNodeMachine()
+	soft, en, _ := oneNodeMachine()
 	const key, size = "local/key", 1024
-	_, envs := soft.Put(1, key, make([]byte, size), nil, nil, false)
-	for len(envs) > 0 {
-		envs = append(envs[1:], m.Handle(1, soft.Self, envs[0].Msg)...)
-	}
-	stored, ok := en.St.Peek(key)
-	if !ok {
-		t.Fatal("put did not reach the store")
-	}
+	en.St.Apply(&tuple.Tuple{Key: key, Value: make([]byte, size), Version: tuple.Version{Seq: 1, Writer: 2}})
+	soft.Seq.Observe(key, en.St.Version(key))
+	stored, _ := en.St.Peek(key)
+	cached := soft.Cache.Len()
 	const gets = 200
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < gets; i++ {
-		soft.Cache.Invalidate(key) // force the LocalRead path
 		id, envs := soft.Get(1, key)
 		op, ok := soft.Op(id)
 		if len(envs) != 0 || !ok || !op.Done || op.Tuple != stored {
@@ -91,8 +89,8 @@ func TestLocalGetCopiesNothing(t *testing.T) {
 		soft.ForgetOp(id)
 	}
 	runtime.ReadMemStats(&after)
-	if soft.LocalReads != gets {
-		t.Fatalf("LocalReads = %d, want %d", soft.LocalReads, gets)
+	if soft.LocalReads != gets || soft.Cache.Len() != cached {
+		t.Fatalf("LocalReads = %d, cache holds %d tuples; want %d and %d", soft.LocalReads, soft.Cache.Len(), gets, cached)
 	}
 	if perGet := (after.TotalAlloc - before.TotalAlloc) / gets; perGet >= size {
 		t.Fatalf("a local Get of a %d B value allocates %d B, want no copy of the value", size, perGet)

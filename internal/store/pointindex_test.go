@@ -17,8 +17,6 @@ type storeModel struct {
 	ents   map[string]*tuple.Tuple
 	floors map[string]tuple.Version
 	bytes  int64
-	maxCap int64
-	capHit int64
 }
 
 func liveBytes(t *tuple.Tuple) int64 {
@@ -34,10 +32,6 @@ func (m *storeModel) apply(t *tuple.Tuple) bool {
 	}
 	cur := m.ents[t.Key]
 	if cur != nil && !cur.Version.Less(t.Version) {
-		return false
-	}
-	if cur == nil && m.maxCap > 0 && m.bytes+int64(len(t.Value)) > m.maxCap {
-		m.capHit++
 		return false
 	}
 	m.bytes += liveBytes(t) - liveBytes(cur)
@@ -133,26 +127,19 @@ func checkAgainstModel(t *testing.T, s *Store, m *storeModel, universe []string)
 			t.Fatalf("Floor(%q) = %v,%v, oracle %v,%v", k, f, has, wantF, wantHas)
 		}
 	}
-	if s.Len() != live || s.Bytes() != m.bytes || s.CapacityRejections() != m.capHit {
-		t.Fatalf("Len %d Bytes %d rejections %d, oracle %d %d %d",
-			s.Len(), s.Bytes(), s.CapacityRejections(), live, m.bytes, m.capHit)
+	if s.Len() != live || s.Bytes() != m.bytes {
+		t.Fatalf("Len %d Bytes %d, oracle %d %d", s.Len(), s.Bytes(), live, m.bytes)
 	}
 }
 
 // TestPointIndexModel drives 50 000 random steps — Apply of new, newer,
-// stale, duplicate and tombstone tuples, of the "" key, against a
-// capacity bound that refuses some new keys; Drop, Discard, ClearFloor,
-// Wipe — through the store and a plain-map oracle, and every 500 steps
-// holds the three structures and every point read to it.
+// stale, duplicate and tombstone tuples, of the "" key; Drop, Discard,
+// ClearFloor, Wipe — through the store and a plain-map oracle, and every
+// 500 steps holds the three structures and every point read to it.
 func TestPointIndexModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	s := New(rand.New(rand.NewSource(22)))
-	// The op mix settles near 350 held keys and 2 200 live bytes, so a
-	// 2 000 B bound binds for stretches and releases after drops: new-key
-	// Applies land on both sides of it.
-	const capBytes = 2000
-	s.SetCapacity(capBytes)
-	m := &storeModel{ents: map[string]*tuple.Tuple{}, floors: map[string]tuple.Version{}, maxCap: capBytes}
+	m := &storeModel{ents: map[string]*tuple.Tuple{}, floors: map[string]tuple.Version{}}
 	universe := []string{""}
 	for i := 0; i < 600; i++ {
 		universe = append(universe, fmt.Sprintf("%06x/k%07d", 0xabc123, i))
@@ -203,10 +190,10 @@ func TestPointIndexModel(t *testing.T) {
 			checkAgainstModel(t, s, m, universe)
 		}
 	}
-	if applied < 5000 || refused < 5000 || m.capHit < 100 {
-		t.Fatalf("op mix too thin: %d applied, %d refused, %d of them over capacity", applied, refused, m.capHit)
+	if applied < 5000 || refused < 5000 {
+		t.Fatalf("op mix too thin: %d applied, %d refused", applied, refused)
 	}
-	t.Logf("%d applied, %d refused (%d over capacity), %d descents", applied, refused, m.capHit, s.descents)
+	t.Logf("%d applied, %d refused, %d descents", applied, refused, s.descents)
 }
 
 // TestPointOpsDoNotDescend pins the point index as the only point path by
@@ -243,11 +230,6 @@ func TestPointOpsDoNotDescend(t *testing.T) {
 	if s.descents != 0 {
 		t.Fatalf("%d skip-list descents in %d rounds of point ops, want 0", s.descents, n)
 	}
-	s.SetCapacity(1)
-	if s.Apply(mk("over-capacity", 1, "v")) || s.descents != 0 {
-		t.Fatalf("capacity-refused apply: descents %d, want 0 (refusal precedes the descent)", s.descents)
-	}
-	s.SetCapacity(0)
 	for i, k := range keys[:n/2] {
 		if !s.Drop(k) || s.descents != int64(i+1) {
 			t.Fatalf("Drop(%q): %d descents after %d drops", k, s.descents, i+1)

@@ -302,7 +302,7 @@ func TestSegmentDigestsNarrowArcPanics(t *testing.T) {
 }
 
 // TestWipeResetsContentKeepsCounters pins Wipe semantics: all content,
-// stats and floors gone, serve diagnostics and capacity config kept, and
+// stats and floors gone, serve diagnostics kept, and
 // the store fully usable (and index-consistent) afterwards.
 func TestWipeResetsContentKeepsCounters(t *testing.T) {
 	s := newStore()

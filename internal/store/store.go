@@ -60,13 +60,10 @@ type Store struct {
 	// kept equal to the list by Apply/Drop/Wipe. It is the only point
 	// path — find never falls back to a descent — and the list is the
 	// only ordered one.
-	byKey  flatmap.Map[*skipNode]
-	total  int   // entries including tombstones
-	live   int   // entries excluding tombstones
-	bytes  int64 // approximate payload bytes of live entries
-	logi   int64 // applied-write counter (diagnostics)
-	capHit int64 // rejected-by-capacity counter
-	maxCap int64 // optional byte capacity, 0 = unlimited
+	byKey flatmap.Map[*skipNode]
+	total int   // entries including tombstones
+	live  int   // entries excluding tombstones
+	bytes int64 // approximate payload bytes of live entries
 
 	// stats holds per-attribute aggregates maintained in Apply/Drop so
 	// the background protocols (push-sum aggregation, extremes) read
@@ -140,12 +137,6 @@ func New(rng *rand.Rand) *Store {
 	}
 }
 
-// SetCapacity bounds the approximate live payload bytes; Apply refuses
-// new keys beyond it (updates to existing keys always apply). Zero means
-// unlimited. This models the paper's "nodes with disparate storage
-// capabilities".
-func (s *Store) SetCapacity(bytes int64) { s.maxCap = bytes }
-
 // randomLevel draws a geometric level in [1, maxLevel].
 func (s *Store) randomLevel() int {
 	lvl := 1
@@ -209,13 +200,8 @@ func (s *Store) Apply(t *tuple.Tuple) bool {
 		existing.tup = t
 		s.idx.replace(existing.point, oldV, t.Version)
 		s.accountAdd(t)
-		s.logi++
 		s.floors.Del(t.Key) // newer content re-admitted: floor served
 		return true
-	}
-	if s.maxCap > 0 && s.bytes+int64(len(t.Value)) > s.maxCap {
-		s.capHit++
-		return false
 	}
 	var path [maxLevel]*skipNode
 	s.descend(t.Key, &path)
@@ -238,7 +224,6 @@ func (s *Store) Apply(t *tuple.Tuple) bool {
 	s.idx.add(n)
 	s.idx.maybeGrow(s.total)
 	s.accountAdd(n.tup)
-	s.logi++
 	s.floors.Del(t.Key) // newer content re-admitted: floor served
 	return true
 }
@@ -488,10 +473,9 @@ func (s *Store) unlink(n *skipNode) bool {
 
 // Wipe discards every entry, attribute statistic, and supersession
 // floor, returning the store to its freshly-created state. The level
-// RNG, capacity bound, and cumulative counters (applied writes,
-// capacity rejections, serve costs, descents) are kept: Wipe models a
-// node losing its data, not being replaced — so the hash tables are
-// emptied in place for the refill, not reallocated.
+// RNG and cumulative counters (serve costs, descents) are kept: Wipe
+// models a node losing its data, not being replaced — so the hash
+// tables are emptied in place for the refill, not reallocated.
 func (s *Store) Wipe() {
 	s.head = &skipNode{next: make([]*skipNode, maxLevel)}
 	s.level = 0
@@ -513,9 +497,6 @@ func (s *Store) Total() int { return s.total }
 
 // Bytes returns the approximate live payload size.
 func (s *Store) Bytes() int64 { return s.bytes }
-
-// CapacityRejections returns how many inserts the capacity bound refused.
-func (s *Store) CapacityRejections() int64 { return s.capHit }
 
 // ForEachRef visits every entry, tombstones included, in key order,
 // passing BORROWED references: the callback must not mutate the tuple

@@ -47,6 +47,10 @@ func TestLastWriterWins(t *testing.T) {
 	if string(got.Value) != "newer" {
 		t.Fatalf("value = %q", got.Value)
 	}
+	// An overwrite counts only the newer value's bytes.
+	if s.Bytes() != int64(len("newer")) {
+		t.Fatalf("bytes = %d, want %d", s.Bytes(), len("newer"))
+	}
 }
 
 func TestTombstones(t *testing.T) {
@@ -146,27 +150,6 @@ func TestDrop(t *testing.T) {
 	}
 	if s.Len() != 1 || s.Total() != 1 {
 		t.Fatalf("Len/Total = %d/%d", s.Len(), s.Total())
-	}
-}
-
-func TestCapacity(t *testing.T) {
-	s := newStore()
-	s.SetCapacity(10)
-	if !s.Apply(mk("a", 1, "12345")) {
-		t.Fatal("first insert rejected")
-	}
-	if s.Apply(mk("b", 1, "123456789")) {
-		t.Fatal("capacity exceeded but insert accepted")
-	}
-	if s.CapacityRejections() != 1 {
-		t.Fatalf("capHit = %d", s.CapacityRejections())
-	}
-	// Updates to existing keys always apply.
-	if !s.Apply(mk("a", 2, "123")) {
-		t.Fatal("update rejected by capacity")
-	}
-	if s.Bytes() != 3 {
-		t.Fatalf("bytes = %d, want 3", s.Bytes())
 	}
 }
 
