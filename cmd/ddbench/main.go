@@ -11,6 +11,7 @@
 //	ddbench -run scenarios -scenario split-brain -workers 1,4
 //	ddbench -run fuzz -seeds 20 -workers 1,2,4,8           # consistency fuzzer
 //	ddbench -run scenarios -scale 0.1 -workers 1,4 -verify BENCH_scenarios.json
+//	ddbench -run fuzz -seeds 8 -workers 1,2,4 -scale 0.2 -verify BENCH_fuzz.json
 //	ddbench -list
 //
 // Besides the experiment IDs, -run simscale benchmarks the fabric at
@@ -25,9 +26,9 @@
 // the repository benchmark instead: go run ./bench.
 //
 // -json FILE merges the three harnesses' rows into FILE by row key;
-// -verify FILE makes simscale and scenarios run the cells FILE has a row
-// for and exit nonzero if a field that is exact per seed differs from
-// the committed row, or if no row was compared (report.go).
+// -verify FILE makes simscale, scenarios and fuzz run the cells FILE has
+// a row for and exit nonzero if a field that is exact per seed differs
+// from the committed row, or if no row was compared (report.go).
 package main
 
 import (
@@ -55,7 +56,7 @@ func realMain() int {
 		seed     = flag.Int64("seed", 42, "random seed")
 		csv      = flag.String("csv", "", "directory to write per-table CSV files (optional)")
 		jsonOut  = flag.String("json", "", "report file to merge the run's rows into (with -run simscale, scenarios or fuzz)")
-		verify   = flag.String("verify", "", "committed report whose rows the run must reproduce (with -run simscale or scenarios)")
+		verify   = flag.String("verify", "", "committed report whose rows the run must reproduce (with -run simscale, scenarios or fuzz)")
 		workers  = flag.String("workers", "1", "comma-separated fabric worker counts to sweep (with -run simscale, scenarios or fuzz)")
 		scenario = flag.String("scenario", "all", "scenario name(s) for -run scenarios (comma-separated, or 'all')")
 		readDist = flag.String("readdist", "", "read-workload key distribution for -run scenarios: uniform (default), zipf, hot, scan")
@@ -111,8 +112,8 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "ddbench: -workers: %v\n", err)
 		return 2
 	}
-	if *verify != "" && *run != "simscale" && *run != "scenarios" {
-		fmt.Fprintln(os.Stderr, "ddbench: -verify needs -run simscale or -run scenarios")
+	if *verify != "" && *run != "simscale" && *run != "scenarios" && *run != "fuzz" {
+		fmt.Fprintln(os.Stderr, "ddbench: -verify needs -run simscale, scenarios or fuzz")
 		return 2
 	}
 	switch *run {
@@ -121,7 +122,7 @@ func realMain() int {
 	case "scenarios":
 		err = runScenarios(*seed, *scale, *scenario, *readDist, *jsonOut, *verify, ws, 0)
 	case "fuzz":
-		err = runFuzz(*seed, *seeds, *scale, *jsonOut, ws)
+		err = runFuzz(*seed, *seeds, *scale, *jsonOut, *verify, ws)
 	default:
 		return runExperiments(*run, *csv, experiments.Params{Scale: *scale, Seed: *seed})
 	}

@@ -143,14 +143,10 @@ func (s *sink) load(path string) (*report, []row, error) {
 func (s *sink) sweep(workers []int, cell func(w int) any, run func(w int) (any, error)) error {
 	var rows []row
 	for _, w := range workers {
-		if s.want != nil {
-			c, err := s.row(cell(w))
-			if err != nil {
-				return err
-			}
-			if _, ok := s.want[c.key]; !ok {
-				continue
-			}
+		if skip, err := s.skips(cell(w)); err != nil {
+			return err
+		} else if skip {
+			continue
 		}
 		v, err := run(w)
 		if err != nil {
@@ -171,6 +167,20 @@ func (s *sink) sweep(workers []int, cell func(w int) any, run func(w int) (any, 
 		}
 	}
 	return s.add(rows)
+}
+
+// skips reports whether a -verify run leaves cell out: the committed
+// report has no row of its key.
+func (s *sink) skips(cell any) (bool, error) {
+	if s.want == nil {
+		return false, nil
+	}
+	c, err := s.row(cell)
+	if err != nil {
+		return false, err
+	}
+	_, ok := s.want[c.key]
+	return !ok, nil
 }
 
 // add merges one group of measured rows into the -json report and

@@ -12,6 +12,7 @@ import (
 const (
 	committedScenarios = "../../BENCH_scenarios.json"
 	committedSimScale  = "../../BENCH_simscale.json"
+	committedFuzz      = "../../BENCH_fuzz.json"
 )
 
 // TestCommittedRowsReproduce runs what CI's bench-smoke runs: the
@@ -23,6 +24,11 @@ func TestCommittedRowsReproduce(t *testing.T) {
 	if err := runScenarios(42, 0.1, "all", "", "", committedScenarios, []int{1, 4}, 0); err != nil {
 		t.Error(err)
 	}
+	// Two of the fuzz report's eight seeds: the recording client and the
+	// oracle's verdicts, as committed.
+	if err := runFuzz(42, 2, 0.2, "", committedFuzz, []int{1, 4}); err != nil {
+		t.Error(err)
+	}
 	if testing.Short() {
 		t.Log("simscale rows skipped in -short (~11 s)")
 		return
@@ -32,12 +38,12 @@ func TestCommittedRowsReproduce(t *testing.T) {
 	}
 }
 
-// doctored writes a copy of the committed scenarios report into a temp
-// directory after edit has been applied to every row's fields.
-func doctored(t *testing.T, edit func(fields map[string]json.RawMessage)) string {
+// doctored writes a copy of a committed report into a temp directory
+// after edit has been applied to every row's fields.
+func doctored(t *testing.T, benchmark, path string, edit func(fields map[string]json.RawMessage)) string {
 	t.Helper()
-	s := &sink{benchmark: "scenarios", seed: 42}
-	rep, rows, err := s.load(committedScenarios)
+	s := &sink{benchmark: benchmark, seed: 42}
+	rep, rows, err := s.load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +53,15 @@ func doctored(t *testing.T, edit func(fields map[string]json.RawMessage)) string
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "doctored.json")
-	if err := write(path, rep); err != nil {
+	out := filepath.Join(t.TempDir(), "doctored.json")
+	if err := write(out, rep); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return out
 }
 
 func TestVerifyNamesRowAndField(t *testing.T) {
-	path := doctored(t, func(f map[string]json.RawMessage) {
+	path := doctored(t, "scenarios", committedScenarios, func(f map[string]json.RawMessage) {
 		switch {
 		case string(f["scenario"]) == `"slow-node"` && string(f["nodes"]) == "48" && string(f["workers"]) == "4":
 			var pushed int64
@@ -82,8 +88,24 @@ func TestVerifyNamesRowAndField(t *testing.T) {
 	}
 }
 
+// TestFuzzVerifyNamesSeedAndField: a fuzz row that does not reproduce
+// fails the run by its (seed, nodes) key and field, and only the seeds
+// the report has rows for are run.
+func TestFuzzVerifyNamesSeedAndField(t *testing.T) {
+	path := doctored(t, "fuzz", committedFuzz, func(f map[string]json.RawMessage) {
+		if string(f["seed"]) == "43" {
+			f["ops"] = json.RawMessage("1")
+		}
+	})
+	err := runFuzz(42, 2, 0.2, "", path, []int{1})
+	if err == nil || !strings.Contains(err.Error(), "seed=43 nodes=48: ops is") ||
+		!strings.Contains(err.Error(), "2 of its 8 rows compared, 1 fields differ") {
+		t.Fatalf("err = %v, want the doctored row and field named", err)
+	}
+}
+
 func TestVerifyNothingComparedIsAnError(t *testing.T) {
-	path := doctored(t, func(f map[string]json.RawMessage) { f["nodes"] = json.RawMessage("47") })
+	path := doctored(t, "scenarios", committedScenarios, func(f map[string]json.RawMessage) { f["nodes"] = json.RawMessage("47") })
 	err := runScenarios(42, 0.1, "all", "", "", path, []int{1, 4}, 0)
 	if err == nil || !strings.Contains(err.Error(), "nothing compared") {
 		t.Fatalf("err = %v, want \"nothing compared\"", err)
@@ -105,7 +127,7 @@ func TestVerifyRefusesAnotherBenchmarkOrSeed(t *testing.T) {
 // what the writer produces from them, so a re-measured sweep shows up in
 // git diff as its own rows and nothing else.
 func TestWriteRoundTripsCommittedReports(t *testing.T) {
-	for benchmark, path := range map[string]string{"scenarios": committedScenarios, "simscale": committedSimScale} {
+	for benchmark, path := range map[string]string{"scenarios": committedScenarios, "simscale": committedSimScale, "fuzz": committedFuzz} {
 		s := &sink{benchmark: benchmark, seed: 42}
 		rep, _, err := s.load(path)
 		if err != nil {

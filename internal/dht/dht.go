@@ -197,10 +197,9 @@ func NewSequencer(self node.ID) *Sequencer {
 
 // Next allocates the next version for key.
 func (s *Sequencer) Next(key string) tuple.Version {
-	cur, _ := s.latest.Get(key)
-	v := cur.Next(s.self)
-	s.latest.Put(key, v)
-	return v
+	v, _ := s.latest.Slot(key)
+	*v = v.Next(s.self)
+	return *v
 }
 
 // Latest returns the most recent version assigned or observed for key.
@@ -211,8 +210,8 @@ func (s *Sequencer) Latest(key string) (tuple.Version, bool) {
 // Observe records an externally learned version (recovery, handoff); it
 // never moves the sequence backwards.
 func (s *Sequencer) Observe(key string, v tuple.Version) {
-	if cur, ok := s.latest.Get(key); !ok || cur.Less(v) {
-		s.latest.Put(key, v)
+	if cur, ok := s.latest.Slot(key); !ok || cur.Less(v) {
+		*cur = v
 	}
 }
 
@@ -285,21 +284,6 @@ func (d *Directory) Hints(key string) []node.ID {
 	out := make([]node.ID, len(hs))
 	copy(out, hs)
 	return out
-}
-
-// DropHint removes a hint observed to be wrong (e.g. holder crashed).
-func (d *Directory) DropHint(key string, id node.ID) {
-	hs, _ := d.hints.Get(key)
-	for i, h := range hs {
-		if h == id {
-			if len(hs) == 1 {
-				d.hints.Del(key)
-				return
-			}
-			d.hints.Put(key, append(hs[:i], hs[i+1:]...))
-			return
-		}
-	}
 }
 
 // Len returns the number of keys with hints.

@@ -226,10 +226,6 @@ func TestDirectoryHints(t *testing.T) {
 	if len(got) != 3 || got[0] != 2 || got[2] != 4 {
 		t.Fatalf("hints after eviction = %v", got)
 	}
-	d.DropHint("k", 3)
-	if got := d.Hints("k"); len(got) != 2 {
-		t.Fatalf("hints after drop = %v", got)
-	}
 	if d.Len() != 1 {
 		t.Fatalf("len = %d", d.Len())
 	}

@@ -76,7 +76,7 @@ func TestSequencerDifferentialVsMap(t *testing.T) {
 }
 
 // TestDirectoryDifferentialVsMap is the Directory counterpart: random
-// AddHint/DropHint/Hints/Wipe against a plain-map reference with the same
+// AddHint/Hints/Wipe against a plain-map reference with the same
 // oldest-first replacement policy.
 func TestDirectoryDifferentialVsMap(t *testing.T) {
 	const maxPerKey = 3
@@ -97,20 +97,6 @@ func TestDirectoryDifferentialVsMap(t *testing.T) {
 		}
 		ref[key] = append(hs, id)
 	}
-	refDrop := func(key string, id node.ID) {
-		hs := ref[key]
-		for i, h := range hs {
-			if h == id {
-				hs = append(hs[:i], hs[i+1:]...)
-				if len(hs) == 0 {
-					delete(ref, key)
-				} else {
-					ref[key] = hs
-				}
-				return
-			}
-		}
-	}
 	key := func() string { return fmt.Sprintf("k%03d", rng.Intn(200)) }
 	id := func() node.ID { return node.ID(rng.Intn(12) + 1) }
 
@@ -120,10 +106,6 @@ func TestDirectoryDifferentialVsMap(t *testing.T) {
 			k, h := key(), id()
 			d.AddHint(k, h)
 			refAdd(k, h)
-		case r < 0.7:
-			k, h := key(), id()
-			d.DropHint(k, h)
-			refDrop(k, h)
 		case r < 0.99:
 			k := key()
 			got, want := d.Hints(k), ref[k]

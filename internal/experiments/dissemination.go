@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"datadroplets/internal/gossip"
 	"datadroplets/internal/metrics"
 	"datadroplets/internal/node"
 	"datadroplets/internal/sieve"
@@ -34,10 +33,7 @@ func runC1(p Params) *Result {
 			atomic := 0
 			var coverage float64
 			for trial := 0; trial < trials; trial++ {
-				gc := newGossipCluster(n, p.Seed+int64(trial)*7919+int64(n), gossip.Config{
-					Fanout: gossip.FixedFanout(fanout),
-				})
-				infected, _ := gc.disseminate(80)
+				infected, _ := disseminate(gossipPopulation(n, p.Seed+int64(trial)*7919+int64(n), fanout), 80)
 				if infected == n {
 					atomic++
 				}
@@ -70,11 +66,9 @@ func runC2(p Params) *Result {
 	table := metrics.NewTable("worked example",
 		"N", "c", "fanout ln(N)+c", "trial", "infected", "atomic", "relays/node", "rounds")
 	for trial := 0; trial < trials; trial++ {
-		gc := newGossipCluster(n, p.Seed+int64(trial)*104729, gossip.Config{
-			Fanout: gossip.FixedFanout(fanout),
-		})
+		gc := gossipPopulation(n, p.Seed+int64(trial)*104729, fanout)
 		start := gc.net.Round()
-		infected, relayed := gc.disseminate(100)
+		infected, relayed := disseminate(gc, 100)
 		table.AddRow(n, c, fanout, trial, infected, infected == n,
 			float64(relayed)/float64(n), int(gc.net.Round()-start))
 	}
@@ -105,10 +99,8 @@ func runC3(p Params) *Result {
 		var coverage, msgs float64
 		replicaMeans := make([]float64, len(rs))
 		for trial := 0; trial < trials; trial++ {
-			gc := newGossipCluster(n, p.Seed+int64(trial)*31+int64(fanout*1000), gossip.Config{
-				Fanout: gossip.FixedFanout(fanout),
-			})
-			infected, relayed := gc.disseminate(120)
+			gc := gossipPopulation(n, p.Seed+int64(trial)*31+int64(fanout*1000), fanout)
+			infected, relayed := disseminate(gc, 120)
 			cov := float64(infected) / float64(n)
 			coverage += cov
 			msgs += float64(relayed) / float64(n)
@@ -146,13 +138,7 @@ func runC3(p Params) *Result {
 	return res
 }
 
-// probeArcCoverage is shared by placement experiments: replica stats for
-// a set of arc sieves.
-func probeArcCoverage(sieves []sieve.ArcSieve, probes int) sieve.CoverageReport {
-	return sieve.AnalyzeArcs(sieves, probes)
-}
-
-// arcsOfNodes converts node IDs + config into range sieves.
+// rangeSieves builds the range sieves of nodes 1..n.
 func rangeSieves(n int, r int, capacity func(i int) float64) []sieve.ArcSieve {
 	out := make([]sieve.ArcSieve, 0, n)
 	for i := 0; i < n; i++ {

@@ -39,10 +39,10 @@ func runC5(p Params) *Result {
 			var sumErr, maxErr float64
 			rounds := 0
 			for trial := 0; trial < trials; trial++ {
-				net, ests, _ := buildSizeCluster(n, p.Seed+int64(trial)*13+int64(k), sizeest.Config{K: k, EpochLen: 1 << 20})
+				sp := sizePopulation(n, p.Seed+int64(trial)*13+int64(k), sizeest.Config{K: k, EpochLen: 1 << 20})
 				rounds = int(math.Ceil(math.Log2(float64(n)))) + 5
-				net.Run(rounds)
-				relErr := math.Abs(ests[0].Estimate()-float64(n)) / float64(n)
+				sp.net.Run(rounds)
+				relErr := math.Abs(sp.machines[0].Estimate()-float64(n)) / float64(n)
 				sumErr += relErr
 				if relErr > maxErr {
 					maxErr = relErr
@@ -57,17 +57,13 @@ func runC5(p Params) *Result {
 		"churn preset", "true alive (end)", "estimate (end)", "|rel err|")
 	n := p.scaled(1000, 200)
 	for _, preset := range []workload.ChurnPreset{workload.ChurnNone, workload.ChurnLow, workload.ChurnModerate, workload.ChurnHigh} {
-		net, ests, ids := buildSizeCluster(n, p.Seed+int64(len(preset)), sizeest.Config{K: 128, EpochLen: 20})
-		ch := sim.NewChurner(net, workload.ChurnConfig(preset), p.Seed+99)
-		for i := 0; i < 60; i++ {
-			ch.Step()
-			net.Step()
-		}
-		alive := float64(net.Size())
+		sp := sizePopulation(n, p.Seed+int64(len(preset)), sizeest.Config{K: 128, EpochLen: 20})
+		sp.churn(workload.ChurnConfig(preset), p.Seed+99, 60)
+		alive := float64(sp.net.Size())
 		var est float64
-		for _, id := range ids {
-			if net.Alive(id) {
-				est = ests[id-1].Estimate()
+		for i, id := range sp.ids {
+			if sp.net.Alive(id) {
+				est = sp.machines[i].Estimate()
 				break
 			}
 		}
@@ -79,22 +75,10 @@ func runC5(p Params) *Result {
 	return res
 }
 
-func buildSizeCluster(n int, seed int64, cfg sizeest.Config) (*sim.Network, []*sizeest.Estimator, []node.ID) {
-	net := sim.New(sim.Config{Seed: seed})
-	ests := make([]*sizeest.Estimator, 0, n)
-	ids := make([]node.ID, n)
-	for i := range ids {
-		ids[i] = node.ID(i + 1)
-	}
-	pop := func() []node.ID { return ids }
-	for i := 0; i < n; i++ {
-		net.Spawn(func(id node.ID, rng *rand.Rand) sim.Machine {
-			e := sizeest.New(id, rng, membership.NewUniformView(id, rng, pop), cfg)
-			ests = append(ests, e)
-			return e
-		})
-	}
-	return net, ests, ids
+func sizePopulation(n int, seed int64, cfg sizeest.Config) *population[*sizeest.Estimator] {
+	return newPopulation(sim.Config{Seed: seed}, n, func(id node.ID, rng *rand.Rand, view func() *membership.UniformView) *sizeest.Estimator {
+		return sizeest.New(id, rng, view(), cfg)
+	})
 }
 
 // runC6 measures walk-based replica estimation: error vs walk count, and
@@ -112,18 +96,21 @@ func runC6(p Params) *Result {
 	for _, walks := range []int{8, 32, 128, 512} {
 		var sumEst, sumErr, hops float64
 		for trial := 0; trial < trials; trial++ {
-			net, walkers, ids := buildWalkCluster(n, p.Seed+int64(trial)*17+int64(walks),
-				func(id node.ID) bool { return float64(id%100) < trueFrac*100 })
-			w := walkers[0]
+			wp := newPopulation(sim.Config{Seed: p.Seed + int64(trial)*17 + int64(walks)}, n,
+				func(id node.ID, rng *rand.Rand, view func() *membership.UniformView) *randomwalk.Walker {
+					covers := float64(id%100) < trueFrac*100
+					return randomwalk.New(id, rng, view(), func(randomwalk.Query) (bool, bool) { return covers, false })
+				})
+			w := wp.machines[0]
 			setID, envs := w.Launch(randomwalk.Query{Point: 1}, walks, 8)
-			net.Emit(ids[0], envs)
-			net.Quiesce(40)
+			wp.net.Emit(wp.ids[0], envs)
+			wp.net.Quiesce(40)
 			set, _ := w.Results(setID)
 			est := set.ReplicaEstimate(float64(n))
 			sumEst += est
 			sumErr += math.Abs(est-trueFrac*float64(n)) / (trueFrac * float64(n))
 			var h int64
-			for _, wk := range walkers {
+			for _, wk := range wp.machines {
 				h += wk.Hops
 			}
 			hops += float64(h)
@@ -146,25 +133,6 @@ func runC6(p Params) *Result {
 	res.Notes = append(res.Notes,
 		"expected shape: error shrinks ~1/sqrt(walks); checking per sieve range instead of per tuple saves a factor equal to the range's tuple count")
 	return res
-}
-
-func buildWalkCluster(n int, seed int64, covers func(node.ID) bool) (*sim.Network, []*randomwalk.Walker, []node.ID) {
-	net := sim.New(sim.Config{Seed: seed})
-	walkers := make([]*randomwalk.Walker, 0, n)
-	ids := make([]node.ID, n)
-	for i := range ids {
-		ids[i] = node.ID(i + 1)
-	}
-	pop := func() []node.ID { return ids }
-	for i := 0; i < n; i++ {
-		net.Spawn(func(id node.ID, rng *rand.Rand) sim.Machine {
-			w := randomwalk.New(id, rng, membership.NewUniformView(id, rng, pop),
-				func(q randomwalk.Query) (bool, bool) { return covers(id), false })
-			walkers = append(walkers, w)
-			return w
-		})
-	}
-	return net, walkers, ids
 }
 
 // runC9 measures gossip distribution estimation: KS distance vs rounds,
@@ -191,67 +159,50 @@ func runC9(p Params) *Result {
 			owners[nd] = append(owners[nd], i)
 		}
 	}
-	build := func(seed int64, epochLen int) (*sim.Network, []*histogram.Estimator, []node.ID) {
-		net := sim.New(sim.Config{Seed: seed})
-		ests := make([]*histogram.Estimator, 0, n)
-		ids := make([]node.ID, n)
-		for i := range ids {
-			ids[i] = node.ID(i + 1)
-		}
-		pop := func() []node.ID { return ids }
-		for i := 0; i < n; i++ {
-			items := owners[i]
-			net.Spawn(func(id node.ID, rng *rand.Rand) sim.Machine {
-				e := histogram.NewEstimator(id, rng, membership.NewUniformView(id, rng, pop),
-					histogram.EstimatorConfig{
-						K: 384, EpochLen: epochLen, Buckets: 24,
-						Local: func(emit func(string, float64)) {
-							for _, it := range items {
-								emit(fmt.Sprintf("item-%d", it), values[it])
-							}
-						},
-					})
-				ests = append(ests, e)
-				return e
+	build := func(seed int64, epochLen int) *population[*histogram.Estimator] {
+		return newPopulation(sim.Config{Seed: seed}, n, func(id node.ID, rng *rand.Rand, view func() *membership.UniformView) *histogram.Estimator {
+			items := owners[id-1]
+			return histogram.NewEstimator(id, rng, view(), histogram.EstimatorConfig{
+				K: 384, EpochLen: epochLen, Buckets: 24,
+				Local: func(emit func(string, float64)) {
+					for _, it := range items {
+						emit(fmt.Sprintf("item-%d", it), values[it])
+					}
+				},
 			})
-		}
-		return net, ests, ids
+		})
 	}
 
 	series := metrics.NewTable("KS distance vs rounds (duplicates r=3)",
 		"round", "KS node A", "KS node B", "distinct estimate / true")
-	net, ests, _ := build(p.Seed, 1<<20)
+	hp := build(p.Seed, 1<<20)
 	for round := 0; round <= 16; round += 2 {
 		if round > 0 {
-			net.Run(2)
+			hp.net.Run(2)
 		}
 		ksA, ksB := math.NaN(), math.NaN()
-		if h := ests[0].Histogram(); h != nil {
+		if h := hp.machines[0].Histogram(); h != nil {
 			ksA = h.KSAgainstSamples(values)
 		}
-		if h := ests[n/2].Histogram(); h != nil {
+		if h := hp.machines[n/2].Histogram(); h != nil {
 			ksB = h.KSAgainstSamples(values)
 		}
-		series.AddRow(round, ksA, ksB, ests[0].DistinctEstimate()/float64(total))
+		series.AddRow(round, ksA, ksB, hp.machines[0].DistinctEstimate()/float64(total))
 	}
 	res.Tables = append(res.Tables, series)
 
 	churnT := metrics.NewTable("KS after 60 rounds under churn (epoch 20)",
 		"churn preset", "KS (alive node)", "distinct est / true")
 	for _, preset := range []workload.ChurnPreset{workload.ChurnNone, workload.ChurnModerate, workload.ChurnHigh} {
-		cnet, cests, cids := build(p.Seed+int64(len(preset)), 20)
-		ch := sim.NewChurner(cnet, workload.ChurnConfig(preset), p.Seed+7)
-		for i := 0; i < 60; i++ {
-			ch.Step()
-			cnet.Step()
-		}
-		for i, id := range cids {
-			if cnet.Alive(id) {
+		cp := build(p.Seed+int64(len(preset)), 20)
+		cp.churn(workload.ChurnConfig(preset), p.Seed+7, 60)
+		for i, id := range cp.ids {
+			if cp.net.Alive(id) {
 				ks := math.NaN()
-				if h := cests[i].Histogram(); h != nil {
+				if h := cp.machines[i].Histogram(); h != nil {
 					ks = h.KSAgainstSamples(values)
 				}
-				churnT.AddRow(string(preset), ks, cests[i].DistinctEstimate()/float64(total))
+				churnT.AddRow(string(preset), ks, cp.machines[i].DistinctEstimate()/float64(total))
 				break
 			}
 		}
@@ -272,23 +223,22 @@ func runC12(p Params) *Result {
 	table := metrics.NewTable("aggregate error vs churn (avg of values 1..N)",
 		"churn preset", "true avg (alive)", "estimate", "|rel err|", "min est", "max est")
 	for _, preset := range []workload.ChurnPreset{workload.ChurnNone, workload.ChurnLow, workload.ChurnModerate, workload.ChurnHigh} {
-		net, aggs, ids := buildAggCluster(n, p.Seed+int64(len(preset)))
-		ch := sim.NewChurner(net, workload.ChurnConfig(preset), p.Seed+3)
-		for i := 0; i < 75; i++ {
-			ch.Step()
-			net.Step()
-		}
+		ap := newPopulation(sim.Config{Seed: p.Seed + int64(len(preset))}, n,
+			func(id node.ID, rng *rand.Rand, view func() *membership.UniformView) *aggregate.Aggregator {
+				return aggregate.New(id, rng, view(), aggregate.Config{Attr: "v", EpochLen: 25, Value: func() float64 { return float64(id) }})
+			})
+		ap.churn(workload.ChurnConfig(preset), p.Seed+3, 75)
 		var trueSum, aliveN float64
-		for i, id := range ids {
-			if net.Alive(id) {
-				trueSum += float64(i + 1)
+		for _, id := range ap.ids {
+			if ap.net.Alive(id) {
+				trueSum += float64(id)
 				aliveN++
 			}
 		}
 		trueAvg := trueSum / aliveN
-		for i, id := range ids {
-			if net.Alive(id) {
-				a := aggs[i]
+		for i, id := range ap.ids {
+			if ap.net.Alive(id) {
+				a := ap.machines[i]
 				table.AddRow(string(preset), trueAvg, a.Average(),
 					math.Abs(a.Average()-trueAvg)/trueAvg, a.Min(), a.Max())
 				break
@@ -299,24 +249,4 @@ func runC12(p Params) *Result {
 	res.Notes = append(res.Notes,
 		"expected shape: exact convergence without churn; bounded error under churn thanks to epoch restarts (mass loss is reset every epoch)")
 	return res
-}
-
-func buildAggCluster(n int, seed int64) (*sim.Network, []*aggregate.Aggregator, []node.ID) {
-	net := sim.New(sim.Config{Seed: seed})
-	aggs := make([]*aggregate.Aggregator, 0, n)
-	ids := make([]node.ID, n)
-	for i := range ids {
-		ids[i] = node.ID(i + 1)
-	}
-	pop := func() []node.ID { return ids }
-	for i := 0; i < n; i++ {
-		v := float64(i + 1)
-		net.Spawn(func(id node.ID, rng *rand.Rand) sim.Machine {
-			a := aggregate.New(id, rng, membership.NewUniformView(id, rng, pop),
-				aggregate.Config{Attr: "v", EpochLen: 25, Value: func() float64 { return v }})
-			aggs = append(aggs, a)
-			return a
-		})
-	}
-	return net, aggs, ids
 }

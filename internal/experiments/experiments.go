@@ -107,42 +107,70 @@ func Run(id string, p Params) (*Result, error) {
 	return r(p.normalized()), nil
 }
 
-// gossipCluster is the shared dissemination fixture: n Disseminators
-// over a uniform-view population.
-type gossipCluster struct {
+// population is what every simulator harness here is built on: a
+// fabric, the dense list of every node spawned on it (what each node's
+// uniform membership view samples), and the machines — machines[i] runs
+// node ids[i] = i+1. join is the one factory behind the initial nodes and
+// behind mass-join and churn spawns, so a node that joins mid-run is
+// built and listed exactly like the first ones.
+type population[M sim.Machine] struct {
 	net      *sim.Network
 	ids      []node.ID
-	machines []*gossip.Disseminator
+	machines []M
+	newNode  func(id node.ID, rng *rand.Rand, view func() *membership.UniformView) M
 }
 
-func newGossipCluster(n int, seed int64, cfg gossip.Config) *gossipCluster {
-	c := &gossipCluster{
-		net:      sim.New(sim.Config{Seed: seed}),
-		machines: make([]*gossip.Disseminator, 0, n),
+// newPopulation spawns n nodes on a new fabric. newNode builds node id's
+// machine from the node's seeded rng and view, which returns a new
+// uniform view of the population per call (a T-Man node runs one per
+// ordering).
+func newPopulation[M sim.Machine](fabric sim.Config, n int,
+	newNode func(id node.ID, rng *rand.Rand, view func() *membership.UniformView) M) *population[M] {
+	p := &population[M]{net: sim.New(fabric), ids: make([]node.ID, 0, n), machines: make([]M, 0, n), newNode: newNode}
+	for range n {
+		p.net.Spawn(p.join)
 	}
-	ids := make([]node.ID, n)
-	for i := range ids {
-		ids[i] = node.ID(i + 1)
+	return p
+}
+
+// join builds, lists and returns the machine of a node the fabric
+// spawns. No machine samples its view before its first Tick, so the node
+// may be listed after its machine is built.
+func (p *population[M]) join(id node.ID, rng *rand.Rand) sim.Machine {
+	m := p.newNode(id, rng, func() *membership.UniformView {
+		return membership.NewUniformView(id, rng, func() []node.ID { return p.ids })
+	})
+	p.machines = append(p.machines, m)
+	p.ids = append(p.ids, id)
+	return m
+}
+
+// churn steps the population rounds rounds under a churn process
+// seeded with seed.
+func (p *population[M]) churn(cc sim.ChurnConfig, seed int64, rounds int) {
+	ch := sim.NewChurner(p.net, cc, seed)
+	for range rounds {
+		ch.Step()
+		p.net.Step()
 	}
-	c.ids = ids
-	pop := func() []node.ID { return ids }
-	for i := 0; i < n; i++ {
-		c.net.Spawn(func(id node.ID, rng *rand.Rand) sim.Machine {
-			d := gossip.New(id, rng, membership.NewUniformView(id, rng, pop), cfg)
-			c.machines = append(c.machines, d)
-			return d
-		})
-	}
-	return c
+}
+
+// gossipPopulation is the dissemination experiments' fixture: n
+// Disseminators relaying to a fixed fanout.
+func gossipPopulation(n int, seed int64, fanout float64) *population[*gossip.Disseminator] {
+	cfg := gossip.Config{Fanout: gossip.FixedFanout(fanout)}
+	return newPopulation(sim.Config{Seed: seed}, n, func(id node.ID, rng *rand.Rand, view func() *membership.UniformView) *gossip.Disseminator {
+		return gossip.New(id, rng, view(), cfg)
+	})
 }
 
 // disseminate publishes one rumor from node 1 and drains the network.
 // Returns the infected count and total relayed copies.
-func (c *gossipCluster) disseminate(maxRounds int) (infected int, relayed int64) {
-	id, envs := c.machines[0].Publish(c.net.Round(), "x")
-	c.net.Emit(c.ids[0], envs)
-	c.net.Quiesce(maxRounds)
-	for _, d := range c.machines {
+func disseminate(p *population[*gossip.Disseminator], maxRounds int) (infected int, relayed int64) {
+	id, envs := p.machines[0].Publish(p.net.Round(), "x")
+	p.net.Emit(p.ids[0], envs)
+	p.net.Quiesce(maxRounds)
+	for _, d := range p.machines {
 		if d.Seen(id) {
 			infected++
 		}

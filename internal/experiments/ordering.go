@@ -16,31 +16,27 @@ func init() {
 }
 
 // fanMachine composes several overlays on one simulated node (the
-// multiple-orderings case of §III-B2).
+// multiple-orderings case of §III-B2): every entry point runs on each
+// overlay in turn.
 type fanMachine struct{ subs []sim.Machine }
 
-func (f *fanMachine) Start(now sim.Round) []sim.Envelope {
-	var out []sim.Envelope
+func (f *fanMachine) each(step func(sim.Machine) []sim.Envelope) (out []sim.Envelope) {
 	for _, s := range f.subs {
-		out = append(out, s.Start(now)...)
+		out = append(out, step(s)...)
 	}
 	return out
+}
+
+func (f *fanMachine) Start(now sim.Round) []sim.Envelope {
+	return f.each(func(s sim.Machine) []sim.Envelope { return s.Start(now) })
 }
 
 func (f *fanMachine) Tick(now sim.Round) []sim.Envelope {
-	var out []sim.Envelope
-	for _, s := range f.subs {
-		out = append(out, s.Tick(now)...)
-	}
-	return out
+	return f.each(func(s sim.Machine) []sim.Envelope { return s.Tick(now) })
 }
 
 func (f *fanMachine) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
-	var out []sim.Envelope
-	for _, s := range f.subs {
-		out = append(out, s.Handle(now, from, msg)...)
-	}
-	return out
+	return f.each(func(s sim.Machine) []sim.Envelope { return s.Handle(now, from, msg) })
 }
 
 // runC11 measures ordered-overlay construction (§III-B2, ref [32]):
@@ -118,35 +114,21 @@ func runC11(p Params) *Result {
 // buildOrderCluster spawns n nodes each running k overlays over shuffled
 // distinct values. overlays[j][i] is ordering j on node i.
 func buildOrderCluster(n int, seed int64, k int) (*sim.Network, [][]*tman.Overlay, map[node.ID]float64) {
-	net := sim.New(sim.Config{Seed: seed})
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
+	perm := rand.New(rand.NewSource(seed)).Perm(n)
 	overlays := make([][]*tman.Overlay, k)
-	for j := range overlays {
-		overlays[j] = make([]*tman.Overlay, 0, n)
-	}
 	values := make(map[node.ID]float64, n)
-	ids := make([]node.ID, n)
-	for i := range ids {
-		ids[i] = node.ID(i + 1)
-	}
-	pop := func() []node.ID { return ids }
-	for i := 0; i < n; i++ {
-		v := float64(perm[i])
-		net.Spawn(func(id node.ID, rng *rand.Rand) sim.Machine {
-			values[id] = v
-			subs := make([]sim.Machine, 0, k)
-			for j := 0; j < k; j++ {
-				attr := string(rune('a' + j))
-				o := tman.New(id, rng, membership.NewUniformView(id, rng, pop), v,
-					tman.Config{Attr: attr, ViewSize: 10})
-				overlays[j] = append(overlays[j], o)
-				subs = append(subs, o)
-			}
-			return &fanMachine{subs: subs}
-		})
-	}
-	return net, overlays, values
+	p := newPopulation(sim.Config{Seed: seed}, n, func(id node.ID, rng *rand.Rand, view func() *membership.UniformView) *fanMachine {
+		v := float64(perm[id-1])
+		values[id] = v
+		f := &fanMachine{}
+		for j := range overlays {
+			o := tman.New(id, rng, view(), v, tman.Config{Attr: string(rune('a' + j)), ViewSize: 10})
+			overlays[j] = append(overlays[j], o)
+			f.subs = append(f.subs, o)
+		}
+		return f
+	})
+	return p.net, overlays, values
 }
 
 // successorCorrectness is the fraction of alive nodes whose overlay

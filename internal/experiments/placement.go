@@ -58,7 +58,7 @@ func runC4(p Params) *Result {
 	cov := metrics.NewTable("range sieve coverage (exact interval union)",
 		"r", "coverage fraction", "min replicas", "mean replicas", "max replicas", "fully covered")
 	for _, rr := range []int{1, 2, 3, 4, 8} {
-		rep := probeArcCoverage(rangeSieves(n, rr, nil), 4096)
+		rep := sieve.AnalyzeArcs(rangeSieves(n, rr, nil), 4096)
 		cov.AddRow(rr, rep.Fraction, rep.MinReplicas, rep.MeanReplicas, rep.MaxReplicas, rep.FullyCovered())
 	}
 	res.Tables = append(res.Tables, cov)
@@ -147,7 +147,7 @@ func runC10(p Params) *Result {
 		// 20 adjacent tuples count distinct holder nodes (multi-get cost
 		// for a small range query).
 		byVal := append([]*tuple.Tuple(nil), ds.Tuples...)
-		sortTuplesByAttr(byVal, "v")
+		sort.Slice(byVal, func(i, j int) bool { return byVal[i].Attrs["v"] < byVal[j].Attrs["v"] })
 		winNodes := metrics.NewDist(64)
 		for w := 0; w+20 <= len(byVal); w += len(byVal) / 50 {
 			distinct := map[int]bool{}
@@ -182,9 +182,4 @@ func runC10(p Params) *Result {
 		"expected shape: quantile sieve load balance ≈ range sieve (equal probability mass per node) while touching far fewer nodes per value window",
 		"expected shape: tag sieve touches ≈r nodes per correlated group vs ≈min(group size * r, N) for hash placement")
 	return res
-}
-
-// sortTuplesByAttr sorts tuples ascending by the attribute.
-func sortTuplesByAttr(ts []*tuple.Tuple, attr string) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Attrs[attr] < ts[j].Attrs[attr] })
 }

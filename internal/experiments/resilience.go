@@ -19,52 +19,25 @@ func init() {
 	register("C8", runC8)
 }
 
-// epidemicFixture is a persistent-layer population used by C7/C8.
-type epidemicFixture struct {
-	net   *sim.Network
-	nodes []*epidemic.Node
-	ids   []node.ID
+// epidemicPopulation is a persistent-layer population over a fabric of
+// the given seed: the fixture of C7, C8 and simscale.
+func epidemicPopulation(fabric sim.Config, n int, cfg epidemic.Config) *population[*epidemic.Node] {
+	return newPopulation(fabric, n, func(id node.ID, rng *rand.Rand, view func() *membership.UniformView) *epidemic.Node {
+		return epidemic.New(id, rng, view(), cfg)
+	})
 }
 
-func buildEpidemicFixture(n int, seed int64, cfg epidemic.Config) *epidemicFixture {
-	f := &epidemicFixture{net: sim.New(sim.Config{Seed: seed})}
-	ids := make([]node.ID, n)
-	for i := range ids {
-		ids[i] = node.ID(i + 1)
-	}
-	f.ids = ids
-	pop := func() []node.ID { return f.ids }
-	for i := 0; i < n; i++ {
-		f.net.Spawn(func(id node.ID, rng *rand.Rand) sim.Machine {
-			en := epidemic.New(id, rng, membership.NewUniformView(id, rng, pop), cfg)
-			f.nodes = append(f.nodes, en)
-			return en
-		})
-	}
-	return f
+// writeVia hands t to node i mod population as a client write.
+func writeVia(p *population[*epidemic.Node], i int, t *tuple.Tuple) {
+	origin := p.machines[i%len(p.machines)]
+	p.net.Emit(origin.Self, origin.Write(p.net.Round(), t))
 }
 
-// spawner returns a churn join factory that extends the fixture.
-func (f *epidemicFixture) spawner(cfg epidemic.Config) func(node.ID, *rand.Rand) sim.Machine {
-	pop := func() []node.ID { return f.ids }
-	return func(id node.ID, rng *rand.Rand) sim.Machine {
-		en := epidemic.New(id, rng, membership.NewUniformView(id, rng, pop), cfg)
-		f.nodes = append(f.nodes, en)
-		f.ids = append(f.ids, id)
-		return en
-	}
-}
-
-func (f *epidemicFixture) write(i int, t *tuple.Tuple) {
-	origin := f.nodes[i%len(f.nodes)]
-	f.net.Emit(origin.Self, origin.Write(f.net.Round(), t))
-}
-
-// holders counts alive nodes storing a live copy.
-func (f *epidemicFixture) holders(key string) int {
+// holders counts alive nodes storing a live copy of key.
+func holders(p *population[*epidemic.Node], key string) int {
 	c := 0
-	for i, en := range f.nodes {
-		if f.net.Alive(f.ids[i]) {
+	for i, en := range p.machines {
+		if p.net.Alive(p.ids[i]) {
 			if _, ok := en.St.Get(key); ok {
 				c++
 			}
@@ -88,33 +61,29 @@ func runC7(p Params) *Result {
 			Replication: r, FanoutC: 2, DisableRepair: !repairOn,
 			Repair: repair.Config{CheckEvery: 5, Grace: grace, Walks: 48, TTL: 6, WaitRounds: 9},
 		}
-		f := buildEpidemicFixture(n, p.Seed+int64(grace)*3+int64(len(preset)), cfg)
+		f := epidemicPopulation(sim.Config{Seed: p.Seed + int64(grace)*3 + int64(len(preset))}, n, cfg)
 		f.net.Run(30)
 		for i := 0; i < keys; i++ {
-			f.write(i, &tuple.Tuple{Key: workload.Key(i), Value: []byte("v"), Version: tuple.Version{Seq: 1, Writer: 1}})
+			writeVia(f, i, &tuple.Tuple{Key: workload.Key(i), Value: []byte("v"), Version: tuple.Version{Seq: 1, Writer: 1}})
 		}
 		f.net.Run(20)
 		var sum0 int
 		for i := 0; i < keys; i++ {
-			sum0 += f.holders(workload.Key(i))
+			sum0 += holders(f, workload.Key(i))
 		}
 		cc := workload.ChurnConfig(preset)
-		cc.Spawn = f.spawner(cfg)
+		cc.Spawn = f.join
 		cc.JoinPerRound = cc.PermanentPerRound * float64(n) // joins balance departures
-		ch := sim.NewChurner(f.net, cc, p.Seed+55)
-		for i := 0; i < 150; i++ {
-			ch.Step()
-			f.net.Step()
-		}
+		f.churn(cc, p.Seed+55, 150)
 		var sumEnd, lostKeys int
 		for i := 0; i < keys; i++ {
-			h := f.holders(workload.Key(i))
+			h := holders(f, workload.Key(i))
 			sumEnd += h
 			if h == 0 {
 				lostKeys++
 			}
 		}
-		for _, en := range f.nodes {
+		for _, en := range f.machines {
 			if en.Repair != nil {
 				traffic += en.Repair.Pushed + en.Repair.Handoffs
 			}
@@ -167,30 +136,26 @@ func runC8(p Params) *Result {
 			Replication: r, FanoutC: 2, AntiEntropyEvery: 10,
 			Repair: repair.Config{CheckEvery: 5, Grace: 12, Walks: 48, TTL: 6, WaitRounds: 9},
 		}
-		ef := buildEpidemicFixture(n, p.Seed+int64(len(preset)), ecfg)
+		ef := epidemicPopulation(sim.Config{Seed: p.Seed + int64(len(preset))}, n, ecfg)
 		ef.net.Run(30)
 		for i := 0; i < keys; i++ {
-			ef.write(i, &tuple.Tuple{Key: workload.Key(i), Value: []byte("v"), Version: tuple.Version{Seq: 1, Writer: 1}})
+			writeVia(ef, i, &tuple.Tuple{Key: workload.Key(i), Value: []byte("v"), Version: tuple.Version{Seq: 1, Writer: 1}})
 		}
 		ef.net.Run(20)
 		ecc := workload.ChurnConfig(preset)
-		ecc.Spawn = ef.spawner(ecfg)
+		ecc.Spawn = ef.join
 		ecc.JoinPerRound = ecc.PermanentPerRound * float64(n)
-		ech := sim.NewChurner(ef.net, ecc, p.Seed+1)
-		for i := 0; i < 120; i++ {
-			ech.Step()
-			ef.net.Step()
-		}
+		ef.churn(ecc, p.Seed+1, 120)
 		var avail, reps float64
 		for i := 0; i < keys; i++ {
-			h := ef.holders(workload.Key(i))
+			h := holders(ef, workload.Key(i))
 			if h > 0 {
 				avail++
 			}
 			reps += float64(h)
 		}
 		var etraffic int64
-		for _, en := range ef.nodes {
+		for _, en := range ef.machines {
 			if en.Repair != nil {
 				etraffic += en.Repair.Pushed + en.Repair.Handoffs
 			}
@@ -202,13 +167,11 @@ func runC8(p Params) *Result {
 		provider := baseline.NewDelayedViewProvider(detectLag)
 		bcfg := baseline.Config{Replicas: r, Vnodes: 16, CheckEvery: 5, View: provider.View}
 		bnodes := make(map[node.ID]*baseline.Node, n)
-		for i := 0; i < n; i++ {
-			bnet.Spawn(func(id node.ID, rng *rand.Rand) sim.Machine {
-				bn := baseline.New(id, rng, bcfg)
-				bnodes[id] = bn
-				return bn
-			})
+		bjoin := func(id node.ID, rng *rand.Rand) sim.Machine {
+			bnodes[id] = baseline.New(id, rng, bcfg)
+			return bnodes[id]
 		}
+		bnet.SpawnN(n, bjoin)
 		step := func() {
 			provider.Record(bnet.AliveIDs())
 			bnet.Step()
@@ -226,11 +189,7 @@ func runC8(p Params) *Result {
 			step()
 		}
 		bcc := workload.ChurnConfig(preset)
-		bcc.Spawn = func(id node.ID, rng *rand.Rand) sim.Machine {
-			bn := baseline.New(id, rng, bcfg)
-			bnodes[id] = bn
-			return bn
-		}
+		bcc.Spawn = bjoin
 		bcc.JoinPerRound = bcc.PermanentPerRound * float64(n)
 		bch := sim.NewChurner(bnet, bcc, p.Seed+2)
 		for i := 0; i < 120; i++ {

@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"time"
 
 	"datadroplets/internal/epidemic"
-	"datadroplets/internal/membership"
 	"datadroplets/internal/node"
 	"datadroplets/internal/oracle"
 	"datadroplets/internal/repair"
@@ -35,18 +33,17 @@ const (
 	ScenarioLatencySpike = "latency-spike"
 )
 
-// scenarioCatalog describes the suite; defaultFaultRounds is the fault
-// window each scenario measures under.
+// scenarioCatalog lists the suite with the fault window each scenario
+// measures under (catalogueEvents holds the schedules).
 var scenarioCatalog = []struct {
 	name        string
-	desc        string
 	faultRounds int
 }{
-	{ScenarioSplitBrain, "60/40 network partition; writes land on both sides; heal and converge", 40},
-	{ScenarioFlapStorm, "10% of members flap (down 3 of every 8 rounds) for the whole window", 48},
-	{ScenarioMassCrash, "30% of members crash simultaneously, revive together 20 rounds later", 30},
-	{ScenarioSlowNode, "5% of members turn slow and lossy (+3 rounds delay, 15% loss)", 40},
-	{ScenarioLatencySpike, "global latency surge: every message +2..4 rounds of delay", 20},
+	{ScenarioSplitBrain, 40},   // 60/40 network partition; writes land on both sides; heal and converge
+	{ScenarioFlapStorm, 48},    // 10% of members flap (down 3 of every 8 rounds) for the whole window
+	{ScenarioMassCrash, 30},    // 30% of members crash simultaneously, revive together 20 rounds later
+	{ScenarioSlowNode, 40},     // 5% of members turn slow and lossy (+3 rounds delay, 15% loss)
+	{ScenarioLatencySpike, 20}, // global latency surge: every message +2..4 rounds of delay
 }
 
 // ScenarioNames returns the suite's scenario names in catalogue order.
@@ -56,16 +53,6 @@ func ScenarioNames() []string {
 		out[i] = s.name
 	}
 	return out
-}
-
-// ScenarioDescription returns the one-line description of a scenario.
-func ScenarioDescription(name string) string {
-	for _, s := range scenarioCatalog {
-		if s.name == name {
-			return s.desc
-		}
-	}
-	return ""
 }
 
 // ScenarioConfig parameterises one scenario run. Zero values select the
@@ -350,6 +337,11 @@ func newScenarioProbe(keys int) *scenarioProbe {
 		fresh:   make([]bool, keys),
 		holders: make([]int, keys),
 	}
+	for ki := range keys {
+		k := scenarioKey(ki)
+		p.keyIdx[k] = ki
+		p.points[ki] = node.HashKey(k)
+	}
 	return p
 }
 
@@ -489,249 +481,50 @@ func (p *scenarioProbe) meanHolders() float64 {
 
 // RunScenario executes one fault scenario: settle, preload the key
 // space, open the fault window under sustained writes, then measure the
-// post-fault convergence. All state flows from cfg.Seed; two calls with
-// equal configs produce identical results at every worker count.
+// post-fault convergence. A run is four parts — the population under
+// test, the client that issues the workload (recording or not), the
+// fault schedule (applyEvents) and the probe that measures the stores
+// between rounds — and the phases below drive them. All state flows from
+// cfg.Seed; two calls with equal configs produce identical results at
+// every worker count.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
 		return nil, err
 	}
-
-	nodes := make([]*epidemic.Node, 0, cfg.Nodes)
-	ids := make([]node.ID, 0, cfg.Nodes)
-	pop := func() []node.ID { return ids }
-	ecfg := epidemic.Config{
+	pop := epidemicPopulation(sim.Config{Seed: cfg.Seed, Workers: cfg.Workers}, cfg.Nodes, epidemic.Config{
 		Replication:      replication,
 		FanoutC:          1,
 		AntiEntropyEvery: 10,
-		Repair: repair.Config{
-			Walks:       8,
-			CheckEvery:  10,
-			Grace:       8,
-			OrphanBatch: 2,
-		},
-	}
-	net := sim.New(sim.Config{Seed: cfg.Seed, Workers: cfg.Workers})
+		Repair:           repair.Config{Walks: 8, CheckEvery: 10, Grace: 8, OrphanBatch: 2},
+	})
+	net := pop.net
 	defer net.Close()
-	build := func(id node.ID, rng *rand.Rand) sim.Machine {
-		en := epidemic.New(id, rng, membership.NewUniformView(id, rng, pop), ecfg)
-		nodes = append(nodes, en)
-		return en
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		ids = append(ids, net.Spawn(build))
-	}
-
 	sc := sim.NewScenario(cfg.Seed ^ 0x5cee).Attach(net)
-
 	probe := newScenarioProbe(cfg.Keys)
-	keyName := func(ki int) string { return fmt.Sprintf("sk-%06d", ki) }
-	for ki := 0; ki < cfg.Keys; ki++ {
-		k := keyName(ki)
-		probe.keyIdx[k] = ki
-		probe.points[ki] = node.HashKey(k)
-	}
-
-	wrng := rand.New(rand.NewSource(cfg.Seed ^ 0x77aa77aa))
-	value := make([]byte, 64)
-	for i := range value {
-		value[i] = byte(i)
-	}
-
-	// Oracle mode (RecordHistory): a fixed roster of client sessions,
-	// each sticky to one origin node — a session guarantee is only
-	// meaningful against a stable session — with every client-visible op
-	// recorded. All recording state is harness-owned and touched only in
-	// the serial phase; the one machine-side hook, OnHint, appends to a
-	// per-origin queue that only that node's compute slot writes, and the
-	// harness drains the queues in fixed node order after every
-	// net.Step(), so recording cannot perturb the trace or the digest.
-	var (
-		hist      *workload.History
-		clientAt  []node.ID // client -> sticky origin node
-		ackq      map[node.ID]*ackQueue
-		ackOrder  []node.ID        // deterministic reap order
-		openWrite map[writeRef]int // in-flight write -> history index
-		openReads []*pendingRead
-		hintDir   map[string][]node.ID // key -> acknowledged holders (cap 4)
-	)
-	if cfg.RecordHistory {
-		hist = workload.NewHistory()
-		clientAt = make([]node.ID, scenarioClients)
-		ackq = make(map[node.ID]*ackQueue)
-		openWrite = make(map[writeRef]int)
-		hintDir = make(map[string][]node.ID)
-		for c := 0; c < scenarioClients; c++ {
-			origin := ids[(c*cfg.Nodes)/scenarioClients]
-			clientAt[c] = origin
-			if _, ok := ackq[origin]; !ok {
-				q := &ackQueue{}
-				ackq[origin] = q
-				ackOrder = append(ackOrder, origin)
-				nodes[origin-1].OnHint = func(key string, holder node.ID, v tuple.Version) {
-					q.recs = append(q.recs, hintRec{key: key, holder: holder, v: v})
-				}
-			}
-		}
-	}
-
-	writeKey := func(ki int) {
-		var origin node.ID
-		client := -1
-		if cfg.RecordHistory {
-			client = wrng.Intn(scenarioClients)
-			origin = clientAt[client]
-			if !net.Alive(origin) {
-				return // the session's origin is down: the client cannot issue
-			}
-		} else {
-			alive := net.AliveIDs()
-			if len(alive) == 0 {
-				return
-			}
-			origin = alive[wrng.Intn(len(alive))]
-		}
-		probe.latest[ki]++
-		probe.writer[ki] = origin
-		t := &tuple.Tuple{
-			Key:     keyName(ki),
-			Value:   value,
-			Attrs:   map[string]float64{"v": float64(wrng.Intn(1000))},
-			Version: tuple.Version{Seq: probe.latest[ki], Writer: origin},
-		}
-		if client >= 0 {
-			idx := hist.Append(workload.Op{Client: client, Kind: workload.OpWrite,
-				Key: t.Key, Version: t.Version, Issued: net.Round()})
-			openWrite[writeRef{ki: ki, seq: t.Version.Seq}] = idx
-		}
-		net.Emit(origin, nodes[origin-1].Write(net.Round(), t))
-	}
-
-	// finishRead resolves a recorded read from its request state: the
-	// best-versioned reply (or the local hit), a miss when no reply
-	// carried a copy.
-	finishRead := func(opIdx int, st *epidemic.ReadState) {
-		op := &hist.Ops[opIdx]
-		op.Completed = net.Round()
-		if st != nil && st.Hit && st.Tuple != nil {
-			op.Version = st.Tuple.Version
-			if injectStaleReads && op.Version.Seq > 1 {
-				op.Version.Seq-- // deliberately broken client (test hook)
-			}
-		} else {
-			op.Miss = true
-		}
-	}
-
-	// The read workload drives read-repair. Reads draw from their own
-	// seeded stream so the write/fault streams are untouched.
-	rrng := rand.New(rand.NewSource(cfg.Seed ^ 0x4ead4ead))
-	chooseKey, err := workload.NewKeyChooser(cfg.ReadDist, cfg.Keys, rrng)
+	load, err := newScenarioLoad(cfg, pop, probe)
 	if err != nil {
 		return nil, err
 	}
-	readKey := func() {
-		if cfg.RecordHistory {
-			client := rrng.Intn(scenarioClients)
-			origin := clientAt[client]
-			if !net.Alive(origin) {
-				return
-			}
-			ki := chooseKey()
-			key := keyName(ki)
-			opIdx := hist.Append(workload.Op{Client: client, Kind: workload.OpRead,
-				Key: key, Issued: net.Round()})
-			reqID, envs := nodes[origin-1].Lookup(key, hintDir[key], 3, 2)
-			if len(envs) == 0 {
-				// Local hit: resolved synchronously.
-				st, _ := nodes[origin-1].Read(reqID)
-				finishRead(opIdx, st)
-				nodes[origin-1].ForgetRead(reqID)
-				return
-			}
-			net.Emit(origin, envs)
-			openReads = append(openReads, &pendingRead{
-				origin: origin, reqID: reqID, opIdx: opIdx,
-				issued: net.Round(), expect: len(envs),
-			})
-			return
-		}
-		alive := net.AliveIDs()
-		if len(alive) == 0 {
-			return
-		}
-		origin := alive[rrng.Intn(len(alive))]
-		ki := chooseKey()
-		_, envs := nodes[origin-1].Lookup(keyName(ki), nil, 3, 2)
-		net.Emit(origin, envs)
+	var client scenarioClient = randomClient{load}
+	if cfg.RecordHistory {
+		client = newRecordingClient(load)
 	}
 
-	// reapRecording drains the ack queues (write completions + the hint
-	// directory) and resolves reads whose replies are all in or whose
-	// deadline elapsed. Serial phase only, fixed iteration order.
-	reapRecording := func() {
-		now := net.Round()
-		for _, origin := range ackOrder {
-			q := ackq[origin]
-			for _, rec := range q.recs {
-				holders := hintDir[rec.key]
-				known := false
-				for _, h := range holders {
-					if h == rec.holder {
-						known = true
-						break
-					}
-				}
-				if !known && len(holders) < maxHintHolders {
-					hintDir[rec.key] = append(holders, rec.holder)
-				}
-				ki, ok := probe.keyIdx[rec.key]
-				if !ok {
-					continue
-				}
-				if idx, ok := openWrite[writeRef{ki: ki, seq: rec.v.Seq}]; ok {
-					hist.Ops[idx].Completed = now
-					delete(openWrite, writeRef{ki: ki, seq: rec.v.Seq})
-				}
-			}
-			q.recs = q.recs[:0]
-		}
-		kept := openReads[:0]
-		for _, pr := range openReads {
-			st, ok := nodes[pr.origin-1].Read(pr.reqID)
-			if !ok {
-				// Evicted from the read map (FIFO cap): never resolves.
-				hist.Ops[pr.opIdx].Pending = true
-				continue
-			}
-			if st.Replies >= pr.expect || now-pr.issued >= readDeadline {
-				finishRead(pr.opIdx, st)
-				nodes[pr.origin-1].ForgetRead(pr.reqID)
-				continue
-			}
-			kept = append(kept, pr)
-		}
-		openReads = kept
-	}
-
-	rounds := 0
 	var churns []*scheduledChurn
 	step := func(writes, reads int) {
 		for i := 0; i < writes; i++ {
-			writeKey(wrng.Intn(cfg.Keys))
+			client.write(load.wrng.Intn(cfg.Keys))
 		}
 		for i := 0; i < reads; i++ {
-			readKey()
+			client.read()
 		}
 		for _, cc := range churns {
 			cc.step(net.Round())
 		}
 		sc.Step()
 		net.Step()
-		if cfg.RecordHistory {
-			reapRecording()
-		}
-		rounds++
+		client.settle()
 	}
 
 	start := time.Now()
@@ -745,7 +538,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	next := 0
 	for next < cfg.Keys {
 		for i := 0; i < per && next < cfg.Keys; i++ {
-			writeKey(next)
+			client.write(next)
 			next++
 		}
 		step(0, 0)
@@ -758,24 +551,17 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// declarative event layer (faultspec.go) owns the Step-clock vs
 	// message-clock end-round distinction; the catalogue schedules and
 	// explicit cfg.Events (the fuzzer) compose the same primitives.
-	fs := net.Round()
-	spawnJoin := func(id node.ID, rng *rand.Rand) sim.Machine {
-		en := epidemic.New(id, rng, membership.NewUniformView(id, rng, pop), ecfg)
-		nodes = append(nodes, en)
-		ids = append(ids, id)
-		return en
-	}
 	events := cfg.Events
 	if len(events) == 0 {
 		events = catalogueEvents(cfg.Name, cfg.Nodes, cfg.FaultRounds)
 	}
-	churns = applyEvents(events, sc, net, fs, cfg.FaultRounds, cfg.Seed, ids, spawnJoin)
+	churns = applyEvents(events, sc, net, net.Round(), cfg.FaultRounds, cfg.Seed, pop.ids, pop.join)
 
 	// Fault window: sustained writes, oracle measurement every round.
 	var sumAny, sumFresh, sumStale, sumStaleKeep float64
 	for r := 0; r < cfg.FaultRounds; r++ {
 		step(scenarioWritesPerRound, cfg.ReadsPerRound)
-		probe.observe(net, nodes)
+		probe.observe(net, pop.machines)
 		a, f := probe.fractions()
 		sumAny += a
 		sumFresh += f
@@ -804,7 +590,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	res.RoundsToFullConverge = -1
 	for r := 1; r <= cfg.MaxRecovery; r++ {
 		step(0, cfg.ReadsPerRound)
-		probe.observe(net, nodes)
+		probe.observe(net, pop.machines)
 		if probe.fullConverged() {
 			if res.RoundsToConverge < 0 {
 				res.RoundsToConverge = r
@@ -829,51 +615,32 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// folds into the digest, which stays deterministic — IdleTail is a
 	// config knob like any other, and zero runs no tail at all.
 	if cfg.IdleTail > 0 {
-		var pushed0, serves0, scanned0 int64
-		for _, en := range nodes {
-			if en.Repair != nil {
-				pushed0 += en.Repair.Pushed
+		idleCost := func(sign int64) {
+			for _, en := range pop.machines {
+				if en.Repair != nil {
+					res.IdleTuplesPushed += sign * en.Repair.Pushed
+				}
+				ops, scanned, _ := en.St.ServeStats()
+				res.IdleDigestServes += sign * ops
+				res.IdleEntriesScanned += sign * scanned
 			}
-			ops, scanned, _ := en.St.ServeStats()
-			serves0 += ops
-			scanned0 += scanned
 		}
+		idleCost(-1)
 		for r := 0; r < cfg.IdleTail; r++ {
 			step(0, 0)
 		}
+		idleCost(1)
 		res.IdleRounds = cfg.IdleTail
-		for _, en := range nodes {
-			if en.Repair != nil {
-				res.IdleTuplesPushed += en.Repair.Pushed
-			}
-			ops, scanned, _ := en.St.ServeStats()
-			res.IdleDigestServes += ops
-			res.IdleEntriesScanned += scanned
-		}
-		res.IdleTuplesPushed -= pushed0
-		res.IdleDigestServes -= serves0
-		res.IdleEntriesScanned -= scanned0
 	}
 
-	res.Rounds = rounds
+	res.Rounds = int(net.Round()) // one round per step, from round 0
 	res.ElapsedSeconds = time.Since(start).Seconds()
-	res.Sent = net.Stats.Sent.Value()
-	res.Delivered = net.Stats.Delivered.Value()
-	res.LostLink = net.Stats.LostLink.Value()
-	res.LostDead = net.Stats.LostDead.Value()
-	res.LostFault = net.Stats.LostFault.Value()
-	res.AliveEnd = net.Size()
-	full := node.FullArc()
-	for i, en := range nodes {
-		// Serve stats first: the digest fold below is itself an arc query
-		// and must not count toward the run's serving cost.
-		ops, scanned, folded := en.St.ServeStats()
-		res.DigestServes += ops
-		res.DigestEntriesScanned += scanned
-		res.DigestBucketsFolded += folded
+	t := tallyRun(pop)
+	res.Sent, res.Delivered, res.LostLink, res.LostDead, res.LostFault = t.sent, t.delivered, t.lostLink, t.lostDead, t.lostFault
+	res.AliveEnd, res.StoreDigest, res.GossipEvictions = t.aliveEnd, t.storeDigest, t.evictions
+	res.DigestServes, res.DigestEntriesScanned, res.DigestBucketsFolded = t.serves, t.scanned, t.folded
+	for _, en := range pop.machines {
 		res.StoreEntries += int64(en.St.Total())
-		res.GossipEvictions += en.Diss.Evicted
-		res.StoreDigest ^= en.St.DigestArc(full) * (uint64(i)*2 + 1)
 		if en.Repair != nil {
 			res.SyncSegments += en.Repair.Segments.Value()
 			res.TuplesPushed += en.Repair.Pushed
@@ -881,18 +648,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		}
 		res.ReadRepairs += en.ReadRepairs.Value()
 	}
-	if cfg.RecordHistory {
-		// Reads the run ended before resolving stay in the history as
-		// Pending — the oracle skips them (availability, not a session
-		// anomaly). Unacked writes keep Completed == 0 for the same
-		// reason: they never anchor a read-your-writes obligation.
-		for _, pr := range openReads {
-			hist.Ops[pr.opIdx].Pending = true
-		}
-		res.History = hist
-		res.HistoryDigest = hist.Digest()
-		res.Replicas = collectReplicas(net, nodes, probe, keyName)
-	}
+	client.report(res)
 	res.DigestHex = fmt.Sprintf("%016x", res.Digest())
 	return res, nil
 }
@@ -901,16 +657,16 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 // convergence oracle: every live copy of every tracked key across alive
 // nodes plus the latest written version, swept in node order so the map
 // is deterministic.
-func collectReplicas(net *sim.Network, nodes []*epidemic.Node, probe *scenarioProbe, keyName func(int) string) []oracle.KeyReplicas {
+func collectReplicas(pop *population[*epidemic.Node], probe *scenarioProbe) []oracle.KeyReplicas {
 	out := make([]oracle.KeyReplicas, len(probe.latest))
 	for ki := range out {
 		out[ki] = oracle.KeyReplicas{
-			Key:    keyName(ki),
+			Key:    scenarioKey(ki),
 			Latest: tuple.Version{Seq: probe.latest[ki], Writer: probe.writer[ki]},
 		}
 	}
-	for _, en := range nodes {
-		if !net.Alive(en.Self) {
+	for _, en := range pop.machines {
+		if !pop.net.Alive(en.Self) {
 			continue
 		}
 		en.St.ForEachRef(func(t *tuple.Tuple) bool {
@@ -924,42 +680,4 @@ func collectReplicas(net *sim.Network, nodes []*epidemic.Node, probe *scenarioPr
 		})
 	}
 	return out
-}
-
-// Recording-workload plumbing (oracle mode).
-
-// readDeadline is the round budget a recorded read waits for its replies
-// before resolving with whatever arrived (matching a client timeout).
-const readDeadline = 12
-
-// maxHintHolders caps the per-key acknowledged-holder directory feeding
-// read hints.
-const maxHintHolders = 4
-
-// hintRec is one storage acknowledgement observed at a client origin.
-type hintRec struct {
-	key    string
-	holder node.ID
-	v      tuple.Version
-}
-
-// ackQueue collects one origin node's acknowledgements during the
-// compute phase. Only that node's machine appends and only the serial
-// phase drains, so no lock is needed.
-type ackQueue struct{ recs []hintRec }
-
-// writeRef identifies an in-flight recorded write (Seq is unique per
-// key: the harness sequences writes itself).
-type writeRef struct {
-	ki  int
-	seq uint64
-}
-
-// pendingRead tracks one recorded read awaiting replies.
-type pendingRead struct {
-	origin node.ID
-	reqID  uint64
-	opIdx  int
-	issued sim.Round
-	expect int
 }

@@ -43,11 +43,6 @@ func TestScenarioNamesCatalogue(t *testing.T) {
 	if len(names) != 5 {
 		t.Fatalf("catalogue has %d scenarios, want 5: %v", len(names), names)
 	}
-	for _, name := range names {
-		if ScenarioDescription(name) == "" {
-			t.Fatalf("scenario %q has no description", name)
-		}
-	}
 	if _, err := RunScenario(ScenarioConfig{Name: "no-such-fault"}); err == nil {
 		t.Fatal("unknown scenario name was accepted")
 	}

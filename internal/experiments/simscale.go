@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"datadroplets/internal/epidemic"
-	"datadroplets/internal/membership"
 	"datadroplets/internal/node"
 	"datadroplets/internal/repair"
 	"datadroplets/internal/sim"
@@ -145,10 +144,6 @@ func (r *SimScaleResult) String() string {
 func RunSimScale(cfg SimScaleConfig) *SimScaleResult {
 	cfg = cfg.normalized()
 
-	nodes := make([]*epidemic.Node, 0, cfg.Nodes)
-	ids := make([]node.ID, 0, cfg.Nodes)
-	pop := func() []node.ID { return ids }
-
 	// Repair stays on (deficit checks, orphan sweeps, range sync) but at
 	// a lighter cadence than the protocol defaults: the defaults target
 	// small-population experiments, and at 10^4 nodes 32 walks every 10
@@ -167,16 +162,9 @@ func RunSimScale(cfg SimScaleConfig) *SimScaleResult {
 		ecfg.EstimateAttr = cfg.AggregateAttr
 	}
 
-	net := sim.New(sim.Config{Seed: cfg.Seed, Workers: cfg.Workers})
+	pop := epidemicPopulation(sim.Config{Seed: cfg.Seed, Workers: cfg.Workers}, cfg.Nodes, ecfg)
+	net := pop.net
 	defer net.Close()
-	build := func(id node.ID, rng *rand.Rand) sim.Machine {
-		en := epidemic.New(id, rng, membership.NewUniformView(id, rng, pop), ecfg)
-		nodes = append(nodes, en)
-		return en
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		ids = append(ids, net.Spawn(build))
-	}
 
 	churner := sim.NewChurner(net, sim.ChurnConfig{
 		TransientPerRound: cfg.TransientPerRound,
@@ -191,11 +179,10 @@ func RunSimScale(cfg SimScaleConfig) *SimScaleResult {
 		value[i] = byte(i)
 	}
 	writeOne := func() {
-		alive := net.AliveIDs()
-		if len(alive) == 0 {
+		origin, ok := randomAlive(net, wrng)
+		if !ok {
 			return
 		}
-		origin := alive[wrng.Intn(len(alive))]
 		ki := wrng.Intn(cfg.Keys)
 		versions[ki]++
 		t := &tuple.Tuple{
@@ -204,8 +191,7 @@ func RunSimScale(cfg SimScaleConfig) *SimScaleResult {
 			Attrs:   map[string]float64{"v": float64(wrng.Intn(1000))},
 			Version: tuple.Version{Seq: versions[ki], Writer: origin},
 		}
-		en := nodes[origin-1]
-		net.Emit(origin, en.Write(net.Round(), t))
+		net.Emit(origin, pop.machines[origin-1].Write(net.Round(), t))
 	}
 
 	step := func() {
@@ -229,6 +215,7 @@ func RunSimScale(cfg SimScaleConfig) *SimScaleResult {
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&msAfter)
 
+	t := tallyRun(pop)
 	res := &SimScaleResult{
 		Nodes:          cfg.Nodes,
 		Rounds:         cfg.Rounds,
@@ -238,32 +225,59 @@ func RunSimScale(cfg SimScaleConfig) *SimScaleResult {
 		SecondsPerRnd:  elapsed.Seconds() / float64(cfg.Rounds),
 		AllocsPerRound: float64(msAfter.Mallocs-msBefore.Mallocs) / float64(cfg.Rounds),
 		BytesPerRound:  float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(cfg.Rounds),
-		Sent:           net.Stats.Sent.Value(),
-		Delivered:      net.Stats.Delivered.Value(),
-		LostLink:       net.Stats.LostLink.Value(),
-		LostDead:       net.Stats.LostDead.Value(),
-		AliveEnd:       net.Size(),
+		NodeDigests:    t.nodeDigests,
+		NodeStored:     make([]int64, len(pop.machines)),
 	}
-	full := node.FullArc()
-	res.NodeDigests = make([]uint64, len(nodes))
-	res.NodeStored = make([]int64, len(nodes))
-	for i, en := range nodes {
-		// Serve stats first: the digest fold below is itself an arc query
-		// and must not count toward the run's serving cost.
-		ops, scanned, folded := en.St.ServeStats()
-		res.DigestServes += ops
-		res.DigestEntriesScanned += scanned
-		res.DigestBucketsFolded += folded
-		res.GossipEvictions += en.Diss.Evicted
-		d := en.St.DigestArc(full)
-		res.NodeDigests[i] = d
+	res.Sent, res.Delivered, res.LostLink, res.LostDead, res.AliveEnd = t.sent, t.delivered, t.lostLink, t.lostDead, t.aliveEnd
+	res.StoreDigest, res.GossipEvictions = t.storeDigest, t.evictions
+	res.DigestServes, res.DigestEntriesScanned, res.DigestBucketsFolded = t.serves, t.scanned, t.folded
+	for i, en := range pop.machines {
 		res.NodeStored[i] = en.Stored
-		// Fold node position in so per-node digests cannot cancel by
-		// permutation.
-		res.StoreDigest ^= d * (uint64(i)*2 + 1)
 		res.StoredTotal += en.Stored
 		res.TuplesTotal += en.St.Total()
 	}
 	res.DigestHex = fmt.Sprintf("%016x", res.Digest())
 	return res
+}
+
+// runTally is the end-of-run accounting RunSimScale and RunScenario
+// share: the fabric's counters, every node's digest-serve cost and store
+// content, and the gossip payloads evicted to the byte budget. Each
+// result copies it into its own fields, whose JSON tags differ
+// (store_digest is a row field of one and hidden in the other).
+type runTally struct {
+	sent, delivered, lostLink, lostDead, lostFault int64
+	aliveEnd                                       int
+	serves, scanned, folded, evictions             int64
+	storeDigest                                    uint64
+	nodeDigests                                    []uint64 // per node, in ID order
+}
+
+func tallyRun(pop *population[*epidemic.Node]) runTally {
+	net := pop.net
+	t := runTally{
+		sent:        net.Stats.Sent.Value(),
+		delivered:   net.Stats.Delivered.Value(),
+		lostLink:    net.Stats.LostLink.Value(),
+		lostDead:    net.Stats.LostDead.Value(),
+		lostFault:   net.Stats.LostFault.Value(),
+		aliveEnd:    net.Size(),
+		nodeDigests: make([]uint64, len(pop.machines)),
+	}
+	full := node.FullArc()
+	for i, en := range pop.machines {
+		// Serve stats first: the digest fold below is itself an arc query
+		// and must not count toward the run's serving cost.
+		ops, scanned, folded := en.St.ServeStats()
+		t.serves += ops
+		t.scanned += scanned
+		t.folded += folded
+		t.evictions += en.Diss.Evicted
+		d := en.St.DigestArc(full)
+		t.nodeDigests[i] = d
+		// Fold node position in so per-node digests cannot cancel by
+		// permutation.
+		t.storeDigest ^= d * (uint64(i)*2 + 1)
+	}
+	return t
 }

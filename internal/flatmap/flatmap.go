@@ -106,6 +106,29 @@ func (m *Map[V]) Put(key string, v V) {
 	}
 }
 
+// Slot returns a pointer to key's value slot, inserting key at the zero
+// value first when it is absent, and reports whether it was present: a
+// read-modify-write in one probe. The pointer is valid until the next
+// insert (Put, Slot of an absent key), which may grow the table.
+func (m *Map[V]) Slot(key string) (v *V, found bool) {
+	if m.n >= len(m.keys)*3/4 {
+		m.grow()
+	}
+	i := hashString(key) & m.mask
+	for {
+		if !m.used[i] {
+			m.used[i] = true
+			m.keys[i] = key
+			m.n++
+			return &m.vals[i], false
+		}
+		if m.keys[i] == key {
+			return &m.vals[i], true
+		}
+		i = (i + 1) & m.mask
+	}
+}
+
 // Del removes key and reports whether it was present, compacting the
 // probe chain by shifting displaced entries backward so lookups never
 // cross tombstones.

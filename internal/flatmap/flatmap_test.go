@@ -72,6 +72,40 @@ func TestEmptyStringKey(t *testing.T) {
 	}
 }
 
+// TestSlot: a missing key is inserted at the zero value and a present
+// one is found, and a write through the returned pointer is the stored
+// value until the next insert (which may grow the table and move it).
+func TestSlot(t *testing.T) {
+	var m Map[int]
+	p, found := m.Slot("a")
+	if found || *p != 0 || m.Len() != 1 {
+		t.Fatalf("Slot of a missing key: found %v, value %d, Len %d", found, *p, m.Len())
+	}
+	if v, ok := m.Get("a"); !ok || v != 0 {
+		t.Fatalf("inserted key: Get = %d,%v want 0,true", v, ok)
+	}
+	*p = 7
+	if q, found := m.Slot("a"); !found || q != p || *q != 7 || m.Len() != 1 {
+		t.Fatalf("Slot of a present key: found %v, same slot %v, value %d, Len %d", found, q == p, *q, m.Len())
+	}
+	// Inserts up to the growth threshold keep the pointer valid.
+	for i := 0; m.Len() < minSize*3/4; i++ {
+		m.Put(fmt.Sprintf("k%d", i), i)
+		*p++
+	}
+	if v, _ := m.Get("a"); v != 7+minSize*3/4-1 {
+		t.Fatalf("after %d inserts: Get(a) = %d, want the value written through the pointer", minSize*3/4-1, v)
+	}
+	// The next insert grows the table: the value moves, unchanged.
+	m.Slot("grow")
+	if len(m.keys) != 2*minSize {
+		t.Fatalf("table has %d slots, want a grown %d", len(m.keys), 2*minSize)
+	}
+	if v, _ := m.Get("a"); v != 7+minSize*3/4-1 {
+		t.Fatalf("after growth: Get(a) = %d", v)
+	}
+}
+
 func TestReset(t *testing.T) {
 	m := New[int](0)
 	for i := 0; i < 100; i++ {

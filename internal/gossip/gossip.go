@@ -106,38 +106,29 @@ type Disseminator struct {
 	sampler membership.Sampler
 	cfg     Config
 
-	// seen holds per-rumor receipt metadata. It is a specialised
-	// open-addressed table rather than a built-in map: the duplicate
-	// check on every receipt makes this the hottest lookup in the
-	// fabric, and the flat pointer-free layout is invisible to the
-	// garbage collector's scan phase.
+	// seen is the set of rumor IDs within retention. It is a specialised
+	// open-addressed set rather than a built-in map: the duplicate check
+	// on every receipt makes this the hottest lookup in the fabric, and
+	// the flat pointer-free layout is invisible to the garbage
+	// collector's scan phase.
 	seen *seenTable
+	// seenOrder lists the IDs in seen with the round each was first
+	// seen, oldest first. First-seen rounds never decrease along it, so
+	// retention expiry is a pop-front: the per-tick cost is the rumors
+	// expiring now, not everything retained.
+	seenOrder fifo[seenAt]
 	// cache retains rumor payloads for anti-entropy replies, oldest
-	// first from cacheHead on; it stays empty while anti-entropy is
-	// disabled. First-seen rounds never decrease along it, so retention
-	// expiry and budget eviction are the same pop-front. cacheBytes is
+	// first; it stays empty while anti-entropy is disabled. Retention
+	// expiry and budget eviction are both its pop-front. cacheBytes is
 	// the PayloadBytes sum of what it holds, kept at or below budget
 	// (payloadCacheBytes; in-package tests lower it between New and first
 	// use).
-	cache      []cachedRumor
-	cacheHead  int
+	cache      fifo[cachedRumor]
 	cacheBytes int
 	budget     int
 
-	// expiry buckets rumor IDs by the round they were first seen so
-	// pruning drains exactly one bucket per tick instead of walking the
-	// whole seen map every round. Slot r%len(expiry) holds the IDs seen
-	// in round r; with Retention+2 slots a bucket is drained strictly
-	// before the slot is reused.
-	expiry [][]uint64
-
 	// peerBuf is the reused relay-target buffer (consumed within relay).
 	peerBuf []node.ID
-
-	// prunedTo is the highest seen-round whose expiry bucket has been
-	// drained; prune catches up from here, so rounds skipped while the
-	// node was down are still swept on the first post-revival tick.
-	prunedTo sim.Round
 
 	nextSeq uint64
 
@@ -148,6 +139,12 @@ type Disseminator struct {
 	// Evicted counts payloads the byte budget pushed out of the cache
 	// before their retention ended.
 	Evicted int64
+}
+
+// seenAt is one first-seen FIFO entry.
+type seenAt struct {
+	id uint64
+	at sim.Round
 }
 
 // cachedRumor is one payload-cache entry: the rumor, the round it was
@@ -166,22 +163,13 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, cfg Config) *
 		cfg.Retention = 100
 	}
 	return &Disseminator{
-		self:     self,
-		rng:      rng,
-		sampler:  sampler,
-		cfg:      cfg,
-		seen:     newSeenTable(),
-		expiry:   make([][]uint64, cfg.Retention+2),
-		prunedTo: -1, // round 0's bucket has not been drained yet
-		budget:   payloadCacheBytes,
+		self:    self,
+		rng:     rng,
+		sampler: sampler,
+		cfg:     cfg,
+		seen:    newSeenTable(),
+		budget:  payloadCacheBytes,
 	}
-}
-
-// seenMeta is the per-rumor receipt record: the round (retention window)
-// and the hop count (effort experiments). No pointers — see seen.
-type seenMeta struct {
-	at   sim.Round
-	hops int32
 }
 
 // NewRumorID allocates a globally unique rumor ID from the node ID and a
@@ -226,7 +214,7 @@ func (d *Disseminator) Tick(now sim.Round) []sim.Envelope {
 // cache's worth. While the budget does not bind the cache is exactly the
 // seen set, so the digest is too.
 func (d *Disseminator) digest() []uint64 {
-	live := d.cache[d.cacheHead:]
+	live := d.cache.live()
 	ids := make([]uint64, len(live))
 	for i, c := range live {
 		ids[i] = c.rumor.ID
@@ -247,7 +235,7 @@ func (d *Disseminator) Handle(now sim.Round, from node.ID, msg any) []sim.Envelo
 		// resends; receive is idempotent. Only what the cache still holds
 		// can be supplied.
 		var missing []Rumor
-		for _, c := range d.cache[d.cacheHead:] {
+		for _, c := range d.cache.live() {
 			if _, found := slices.BinarySearch(m.IDs, c.rumor.ID); !found {
 				missing = append(missing, c.rumor)
 			}
@@ -273,7 +261,7 @@ func (d *Disseminator) Handle(now sim.Round, from node.ID, msg any) []sim.Envelo
 // (infect-and-die), duplicates are suppressed. pusher is the peer that
 // relayed it here, node.None when it came by other means.
 func (d *Disseminator) receive(now sim.Round, r Rumor, pusher node.ID) []sim.Envelope {
-	if _, ok := d.seen.get(r.ID); ok {
+	if d.seen.has(r.ID) {
 		d.Dupes++
 		return nil
 	}
@@ -357,9 +345,8 @@ func (d *Disseminator) deliver(r Rumor) {
 }
 
 func (d *Disseminator) markSeen(now sim.Round, r Rumor) {
-	d.seen.put(r.ID, seenMeta{at: now, hops: int32(r.Hops)})
-	slot := int(uint64(now) % uint64(len(d.expiry)))
-	d.expiry[slot] = append(d.expiry[slot], r.ID)
+	d.seen.add(r.ID)
+	d.seenOrder.push(seenAt{id: r.ID, at: now})
 	if d.cfg.AntiEntropyEvery <= 0 {
 		return
 	}
@@ -367,7 +354,7 @@ func (d *Disseminator) markSeen(now sim.Round, r Rumor) {
 	if d.cfg.PayloadBytes != nil {
 		c.bytes = d.cfg.PayloadBytes(r.Payload)
 	}
-	d.cache = append(d.cache, c)
+	d.cache.push(c)
 	d.cacheBytes += c.bytes
 	for d.cacheBytes > d.budget {
 		d.popCache()
@@ -375,87 +362,33 @@ func (d *Disseminator) markSeen(now sim.Round, r Rumor) {
 	}
 }
 
-// popCache drops the oldest cached payload. The dead prefix it leaves is
-// compacted away once it is half the slice: amortised O(1), and the
-// slice stays within twice what the cache holds whether or not the
-// budget ever binds.
+// popCache drops the oldest cached payload.
 func (d *Disseminator) popCache() {
-	d.cacheBytes -= d.cache[d.cacheHead].bytes
-	d.cache[d.cacheHead] = cachedRumor{} // release the payload
-	d.cacheHead++
-	if d.cacheHead*2 >= len(d.cache) {
-		n := copy(d.cache, d.cache[d.cacheHead:])
-		clear(d.cache[n:])
-		d.cache = d.cache[:n]
-		d.cacheHead = 0
-	}
+	d.cacheBytes -= d.cache.live()[0].bytes
+	d.cache.pop()
 }
 
-// prune drops seen-markers and cached payloads older than the retention
-// window, bounding memory under sustained load. In the steady state it
-// drains exactly the one bucket whose round just crossed the window, so
-// the per-tick cost is proportional to the rumors expiring now, not to
-// everything retained; after a downtime gap it catches up over every
-// bucket that fell due while the node was dead, matching the deletions
-// the old full-map sweep performed on the first post-revival tick.
+// prune drops seen-markers and cached payloads first seen at or before
+// now − Retention − 1, bounding memory under sustained load. Both FIFOs
+// are oldest first, so the cost is the entries expiring now; a node
+// that slept through its rumors' expiry forgets them all on its first
+// tick after revival.
 func (d *Disseminator) prune(now sim.Round) {
 	expired := now - sim.Round(d.cfg.Retention) - 1
-	if expired < 0 || expired <= d.prunedTo {
-		return
-	}
-	for d.cacheHead < len(d.cache) && d.cache[d.cacheHead].at <= expired {
+	for live := d.cache.live(); len(live) > 0 && live[0].at <= expired; live = d.cache.live() {
 		d.popCache()
 	}
-	from := d.prunedTo + 1
-	d.prunedTo = expired
-	if int(expired-from)+1 >= len(d.expiry) {
-		// Gap of a full ring cycle or more: every bucket is overdue.
-		for slot := range d.expiry {
-			d.drainExpiry(slot, expired)
-		}
-		return
+	for live := d.seenOrder.live(); len(live) > 0 && live[0].at <= expired; live = d.seenOrder.live() {
+		d.seen.del(live[0].id)
+		d.seenOrder.pop()
 	}
-	for r := from; r <= expired; r++ {
-		d.drainExpiry(int(uint64(r)%uint64(len(d.expiry))), expired)
-	}
-}
-
-// drainExpiry deletes a bucket's rumors whose seen round is at or before
-// expired. The guard matters during post-downtime catch-up: deliveries
-// run before the tick's prune, so a rumor received this round can share
-// a slot with a bucket whose drain round passed while the node slept —
-// it must survive until its own expiry, exactly as the full-map sweep's
-// per-entry cutoff comparison kept it.
-func (d *Disseminator) drainExpiry(slot int, expired sim.Round) {
-	bucket := d.expiry[slot]
-	kept := bucket[:0]
-	for _, id := range bucket {
-		if m, ok := d.seen.get(id); ok && m.at > expired {
-			kept = append(kept, id)
-			continue
-		}
-		d.seen.del(id)
-	}
-	d.expiry[slot] = kept
 }
 
 // Seen reports whether the rumor ID has been received (within retention).
-func (d *Disseminator) Seen(id uint64) bool {
-	_, ok := d.seen.get(id)
-	return ok
-}
+func (d *Disseminator) Seen(id uint64) bool { return d.seen.has(id) }
 
 // SeenLen returns how many rumor IDs are within retention.
 func (d *Disseminator) SeenLen() int { return d.seen.len() }
 
 // CacheBytes returns the PayloadBytes sum of the cached payloads.
 func (d *Disseminator) CacheBytes() int { return d.cacheBytes }
-
-// HopsOf returns the hop count recorded for a rumor, or -1 if unseen.
-func (d *Disseminator) HopsOf(id uint64) int {
-	m, ok := d.seen.get(id)
-	if !ok {
-		return -1
-	}
-	return int(m.hops)
-}

@@ -111,30 +111,6 @@ func TestDuplicatesSuppressed(t *testing.T) {
 	_ = id
 }
 
-func TestHopsIncrease(t *testing.T) {
-	cfg := Config{Fanout: FixedFanout(4)}
-	c := newCluster(500, 13, cfg)
-	id, envs := c.machines[1].Publish(c.net.Round(), "x")
-	c.net.Emit(1, envs)
-	c.net.Quiesce(50)
-	if h := c.machines[1].HopsOf(id); h != 0 {
-		t.Fatalf("publisher hops = %d, want 0", h)
-	}
-	maxHops := 0
-	for _, d := range c.machines {
-		if h := d.HopsOf(id); h > maxHops {
-			maxHops = h
-		}
-	}
-	if maxHops < 2 {
-		t.Fatalf("max hops = %d, expected multi-hop spread", maxHops)
-	}
-	// Expected infection time is O(log n); allow slack but catch blowups.
-	if maxHops > 40 {
-		t.Fatalf("max hops = %d, spread took too long", maxHops)
-	}
-}
-
 func TestAntiEntropyRecoversMissedRumor(t *testing.T) {
 	const n = 40
 	cfg := Config{Fanout: FixedFanout(3), AntiEntropyEvery: 2}
@@ -241,16 +217,15 @@ func TestAtomicInfectionProbabilityMatchesTheory(t *testing.T) {
 }
 
 // TestRetentionPrunesAcrossDowntime pins the catch-up half of the
-// bucketed prune: a node that sleeps through its rumors' expiry rounds
-// must still forget them on the first post-revival tick, like the old
-// full-map sweep did.
+// prune: a node that sleeps through its rumors' expiry rounds must still
+// forget them on the first post-revival tick, like a full-map sweep.
 func TestRetentionPrunesAcrossDowntime(t *testing.T) {
 	cfg := Config{Fanout: FixedFanout(0), Retention: 5}
 	c := newCluster(2, 19, cfg)
 	d := c.machines[1]
 	id, _ := d.Publish(c.net.Round(), "x")
 	c.net.Kill(1, false)
-	c.net.Run(40) // expiry round passes (several ring cycles) while dead
+	c.net.Run(40) // the expiry round passes while the node is dead
 	c.net.Revive(1)
 	c.net.Run(1) // first post-revival tick prunes the backlog
 	if d.Seen(id) {
@@ -323,8 +298,8 @@ func TestPayloadCacheBudget(t *testing.T) {
 		t.Fatalf("a round early: %d bytes cached, newest seen = %v", d.CacheBytes(), d.Seen(ids[9]))
 	}
 	d.Tick(9 + 20 + 1)
-	if d.CacheBytes() != 0 || len(d.cache) != 0 || d.Seen(ids[9]) {
-		t.Fatalf("retention drained: %d bytes, %d entries, newest seen = %v", d.CacheBytes(), len(d.cache), d.Seen(ids[9]))
+	if d.CacheBytes() != 0 || len(d.cache.live()) != 0 || d.Seen(ids[9]) {
+		t.Fatalf("retention drained: %d bytes, %d entries, newest seen = %v", d.CacheBytes(), len(d.cache.live()), d.Seen(ids[9]))
 	}
 	if d.Evicted != 7 {
 		t.Fatalf("retention expiry counted as eviction: %d", d.Evicted)
@@ -338,17 +313,13 @@ func TestPayloadCacheBudget(t *testing.T) {
 // nothing is trimmed only when the budget binds.
 func TestUnsizedPayloadsBookkeepingIsBounded(t *testing.T) {
 	d := lone(Config{Fanout: FixedFanout(0), AntiEntropyEvery: 10})
-	type sizes struct{ cached, cacheCap, seen, seenSlots, expiry, expiryCap int }
+	type sizes struct{ cached, cacheCap, seen, seenSlots, order, orderCap int }
 	measure := func() sizes {
-		s := sizes{
-			cached: len(d.cache) - d.cacheHead, cacheCap: cap(d.cache),
+		return sizes{
+			cached: len(d.cache.live()), cacheCap: cap(d.cache.items),
 			seen: d.SeenLen(), seenSlots: len(d.seen.keys),
+			order: len(d.seenOrder.live()), orderCap: cap(d.seenOrder.items),
 		}
-		for _, b := range d.expiry {
-			s.expiry += len(b)
-			s.expiryCap += cap(b)
-		}
-		return s
 	}
 	var early sizes
 	for r := 0; r < 10000; r++ {
@@ -361,8 +332,9 @@ func TestUnsizedPayloadsBookkeepingIsBounded(t *testing.T) {
 	if late := measure(); late != early {
 		t.Fatalf("bookkeeping at round 10000 = %+v, at round 1000 = %+v", late, early)
 	}
-	if early.cached != 101 || d.CacheBytes() != 0 || d.Evicted != 0 {
-		t.Fatalf("%d cached (want the 101 rounds inside retention), %d bytes, %d evicted", early.cached, d.CacheBytes(), d.Evicted)
+	if early.cached != 101 || early.seen != 101 || early.order != 101 || d.CacheBytes() != 0 || d.Evicted != 0 {
+		t.Fatalf("%d cached, %d seen, %d in first-seen order (want the 101 rounds inside retention each), %d bytes, %d evicted",
+			early.cached, early.seen, early.order, d.CacheBytes(), d.Evicted)
 	}
 }
 
@@ -634,7 +606,7 @@ func TestCoveredPushRelaysNothing(t *testing.T) {
 // cachedIDs lists the IDs whose payloads d still caches, ascending.
 func cachedIDs(d *Disseminator) []uint64 {
 	var ids []uint64
-	for _, c := range d.cache[d.cacheHead:] {
+	for _, c := range d.cache.live() {
 		ids = append(ids, c.rumor.ID)
 	}
 	slices.Sort(ids)

@@ -1,18 +1,18 @@
 package gossip
 
-// seenTable is an open-addressed hash table from rumor ID to seenMeta,
-// specialised for the duplicate-suppression check that runs on every
-// rumor receipt at every node — the single hottest lookup in the whole
-// simulated fabric. Compared to a built-in map it avoids per-operation
-// hashing overhead (one multiply), keeps keys and values in two flat
-// pointer-free arrays the garbage collector never scans, and supports
-// deletion without tombstone buildup via backward-shift compaction.
+// seenTable is an open-addressed hash set of rumor IDs, specialised for
+// the duplicate-suppression check that runs on every rumor receipt at
+// every node — the single hottest lookup in the whole simulated fabric.
+// Compared to a built-in map it avoids per-operation hashing overhead,
+// keeps the IDs in one flat pointer-free array the garbage collector
+// never scans, and supports deletion without tombstone buildup via
+// backward-shift compaction. When an ID was first seen is the first-seen
+// FIFO's business (Disseminator.seenOrder), not the table's.
 //
 // Rumor IDs are formed as origin<<32|seq with seq >= 1, so 0 never
 // occurs as a real key and marks empty slots.
 type seenTable struct {
 	keys []uint64
-	vals []seenMeta
 	n    int
 	mask uint64
 }
@@ -36,28 +36,27 @@ func hashRumorID(id uint64) uint64 {
 func newSeenTable() *seenTable {
 	return &seenTable{
 		keys: make([]uint64, seenTableMinSize),
-		vals: make([]seenMeta, seenTableMinSize),
 		mask: seenTableMinSize - 1,
 	}
 }
 
-// get returns the metadata for id.
-func (t *seenTable) get(id uint64) (seenMeta, bool) {
+// has reports whether id is in the set.
+func (t *seenTable) has(id uint64) bool {
 	i := hashRumorID(id) & t.mask
 	for {
 		k := t.keys[i]
 		if k == id {
-			return t.vals[i], true
+			return true
 		}
 		if k == 0 {
-			return seenMeta{}, false
+			return false
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-// put inserts or overwrites id.
-func (t *seenTable) put(id uint64, m seenMeta) {
+// add inserts id (a no-op when it is already present).
+func (t *seenTable) add(id uint64) {
 	if t.n >= len(t.keys)*3/4 {
 		t.grow()
 	}
@@ -65,12 +64,10 @@ func (t *seenTable) put(id uint64, m seenMeta) {
 	for {
 		k := t.keys[i]
 		if k == id {
-			t.vals[i] = m
 			return
 		}
 		if k == 0 {
 			t.keys[i] = id
-			t.vals[i] = m
 			t.n++
 			return
 		}
@@ -104,7 +101,6 @@ func (t *seenTable) del(id uint64) {
 		home := hashRumorID(k) & t.mask
 		if (j-home)&t.mask >= (j-i)&t.mask {
 			t.keys[i] = k
-			t.vals[i] = t.vals[j]
 			i = j
 		}
 	}
@@ -115,15 +111,41 @@ func (t *seenTable) del(id uint64) {
 func (t *seenTable) len() int { return t.n }
 
 func (t *seenTable) grow() {
-	oldKeys, oldVals := t.keys, t.vals
+	oldKeys := t.keys
 	size := len(oldKeys) * 2
 	t.keys = make([]uint64, size)
-	t.vals = make([]seenMeta, size)
 	t.mask = uint64(size - 1)
 	t.n = 0
-	for i, k := range oldKeys {
+	for _, k := range oldKeys {
 		if k != 0 {
-			t.put(k, oldVals[i])
+			t.add(k)
 		}
+	}
+}
+
+// fifo is a queue on one slice. pop leaves a dead prefix that is
+// compacted away once it is half the slice: amortised O(1), and the
+// slice stays within twice what the queue holds.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+// live returns the queued items, oldest first.
+func (q *fifo[T]) live() []T { return q.items[q.head:] }
+
+// pop drops the oldest item, zeroing its slot so nothing it points to
+// stays reachable.
+func (q *fifo[T]) pop() {
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	if q.head*2 >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
 	}
 }

@@ -1137,7 +1137,7 @@ func (m *Manager) handleSupersedeResp(from node.ID, msg SupersedeResp) []sim.Env
 				continue
 			}
 		}
-		// Discard (not Drop): the keeper-confirmed version becomes a
+		// Discard: the keeper-confirmed version becomes a
 		// supersession floor, so late or replayed traffic cannot
 		// resurrect the retired copy at an old version.
 		if m.st.Discard(h.Key, h.Version) {

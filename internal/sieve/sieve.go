@@ -94,16 +94,16 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// fraction returns the target retained fraction r/N̂ scaled by capacity
-// and any dynamic adjustment, clamped to [0, 1].
-func (c Config) fraction(adjust float64) float64 {
+// fraction returns the target retained fraction r/N̂ scaled by capacity,
+// clamped to [0, 1].
+func (c Config) fraction() float64 {
 	n := 2.0
 	if c.SizeEstimate != nil {
 		if est := c.SizeEstimate(); est > 2 {
 			n = est
 		}
 	}
-	f := float64(c.Replication) / n * c.CapacityFactor * adjust
+	f := float64(c.Replication) / n * c.CapacityFactor
 	switch {
 	case f < 0:
 		return 0
@@ -130,20 +130,19 @@ func NewUniform(self node.ID, cfg Config) *Uniform {
 
 // Keep implements Sieve.
 func (u *Uniform) Keep(t *tuple.Tuple) bool {
-	f := u.cfg.fraction(1)
+	f := u.cfg.fraction()
 	threshold := uint64(f * math.MaxUint64)
 	return uint64(node.HashPair(u.self, t.Key)) < threshold
 }
 
 // Grain implements Sieve.
-func (u *Uniform) Grain() float64 { return u.cfg.fraction(1) }
+func (u *Uniform) Grain() float64 { return u.cfg.fraction() }
 
 // Range keeps tuples whose key point falls into the node's virtual arcs.
 type Range struct {
 	self   node.ID
 	cfg    Config
 	starts []node.Point
-	adjust float64 // repair-driven grain multiplier
 
 	arcCache arcCache
 }
@@ -152,7 +151,7 @@ type Range struct {
 // retained fraction they were computed from. Keep() runs on every rumor
 // delivery at every node, and rebuilding the arc slice there was one
 // allocation per sieve decision; the fraction only moves when the size
-// estimate (or a repair adjustment) does.
+// estimate does.
 type arcCache struct {
 	frac float64
 	arcs []node.Arc
@@ -185,12 +184,12 @@ func NewRange(self node.ID, cfg Config) *Range {
 	for i := range starts {
 		starts[i] = node.HashID(self + node.ID(uint64(i)<<48))
 	}
-	return &Range{self: self, cfg: cfg, starts: starts, adjust: 1}
+	return &Range{self: self, cfg: cfg, starts: starts}
 }
 
 // arcs returns the (cached, shared) responsibility arcs.
 func (r *Range) arcs() []node.Arc {
-	return r.arcCache.get(r.starts, r.cfg.fraction(r.adjust))
+	return r.arcCache.get(r.starts, r.cfg.fraction())
 }
 
 // Arcs implements ArcSieve: VirtualArcs arcs, each carrying an equal share
@@ -216,22 +215,7 @@ func (r *Range) CoversPoint(p node.Point) bool {
 }
 
 // Grain implements Sieve.
-func (r *Range) Grain() float64 { return r.cfg.fraction(r.adjust) }
-
-// Adjust multiplies the sieve grain by factor (bounded to [0.1, 10]); the
-// repair protocol widens under-replicated nodes' sieves with it.
-func (r *Range) Adjust(factor float64) {
-	r.adjust *= factor
-	if r.adjust < 0.1 {
-		r.adjust = 0.1
-	}
-	if r.adjust > 10 {
-		r.adjust = 10
-	}
-}
-
-// AdjustFactor returns the current repair-driven multiplier.
-func (r *Range) AdjustFactor() float64 { return r.adjust }
+func (r *Range) Grain() float64 { return r.cfg.fraction() }
 
 // Quantile is the distribution-aware sieve: responsibility is an interval
 // of the estimated global CDF of one attribute. Because the interval is
@@ -272,7 +256,7 @@ func NewQuantile(self node.ID, attr string, hist func() *histogram.EquiDepth, cf
 
 // arcs returns the (cached, shared) responsibility arcs.
 func (q *Quantile) arcs() []node.Arc {
-	return q.arcCache.get(q.starts, q.cfg.fraction(1))
+	return q.arcCache.get(q.starts, q.cfg.fraction())
 }
 
 // Arcs implements ArcSieve. The arcs live on the "CDF ring": a value v
@@ -310,7 +294,7 @@ func (q *Quantile) CoversPoint(p node.Point) bool {
 }
 
 // Grain implements Sieve.
-func (q *Quantile) Grain() float64 { return q.cfg.fraction(1) }
+func (q *Quantile) Grain() float64 { return q.cfg.fraction() }
 
 // ValueBounds returns the attribute-value intervals this node is
 // responsible for under the current histogram — the basis for ordered

@@ -134,28 +134,6 @@ func TestRangeKeepRate(t *testing.T) {
 	}
 }
 
-func TestRangeAdjust(t *testing.T) {
-	s := NewRange(3, Config{Replication: 2, SizeEstimate: fixedSize(100)})
-	g0 := s.Grain()
-	s.Adjust(2)
-	if math.Abs(s.Grain()-2*g0) > 1e-12 {
-		t.Fatalf("grain after Adjust(2) = %v, want %v", s.Grain(), 2*g0)
-	}
-	// Bounds.
-	for i := 0; i < 20; i++ {
-		s.Adjust(10)
-	}
-	if s.AdjustFactor() > 10 {
-		t.Fatalf("adjust factor %v exceeded bound", s.AdjustFactor())
-	}
-	for i := 0; i < 40; i++ {
-		s.Adjust(0.1)
-	}
-	if s.AdjustFactor() < 0.1 {
-		t.Fatalf("adjust factor %v below bound", s.AdjustFactor())
-	}
-}
-
 func TestRangeStableAcrossRestarts(t *testing.T) {
 	cfg := Config{Replication: 3, SizeEstimate: fixedSize(80)}
 	a := NewRange(5, cfg)

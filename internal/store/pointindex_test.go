@@ -40,21 +40,17 @@ func (m *storeModel) apply(t *tuple.Tuple) bool {
 	return true
 }
 
-func (m *storeModel) drop(key string) bool {
-	cur, ok := m.ents[key]
-	m.bytes -= liveBytes(cur)
-	delete(m.ents, key)
-	return ok
-}
-
 func (m *storeModel) discard(key string, floor tuple.Version) bool {
-	if cur := m.ents[key]; cur != nil && floor.Less(cur.Version) {
+	cur, ok := m.ents[key]
+	if cur != nil && floor.Less(cur.Version) {
 		floor = cur.Version
 	}
 	if !floor.IsZero() && m.floors[key].Less(floor) {
 		m.floors[key] = floor
 	}
-	return m.drop(key)
+	m.bytes -= liveBytes(cur)
+	delete(m.ents, key)
+	return ok
 }
 
 // checkAgainstModel holds the store to the oracle: the point index, the
@@ -133,8 +129,8 @@ func checkAgainstModel(t *testing.T, s *Store, m *storeModel, universe []string)
 }
 
 // TestPointIndexModel drives 50 000 random steps — Apply of new, newer,
-// stale, duplicate and tombstone tuples, of the "" key; Drop, Discard,
-// ClearFloor, Wipe — through the store and a plain-map oracle, and every
+// stale, duplicate and tombstone tuples, of the "" key; Discard with and
+// without a floor, ClearFloor, Wipe — through the store and a plain-map oracle, and every
 // 500 steps holds the three structures and every point read to it.
 func TestPointIndexModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -165,10 +161,6 @@ func TestPointIndexModel(t *testing.T) {
 			} else {
 				refused++
 			}
-		case op < 75:
-			if got, want := s.Drop(k), m.drop(k); got != want {
-				t.Fatalf("step %d: Drop(%q) = %v, oracle %v", step, k, got, want)
-			}
 		case op < 88:
 			var floor tuple.Version
 			if rng.Intn(3) > 0 {
@@ -197,9 +189,9 @@ func TestPointIndexModel(t *testing.T) {
 }
 
 // TestPointOpsDoNotDescend pins the point index as the only point path by
-// an exact count: no point read, overwrite, refused Apply or Drop of an
-// absent key descends the skip list; a new-key Apply and a Drop of a held
-// key descend exactly once each. The counter outlives Wipe.
+// an exact count: no point read, overwrite, refused Apply or Discard of
+// an absent key descends the skip list; a new-key Apply and a Discard of
+// a held key descend exactly once each. The counter outlives Wipe.
 func TestPointOpsDoNotDescend(t *testing.T) {
 	const n = 10_000
 	keys := benchKeys(n)
@@ -223,16 +215,16 @@ func TestPointOpsDoNotDescend(t *testing.T) {
 			t.Fatalf("stale or duplicate apply of %q landed", k)
 		}
 		s.Version(k + "/absent")
-		if s.Drop(k+"/absent") || s.Discard(k+"/absent", tuple.Version{}) {
-			t.Fatal("dropped an absent key")
+		if s.Discard(k+"/absent", tuple.Version{}) {
+			t.Fatal("discarded an absent key")
 		}
 	}
 	if s.descents != 0 {
 		t.Fatalf("%d skip-list descents in %d rounds of point ops, want 0", s.descents, n)
 	}
 	for i, k := range keys[:n/2] {
-		if !s.Drop(k) || s.descents != int64(i+1) {
-			t.Fatalf("Drop(%q): %d descents after %d drops", k, s.descents, i+1)
+		if !s.Discard(k, tuple.Version{}) || s.descents != int64(i+1) {
+			t.Fatalf("Discard(%q): %d descents after %d discards", k, s.descents, i+1)
 		}
 	}
 	if !s.Discard(keys[n/2], tuple.Version{}) || s.descents != n/2+1 {

@@ -1,7 +1,7 @@
 // Ring-bucket digest index: the store's incremental answer to arc
 // queries. The ring is cut into 2^bits fixed, equal buckets; each bucket
 // carries the XOR entry-digest of its population and the entry list
-// itself. Every Apply/Drop updates the owning bucket in O(1) (the XOR
+// itself. Every Apply/Discard updates the owning bucket in O(1) (the XOR
 // fold makes insert, remove, and version replacement symmetric), so
 // serving DigestArc/SegmentDigests/ArcRefs/VersionsInArc costs
 // O(|arc entries| + touched buckets) instead of a full store walk —

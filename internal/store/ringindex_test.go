@@ -173,8 +173,8 @@ func randomArc(rng *rand.Rand) node.Arc {
 	}
 }
 
-// TestRingIndexDifferential drives a randomized apply/update/drop/
-// discard/clear-floor/wipe sequence (the flatmap map-differential test
+// TestRingIndexDifferential drives a randomized apply/update/discard/
+// clear-floor/wipe sequence (the flatmap map-differential test
 // style) and cross-checks every arc-serving API against the full-walk
 // reference plus the from-scratch index invariants along the way. Floor-
 // refused applies and tombstones are part of the op mix: both must leave
@@ -208,14 +208,14 @@ func TestRingIndexDifferential(t *testing.T) {
 						Version: tuple.Version{Seq: uint64(1 + rng.Intn(8)), Writer: node.ID(1 + rng.Intn(3))},
 						Deleted: rng.Intn(8) == 0,
 					})
-				case op < 8 && len(keys) > 0: // drop or discard (floor) a key
+				case op < 8 && len(keys) > 0: // discard a key, with or without a floor above it
 					i := rng.Intn(len(keys))
 					k := keys[i]
-					if rng.Intn(2) == 0 {
-						s.Drop(k)
-					} else {
-						s.Discard(k, tuple.Version{Seq: uint64(1 + rng.Intn(8)), Writer: 1})
+					var floor tuple.Version
+					if rng.Intn(2) != 0 {
+						floor = tuple.Version{Seq: uint64(1 + rng.Intn(8)), Writer: 1}
 					}
+					s.Discard(k, floor)
 					keys = append(keys[:i], keys[i+1:]...)
 				case op < 9 && len(keys) > 0: // lift a floor, maybe re-apply (adoption path)
 					k := keys[rng.Intn(len(keys))]

@@ -57,7 +57,7 @@ type Store struct {
 	head  *skipNode
 	level int
 	// byKey is the point index: every skip-list node under its key,
-	// kept equal to the list by Apply/Drop/Wipe. It is the only point
+	// kept equal to the list by Apply/Discard/Wipe. It is the only point
 	// path — find never falls back to a descent — and the list is the
 	// only ordered one.
 	byKey flatmap.Map[*skipNode]
@@ -65,7 +65,7 @@ type Store struct {
 	live  int   // entries excluding tombstones
 	bytes int64 // approximate payload bytes of live entries
 
-	// stats holds per-attribute aggregates maintained in Apply/Drop so
+	// stats holds per-attribute aggregates maintained in Apply/Discard so
 	// the background protocols (push-sum aggregation, extremes) read
 	// node-local sums in O(1) instead of re-walking and cloning the
 	// whole store every epoch. Flat open-addressed: the lookup runs once
@@ -87,7 +87,7 @@ type Store struct {
 	floorGen  uint64      // ties ring slots to their map entries
 
 	// idx is the ring-bucket digest index (ringindex.go): maintained
-	// incrementally by Apply/Drop so arc digests and arc iteration cost
+	// incrementally by Apply/Discard so arc digests and arc iteration cost
 	// O(|arc| + buckets) instead of a full store walk.
 	idx ringIndex
 
@@ -101,7 +101,7 @@ type Store struct {
 	serveScanned int64
 	serveFolded  int64
 	// descents counts skip-list descents (descend): one per new-key
-	// Apply and per Drop of a present key, none for any point read,
+	// Apply and per Discard of a present key, none for any point read,
 	// overwrite or stale Apply. In-package tests pin those exact counts.
 	descents int64
 }
@@ -228,13 +228,13 @@ func (s *Store) Apply(t *tuple.Tuple) bool {
 	return true
 }
 
-// Discard removes the entry like Drop and additionally records a
-// supersession floor at the maximum of the stored version and the given
-// one — the version some responsible replica confirmed holding. Future
-// Applies at or below the floor are refused, so the discarded copy
-// cannot be resurrected by late or replayed traffic. The repair layer's
-// supersession and orphan-handoff paths use it; plain responsibility
-// changes keep using Drop.
+// Discard physically removes an entry (no tombstone: not a delete in
+// the data model sense) and records a supersession floor at the maximum
+// of the stored version and the given one — the version some
+// responsible replica confirmed holding. Future Applies at or below the
+// floor are refused, so the discarded copy cannot be resurrected by late
+// or replayed traffic. It is the store's only removal path: the repair
+// layer's supersession and orphan-handoff paths use it.
 func (s *Store) Discard(key string, floor tuple.Version) bool {
 	n := s.find(key)
 	if n != nil && floor.Less(n.tup.Version) {
@@ -442,13 +442,6 @@ func (s *Store) Version(key string) tuple.Version {
 		return tuple.Version{}
 	}
 	return n.tup.Version
-}
-
-// Drop physically removes an entry regardless of version. The sieve layer
-// uses it when a node's responsibility shrinks; it is not a delete in the
-// data model sense (no tombstone).
-func (s *Store) Drop(key string) bool {
-	return s.unlink(s.find(key))
 }
 
 // unlink removes a held node from the list, both indexes and the

@@ -135,18 +135,20 @@ func TestScanRange(t *testing.T) {
 	}
 }
 
-func TestDrop(t *testing.T) {
+// TestDiscardRemoves: Discard takes the entry out of every view of the
+// store (no tombstone), and only once.
+func TestDiscardRemoves(t *testing.T) {
 	s := newStore()
 	s.Apply(mk("a", 1, "v"))
 	s.Apply(mk("b", 1, "v"))
-	if !s.Drop("a") {
-		t.Fatal("drop failed")
+	if !s.Discard("a", tuple.Version{}) {
+		t.Fatal("discard failed")
 	}
-	if s.Drop("a") {
-		t.Fatal("double drop succeeded")
+	if s.Discard("a", tuple.Version{}) {
+		t.Fatal("double discard succeeded")
 	}
 	if _, ok := s.Get("a"); ok {
-		t.Fatal("dropped key still present")
+		t.Fatal("discarded key still present")
 	}
 	if s.Len() != 1 || s.Total() != 1 {
 		t.Fatalf("Len/Total = %d/%d", s.Len(), s.Total())
