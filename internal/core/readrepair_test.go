@@ -62,7 +62,7 @@ func TestGetReadRepairsStaleReplica(t *testing.T) {
 	}
 	total := int64(0)
 	for _, s := range c.Softs {
-		total += s.ReadRepairs.Value()
+		total += s.ReadRepairs
 	}
 	if total == 0 {
 		t.Fatal("no soft node counted a read-repair")

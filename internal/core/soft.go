@@ -14,7 +14,6 @@ import (
 	"datadroplets/internal/dht"
 	"datadroplets/internal/epidemic"
 	"datadroplets/internal/membership"
-	"datadroplets/internal/metrics"
 	"datadroplets/internal/node"
 	"datadroplets/internal/repair"
 	"datadroplets/internal/sim"
@@ -161,7 +160,7 @@ type SoftNode struct {
 	// ReadRepairs counts winning tuples pushed to stale read responders:
 	// a Get that observes divergent versions among its responding
 	// replicas asynchronously pushes the winner to the stale ones.
-	ReadRepairs metrics.Counter
+	ReadRepairs int64
 }
 
 var _ sim.Machine = (*SoftNode)(nil)
@@ -555,7 +554,7 @@ func (s *SoftNode) lateReadRepair(m epidemic.ReadResp, from node.ID) []sim.Envel
 		return nil
 	}
 	if m.Tuple.Version.Less(lr.winner.Version) {
-		s.ReadRepairs.Inc()
+		s.ReadRepairs++
 		return []sim.Envelope{{To: from, Msg: repair.SyncPush{Tuples: []*tuple.Tuple{lr.winner}}}}
 	}
 	if lr.winner.Version.Less(m.Tuple.Version) {

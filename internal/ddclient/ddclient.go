@@ -334,7 +334,7 @@ func (c *Client) Put(key string, value []byte) (tuple.Version, error) {
 	if err != nil {
 		return tuple.Version{}, err
 	}
-	return wire.ParseVersion(resp.Payload)
+	return tuple.ParseVersion(resp.Payload)
 }
 
 // Get fetches the value stored under key. A miss is ErrNotFound.
@@ -356,7 +356,7 @@ func (c *Client) Del(key string) (tuple.Version, error) {
 	if err != nil {
 		return tuple.Version{}, err
 	}
-	return wire.ParseVersion(resp.Payload)
+	return tuple.ParseVersion(resp.Payload)
 }
 
 // NEstimate returns the server's current network-size estimate.

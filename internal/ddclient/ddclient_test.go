@@ -18,6 +18,7 @@ import (
 	"datadroplets/internal/node"
 	"datadroplets/internal/server"
 	"datadroplets/internal/transport"
+	"datadroplets/internal/tuple"
 	"datadroplets/internal/wire"
 )
 
@@ -144,7 +145,7 @@ func TestPipelinedFuturesSettleInRequestOrder(t *testing.T) {
 			}
 			continue
 		}
-		v, err := wire.ParseVersion(resp.Payload)
+		v, err := tuple.ParseVersion(resp.Payload)
 		if resp.Status != wire.StatusOK || err != nil {
 			t.Fatalf("op %d (put): status %v, %v", i, resp.Status, err)
 		}

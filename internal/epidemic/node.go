@@ -19,7 +19,6 @@ import (
 	"datadroplets/internal/gossip"
 	"datadroplets/internal/histogram"
 	"datadroplets/internal/membership"
-	"datadroplets/internal/metrics"
 	"datadroplets/internal/node"
 	"datadroplets/internal/randomwalk"
 	"datadroplets/internal/repair"
@@ -237,7 +236,7 @@ type Node struct {
 	// Stored counts sieve-accepted applications (C4 balance metric).
 	Stored int64
 	// ReadRepairs counts winning tuples pushed to stale read responders.
-	ReadRepairs metrics.Counter
+	ReadRepairs int64
 }
 
 var _ sim.Machine = (*Node)(nil)

@@ -389,7 +389,7 @@ func TestReadRepairPushesWinnerToStaleResponder(t *testing.T) {
 	if !ok || got.Version.Seq != 5 {
 		t.Fatalf("stale responder has %v, want read-repaired to v5", got)
 	}
-	if c.nodes[1].ReadRepairs.Value() == 0 {
+	if c.nodes[1].ReadRepairs == 0 {
 		t.Fatal("ReadRepairs counter did not move")
 	}
 	// The fresh responder was never "repaired".

@@ -642,11 +642,11 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	for _, en := range pop.machines {
 		res.StoreEntries += int64(en.St.Total())
 		if en.Repair != nil {
-			res.SyncSegments += en.Repair.Segments.Value()
+			res.SyncSegments += en.Repair.Segments
 			res.TuplesPushed += en.Repair.Pushed
-			res.BystandersSuperseded += en.Repair.Superseded.Value()
+			res.BystandersSuperseded += en.Repair.Superseded
 		}
-		res.ReadRepairs += en.ReadRepairs.Value()
+		res.ReadRepairs += en.ReadRepairs
 	}
 	client.report(res)
 	res.DigestHex = fmt.Sprintf("%016x", res.Digest())

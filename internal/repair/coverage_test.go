@@ -113,7 +113,7 @@ func TestCoverageAwareSyncSkipsForeignPushes(t *testing.T) {
 			t.Fatalf("round %d: %d keys pulled, want 0", round, pulls)
 		}
 	}
-	if a.CoverageSkips.Value() == 0 {
+	if a.CoverageSkips == 0 {
 		t.Fatal("no pushes were coverage-skipped — the boundary leaves never exercised the gate")
 	}
 	if a.Pushed != 0 || b.Pushed != 0 {

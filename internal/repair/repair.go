@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"datadroplets/internal/membership"
-	"datadroplets/internal/metrics"
 	"datadroplets/internal/node"
 	"datadroplets/internal/randomwalk"
 	"datadroplets/internal/sieve"
@@ -230,7 +229,7 @@ func (rs *Responders) Observe(id node.ID, v tuple.Version) {
 // version it supersedes, marking each repaired at most once (a newer
 // winner arriving later repairs the responders recorded before it).
 // fired counts the pushes issued.
-func (rs Responders) Repair(winner *tuple.Tuple, fired *metrics.Counter) []sim.Envelope {
+func (rs Responders) Repair(winner *tuple.Tuple, fired *int64) []sim.Envelope {
 	var out []sim.Envelope
 	for i := range rs {
 		r := &rs[i]
@@ -238,7 +237,7 @@ func (rs Responders) Repair(winner *tuple.Tuple, fired *metrics.Counter) []sim.E
 			continue
 		}
 		r.repaired = true
-		fired.Inc()
+		*fired++
 		out = append(out, sim.Envelope{To: r.id, Msg: SyncPush{Tuples: []*tuple.Tuple{winner}}})
 	}
 	return out
@@ -322,10 +321,10 @@ type Manager struct {
 	Handoffs  int64 // orphaned tuples pushed to their current coverers
 
 	// Repair-traffic counters surfaced in ddbench scenario rows.
-	Segments      metrics.Counter // sub-range digests exchanged (segmented sync)
-	Superseded    metrics.Counter // bystander copies dropped after a Held answer
-	Sweeps        metrics.Counter // supersession sweeps actually fired (backoff-visible)
-	CoverageSkips metrics.Counter // pushes suppressed because the peer's coverage excludes the key
+	Segments      int64 // sub-range digests exchanged (segmented sync)
+	Superseded    int64 // bystander copies dropped after a Held answer
+	Sweeps        int64 // supersession sweeps actually fired (backoff-visible)
+	CoverageSkips int64 // pushes suppressed because the peer's coverage excludes the key
 }
 
 // hotArc is one staleness-priority schedule entry.
@@ -474,7 +473,7 @@ func (m *Manager) Tick(now sim.Round) []sim.Envelope {
 	}
 	if now >= m.supersedeNext {
 		out = append(out, m.sweepBystanders()...)
-		m.Sweeps.Inc()
+		m.Sweeps++
 		if m.diverged {
 			m.supersedeGap = supersedeEvery
 			m.diverged = false
@@ -527,7 +526,7 @@ func (m *Manager) syncMsg(arc node.Arc) any {
 		return SyncReq{Arc: arc, Digest: m.st.DigestArc(arc)}
 	}
 	digests, _ := m.st.SegmentDigests(arc, nseg)
-	m.Segments.Add(int64(nseg))
+	m.Segments += int64(nseg)
 	return SegSyncReq{Arc: arc, Digests: digests}
 }
 
@@ -1049,7 +1048,7 @@ func (m *Manager) handleSegSync(from node.ID, msg SegSyncReq) []sim.Envelope {
 			continue
 		}
 		subDigests, _ := m.st.SegmentDigests(sub, n)
-		m.Segments.Add(int64(n))
+		m.Segments += int64(n)
 		out = append(out, sim.Envelope{To: from, Msg: SegSyncReq{Arc: sub, Digests: subDigests}})
 	}
 	return append(out, sim.Envelope{To: from, Msg: SegSyncResp{Arc: msg.Arc, Clean: clean}})
@@ -1143,7 +1142,7 @@ func (m *Manager) handleSupersedeResp(from node.ID, msg SupersedeResp) []sim.Env
 		if m.st.Discard(h.Key, h.Version) {
 			delete(m.orphanDone, h.Key)
 			delete(m.confirms, h.Key)
-			m.Superseded.Inc()
+			m.Superseded++
 			m.noteDivergence()
 		}
 	}
@@ -1226,7 +1225,7 @@ func (m *Manager) reconcile(from node.ID, msg SyncVersions) []sim.Envelope {
 			// would refuse the push as a would-be bystander copy. Boundary
 			// content only this side covers stops crossing the wire every
 			// pass.
-			m.CoverageSkips.Inc()
+			m.CoverageSkips++
 			continue
 		}
 		if t, found := m.st.GetAny(kv.Key); found {

@@ -183,7 +183,7 @@ func TestSyncConvergesTwoHolders(t *testing.T) {
 		}
 	}
 	// The arc is wide enough to split: the digest-tree handshake ran.
-	if c.nodes[1].mgr.Segments.Value()+c.nodes[2].mgr.Segments.Value() == 0 {
+	if c.nodes[1].mgr.Segments+c.nodes[2].mgr.Segments == 0 {
 		t.Fatal("no sub-range digests were exchanged")
 	}
 }
@@ -378,8 +378,8 @@ func TestSupersessionDropsConfirmedBystander(t *testing.T) {
 	if _, held := bystSt.GetAny(key); held {
 		t.Fatal("bystander copy survived a Held answer")
 	}
-	if byst.Superseded.Value() != 1 {
-		t.Fatalf("Superseded = %d, want 1", byst.Superseded.Value())
+	if byst.Superseded != 1 {
+		t.Fatalf("Superseded = %d, want 1", byst.Superseded)
 	}
 	// Neither a replayed push nor a late gossip redelivery resurrects it.
 	byst.Handle(2, 3, SyncPush{Tuples: []*tuple.Tuple{mk(key, 2, "replay")}})
@@ -540,8 +540,8 @@ func TestOrphanDiscardExactlyOnceNoResurrection(t *testing.T) {
 	// The copy reached the keepers through the supersession Want path
 	// (hint → keeper asks → origin pushes) and/or the walk handoff, and
 	// was released exactly once, on a keeper-confirmed Held answer.
-	if c.nodes[1].mgr.Superseded.Value() != 1 {
-		t.Fatalf("Superseded = %d, want exactly 1 keeper-confirmed release", c.nodes[1].mgr.Superseded.Value())
+	if c.nodes[1].mgr.Superseded != 1 {
+		t.Fatalf("Superseded = %d, want exactly 1 keeper-confirmed release", c.nodes[1].mgr.Superseded)
 	}
 	// A later gossip hint (redelivered push) must not resurrect it.
 	c.nodes[1].mgr.Handle(c.net.Round(), 5, SyncPush{Tuples: []*tuple.Tuple{mk(key, 2, "replay")}})
@@ -618,8 +618,8 @@ func TestSupersessionNeedsTwoDistinctKeeperConfirmations(t *testing.T) {
 	if _, ok := st.GetAny(key); ok {
 		t.Fatal("copy survived two distinct keeper confirmations")
 	}
-	if m.Superseded.Value() != 1 {
-		t.Fatalf("Superseded = %d, want 1", m.Superseded.Value())
+	if m.Superseded != 1 {
+		t.Fatalf("Superseded = %d, want 1", m.Superseded)
 	}
 }
 
@@ -645,7 +645,7 @@ func TestSupersedeSweepBackoffSchedule(t *testing.T) {
 	last := int64(0)
 	for now := sim.Round(0); now <= end; now++ {
 		m.Tick(now)
-		if v := m.Sweeps.Value(); v != last {
+		if v := m.Sweeps; v != last {
 			sweeps = append(sweeps, now)
 			last = v
 		}
@@ -672,8 +672,8 @@ func TestSupersedeSweepBackoffSchedule(t *testing.T) {
 	}
 	// Sweeps fired at at+supersedeEvery (gap reset) and supersedeEvery
 	// rounds after that, proving the ladder restarted from the bottom.
-	if m.Sweeps.Value() != last+2 {
-		t.Fatalf("Sweeps = %d after reset window, want %d", m.Sweeps.Value(), last+2)
+	if m.Sweeps != last+2 {
+		t.Fatalf("Sweeps = %d after reset window, want %d", m.Sweeps, last+2)
 	}
 }
 
@@ -694,10 +694,10 @@ func TestSupersedeSweepDecaysOnConvergedCluster(t *testing.T) {
 	}
 	c.net.Run(300)
 	for id, tn := range c.nodes {
-		if got := tn.mgr.Sweeps.Value(); got > 12 {
+		if got := tn.mgr.Sweeps; got > 12 {
 			t.Fatalf("node %d fired %d sweeps over 300 converged rounds, want backoff decay (<= 12)", id, got)
 		}
-		if got := tn.mgr.Sweeps.Value(); got < 3 {
+		if got := tn.mgr.Sweeps; got < 3 {
 			t.Fatalf("node %d fired only %d sweeps, backoff should not stall the sweep entirely", id, got)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"datadroplets/internal/node"
 	"datadroplets/internal/sim"
 	"datadroplets/internal/transport"
+	"datadroplets/internal/tuple"
 	"datadroplets/internal/wire"
 )
 
@@ -176,8 +177,8 @@ func (s *Server) Start() error {
 		s.acceptWG.Add(1)
 		go s.acceptLoop()
 	}
-	s.logf("node %s: gossip on %s, clients on %s, r=%d window=%d timeout=%s",
-		s.cfg.Self, s.host.Addr(), s.ClientAddr(), s.cfg.Replication, s.cfg.Window, s.cfg.OpTimeout)
+	s.logf("node %s: gossip on %s, clients on %s, r=%d window=%d timeout=%s seed=%d",
+		s.cfg.Self, s.host.Addr(), s.ClientAddr(), s.cfg.Replication, s.cfg.Window, s.cfg.OpTimeout, s.cfg.Seed)
 	return nil
 }
 
@@ -464,7 +465,7 @@ func (s *Server) finishOp(sl *slot, op *core.Op) {
 		sl.settle(wire.StatusErr, []byte(op.Err))
 	default:
 		// PUT/DEL success: the payload is the version it was sequenced at.
-		sl.settle(wire.StatusOK, wire.AppendVersion(nil, op.Version))
+		sl.settle(wire.StatusOK, tuple.AppendVersion(nil, op.Version))
 	}
 }
 
@@ -559,12 +560,6 @@ func (s *Server) StatsSnapshot() (Stats, error) {
 
 		FabricUnknownTags: s.host.UnknownTags.Value(),
 
-		RepairSyncSegments:  s.m.en.Repair.Segments.Value(),
-		RepairSweeps:        s.m.en.Repair.Sweeps.Value(),
-		RepairSuperseded:    s.m.en.Repair.Superseded.Value(),
-		RepairCoverageSkips: s.m.en.Repair.CoverageSkips.Value(),
-		ReadRepairs:         s.m.soft.ReadRepairs.Value() + s.m.en.ReadRepairs.Value(),
-
 		Put:  summarize(&s.Met.PutLatency),
 		Get:  summarize(&s.Met.GetLatency),
 		Del:  summarize(&s.Met.DelLatency),
@@ -584,6 +579,11 @@ func (s *Server) StatsSnapshot() (Stats, error) {
 		st.SoftLocalReads = soft.LocalReads
 		st.SoftFabricReads = soft.PersistentReads
 		st.SoftSeqKeys = soft.Seq.Len()
+		st.RepairSyncSegments = en.Repair.Segments
+		st.RepairSweeps = en.Repair.Sweeps
+		st.RepairSuperseded = en.Repair.Superseded
+		st.RepairCoverageSkips = en.Repair.CoverageSkips
+		st.ReadRepairs = soft.ReadRepairs + en.ReadRepairs
 		return nil
 	})
 	return st, err

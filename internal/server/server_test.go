@@ -14,6 +14,7 @@ import (
 	"datadroplets/internal/ddclient"
 	"datadroplets/internal/node"
 	"datadroplets/internal/transport"
+	"datadroplets/internal/tuple"
 	"datadroplets/internal/wire"
 )
 
@@ -186,7 +187,7 @@ func TestPipelinedResponsesInOrder(t *testing.T) {
 			if resp.Status != wire.StatusOK {
 				t.Fatalf("put %d: status %v", e.i, resp.Status)
 			}
-			v, err := wire.ParseVersion(resp.Payload)
+			v, err := tuple.ParseVersion(resp.Payload)
 			if err != nil {
 				t.Fatalf("put %d: %v", e.i, err)
 			}

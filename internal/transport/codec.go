@@ -21,11 +21,11 @@ import (
 // The DDN1 message codec — the fabric's only wire format, and the only
 // file that knows it. Every protocol message is framed as one tag byte
 // followed by a hand-written binary body built from internal/wire's
-// primitives (internal/tuple's codec conventions: uvarint lengths,
-// zig-zag signed ints, little-endian float bits). Encoding appends into
-// the per-peer writer's recycled scratch buffer and is allocation-free
-// at steady state (BenchmarkEncodeEnvelope pins it); decoding runs
-// through one sticky-error cursor per connection.
+// primitives (uvarint lengths, zig-zag signed ints, little-endian float
+// bits); tuples inside it are internal/tuple's encoding. Encoding
+// appends into the per-peer writer's recycled scratch buffer and is
+// allocation-free at steady state (BenchmarkEncodeEnvelope pins it);
+// decoding runs on one wire.Cursor per connection, tuples included.
 //
 // Rules, normative in docs/PROTOCOL.md §Inter-node framing:
 //
@@ -363,29 +363,20 @@ func appendRumor(dst []byte, rum gossip.Rumor) ([]byte, bool) {
 
 // ---- decoding -------------------------------------------------------------
 
-// cursor decodes frame bodies: a wire.BodyReader whose first failure
-// sticks. After it every accessor returns its zero value without
-// touching the body, so a message decoder is straight-line code and
-// the error is checked once per frame, in decode. readLoop keeps one
-// cursor per connection and decode resets it per frame — the element
-// readers are called through function values, so a cursor declared per
-// frame would be a heap allocation per message.
-type cursor struct {
-	r   wire.BodyReader
-	err error
-}
-
-// decode parses one frame body (tag + payload). An unassigned or
-// retired tag is errUnknownTag, which the read loop treats as "skip
-// the frame, keep the connection"; any other error is a malformed body.
-func (c *cursor) decode(body []byte) (any, error) {
+// decode parses one frame body (tag + payload) on c, which readLoop
+// keeps one of per connection: the element readers below are called
+// through function values, so a cursor declared per frame would be a
+// heap allocation per message. An unassigned or retired tag is
+// errUnknownTag, which the read loop treats as "skip the frame, keep
+// the connection"; any other error is a malformed body.
+func decode(c *wire.Cursor, body []byte) (any, error) {
 	if len(body) == 0 {
 		return nil, wire.ErrTruncated
 	}
-	c.r, c.err = wire.NewBodyReader(body[1:]), nil
-	msg := c.message(body[0])
-	if c.err != nil {
-		return nil, c.err
+	c.Reset(body[1:])
+	msg := message(c, body[0])
+	if err := c.Err(); err != nil {
+		return nil, err
 	}
 	return msg, nil
 }
@@ -394,235 +385,156 @@ func (c *cursor) decode(body []byte) (any, error) {
 // calls in a composite literal in source order, so each literal below
 // lists its fields in wire order — which is not always declaration
 // order — and is the body's layout.
-func (c *cursor) message(tag byte) any {
+func message(c *wire.Cursor, tag byte) any {
 	switch tag {
 	case tagRumorMsg:
-		return gossip.RumorMsg{Rumor: c.rumor()}
+		return gossip.RumorMsg{Rumor: rumor(c)}
 	case tagDigestReq:
-		return gossip.DigestReq{IDs: list(c, minVarint, (*cursor).uvarint)}
+		return gossip.DigestReq{IDs: list(c, minVarint, (*wire.Cursor).Uvarint)}
 	case tagDigestResp:
-		return gossip.DigestResp{Rumors: list(c, minRumor, (*cursor).rumor)}
+		return gossip.DigestResp{Rumors: list(c, minRumor, rumor)}
 	case tagStoreAck:
-		return epidemic.StoreAck{Key: c.str(), Version: c.version()}
+		return epidemic.StoreAck{Key: c.Str(), Version: version(c)}
 	case tagReadReq:
-		return epidemic.ReadReq{Key: c.str(), ReqID: c.uvarint(), Origin: c.id(), TTL: c.int()}
+		return epidemic.ReadReq{Key: c.Str(), ReqID: c.Uvarint(), Origin: id(c), TTL: c.Int()}
 	case tagReadResp:
-		return epidemic.ReadResp{ReqID: c.uvarint(), Tuple: c.tuplePtr()}
+		return epidemic.ReadResp{ReqID: c.Uvarint(), Tuple: tuplePtr(c)}
 	case tagScanReq:
-		return epidemic.ScanReq{Attr: c.str(), Lo: c.f64(), Hi: c.f64(), ReqID: c.uvarint(),
-			Origin: c.id(), HopsLeft: c.int(), Seeking: c.bool()}
+		return epidemic.ScanReq{Attr: c.Str(), Lo: c.F64(), Hi: c.F64(), ReqID: c.Uvarint(),
+			Origin: id(c), HopsLeft: c.Int(), Seeking: c.Bool()}
 	case tagScanResp:
-		return epidemic.ScanResp{ReqID: c.uvarint(), Tuples: list(c, minTuplePtr, (*cursor).tuplePtr), Done: c.bool()}
+		return epidemic.ScanResp{ReqID: c.Uvarint(), Tuples: list(c, minTuplePtr, tuplePtr), Done: c.Bool()}
 	case tagAggReq:
-		return epidemic.AggReq{Attr: c.str(), ReqID: c.uvarint()}
+		return epidemic.AggReq{Attr: c.Str(), ReqID: c.Uvarint()}
 	case tagAggResp:
-		return epidemic.AggResp{ReqID: c.uvarint(), Attr: c.str(), Known: c.bool(), Avg: c.f64(),
-			Min: c.f64(), Max: c.f64(), Sum: c.f64(), Count: c.f64(), NEstimate: c.f64()}
+		return epidemic.AggResp{ReqID: c.Uvarint(), Attr: c.Str(), Known: c.Bool(), Avg: c.F64(),
+			Min: c.F64(), Max: c.F64(), Sum: c.F64(), Count: c.F64(), NEstimate: c.F64()}
 	case tagRecoverReq:
-		return epidemic.RecoverReq{ReqID: c.uvarint(), Limit: c.int()}
+		return epidemic.RecoverReq{ReqID: c.Uvarint(), Limit: c.Int()}
 	case tagRecoverResp:
-		return epidemic.RecoverResp{ReqID: c.uvarint(), Versions: c.versionMap()}
+		return epidemic.RecoverResp{ReqID: c.Uvarint(), Versions: versionMap(c)}
 	case tagVectorPush:
-		return sizeest.VectorPush{Epoch: c.uvarint(), Mins: list(c, minFloat, (*cursor).f64)}
+		return sizeest.VectorPush{Epoch: c.Uvarint(), Mins: list(c, minFloat, (*wire.Cursor).F64)}
 	case tagVectorReply:
-		return sizeest.VectorReply{Epoch: c.uvarint(), Mins: list(c, minFloat, (*cursor).f64)}
+		return sizeest.VectorReply{Epoch: c.Uvarint(), Mins: list(c, minFloat, (*wire.Cursor).F64)}
 	case tagSketchPush:
-		return histogram.SketchPush{Epoch: c.uvarint(), K: c.int(), Entries: list(c, minKMVEntry, (*cursor).kmvEntry)}
+		return histogram.SketchPush{Epoch: c.Uvarint(), K: c.Int(), Entries: list(c, minKMVEntry, kmvEntry)}
 	case tagSketchReply:
-		return histogram.SketchReply{Epoch: c.uvarint(), K: c.int(), Entries: list(c, minKMVEntry, (*cursor).kmvEntry)}
+		return histogram.SketchReply{Epoch: c.Uvarint(), K: c.Int(), Entries: list(c, minKMVEntry, kmvEntry)}
 	case tagWalkMsg:
-		return &randomwalk.WalkMsg{SetID: c.uvarint(), Origin: c.id(), TTL: c.int(),
-			Query: randomwalk.Query{Point: node.Point(c.uvarint()), Key: c.str()}}
+		return &randomwalk.WalkMsg{SetID: c.Uvarint(), Origin: id(c), TTL: c.Int(),
+			Query: randomwalk.Query{Point: node.Point(c.Uvarint()), Key: c.Str()}}
 	case tagWalkResult:
-		return randomwalk.WalkResult{SetID: c.uvarint(),
-			Sample: randomwalk.Sample{Node: c.id(), Covers: c.bool(), HasKey: c.bool()}}
+		return randomwalk.WalkResult{SetID: c.Uvarint(),
+			Sample: randomwalk.Sample{Node: id(c), Covers: c.Bool(), HasKey: c.Bool()}}
 	case tagSyncReq:
-		return repair.SyncReq{Arc: c.arc(), Digest: c.uvarint()}
+		return repair.SyncReq{Arc: arc(c), Digest: c.Uvarint()}
 	case tagSyncVersions:
-		return repair.SyncVersions{Arc: c.arc(), Versions: c.versionMap(), Coverage: list(c, minArc, (*cursor).arc)}
+		return repair.SyncVersions{Arc: arc(c), Versions: versionMap(c), Coverage: list(c, minArc, arc)}
 	case tagSyncPull:
-		return repair.SyncPull{Keys: list(c, minString, (*cursor).str)}
+		return repair.SyncPull{Keys: list(c, minString, (*wire.Cursor).Str)}
 	case tagSyncPush:
-		return repair.SyncPush{Tuples: list(c, minTuplePtr, (*cursor).tuplePtr)}
+		return repair.SyncPush{Tuples: list(c, minTuplePtr, tuplePtr)}
 	case tagAdoptReq:
-		return repair.AdoptReq{Arc: c.arc(), Tuples: list(c, minTuplePtr, (*cursor).tuplePtr)}
+		return repair.AdoptReq{Arc: arc(c), Tuples: list(c, minTuplePtr, tuplePtr)}
 	case tagSegSyncReq:
-		return repair.SegSyncReq{Arc: c.arc(), Digests: list(c, minVarint, (*cursor).uvarint)}
+		return repair.SegSyncReq{Arc: arc(c), Digests: list(c, minVarint, (*wire.Cursor).Uvarint)}
 	case tagSegSyncResp:
-		return repair.SegSyncResp{Arc: c.arc(), Clean: c.bool()}
+		return repair.SegSyncResp{Arc: arc(c), Clean: c.Bool()}
 	case tagSupersedeQuery:
-		return repair.SupersedeQuery{Hints: list(c, minKeyVersion, (*cursor).keyVersion)}
+		return repair.SupersedeQuery{Hints: list(c, minKeyVersion, keyVersion)}
 	case tagSupersedeResp:
-		return repair.SupersedeResp{Held: list(c, minKeyVersion, (*cursor).keyVersion),
-			Want: list(c, minString, (*cursor).str), Newer: list(c, minTuplePtr, (*cursor).tuplePtr)}
+		return repair.SupersedeResp{Held: list(c, minKeyVersion, keyVersion),
+			Want: list(c, minString, (*wire.Cursor).Str), Newer: list(c, minTuplePtr, tuplePtr)}
 	case tagTManExchange:
-		return tman.Exchange{Attr: c.str(), Entries: list(c, minDescriptor, (*cursor).descriptor), Reply: c.bool()}
+		return tman.Exchange{Attr: c.Str(), Entries: list(c, minDescriptor, descriptor), Reply: c.Bool()}
 	case tagAggMass:
-		return aggregate.Mass{Attr: c.str(), Epoch: c.uvarint(), Sum: c.f64(), Weight: c.f64(),
-			Min: c.f64(), Max: c.f64(), HasExt: c.bool()}
+		return aggregate.Mass{Attr: c.Str(), Epoch: c.Uvarint(), Sum: c.F64(), Weight: c.F64(),
+			Min: c.F64(), Max: c.F64(), HasExt: c.Bool()}
 	case tagWriteCmd:
-		return epidemic.WriteCmd{Tuple: c.tuplePtr(), ReplyTo: c.id()}
+		return epidemic.WriteCmd{Tuple: tuplePtr(c), ReplyTo: id(c)}
 	default:
-		c.err = errUnknownTag
+		c.Fail(errUnknownTag)
 		return nil
 	}
 }
 
-// maxCountHint caps the capacity a count from the wire may reserve up
-// front. fits bounds a count by the bytes left in the frame, not by the
-// memory its elements take once decoded: 64 MiB of one-byte elements is
-// an honest count of 2^26 that would size a gigabyte of slice before a
-// single element is read. Past the hint, growth is paid for by elements
-// that actually parse.
-const maxCountHint = 64 << 10
-
 // list reads a count and then that many elements through elem. It is
 // the only place a count from the wire sizes a slice, and it sizes it
-// only after fits has accepted the count, and by at most maxCountHint.
-// An empty list decodes as nil.
-func list[T any](c *cursor, minElemBytes int, elem func(*cursor) T) []T {
-	n := c.uvarint()
-	if n == 0 || !c.fits(n, minElemBytes) {
+// only after Fits has accepted the count, and by at most
+// wire.MaxCountHint. An empty list decodes as nil.
+func list[T any](c *wire.Cursor, minElemBytes int, elem func(*wire.Cursor) T) []T {
+	n := c.Uvarint()
+	if n == 0 || !c.Fits(n, minElemBytes) {
 		return nil
 	}
-	out := make([]T, 0, min(n, maxCountHint))
-	for ; n > 0 && c.err == nil; n-- {
+	out := make([]T, 0, min(n, wire.MaxCountHint))
+	for ; n > 0 && c.Err() == nil; n-- {
 		out = append(out, elem(c))
 	}
 	return out
 }
 
-// fits reports whether n more elements of at least minElemBytes each
-// can be in the body, and fails the cursor when they cannot: such a
-// count is a malformed frame however its elements would parse. The
-// test divides because n is hostile — n*minElemBytes wraps.
-func (c *cursor) fits(n uint64, minElemBytes int) bool {
-	if c.err == nil && n > uint64(c.r.Len()/minElemBytes) {
-		c.err = wire.ErrTruncated
-	}
-	return c.err == nil
+func id(c *wire.Cursor) node.ID { return node.ID(c.Uvarint()) }
+
+func version(c *wire.Cursor) tuple.Version {
+	return tuple.Version{Seq: c.Uvarint(), Writer: id(c)}
 }
 
-func (c *cursor) byte() byte {
-	if c.err != nil {
-		return 0
-	}
-	var b byte
-	b, c.err = c.r.Byte()
-	return b
+func arc(c *wire.Cursor) node.Arc {
+	return node.Arc{Start: node.Point(c.Uvarint()), Width: c.Uvarint()}
 }
 
-func (c *cursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	var v uint64
-	v, c.err = c.r.Uvarint()
-	return v
+func keyVersion(c *wire.Cursor) repair.KeyVersion {
+	return repair.KeyVersion{Key: c.Str(), Version: version(c)}
 }
 
-func (c *cursor) varint() int64 {
-	if c.err != nil {
-		return 0
-	}
-	var v int64
-	v, c.err = c.r.Varint()
-	return v
+func kmvEntry(c *wire.Cursor) histogram.KMVEntry {
+	return histogram.KMVEntry{Hash: c.Uvarint(), Value: c.F64()}
 }
 
-func (c *cursor) f64() float64 {
-	if c.err != nil {
-		return 0
-	}
-	var v float64
-	v, c.err = c.r.F64()
-	return v
-}
-
-// str reads a key-sized string (keys, attribute names).
-func (c *cursor) str() string {
-	if c.err != nil {
-		return ""
-	}
-	var s string
-	s, c.err = c.r.String(tuple.MaxKeyLen)
-	return s
-}
-
-func (c *cursor) bool() bool  { return c.byte() != 0 }
-func (c *cursor) int() int    { return int(c.varint()) }
-func (c *cursor) id() node.ID { return node.ID(c.uvarint()) }
-
-func (c *cursor) version() tuple.Version {
-	return tuple.Version{Seq: c.uvarint(), Writer: c.id()}
-}
-
-func (c *cursor) arc() node.Arc {
-	return node.Arc{Start: node.Point(c.uvarint()), Width: c.uvarint()}
-}
-
-func (c *cursor) keyVersion() repair.KeyVersion {
-	return repair.KeyVersion{Key: c.str(), Version: c.version()}
-}
-
-func (c *cursor) kmvEntry() histogram.KMVEntry {
-	return histogram.KMVEntry{Hash: c.uvarint(), Value: c.f64()}
-}
-
-func (c *cursor) descriptor() tman.Descriptor {
-	return tman.Descriptor{ID: c.id(), Value: c.f64(), Age: c.int()}
+func descriptor(c *wire.Cursor) tman.Descriptor {
+	return tman.Descriptor{ID: id(c), Value: c.F64(), Age: c.Int()}
 }
 
 // versionMap is the one count-sized allocation outside list: the count
 // is biased by one (see appendVersionMap) and sizes a map, under the
-// same maxCountHint.
-func (c *cursor) versionMap() map[string]tuple.Version {
-	biased := c.uvarint()
-	if biased == 0 || !c.fits(biased-1, minKeyVersion) {
+// same wire.MaxCountHint.
+func versionMap(c *wire.Cursor) map[string]tuple.Version {
+	biased := c.Uvarint()
+	if biased == 0 || !c.Fits(biased-1, minKeyVersion) {
 		return nil
 	}
-	out := make(map[string]tuple.Version, min(biased-1, maxCountHint))
-	for n := biased - 1; n > 0 && c.err == nil; n-- {
-		key := c.str()
-		out[key] = c.version()
+	out := make(map[string]tuple.Version, min(biased-1, wire.MaxCountHint))
+	for n := biased - 1; n > 0 && c.Err() == nil; n-- {
+		key := c.Str()
+		out[key] = version(c)
 	}
 	return out
 }
 
 // tuplePtr reads a presence byte and, when set, one tuple in the tuple
-// codec's own encoding.
-func (c *cursor) tuplePtr() *tuple.Tuple {
-	if c.byte() == 0 { // absent, or the cursor has already failed
+// codec's encoding, decoded in place.
+func tuplePtr(c *wire.Cursor) *tuple.Tuple {
+	if !c.Bool() { // absent, or the cursor has already failed
 		return nil
 	}
-	rest, err := c.r.Bytes(c.r.Len())
-	if err != nil {
-		c.err = err
-		return nil
-	}
-	t, consumed, err := tuple.Unmarshal(rest)
-	if err != nil {
-		c.err = err
-		return nil
-	}
-	// tuple.Unmarshal reports its length: rewind the unconsumed tail.
-	c.err = c.r.Unread(len(rest) - consumed)
-	return t
+	return tuple.Decode(c)
 }
 
-func (c *cursor) rumor() gossip.Rumor {
-	return gossip.Rumor{ID: c.uvarint(), Hops: c.int(), Payload: c.payload()}
+func rumor(c *wire.Cursor) gossip.Rumor {
+	return gossip.Rumor{ID: c.Uvarint(), Hops: c.Int(), Payload: payload(c)}
 }
 
 // payload reads a rumor's sub-tagged payload.
-func (c *cursor) payload() any {
-	switch sub := c.byte(); sub {
+func payload(c *wire.Cursor) any {
+	switch sub := c.Byte(); sub {
 	case payloadNil:
 		return nil
 	case payloadWritePayload:
-		return epidemic.WritePayload{Tuple: c.tuplePtr(), Origin: c.id(), Entry: c.id()}
+		return epidemic.WritePayload{Tuple: tuplePtr(c), Origin: id(c), Entry: id(c)}
 	default:
-		c.err = fmt.Errorf("transport: unknown rumor payload sub-tag %d", sub)
+		c.Fail(fmt.Errorf("transport: unknown rumor payload sub-tag %d", sub))
 		return nil
 	}
 }

@@ -109,8 +109,8 @@ func codecCases() []codecCase {
 // decodeMessage decodes one frame body through a fresh cursor; the
 // read loop keeps one cursor per connection instead.
 func decodeMessage(body []byte) (any, error) {
-	var c cursor
-	return c.decode(body)
+	var c wire.Cursor
+	return decode(&c, body)
 }
 
 // encode is appendMessage for a case that must have an encoding.
@@ -470,11 +470,11 @@ func BenchmarkDecodeEnvelope(b *testing.B) {
 		}
 		bodies = append(bodies, body)
 	}
-	var cur cursor
+	var cur wire.Cursor
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		msg, err := cur.decode(bodies[i%len(bodies)])
+		msg, err := decode(&cur, bodies[i%len(bodies)])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -317,7 +317,7 @@ func (h *Host) readLoop(c net.Conn) {
 		return
 	}
 	var buf []byte
-	var cur cursor
+	var cur wire.Cursor
 	for {
 		body, err := wire.ReadNodeFrame(br, buf)
 		if err != nil {
@@ -327,7 +327,7 @@ func (h *Host) readLoop(c net.Conn) {
 		if cap(body) <= maxRecycledBuf {
 			buf = body[:0]
 		}
-		msg, err := cur.decode(body)
+		msg, err := decode(&cur, body)
 		if err != nil {
 			if errors.Is(err, errUnknownTag) {
 				h.UnknownTags.Inc()

@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"datadroplets/internal/node"
+	"datadroplets/internal/wire"
 )
 
 // Wire format (little-endian, varint lengths):
@@ -20,7 +20,10 @@ import (
 //	tags     : uvarint count + names
 //
 // The format is self-contained per tuple so gossip payloads and store
-// snapshots share one codec.
+// snapshots share one codec. Decoding runs on wire.Cursor, so a tuple
+// inside a DDN1 frame is read under the frame's rules: the first
+// failure sticks, and a count must fit the bytes left before it sizes
+// anything.
 
 const (
 	wireMagic   = 0xD7
@@ -28,20 +31,25 @@ const (
 
 	flagDeleted  = 1 << 0
 	flagHasValue = 1 << 1
+
+	// maxListLen caps the attribute and tag counts, even where the bytes
+	// could hold more.
+	maxListLen = 1 << 16
 )
 
-// Codec errors.
+// Codec errors. A truncated tuple is wire.ErrTruncated, whether it
+// arrives alone or inside a DDN1 frame.
 var (
 	ErrBadMagic   = errors.New("tuple: bad magic byte")
 	ErrBadVersion = errors.New("tuple: unsupported wire version")
-	ErrTruncated  = errors.New("tuple: truncated encoding")
+	ErrTruncated  = wire.ErrTruncated
 )
 
 // AppendMarshal appends the wire encoding of t to dst and returns the
 // extended slice. It never fails on a validated tuple.
 func AppendMarshal(dst []byte, t *Tuple) []byte {
 	dst = append(dst, wireMagic, wireVersion)
-	dst = appendString(dst, t.Key)
+	dst = wire.AppendString(dst, t.Key)
 	dst = binary.AppendUvarint(dst, t.Version.Seq)
 	dst = binary.AppendUvarint(dst, uint64(t.Version.Writer))
 	var flags byte
@@ -59,12 +67,12 @@ func AppendMarshal(dst []byte, t *Tuple) []byte {
 	names := t.sortedAttrNames()
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
 	for _, name := range names {
-		dst = appendString(dst, name)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t.Attrs[name]))
+		dst = wire.AppendString(dst, name)
+		dst = wire.AppendF64(dst, t.Attrs[name])
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(t.Tags)))
 	for _, tag := range t.Tags {
-		dst = appendString(dst, tag)
+		dst = wire.AppendString(dst, tag)
 	}
 	return dst
 }
@@ -77,144 +85,68 @@ func Marshal(t *Tuple) []byte {
 // Unmarshal decodes one tuple from b and returns it with the number of
 // bytes consumed, so callers can decode concatenated streams.
 func Unmarshal(b []byte) (*Tuple, int, error) {
-	r := reader{buf: b}
-	magic, err := r.byte()
-	if err != nil {
+	var c wire.Cursor
+	c.Reset(b)
+	t := Decode(&c)
+	if err := c.Err(); err != nil {
 		return nil, 0, err
 	}
-	if magic != wireMagic {
-		return nil, 0, ErrBadMagic
+	return t, len(b) - c.Len(), nil
+}
+
+// Decode reads one tuple from c. On malformed input it fails c and
+// returns nil; the caller checks c.Err.
+func Decode(c *wire.Cursor) *Tuple {
+	if magic := c.Byte(); c.Err() == nil && magic != wireMagic {
+		c.Fail(ErrBadMagic)
 	}
-	ver, err := r.byte()
-	if err != nil {
-		return nil, 0, err
+	if ver := c.Byte(); c.Err() == nil && ver != wireVersion {
+		c.Fail(fmt.Errorf("%w: %#x", ErrBadVersion, ver))
 	}
-	if ver != wireVersion {
-		return nil, 0, fmt.Errorf("%w: %#x", ErrBadVersion, ver)
-	}
-	t := &Tuple{}
-	if t.Key, err = r.str(MaxKeyLen); err != nil {
-		return nil, 0, fmt.Errorf("key: %w", err)
-	}
-	seq, err := r.uvarint()
-	if err != nil {
-		return nil, 0, fmt.Errorf("version seq: %w", err)
-	}
-	writer, err := r.uvarint()
-	if err != nil {
-		return nil, 0, fmt.Errorf("version writer: %w", err)
-	}
-	t.Version = Version{Seq: seq, Writer: node.ID(writer)}
-	flags, err := r.byte()
-	if err != nil {
-		return nil, 0, err
-	}
+	t := &Tuple{Key: c.Str(), Version: Version{Seq: c.Uvarint(), Writer: node.ID(c.Uvarint())}}
+	flags := c.Byte()
 	t.Deleted = flags&flagDeleted != 0
 	if flags&flagHasValue != 0 {
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, 0, fmt.Errorf("value len: %w", err)
-		}
+		n := c.Uvarint()
 		if n > MaxValueLen {
-			return nil, 0, ErrValueTooBig
+			c.Fail(ErrValueTooBig)
 		}
-		raw, err := r.bytes(int(n))
-		if err != nil {
-			return nil, 0, fmt.Errorf("value: %w", err)
-		}
-		t.Value = make([]byte, n)
-		copy(t.Value, raw)
-	}
-	nattrs, err := r.uvarint()
-	if err != nil {
-		return nil, 0, fmt.Errorf("attr count: %w", err)
-	}
-	if nattrs > 0 {
-		if nattrs > 1<<16 {
-			return nil, 0, fmt.Errorf("tuple: %d attributes exceeds limit", nattrs)
-		}
-		t.Attrs = make(map[string]float64, nattrs)
-		for i := uint64(0); i < nattrs; i++ {
-			name, err := r.str(MaxKeyLen)
-			if err != nil {
-				return nil, 0, fmt.Errorf("attr name: %w", err)
-			}
-			raw, err := r.bytes(8)
-			if err != nil {
-				return nil, 0, fmt.Errorf("attr value: %w", err)
-			}
-			t.Attrs[name] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+		if raw := c.Bytes(int(n)); c.Err() == nil {
+			t.Value = make([]byte, n)
+			copy(t.Value, raw)
 		}
 	}
-	ntags, err := r.uvarint()
-	if err != nil {
-		return nil, 0, fmt.Errorf("tag count: %w", err)
-	}
-	if ntags > 0 {
-		if ntags > 1<<16 {
-			return nil, 0, fmt.Errorf("tuple: %d tags exceeds limit", ntags)
-		}
-		t.Tags = make([]string, 0, ntags)
-		for i := uint64(0); i < ntags; i++ {
-			tag, err := r.str(MaxKeyLen)
-			if err != nil {
-				return nil, 0, fmt.Errorf("tag: %w", err)
-			}
-			t.Tags = append(t.Tags, tag)
+	if n := listLen(c, 1+8, "attributes"); n > 0 {
+		t.Attrs = make(map[string]float64, n)
+		for ; n > 0 && c.Err() == nil; n-- {
+			name := c.Str()
+			t.Attrs[name] = c.F64()
 		}
 	}
-	return t, r.pos, nil
+	if n := listLen(c, 1, "tags"); n > 0 {
+		t.Tags = make([]string, 0, n)
+		for ; n > 0 && c.Err() == nil; n-- {
+			t.Tags = append(t.Tags, c.Str())
+		}
+	}
+	if c.Err() != nil {
+		return nil
+	}
+	return t
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// reader is a bounds-checked cursor over an encoded tuple.
-type reader struct {
-	buf []byte
-	pos int
-}
-
-func (r *reader) byte() (byte, error) {
-	if r.pos >= len(r.buf) {
-		return 0, ErrTruncated
+// listLen reads an attribute or tag count under the cursor's count rule
+// (an attribute takes at least a name length and 8 float bytes, a tag a
+// length) and the maxListLen cap, which equals wire.MaxCountHint: no
+// count reserves more than a DDN1 list may. A failed count reads as 0.
+func listLen(c *wire.Cursor, minElemBytes int, what string) int {
+	n := c.Uvarint()
+	if !c.Fits(n, minElemBytes) {
+		return 0
 	}
-	b := r.buf[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, ErrTruncated
+	if n > maxListLen {
+		c.Fail(fmt.Errorf("tuple: %d %s exceeds limit", n, what))
+		return 0
 	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.buf) {
-		return nil, ErrTruncated
-	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *reader) str(limit int) (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(limit) {
-		return "", ErrKeyTooLong
-	}
-	b, err := r.bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return int(n)
 }

@@ -10,11 +10,13 @@
 package tuple
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 
 	"datadroplets/internal/node"
+	"datadroplets/internal/wire"
 )
 
 // Version identifies and orders a write request. Seq is the per-key
@@ -60,6 +62,26 @@ func (v Version) String() string {
 	return fmt.Sprintf("%d@%s", v.Seq, v.Writer)
 }
 
+// AppendVersion encodes v as the 16-byte DDB1 OK payload of PUT/DEL:
+// seq then writer, big-endian uint64s (docs/PROTOCOL.md).
+func AppendVersion(dst []byte, v Version) []byte {
+	var buf [wire.VersionLen]byte
+	binary.BigEndian.PutUint64(buf[0:8], v.Seq)
+	binary.BigEndian.PutUint64(buf[8:16], uint64(v.Writer))
+	return append(dst, buf[:]...)
+}
+
+// ParseVersion decodes a PUT/DEL OK payload.
+func ParseVersion(payload []byte) (Version, error) {
+	if len(payload) != wire.VersionLen {
+		return Version{}, fmt.Errorf("tuple: version payload is %d bytes, want %d", len(payload), wire.VersionLen)
+	}
+	return Version{
+		Seq:    binary.BigEndian.Uint64(payload[0:8]),
+		Writer: node.ID(binary.BigEndian.Uint64(payload[8:16])),
+	}, nil
+}
+
 // Tuple is the unit of storage. Attrs carries the numeric attributes that
 // distribution-aware sieves, ordered overlays and aggregation operate on;
 // Tags carries correlation hints from the soft-state layer ("the soft-state
@@ -86,7 +108,7 @@ var (
 // MaxKeyLen and MaxValueLen bound what the codec will accept. The limits
 // protect the wire format; they are not storage-engine limits.
 const (
-	MaxKeyLen   = 4096
+	MaxKeyLen   = wire.MaxKeyLen
 	MaxValueLen = 16 << 20
 )
 

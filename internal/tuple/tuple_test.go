@@ -1,13 +1,18 @@
 package tuple
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"datadroplets/internal/node"
+	"datadroplets/internal/wire"
 )
 
 func sample() *Tuple {
@@ -129,18 +134,24 @@ func TestPrimaryTag(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	tests := []struct {
-		name string
-		tup  *Tuple
-	}{
+// roundTripCase is a tuple shape the codec must carry unchanged.
+type roundTripCase struct {
+	name string
+	tup  *Tuple
+}
+
+func roundTripCases() []roundTripCase {
+	return []roundTripCase{
 		{"full", sample()},
 		{"no value", &Tuple{Key: "k", Version: Version{1, 1}}},
 		{"empty value present", &Tuple{Key: "k", Value: []byte{}, Version: Version{1, 1}}},
 		{"tombstone", &Tuple{Key: "k", Version: Version{5, 2}, Deleted: true}},
 		{"attrs only", &Tuple{Key: "k", Attrs: map[string]float64{"x": 1}, Version: Version{1, 1}}},
 	}
-	for _, tt := range tests {
+}
+
+func TestMarshalRoundTrip(t *testing.T) {
+	for _, tt := range roundTripCases() {
 		t.Run(tt.name, func(t *testing.T) {
 			enc := Marshal(tt.tup)
 			dec, n, err := Unmarshal(enc)
@@ -252,6 +263,126 @@ func TestUnmarshalNeverPanics(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// TestVersionPayload pins the 16-byte DDB1 version payload of PUT/DEL.
+func TestVersionPayload(t *testing.T) {
+	v := Version{Seq: 7, Writer: 2}
+	enc := AppendVersion(nil, v)
+	if want := []byte{0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 2}; !bytes.Equal(enc, want) {
+		t.Fatalf("AppendVersion = %x, want %x", enc, want)
+	}
+	got, err := ParseVersion(enc)
+	if err != nil || got != v {
+		t.Fatalf("version: got %v, %v", got, err)
+	}
+	if _, err := ParseVersion([]byte{1, 2, 3}); err == nil {
+		t.Fatal("short version payload accepted")
+	}
+}
+
+// countBody is an encoded tuple with an empty key, a zero version, no
+// value and no attributes, cut off right before its attribute count
+// (attrs) or its tag count (!attrs), followed by count.
+func countBody(attrs bool, count uint64) []byte {
+	b := []byte{wireMagic, wireVersion, 0, 0, 0, 0}
+	if !attrs {
+		b = append(b, 0)
+	}
+	return binary.AppendUvarint(b, count)
+}
+
+// allocated reports the bytes f allocates on the heap.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestUnmarshalHostileCounts: the attribute and tag counts of a tuple
+// body are checked against the bytes left before they size anything,
+// as every DDN1 list count is, so a body of a few bytes claiming 65 536
+// entries fails before allocating for them. A count the bytes can hold
+// reserves at most 1<<16 entries (wire.MaxCountHint), so a full-size
+// DDN1 frame whose first attribute or tag is garbage stays under the
+// 8 MiB the DDN1 lists meet, and a count above the cap is an error.
+func TestUnmarshalHostileCounts(t *testing.T) {
+	for _, attrs := range []bool{true, false} {
+		body := countBody(attrs, 1<<16)
+		if len(body) > 12 {
+			t.Fatalf("hostile body is %d bytes, want at most 12", len(body))
+		}
+		var err error
+		if got := allocated(func() { _, _, err = Unmarshal(body) }); got >= 64<<10 {
+			t.Errorf("attrs=%v: %d-byte body claiming 65536 entries allocated %d bytes, want under 64 KiB", attrs, len(body), got)
+		}
+		if err == nil {
+			t.Errorf("attrs=%v: %d-byte body claiming 65536 entries decoded", attrs, len(body))
+		}
+	}
+	frame := make([]byte, wire.MaxNodeFrame)
+	for _, attrs := range []bool{true, false} {
+		n := copy(frame, countBody(attrs, 1<<16))
+		for i := 0; i < binary.MaxVarintLen64; i++ {
+			frame[n+i] = 0xff // the first name's length prefix overflows
+		}
+		var err error
+		if got := allocated(func() { _, _, err = Unmarshal(frame) }); got > 8<<20 {
+			t.Errorf("attrs=%v: full-size frame with a garbage first entry allocated %d MiB, want at most 8", attrs, got>>20)
+		}
+		if err == nil {
+			t.Errorf("attrs=%v: full-size frame with a garbage first entry decoded", attrs)
+		}
+		clear(frame[:n+binary.MaxVarintLen64])
+	}
+	// The caps stay errors where the bytes could hold the entries.
+	for _, attrs := range []bool{true, false} {
+		body := append(countBody(attrs, 1<<16+1), make([]byte, 10<<20)...)
+		if _, _, err := Unmarshal(body); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+			t.Errorf("attrs=%v: 65537 entries: err = %v, want the limit error", attrs, err)
+		}
+	}
+}
+
+// FuzzUnmarshal: whatever the bytes, Unmarshal returns a tuple or an
+// error without panicking and consumes no more than it was given, and a
+// tuple it accepts re-encodes to bytes that decode to an equal tuple.
+func FuzzUnmarshal(f *testing.F) {
+	f.Add(Marshal(sample()))
+	for _, tt := range roundTripCases() {
+		f.Add(Marshal(tt.tup))
+	}
+	for _, attrs := range []bool{true, false} {
+		f.Add(countBody(attrs, 1<<16))
+		f.Add(countBody(attrs, 1<<64-1))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tup, consumed, err := Unmarshal(b)
+		if err != nil {
+			return
+		}
+		if consumed > len(b) {
+			t.Fatalf("consumed %d of %d bytes", consumed, len(b))
+		}
+		enc := Marshal(tup)
+		again, n, err := Unmarshal(enc)
+		if err != nil || n != len(enc) {
+			t.Fatalf("re-encoding of an accepted tuple: consumed %d of %d bytes, err %v", n, len(enc), err)
+		}
+		if !bytes.Equal(Marshal(again), enc) {
+			t.Fatalf("re-encoding is not stable:\n%x\n%x", enc, Marshal(again))
+		}
+		for _, v := range tup.Attrs {
+			if math.IsNaN(v) {
+				return // NaN != NaN under Equal; the bytes matched above
+			}
+		}
+		if !tup.Equal(again) {
+			t.Fatalf("re-encoding decodes to a different tuple:\n in: %+v\nout: %+v", tup, again)
+		}
+	})
 }
 
 func BenchmarkMarshal(b *testing.B) {

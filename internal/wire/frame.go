@@ -1,9 +1,10 @@
-// Inter-node framing helpers shared by the gossip transport and any
-// future binary sub-protocol. Where wire.go is the client-facing DDB1
-// codec, this file is the generic layer under the node-to-node DDN1
-// codec (internal/transport): a connection preamble, length-delimited
-// frames, and the uvarint primitives (internal/tuple's codec
-// conventions) message bodies are built from.
+// Inter-node framing helpers shared by the gossip transport and the
+// tuple codec. Where wire.go is the client-facing DDB1 codec, this file
+// is the generic layer under the node-to-node DDN1 codec
+// (internal/transport): a connection preamble, length-delimited frames,
+// the append primitives bodies are built from (uvarint lengths, zig-zag
+// signed ints, little-endian float bits), and Cursor, the one decoder
+// every DDN1 body and every tuple inside one is read with.
 //
 // A DDN1 connection starts with the 4-byte magic "DDN1" followed by the
 // sender's node ID as a uvarint — the sender identifies itself once per
@@ -109,8 +110,8 @@ func ReadNodeFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Body append primitives. Alongside AppendFloat64/AppendUint64 from the
-// client codec, these are what message encoders compose bodies from.
+// Body append primitives: what message and tuple encoders compose
+// bodies from, and what Cursor reads back.
 
 // AppendString appends a uvarint length followed by the bytes.
 func AppendString(dst []byte, s string) []byte {
@@ -123,99 +124,127 @@ func AppendVarint(dst []byte, v int64) []byte {
 	return binary.AppendVarint(dst, v)
 }
 
-// AppendF64 appends a float64 as its little-endian IEEE-754 bits (the
-// tuple codec's float convention, kept here so both codecs agree).
+// AppendF64 appends a float64 as its little-endian IEEE-754 bits.
 func AppendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// BodyReader is a bounds-checked cursor over one frame body. Every
-// accessor returns ErrTruncated instead of panicking on malformed
-// input, so a decoder can reject a frame without losing the connection.
-type BodyReader struct {
+// Cursor is the one decoder for binary bodies: every DDN1 message and
+// every tuple is read through it. Its first failure sticks: afterwards
+// every accessor returns its zero value without touching the body, so a
+// decoder is straight-line code that checks Err once at the end. A
+// cursor never panics on malformed input, and a count from the body
+// sizes nothing before Fits has checked it against the bytes left.
+type Cursor struct {
 	buf []byte
 	pos int
+	err error
 }
 
-// NewBodyReader wraps a frame body.
-func NewBodyReader(b []byte) BodyReader { return BodyReader{buf: b} }
+// Reset points the cursor at a new body and clears its error.
+func (c *Cursor) Reset(b []byte) { *c = Cursor{buf: b} }
+
+// Err returns the first failure, or nil.
+func (c *Cursor) Err() error { return c.err }
+
+// Fail records err unless the cursor has already failed.
+func (c *Cursor) Fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
 
 // Len reports the unread bytes remaining.
-func (r *BodyReader) Len() int { return len(r.buf) - r.pos }
+func (c *Cursor) Len() int { return len(c.buf) - c.pos }
 
 // Byte reads one byte.
-func (r *BodyReader) Byte() (byte, error) {
-	if r.pos >= len(r.buf) {
-		return 0, ErrTruncated
+func (c *Cursor) Byte() byte {
+	if c.err != nil || c.pos >= len(c.buf) {
+		c.Fail(ErrTruncated)
+		return 0
 	}
-	b := r.buf[r.pos]
-	r.pos++
-	return b, nil
+	b := c.buf[c.pos]
+	c.pos++
+	return b
 }
+
+// Bool reads one byte; any nonzero value is true.
+func (c *Cursor) Bool() bool { return c.Byte() != 0 }
 
 // Uvarint reads an unsigned varint.
-func (r *BodyReader) Uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, ErrTruncated
+func (c *Cursor) Uvarint() uint64 {
+	if c.err != nil {
+		return 0
 	}
-	r.pos += n
-	return v, nil
+	v, n := binary.Uvarint(c.buf[c.pos:])
+	if n <= 0 {
+		c.err = ErrTruncated
+		return 0
+	}
+	c.pos += n
+	return v
 }
 
-// Varint reads a zig-zag encoded signed varint.
-func (r *BodyReader) Varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, ErrTruncated
+// Int reads a zig-zag encoded signed varint.
+func (c *Cursor) Int() int {
+	if c.err != nil {
+		return 0
 	}
-	r.pos += n
-	return v, nil
+	v, n := binary.Varint(c.buf[c.pos:])
+	if n <= 0 {
+		c.err = ErrTruncated
+		return 0
+	}
+	c.pos += n
+	return int(v)
 }
 
 // Bytes returns n bytes borrowed from the body (valid until the body
 // buffer is recycled; copy to retain).
-func (r *BodyReader) Bytes(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.buf) || r.pos+n < 0 {
-		return nil, ErrTruncated
+func (c *Cursor) Bytes(n int) []byte {
+	if c.err != nil || n < 0 || n > c.Len() {
+		c.Fail(ErrTruncated)
+		return nil
 	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
+	b := c.buf[c.pos : c.pos+n]
+	c.pos += n
+	return b
 }
 
-// String reads a uvarint-length-prefixed string, refusing lengths
-// beyond limit.
-func (r *BodyReader) String(limit int) (string, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return "", err
+// Str reads a uvarint-length-prefixed string of at most MaxKeyLen bytes
+// (keys, attribute names, tags).
+func (c *Cursor) Str() string {
+	n := c.Uvarint()
+	if n > MaxKeyLen {
+		c.Fail(ErrTooLong)
+		return ""
 	}
-	if n > uint64(limit) {
-		return "", ErrTooLong
-	}
-	b, err := r.Bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// Unread rewinds the cursor by n bytes — for decoders that hand a tail
-// to a sub-codec which reports how much it consumed.
-func (r *BodyReader) Unread(n int) error {
-	if n < 0 || n > r.pos {
-		return ErrTruncated
-	}
-	r.pos -= n
-	return nil
+	return string(c.Bytes(int(n)))
 }
 
 // F64 reads a little-endian float64.
-func (r *BodyReader) F64() (float64, error) {
-	b, err := r.Bytes(8)
-	if err != nil {
-		return 0, err
+func (c *Cursor) F64() float64 {
+	if b := c.Bytes(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
+	return 0
 }
+
+// Fits reports whether n more elements of at least minElemBytes each
+// can be in the bytes left, and fails the cursor when they cannot: such
+// a count is a malformed body however its elements would parse. The
+// test divides because n is hostile — n*minElemBytes wraps.
+func (c *Cursor) Fits(n uint64, minElemBytes int) bool {
+	if n > uint64(c.Len()/minElemBytes) {
+		c.Fail(ErrTruncated)
+	}
+	return c.err == nil
+}
+
+// MaxCountHint caps the capacity a checked count may reserve up front.
+// Fits bounds a count by the bytes left, not by the memory its elements
+// take once decoded: 64 MiB of one-byte elements is an honest count of
+// 2^26 that would size a gigabyte of slice before a single element is
+// read. Past the hint, growth is paid for by elements that actually
+// parse.
+const MaxCountHint = 64 << 10

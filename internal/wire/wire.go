@@ -18,9 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"datadroplets/internal/node"
-	"datadroplets/internal/tuple"
 )
 
 // Magic is the connection preamble: the client sends these four bytes
@@ -293,25 +290,6 @@ func unexpectedEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// AppendVersion encodes a write version as the OK payload of PUT/DEL.
-func AppendVersion(dst []byte, v tuple.Version) []byte {
-	var buf [VersionLen]byte
-	binary.BigEndian.PutUint64(buf[0:8], v.Seq)
-	binary.BigEndian.PutUint64(buf[8:16], uint64(v.Writer))
-	return append(dst, buf[:]...)
-}
-
-// ParseVersion decodes a PUT/DEL OK payload.
-func ParseVersion(payload []byte) (tuple.Version, error) {
-	if len(payload) != VersionLen {
-		return tuple.Version{}, fmt.Errorf("wire: version payload is %d bytes, want %d", len(payload), VersionLen)
-	}
-	return tuple.Version{
-		Seq:    binary.BigEndian.Uint64(payload[0:8]),
-		Writer: node.ID(binary.BigEndian.Uint64(payload[8:16])),
-	}, nil
 }
 
 // AppendFloat64 encodes a float payload (NEST).

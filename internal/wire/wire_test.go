@@ -7,8 +7,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"datadroplets/internal/tuple"
 )
 
 // encodeReq renders one request frame to bytes; it panics on encode
@@ -104,7 +102,7 @@ func TestRequestStreamKeepsFraming(t *testing.T) {
 
 func TestResponseRoundTrip(t *testing.T) {
 	cases := []Response{
-		{Status: StatusOK, Payload: AppendVersion(nil, tuple.Version{Seq: 42, Writer: 3})},
+		{Status: StatusOK, Payload: AppendUint64(AppendUint64(nil, 42), 3)}, // a version payload
 		{Status: StatusValue, Payload: []byte("hello")},
 		{Status: StatusNotFound},
 		{Status: StatusErr, Payload: []byte("usage: PUT key value")},
@@ -201,14 +199,6 @@ func TestMagic(t *testing.T) {
 }
 
 func TestPayloadHelpers(t *testing.T) {
-	v := tuple.Version{Seq: 7, Writer: 2}
-	got, err := ParseVersion(AppendVersion(nil, v))
-	if err != nil || got != v {
-		t.Fatalf("version: got %v, %v", got, err)
-	}
-	if _, err := ParseVersion([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short version payload accepted")
-	}
 	f, err := ParseFloat64(AppendFloat64(nil, 1234.5))
 	if err != nil || f != 1234.5 {
 		t.Fatalf("float: got %v, %v", f, err)
