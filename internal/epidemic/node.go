@@ -237,6 +237,9 @@ type Node struct {
 	Stored int64
 	// ReadRepairs counts winning tuples pushed to stale read responders.
 	ReadRepairs int64
+	// Rejected counts tuples refused by tuple.Validate where they entered
+	// this node: a WriteCmd or a rumor's first delivery.
+	Rejected int64
 }
 
 var _ sim.Machine = (*Node)(nil)
@@ -431,10 +434,15 @@ func payloadBytes(payload any) int {
 	return n
 }
 
-// onDeliver is the gossip delivery hook: apply the sieve, store, ack.
+// onDeliver is the gossip delivery hook: validate, apply the sieve,
+// store, ack.
 func (n *Node) onDeliver(r gossip.Rumor) {
 	wp, ok := r.Payload.(WritePayload)
 	if !ok {
+		return
+	}
+	if wp.Tuple.Validate() != nil {
+		n.Rejected++
 		return
 	}
 	keep := wp.Entry == n.Self // publisher always retains (last resort)
@@ -647,6 +655,10 @@ func (n *Node) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 	var out []sim.Envelope
 	switch m := msg.(type) {
 	case WriteCmd:
+		if m.Tuple.Validate() != nil {
+			n.Rejected++
+			break
+		}
 		out = n.WriteFrom(now, m.ReplyTo, m.Tuple)
 	case gossip.RumorMsg, gossip.DigestReq, gossip.DigestResp:
 		out = n.Diss.Handle(now, from, msg)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"datadroplets/internal/gossip"
 	"datadroplets/internal/membership"
 	"datadroplets/internal/node"
 	"datadroplets/internal/repair"
@@ -93,6 +94,35 @@ func TestWriteIdempotentUnderRedelivery(t *testing.T) {
 	c.net.Run(15)
 	if after := c.holders("dup-key"); after != before {
 		t.Fatalf("redelivery changed holders: %d -> %d", before, after)
+	}
+}
+
+// TestInvalidTuplesNeverReachAStore: a write command and a rumor whose
+// tuples fail tuple.Validate store nothing anywhere; the node that takes
+// the command counts it once, and every node counts the rumor once, at
+// its first delivery.
+func TestInvalidTuplesNeverReachAStore(t *testing.T) {
+	const n = 5
+	c := newCluster(n, 7, Config{Replication: n, FanoutC: 3})
+	c.net.Run(10)
+	c.net.Emit(1, c.nodes[1].Handle(c.net.Round(), 2, WriteCmd{Tuple: &tuple.Tuple{Key: "zero"}, ReplyTo: 2}))
+	huge := &tuple.Tuple{Key: "huge", Value: []byte("v"), Version: tuple.Version{Seq: tuple.MaxSeq + 1, Writer: 2}}
+	// A digest reply has no pusher, so node 1 relays the rumor onward.
+	c.net.Emit(1, c.nodes[1].Handle(c.net.Round(), 2, gossip.DigestResp{Rumors: []gossip.Rumor{{ID: 1 << 40,
+		Payload: WritePayload{Tuple: huge, Origin: 2, Entry: 2}}}}))
+	c.net.Run(15)
+	for _, id := range c.ids {
+		en := c.nodes[id]
+		if en.St.Len() != 0 {
+			t.Errorf("node %v stores %d tuples, want 0", id, en.St.Len())
+		}
+		want := int64(1) // the rumor
+		if id == 1 {
+			want = 2 // and the write command
+		}
+		if en.Rejected != want {
+			t.Errorf("node %v: Rejected = %d, want %d", id, en.Rejected, want)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ package repair
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"datadroplets/internal/membership"
@@ -325,6 +326,7 @@ type Manager struct {
 	Superseded    int64 // bystander copies dropped after a Held answer
 	Sweeps        int64 // supersession sweeps actually fired (backoff-visible)
 	CoverageSkips int64 // pushes suppressed because the peer's coverage excludes the key
+	Rejected      int64 // received tuples refused by tuple.Validate
 }
 
 // hotArc is one staleness-priority schedule entry.
@@ -935,6 +937,9 @@ func (m *Manager) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 	case SyncPush:
 		var newer []*tuple.Tuple
 		for _, t := range msg.Tuples {
+			if !m.admit(t) {
+				continue
+			}
 			keep := m.Keep(t)
 			if !keep && m.st.Version(t.Key).IsZero() {
 				// Refuse content that is neither ours to keep nor already
@@ -1149,7 +1154,7 @@ func (m *Manager) handleSupersedeResp(from node.ID, msg SupersedeResp) []sim.Env
 	for _, t := range msg.Newer {
 		// Refresh in place only: a key already dropped (or never held)
 		// must not be resurrected by a late response.
-		if !m.st.Version(t.Key).IsZero() && m.st.Apply(t) {
+		if m.admit(t) && !m.st.Version(t.Key).IsZero() && m.st.Apply(t) {
 			m.noteDivergence()
 		}
 	}
@@ -1254,26 +1259,32 @@ func (m *Manager) reconcile(from node.ID, msg SyncVersions) []sim.Envelope {
 	return out
 }
 
-// adopt incorporates a recruited range: remember the arc, apply the data.
+// adopt incorporates a recruited range: remember the arc (unless this
+// node is already responsible for it), apply the data.
 func (m *Manager) adopt(msg AdoptReq) {
-	for _, a := range m.Arcs() {
-		if a == msg.Arc {
-			// Already responsible; just merge the data.
-			for _, t := range msg.Tuples {
-				m.st.ClearFloor(t.Key)
-				m.st.Apply(t)
-			}
-			return
-		}
+	if !slices.Contains(m.Arcs(), msg.Arc) {
+		m.adopted = append(m.adopted, msg.Arc)
+		m.Recruits++ // counted on both ends: recruit sent and accepted
 	}
-	m.adopted = append(m.adopted, msg.Arc)
 	for _, t := range msg.Tuples {
+		if !m.admit(t) {
+			continue
+		}
 		// Adoption makes this node responsible for the payload: lift any
 		// supersession floors so retired versions are re-admissible.
 		m.st.ClearFloor(t.Key)
 		m.st.Apply(t)
 	}
-	m.Recruits++ // counted on both ends: recruit sent and accepted
+}
+
+// admit reports whether a tuple received from a peer may enter the
+// store: it must pass tuple.Validate. Each refusal counts in Rejected.
+func (m *Manager) admit(t *tuple.Tuple) bool {
+	if t.Validate() != nil {
+		m.Rejected++
+		return false
+	}
+	return true
 }
 
 // tuplesInArc snapshots up to max tuples of the arc for transfer.

@@ -298,6 +298,56 @@ func TestAdoptAppliesDataAndExtendsResponsibility(t *testing.T) {
 	}
 }
 
+// TestInvalidPushedTuplesAreRefused: a push of tuples that fail
+// tuple.Validate — an empty key, a zero version — leaves a Manager that
+// covers the whole ring with an empty store, and each refused tuple is
+// counted once.
+func TestInvalidPushedTuplesAreRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	st := store.New(rng)
+	m := New(1, rng, &stubSieve{arcs: []node.Arc{node.FullArc()}}, st, nil, nil, Config{})
+	m.Handle(0, 2, SyncPush{Tuples: []*tuple.Tuple{{Key: ""}, {Key: "k"}}})
+	if st.Len() != 0 {
+		t.Fatalf("store holds %d tuples after an invalid push, want 0", st.Len())
+	}
+	if m.Rejected != 2 {
+		t.Fatalf("Rejected = %d, want 2", m.Rejected)
+	}
+}
+
+// TestEveryTupleMessageValidates: each repair message that ships tuples
+// refuses an invalid one — nil, an empty key, a zero version, a
+// sequence above the ceiling — and still applies the valid one beside
+// it.
+func TestEveryTupleMessageValidates(t *testing.T) {
+	bad := func() []*tuple.Tuple {
+		return []*tuple.Tuple{nil, {Key: "", Version: tuple.Version{Seq: 1, Writer: 2}},
+			{Key: "zero"}, {Key: "huge", Version: tuple.Version{Seq: tuple.MaxSeq + 1, Writer: 2}}}
+	}
+	for _, tc := range []struct {
+		name string
+		msg  func(good *tuple.Tuple) any
+	}{
+		{"sync push", func(g *tuple.Tuple) any { return SyncPush{Tuples: append(bad(), g)} }},
+		{"adopt", func(g *tuple.Tuple) any {
+			return AdoptReq{Arc: node.Arc{Start: g.Point(), Width: 1}, Tuples: append(bad(), g)}
+		}},
+		{"supersede newer", func(g *tuple.Tuple) any { return SupersedeResp{Newer: append(bad(), g)} }},
+	} {
+		rng := rand.New(rand.NewSource(16))
+		st := store.New(rng)
+		m := New(1, rng, &stubSieve{arcs: []node.Arc{node.FullArc()}}, st, nil, nil, Config{})
+		st.Apply(mk("good", 1, "old")) // supersession refreshes only held keys
+		m.Handle(0, 2, tc.msg(mk("good", 2, "new")))
+		if got, ok := st.GetAny("good"); !ok || got.Version.Seq != 2 || st.Len() != 1 {
+			t.Errorf("%s: store holds %d tuples, good at %v; want only good at seq 2", tc.name, st.Len(), got)
+		}
+		if m.Rejected != 4 {
+			t.Errorf("%s: Rejected = %d, want 4", tc.name, m.Rejected)
+		}
+	}
+}
+
 func TestKeepCombinesBaseAndAdopted(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	st := store.New(rng)

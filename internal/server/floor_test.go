@@ -134,3 +134,35 @@ func TestEveryTupleMessageRaisesTheFloor(t *testing.T) {
 		t.Fatalf("the refused rumor was stored at %v", got)
 	}
 }
+
+// TestReceivedSeqAboveTheCeilingCannotWinTheKey: a rumor at the largest
+// sequence a version can carry must not raise the floor of its key, or
+// the node's next write would mint a wrapped 0@n that last-writer-wins
+// discards. The Put that follows the rumor must read back, and every
+// node refuses the rumor's tuple once.
+func TestReceivedSeqAboveTheCeilingCannotWinTheKey(t *testing.T) {
+	c := newSimCluster(t, 1, 31, 5, 2)
+	const key = "k"
+	huge := &tuple.Tuple{Key: key, Value: []byte("rumor"), Version: tuple.Version{Seq: 1<<64 - 1, Writer: floorA}}
+	b := c.machines[floorB]
+	b.Handle(c.net.Round(), floorA, gossip.RumorMsg{Rumor: gossip.Rumor{ID: 1 << 41,
+		Payload: epidemic.WritePayload{Tuple: huge, Origin: floorA, Entry: floorA}}})
+	c.net.Run(10) // the rumor's rounds
+	if got, known := b.soft.Seq.Latest(key); known {
+		t.Fatalf("the rumor raised the floor of %s to %v", key, got)
+	}
+	if sl := c.do(floorB, wire.OpPut, key, "put"); sl.status != wire.StatusOK {
+		t.Fatalf("put %s at %v: %v %q", key, floorB, sl.status, sl.payload)
+	}
+	c.net.Run(10)
+	for _, id := range c.ids {
+		if sl := c.do(id, wire.OpGet, key, ""); sl.status != wire.StatusValue || string(sl.payload) != "put" {
+			t.Errorf("get %s at %v = %v %q, want %q", key, id, sl.status, sl.payload, "put")
+		}
+	}
+	for _, id := range c.ids {
+		if got := c.machines[id].en.Rejected; got != 1 {
+			t.Errorf("node %v rejected %d tuples, want 1", id, got)
+		}
+	}
+}

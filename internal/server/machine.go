@@ -109,9 +109,10 @@ func (m *machine) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 	return m.en.Handle(now, from, msg)
 }
 
-// observe folds into the sequencer the version of every tuple msg
-// carries: a rumor push or digest reply, or a repair message that ships
-// tuples.
+// observe folds into the sequencer the version of every valid tuple
+// msg carries: a rumor push or digest reply, or a repair message that
+// ships tuples. A tuple that fails tuple.Validate raises no floor; the
+// epidemic node and its repair manager refuse and count it.
 func (m *machine) observe(msg any) {
 	var rumors []gossip.Rumor
 	var ts []*tuple.Tuple
@@ -129,10 +130,18 @@ func (m *machine) observe(msg any) {
 	}
 	for _, r := range rumors {
 		if wp, ok := r.Payload.(epidemic.WritePayload); ok {
-			m.soft.Seq.Observe(wp.Tuple.Key, wp.Tuple.Version)
+			m.fold(wp.Tuple)
 		}
 	}
 	for _, t := range ts {
+		m.fold(t)
+	}
+}
+
+// fold raises the sequencer's floor for t's key to t's version, if t is
+// valid.
+func (m *machine) fold(t *tuple.Tuple) {
+	if t.Validate() == nil {
 		m.soft.Seq.Observe(t.Key, t.Version)
 	}
 }

@@ -512,6 +512,9 @@ type Stats struct {
 	RepairSuperseded    int64 `json:"repair_superseded"`
 	RepairCoverageSkips int64 `json:"repair_coverage_skips"`
 	ReadRepairs         int64 `json:"read_repairs"`
+	// RejectedTuples counts received tuples refused by tuple.Validate
+	// before they reached the store or the version floor.
+	RejectedTuples int64 `json:"rejected_tuples"`
 
 	// Where the soft layer answered Gets — its cache, the collocated
 	// replica, or the fabric — and its version floor's size: one entry
@@ -584,6 +587,7 @@ func (s *Server) StatsSnapshot() (Stats, error) {
 		st.RepairSuperseded = en.Repair.Superseded
 		st.RepairCoverageSkips = en.Repair.CoverageSkips
 		st.ReadRepairs = soft.ReadRepairs + en.ReadRepairs
+		st.RejectedTuples = en.Rejected + en.Repair.Rejected
 		return nil
 	})
 	return st, err

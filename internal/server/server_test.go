@@ -33,16 +33,36 @@ func reservePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-// startCluster boots n servers on loopback and returns them.
+// startCluster boots n servers on loopback and returns them. A port
+// reservePorts picked can be taken by another process before Start binds
+// it, so a boot that fails closes every server it started and retries on
+// fresh addresses, up to 5 times.
 func startCluster(t *testing.T, n int, tweak func(i int, cfg *Config)) []*Server {
 	t.Helper()
+	var err error
+	for attempt := 0; attempt < 5; attempt++ {
+		var servers []*Server
+		if servers, err = bootCluster(t, n, tweak); err == nil {
+			for _, srv := range servers {
+				t.Cleanup(srv.Close)
+			}
+			return servers
+		}
+	}
+	t.Fatal(err)
+	return nil
+}
+
+// bootCluster is one attempt of startCluster: on an error, no server it
+// started is left running.
+func bootCluster(t *testing.T, n int, tweak func(i int, cfg *Config)) ([]*Server, error) {
 	gossip := reservePorts(t, n)
 	peers := make([]transport.Peer, n)
 	for i := range peers {
 		peers[i] = transport.Peer{ID: node.ID(i + 1), Addr: gossip[i]}
 	}
-	servers := make([]*Server, n)
-	for i := range servers {
+	servers := make([]*Server, 0, n)
+	for i := 0; i < n; i++ {
 		cfg := Config{
 			Self:         node.ID(i + 1),
 			Peers:        peers,
@@ -55,16 +75,18 @@ func startCluster(t *testing.T, n int, tweak func(i int, cfg *Config)) []*Server
 			tweak(i, &cfg)
 		}
 		srv, err := New(cfg)
+		if err == nil {
+			err = srv.Start()
+		}
 		if err != nil {
-			t.Fatal(err)
+			for _, started := range servers {
+				started.Close()
+			}
+			return nil, fmt.Errorf("boot node %d: %w", i+1, err)
 		}
-		if err := srv.Start(); err != nil {
-			t.Fatal(err)
-		}
-		servers[i] = srv
-		t.Cleanup(srv.Close)
+		servers = append(servers, srv)
 	}
-	return servers
+	return servers, nil
 }
 
 func dial(t *testing.T, srv *Server) *ddclient.Client {

@@ -39,36 +39,55 @@ func (m *pingMachine) count() int {
 // startHosts boots n hosts on loopback with auto-assigned ports.
 func startHosts(t *testing.T, n int, build func(id node.ID, peers []Peer) sim.Machine) []*Host {
 	t.Helper()
-	// Reserve ports by binding first: build the address book, then start.
+	// A port picked by listening and closing can be taken by another
+	// process before Start binds it: a boot that fails stops every host
+	// it started and retries on fresh addresses, up to 5 times.
+	var err error
+	for attempt := 0; attempt < 5; attempt++ {
+		var hosts []*Host
+		if hosts, err = bootHosts(t, n, build); err == nil {
+			for _, h := range hosts {
+				t.Cleanup(h.Stop)
+			}
+			return hosts
+		}
+	}
+	t.Fatal(err)
+	return nil
+}
+
+// bootHosts is one attempt of startHosts: pick free ports, build the
+// address book, then start every host. On an error, no host it started
+// is left running.
+func bootHosts(t *testing.T, n int, build func(id node.ID, peers []Peer) sim.Machine) ([]*Host, error) {
 	peers := make([]Peer, n)
-	hosts := make([]*Host, n)
-	// Two-phase: pick free ports by listening and closing.
 	for i := range peers {
 		ln, err := nettestListen(t)
-		addr := ln.Addr().String()
-		_ = ln.Close()
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		peers[i] = Peer{ID: node.ID(i + 1), Addr: addr}
+		peers[i] = Peer{ID: node.ID(i + 1), Addr: ln.Addr().String()}
+		_ = ln.Close()
 	}
-	for i := range hosts {
-		m := build(peers[i].ID, peers)
+	hosts := make([]*Host, 0, n)
+	for i := range peers {
 		h, err := NewHost(Config{
 			Self:         peers[i].ID,
 			Peers:        peers,
 			TickInterval: 20 * time.Millisecond,
-		}, m)
+		}, build(peers[i].ID, peers))
+		if err == nil {
+			err = h.Start()
+		}
 		if err != nil {
-			t.Fatal(err)
+			for _, started := range hosts {
+				started.Stop()
+			}
+			return nil, err
 		}
-		if err := h.Start(); err != nil {
-			t.Fatal(err)
-		}
-		hosts[i] = h
-		t.Cleanup(h.Stop)
+		hosts = append(hosts, h)
 	}
-	return hosts
+	return hosts, nil
 }
 
 func TestPointToPointDelivery(t *testing.T) {

@@ -99,22 +99,35 @@ type Tuple struct {
 
 // Validation errors returned by Validate.
 var (
+	ErrNoTuple     = errors.New("tuple: missing")
 	ErrEmptyKey    = errors.New("tuple: empty key")
 	ErrKeyTooLong  = errors.New("tuple: key exceeds 4096 bytes")
 	ErrNoVersion   = errors.New("tuple: zero version")
+	ErrSeqTooHigh  = errors.New("tuple: version sequence above the ceiling")
 	ErrValueTooBig = errors.New("tuple: value exceeds 16 MiB")
 )
 
 // MaxKeyLen and MaxValueLen bound what the codec will accept. The limits
 // protect the wire format; they are not storage-engine limits.
+//
+// MaxSeq is the version ceiling. A sequence above it is invalid, so no
+// node accepts one from a peer or folds it into its version floor, and
+// a floor at the ceiling makes the next write fail validation instead
+// of wrapping Version.Next to a version last-writer-wins discards. At
+// 10⁶ writes a second the ceiling lasts ~292 000 years.
 const (
 	MaxKeyLen   = wire.MaxKeyLen
 	MaxValueLen = 16 << 20
+	MaxSeq      = 1<<63 - 1
 )
 
-// Validate checks structural invariants before a tuple enters the system.
+// Validate checks structural invariants before a tuple enters the
+// system: at a local write, and wherever a node receives one from a
+// peer. A nil tuple is invalid.
 func (t *Tuple) Validate() error {
 	switch {
+	case t == nil:
+		return ErrNoTuple
 	case len(t.Key) == 0:
 		return ErrEmptyKey
 	case len(t.Key) > MaxKeyLen:
@@ -123,6 +136,8 @@ func (t *Tuple) Validate() error {
 		return ErrValueTooBig
 	case t.Version.IsZero():
 		return ErrNoVersion
+	case t.Version.Seq > MaxSeq:
+		return ErrSeqTooHigh
 	}
 	return nil
 }

@@ -74,6 +74,9 @@ func TestValidate(t *testing.T) {
 		{"long key", func(t *Tuple) { t.Key = strings.Repeat("k", MaxKeyLen+1) }, ErrKeyTooLong},
 		{"zero version", func(t *Tuple) { t.Version = Version{} }, ErrNoVersion},
 		{"huge value", func(t *Tuple) { t.Value = make([]byte, MaxValueLen+1) }, ErrValueTooBig},
+		{"seq at the ceiling", func(t *Tuple) { t.Version.Seq = MaxSeq }, nil},
+		{"seq above the ceiling", func(t *Tuple) { t.Version.Seq = MaxSeq + 1 }, ErrSeqTooHigh},
+		{"seq wraps next", func(t *Tuple) { t.Version.Seq = 1<<64 - 1 }, ErrSeqTooHigh},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -83,6 +86,13 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("Validate = %v, want %v", err, tt.want)
 			}
 		})
+	}
+}
+
+func TestValidateNil(t *testing.T) {
+	var tup *Tuple
+	if err := tup.Validate(); !errors.Is(err, ErrNoTuple) {
+		t.Fatalf("Validate(nil) = %v, want %v", err, ErrNoTuple)
 	}
 }
 
