@@ -410,26 +410,12 @@ func TestUnknownOpcodeKeepsConnection(t *testing.T) {
 // server: the client must receive a response (TIMEOUT) before the
 // connection dies, proving Close drains instead of dropping.
 func TestGracefulShutdownDrains(t *testing.T) {
-	gossip := reservePorts(t, 2)
-	peers := []transport.Peer{
-		{ID: 1, Addr: gossip[0]},
-		{ID: 2, Addr: gossip[1]}, // never started: reads probing it stall
-	}
-	srv, err := New(Config{
-		Self:         1,
-		Peers:        peers,
-		ClientAddr:   "127.0.0.1:0",
-		TickInterval: 20 * time.Millisecond,
-		OpTimeout:    400 * time.Millisecond,
-		Seed:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	dead := reservePorts(t, 1)[0]
+	srv := startCluster(t, 1, func(_ int, cfg *Config) {
+		// Peer 2 is never started: reads probing it stall.
+		cfg.Peers = append(cfg.Peers[:1:1], transport.Peer{ID: 2, Addr: dead})
+		cfg.OpTimeout = 400 * time.Millisecond
+	})[0]
 
 	c, err := ddclient.Dial(srv.ClientAddr(), ddclient.Options{})
 	if err != nil {
