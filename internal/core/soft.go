@@ -161,6 +161,9 @@ type SoftNode struct {
 	// a Get that observes divergent versions among its responding
 	// replicas asynchronously pushes the winner to the stale ones.
 	ReadRepairs int64
+	// Rejected counts read replies whose tuple failed tuple.Validate;
+	// such a reply counts as a miss.
+	Rejected int64
 }
 
 var _ sim.Machine = (*SoftNode)(nil)
@@ -493,6 +496,9 @@ func (s *SoftNode) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 	case epidemic.RecoverResp:
 		if op, ok := s.ops[m.ReqID]; ok && !op.Done {
 			for key, v := range m.Versions {
+				if v.Seq > tuple.MaxSeq {
+					continue // above the ceiling: never a floor
+				}
 				s.Seq.Observe(key, v)
 				s.Dir.AddHint(key, from)
 			}
@@ -515,6 +521,10 @@ func (s *SoftNode) handleReadResp(now sim.Round, m epidemic.ReadResp, from node.
 		return s.lateReadRepair(m, from)
 	}
 	op.Replies++
+	if m.Tuple != nil && m.Tuple.Validate() != nil {
+		s.Rejected++
+		m.Tuple = nil
+	}
 	var out []sim.Envelope
 	if m.Tuple != nil {
 		s.Seq.Observe(op.Key, m.Tuple.Version)

@@ -587,7 +587,7 @@ func (s *Server) StatsSnapshot() (Stats, error) {
 		st.RepairSuperseded = en.Repair.Superseded
 		st.RepairCoverageSkips = en.Repair.CoverageSkips
 		st.ReadRepairs = soft.ReadRepairs + en.ReadRepairs
-		st.RejectedTuples = en.Rejected + en.Repair.Rejected
+		st.RejectedTuples = en.Rejected + en.Repair.Rejected + soft.Rejected
 		return nil
 	})
 	return st, err
