@@ -671,7 +671,7 @@ func (n *Node) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 	case *randomwalk.WalkMsg, randomwalk.WalkResult:
 		out = n.Walker.Handle(now, from, msg)
 	case repair.SyncReq, repair.SyncVersions, repair.SyncPull, repair.SyncPush, repair.AdoptReq,
-		repair.SegSyncReq, repair.SegSyncResp, repair.SupersedeQuery, repair.SupersedeResp:
+		repair.SegSyncReq, repair.SupersedeQuery, repair.SupersedeResp:
 		if n.Repair != nil {
 			out = n.Repair.Handle(now, from, msg)
 		}

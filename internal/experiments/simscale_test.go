@@ -15,7 +15,9 @@ import (
 // traffic itself changed, by design. Re-pinned again (was
 // 0x28e18a02121e3435) when gossip relays stopped sending a rumor back
 // to the peer that pushed it: fewer envelopes, same random draws.
-const goldenSimScaleDigest = 0xbd327ea914f11b7d
+// Re-pinned again (was 0xbd327ea914f11b7d) when range repair lost its
+// staleness-priority re-sync: repair traffic changed, by design.
+const goldenSimScaleDigest = 0xac6bc2651fbd6c5e
 
 var goldenConfig = SimScaleConfig{
 	Nodes:             192,

@@ -80,15 +80,6 @@ const (
 	// off before it is re-examined.
 	orphanRecheck = 100
 
-	// Staleness-priority scheduler: arcs with an outstanding mismatch are
-	// re-synced every hotSyncEvery rounds (at most hotBatch per interval)
-	// instead of waiting for their round-robin CheckEvery turn, and retire
-	// after hotRetire re-syncs without a clean confirmation (the peer may
-	// be gone).
-	hotSyncEvery = 3
-	hotBatch     = 2
-	hotRetire    = 12
-
 	// Retention-aware supersession: every supersedeEvery rounds the node
 	// sends (key, version) hints for a window of supersedeBatch stored
 	// keys to supersedePeers sampled peers. A responsible peer holding an
@@ -169,18 +160,10 @@ type (
 	// as equal sub-range digests. The receiver compares against its own
 	// segment vector and answers mismatching segments with either
 	// key-level versions (small segments) or a recursive SegSyncReq one
-	// level down the digest tree.
+	// level down the digest tree; a clean comparison sends nothing.
 	SegSyncReq struct {
 		Arc     node.Arc
 		Digests []uint64
-	}
-	// SegSyncResp reports the comparison outcome for the whole request:
-	// Clean means every segment matched. The requester's staleness-
-	// priority scheduler keys off it — a dirty arc is re-synced every
-	// hotSyncEvery rounds until a clean confirmation arrives.
-	SegSyncResp struct {
-		Arc   node.Arc
-		Clean bool
 	}
 
 	// KeyVersion is one supersession hint: "I hold this version of this
@@ -276,19 +259,6 @@ type Manager struct {
 	pendingOrphans []pendingOrphan
 	orphanDone     map[string]sim.Round
 
-	// hot is the staleness-priority schedule: arcs whose last digest
-	// comparison mismatched, keyed by arc, with the peer the mismatch was
-	// observed against. Hot arcs are re-synced every hotSyncEvery rounds
-	// until a clean confirmation clears them.
-	hot map[node.Arc]*hotArc
-
-	// checkQueue holds arcs this node just learned it may be behind on —
-	// a pushed tuple applied inside its responsibility, or a supersession
-	// hint it could not confirm. They are walk-checked at priority (next
-	// hotSyncEvery tick) instead of waiting their round-robin turn.
-	checkQueue []node.Arc
-	queued     map[node.Arc]bool
-
 	// verBuf is the reusable reconciliation buffer: reconcile re-fills
 	// it from the store each time instead of allocating a fresh
 	// key→version map per exchange.
@@ -329,12 +299,6 @@ type Manager struct {
 	Rejected      int64 // received tuples refused by tuple.Validate
 }
 
-// hotArc is one staleness-priority schedule entry.
-type hotArc struct {
-	peer  node.ID
-	tries int
-}
-
 type pendingOrphan struct {
 	key        string
 	setID      uint64
@@ -358,8 +322,6 @@ func New(self node.ID, rng *rand.Rand, base sieve.ArcSieve, st *store.Store,
 		cfg:          cfg.normalized(),
 		deficitSince: make(map[node.Point]sim.Round),
 		orphanDone:   make(map[string]sim.Round),
-		hot:          make(map[node.Arc]*hotArc),
-		queued:       make(map[node.Arc]bool),
 		confirms:     make(map[string]node.ID),
 		supersedeGap: supersedeEvery,
 	}
@@ -459,7 +421,7 @@ func (m *Manager) Start(now sim.Round) []sim.Envelope {
 
 // Tick implements sim.Machine.
 // Tick drives the periodic machinery. Steady-state allocation audit: on
-// rounds with no pending harvests, no hot arcs and no periodic sweep due,
+// rounds with no pending harvests and no periodic sweep due,
 // every sub-path returns nil and out never allocates — the common round
 // costs zero allocations. The periodic paths allocate only genuine
 // message payloads (digest vectors, tuple batches), whose size varies
@@ -469,10 +431,6 @@ func (m *Manager) Tick(now sim.Round) []sim.Envelope {
 	var out []sim.Envelope
 	out = append(out, m.harvest(now)...)
 	out = append(out, m.harvestOrphans(now)...)
-	if now%hotSyncEvery == 0 {
-		out = append(out, m.syncHot()...)
-		out = append(out, m.checkQueued(now)...)
-	}
 	if now >= m.supersedeNext {
 		out = append(out, m.sweepBystanders()...)
 		m.Sweeps++
@@ -532,69 +490,6 @@ func (m *Manager) syncMsg(arc node.Arc) any {
 	return SegSyncReq{Arc: arc, Digests: digests}
 }
 
-// syncHot is the staleness-priority scheduler: re-sync arcs with an
-// outstanding mismatch against the peer the mismatch was observed with,
-// instead of waiting for their round-robin CheckEvery turn. Arcs are
-// visited in ring order for determinism; entries retire after hotRetire
-// attempts without a clean confirmation.
-func (m *Manager) syncHot() []sim.Envelope {
-	if len(m.hot) == 0 {
-		return nil
-	}
-	arcs := make([]node.Arc, 0, len(m.hot))
-	for a := range m.hot {
-		arcs = append(arcs, a)
-	}
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].Start != arcs[j].Start {
-			return arcs[i].Start < arcs[j].Start
-		}
-		return arcs[i].Width < arcs[j].Width
-	})
-	var out []sim.Envelope
-	sent := 0
-	for _, a := range arcs {
-		h := m.hot[a]
-		if h.tries >= hotRetire {
-			delete(m.hot, a)
-			continue
-		}
-		if sent >= hotBatch {
-			break
-		}
-		h.tries++
-		m.Syncs++
-		out = append(out, sim.Envelope{To: h.peer, Msg: m.syncMsg(a)})
-		sent++
-	}
-	return out
-}
-
-// noteBehind schedules a priority walk-check of the responsibility arc
-// containing p: the node just learned it was behind for the point (a
-// peer pushed a tuple it lacked, or hinted a version it could not
-// confirm), so the latest content for the range should be hunted down
-// now, not at the arc's round-robin turn.
-func (m *Manager) noteBehind(p node.Point) {
-	if len(m.checkQueue) >= 16 {
-		return
-	}
-	// Per-tuple path: walk base and adopted arcs in place (like Covers)
-	// rather than materialising Arcs() per pushed tuple.
-	for _, a := range m.base.Arcs() {
-		if a.Contains(p) {
-			m.queueCheck(a)
-			return
-		}
-	}
-	for _, a := range m.adopted {
-		if a.Contains(p) {
-			m.queueCheck(a)
-			return
-		}
-	}
-}
-
 // noteDivergence records evidence that the cluster is not converged
 // around this node — a copy was retired or refreshed, a peer turned out
 // to be behind, or a version this node lacked arrived. It snaps the
@@ -612,48 +507,6 @@ func (m *Manager) noteDivergence() {
 // — fresh writes mint fresh last-resort copies, so the supersession
 // sweep must not idle through an active workload.
 func (m *Manager) NoteDivergence() { m.noteDivergence() }
-
-// queueCheck enqueues an arc for a priority walk-check, once.
-func (m *Manager) queueCheck(a node.Arc) {
-	if !m.queued[a] {
-		m.queued[a] = true
-		m.checkQueue = append(m.checkQueue, a)
-	}
-}
-
-// checkQueued launches the walk probe for one queued arc — the same
-// check the round-robin scheduler performs, just ahead of its turn.
-func (m *Manager) checkQueued(now sim.Round) []sim.Envelope {
-	if len(m.checkQueue) == 0 {
-		return nil
-	}
-	arc := m.checkQueue[0]
-	m.checkQueue = m.checkQueue[1:]
-	delete(m.queued, arc)
-	if arc.Width == 0 {
-		return nil
-	}
-	setID, envs := m.walker.Launch(randomwalk.Query{Point: m.probePoint(arc)}, m.cfg.Walks, m.cfg.TTL)
-	m.pending = append(m.pending, pendingCheck{arc: arc, setID: setID, launchedAt: now})
-	m.Checks++
-	return envs
-}
-
-// markHot records a digest mismatch for the arc against peer, scheduling
-// it for priority re-sync. A repeated mismatch refreshes the entry (the
-// retire clock restarts); a full schedule drops new entries — the
-// round-robin checks still cover every arc eventually.
-func (m *Manager) markHot(arc node.Arc, peer node.ID) {
-	if h, ok := m.hot[arc]; ok {
-		h.peer = peer
-		h.tries = 0
-		return
-	}
-	if len(m.hot) >= 64 {
-		return
-	}
-	m.hot[arc] = &hotArc{peer: peer}
-}
 
 // sweepBystanders scans a window of the store for copies outside the
 // node's responsibility and hints their (key, version) pairs to one
@@ -908,15 +761,6 @@ func (m *Manager) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 		return m.reconcile(from, msg)
 	case SegSyncReq:
 		return m.handleSegSync(from, msg)
-	case SegSyncResp:
-		// Clean confirmations clear the priority schedule. Dirty verdicts
-		// do NOT mark arcs hot by themselves: hotness is driven by pulls
-		// (evidence this node was behind, see reconcile) — a peer can stay
-		// digest-dirty forever about content it refuses to hold, and that
-		// must not re-trigger priority syncs.
-		if msg.Clean {
-			delete(m.hot, msg.Arc)
-		}
 	case SupersedeQuery:
 		return m.handleSupersedeQuery(from, msg)
 	case SupersedeResp:
@@ -957,14 +801,7 @@ func (m *Manager) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 				m.st.ClearFloor(t.Key)
 			}
 			if m.st.Apply(t) {
-				// The peer knew a version we lacked: if the tuple is ours
-				// to keep, the range deserves a priority re-check — the
-				// push may itself be stale (e.g. a bystander restoring
-				// redundancy), and only the co-keepers can confirm.
-				if m.Covers(t.Point()) {
-					m.noteBehind(t.Point())
-				}
-				m.noteDivergence()
+				m.noteDivergence() // the peer knew a version we lacked
 				continue
 			}
 			// Rejected as stale: read-repair the sender so last-resort
@@ -990,26 +827,13 @@ func (m *Manager) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 }
 
 // handleSegSync answers one level of the digest tree: compare the
-// peer's segment vector against local state, answer mismatching
+// peer's segment vector against local state and answer mismatching
 // segments with key-level versions (small segments) or a recursive
-// SegSyncReq one level down, and confirm the overall outcome so the
-// requester's priority scheduler can keep or clear the arc.
+// SegSyncReq one level down. Matching and foreign segments send nothing.
 func (m *Manager) handleSegSync(from node.ID, msg SegSyncReq) []sim.Envelope {
 	n := len(msg.Digests)
-	if n == 0 {
-		return nil
-	}
-	if msg.Arc.Width < uint64(n) {
-		// Too narrow to segment (defensive: syncMsg never sends these):
-		// fall back to whole-arc versions.
-		return []sim.Envelope{
-			{To: from, Msg: SyncVersions{
-				Arc:      msg.Arc,
-				Versions: m.st.VersionsInArc(msg.Arc),
-				Coverage: m.Arcs(),
-			}},
-			{To: from, Msg: SegSyncResp{Arc: msg.Arc, Clean: false}},
-		}
+	if n == 0 || msg.Arc.Width < uint64(n) {
+		return nil // syncMsg never segments an arc this narrow
 	}
 	// The store's ring-bucket index serves the segment vector in
 	// O(|arc| boundary entries + buckets); only *mismatching* segments
@@ -1020,7 +844,6 @@ func (m *Manager) handleSegSync(from node.ID, msg SegSyncReq) []sim.Envelope {
 	// population on every request.
 	mine, counts := m.st.SegmentDigests(msg.Arc, n)
 	var out []sim.Envelope
-	clean := true
 	var coverage []node.Arc // lazily built, shared across this reply's leaves
 	for i := 0; i < n; i++ {
 		if mine[i] == msg.Digests[i] {
@@ -1031,11 +854,9 @@ func (m *Manager) handleSegSync(from node.ID, msg SegSyncReq) []sim.Envelope {
 			// Foreign segment: the requester holds content in a range this
 			// node neither covers nor stores anything of. That difference
 			// is not this node's debt — exchanging it would only mint
-			// bystander copies — and it must not keep the verdict dirty,
-			// or partially-overlapping peers re-sync forever.
+			// bystander copies.
 			continue
 		}
-		clean = false
 		if counts[i] <= segLeafKeys || sub.Width < uint64(n) {
 			versions := make(map[string]tuple.Version, counts[i])
 			m.st.ArcRefs(sub, func(key string, _ node.Point, v tuple.Version) bool {
@@ -1056,7 +877,7 @@ func (m *Manager) handleSegSync(from node.ID, msg SegSyncReq) []sim.Envelope {
 		m.Segments += int64(n)
 		out = append(out, sim.Envelope{To: from, Msg: SegSyncReq{Arc: sub, Digests: subDigests}})
 	}
-	return append(out, sim.Envelope{To: from, Msg: SegSyncResp{Arc: msg.Arc, Clean: clean}})
+	return out
 }
 
 // handleSupersedeQuery answers bystander hints. As a responsible keeper:
@@ -1083,10 +904,8 @@ func (m *Manager) handleSupersedeQuery(from node.ID, msg SupersedeQuery) []sim.E
 			}
 		case covers:
 			// A bystander knows a version this keeper cannot confirm: ask
-			// for the copy, and priority-check the range — the hinted
-			// version may itself lag the newest keeper copy elsewhere.
+			// for the copy.
 			resp.Want = append(resp.Want, h.Key)
-			m.noteBehind(p)
 			m.noteDivergence()
 		case v.IsZero():
 			// Neither responsible nor holding: nothing useful to answer.
@@ -1209,15 +1028,6 @@ func (m *Manager) reconcile(from node.ID, msg SyncVersions) []sim.Envelope {
 				push = append(push, t)
 			}
 		}
-	}
-	// Pulls are the evidence this node is behind for the range: keep it
-	// on the priority schedule until a sync round yields nothing to pull.
-	// Digest dirtiness alone (the peer missing content of ours it refuses
-	// to hold) does not warrant hammering.
-	if len(pull) > 0 {
-		m.markHot(msg.Arc, from)
-	} else {
-		delete(m.hot, msg.Arc)
 	}
 	for i := range mine {
 		kv := &mine[i]

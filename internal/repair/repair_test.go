@@ -301,7 +301,9 @@ func TestAdoptAppliesDataAndExtendsResponsibility(t *testing.T) {
 // TestInvalidPushedTuplesAreRefused: a push of tuples that fail
 // tuple.Validate — an empty key, a zero version — leaves a Manager that
 // covers the whole ring with an empty store, and each refused tuple is
-// counted once.
+// counted once. Every repair message that ships tuples refuses an
+// invalid one — nil, an empty key, a zero version, a sequence above the
+// ceiling — and still applies the valid one beside it.
 func TestInvalidPushedTuplesAreRefused(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	st := store.New(rng)
@@ -313,13 +315,7 @@ func TestInvalidPushedTuplesAreRefused(t *testing.T) {
 	if m.Rejected != 2 {
 		t.Fatalf("Rejected = %d, want 2", m.Rejected)
 	}
-}
 
-// TestEveryTupleMessageValidates: each repair message that ships tuples
-// refuses an invalid one — nil, an empty key, a zero version, a
-// sequence above the ceiling — and still applies the valid one beside
-// it.
-func TestEveryTupleMessageValidates(t *testing.T) {
 	bad := func() []*tuple.Tuple {
 		return []*tuple.Tuple{nil, {Key: "", Version: tuple.Version{Seq: 1, Writer: 2}},
 			{Key: "zero"}, {Key: "huge", Version: tuple.Version{Seq: tuple.MaxSeq + 1, Writer: 2}}}
@@ -379,9 +375,9 @@ func TestSyncReqEqualDigestIsSilent(t *testing.T) {
 
 func TestSegSyncForeignSegmentsAreClean(t *testing.T) {
 	// A peer that neither covers nor stores anything of a requested range
-	// must answer a clean verdict without exchanging versions: content it
-	// refuses to hold is not its debt, and a dirty verdict would keep
-	// partially-overlapping peers re-syncing forever.
+	// must answer nothing: content it refuses to hold is not its debt, and
+	// exchanging versions for it would keep partially-overlapping peers
+	// re-syncing forever.
 	rng := rand.New(rand.NewSource(21))
 	st := store.New(rng)
 	m := New(1, rng, &stubSieve{}, st, nil, nil, Config{})
@@ -390,13 +386,8 @@ func TestSegSyncForeignSegmentsAreClean(t *testing.T) {
 	for i := range digests {
 		digests[i] = uint64(i + 1) // requester has content everywhere
 	}
-	envs := m.Handle(0, 2, SegSyncReq{Arc: arc, Digests: digests})
-	if len(envs) != 1 {
-		t.Fatalf("got %d envelopes, want only the verdict: %v", len(envs), envs)
-	}
-	resp, ok := envs[0].Msg.(SegSyncResp)
-	if !ok || !resp.Clean {
-		t.Fatalf("verdict = %v, want clean SegSyncResp", envs[0].Msg)
+	if envs := m.Handle(0, 2, SegSyncReq{Arc: arc, Digests: digests}); len(envs) != 0 {
+		t.Fatalf("got %d envelopes for foreign segments, want none: %v", len(envs), envs)
 	}
 }
 
@@ -460,10 +451,6 @@ func TestSupersessionWantPullsBystanderCopy(t *testing.T) {
 	if len(resp.Want) != 1 || resp.Want[0] != key {
 		t.Fatalf("keeper answered %v, want Want(%s)", resp, key)
 	}
-	// The behind keeper also schedules a priority re-check of the range.
-	if len(keeper.checkQueue) != 1 {
-		t.Fatalf("checkQueue = %v, want the containing arc queued", keeper.checkQueue)
-	}
 	// The bystander pushes its newer copy; the keeper applies it.
 	push := byst.Handle(1, 2, resp)
 	if len(push) != 1 {
@@ -503,44 +490,6 @@ func TestSupersessionNewerRefreshesFellowBystander(t *testing.T) {
 	a.Handle(2, 2, resp)
 	if _, held := aSt.GetAny(key); held {
 		t.Fatal("late Newer response resurrected a discarded copy")
-	}
-}
-
-func TestHotSchedulerDrivenByPulls(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	st := store.New(rng)
-	arc := node.Arc{Start: 0, Width: 1 << 62}
-	m := New(1, rng, &stubSieve{arcs: []node.Arc{arc}}, st, nil, nil, Config{})
-
-	// A SyncVersions with something to pull marks the arc hot...
-	var key string
-	for i := 0; ; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if arc.Contains(node.HashKey(k)) {
-			key = k
-			break
-		}
-	}
-	m.Handle(0, 2, SyncVersions{Arc: arc, Versions: map[string]tuple.Version{key: {Seq: 3, Writer: 1}}})
-	if len(m.hot) != 1 {
-		t.Fatalf("hot = %v, want the arc scheduled after a pull", m.hot)
-	}
-	// ...and the next hotSyncEvery tick re-syncs it with the peer.
-	envs := m.Tick(hotSyncEvery)
-	found := false
-	for _, e := range envs {
-		if _, ok := e.Msg.(SegSyncReq); ok && e.To == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no priority SegSyncReq to the mismatch peer in %v", envs)
-	}
-	// A sync round with nothing to pull clears the schedule.
-	st.Apply(mk(key, 3, "caught-up"))
-	m.Handle(4, 2, SyncVersions{Arc: arc, Versions: map[string]tuple.Version{key: {Seq: 3, Writer: 1}}})
-	if len(m.hot) != 0 {
-		t.Fatalf("hot = %v, want cleared after an empty pull", m.hot)
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 // Rules, normative in docs/PROTOCOL.md §Inter-node framing:
 //
 //   - Tags are append-only. A tag, once assigned, never changes meaning
-//     and is never reused; retired tags (0, 4, 32) stay reserved.
+//     and is never reused; retired tags (0, 4, 26, 32) stay reserved.
 //   - A decoder that meets a tag it does not know — unassigned or
 //     retired — skips that frame (the length prefix alone delimits it)
 //     and keeps the connection: new message types degrade to message
@@ -46,7 +46,9 @@ import (
 
 // Message tags. Append-only: add new tags at the end, never renumber.
 // Tag 0 (the gob frame of the first DDN1 builds), tag 4 (a top-level
-// epidemic.WritePayload) and tag 32 (a bare *tuple.Tuple) are retired.
+// epidemic.WritePayload), tag 26 (the clean/dirty verdict a segmented
+// range sync once returned) and tag 32 (a bare *tuple.Tuple) are
+// retired.
 const (
 	tagRumorMsg       byte = 1
 	tagDigestReq      byte = 2
@@ -72,7 +74,6 @@ const (
 	tagSyncPush       byte = 23
 	tagAdoptReq       byte = 24
 	tagSegSyncReq     byte = 25
-	tagSegSyncResp    byte = 26
 	tagSupersedeQuery byte = 27
 	tagSupersedeResp  byte = 28
 	tagTManExchange   byte = 29
@@ -231,10 +232,6 @@ func appendMessage(dst []byte, msg any) ([]byte, bool) {
 		dst = append(dst, tagSegSyncReq)
 		dst = appendArc(dst, m.Arc)
 		dst = appendSlice(dst, m.Digests, binary.AppendUvarint)
-	case repair.SegSyncResp:
-		dst = append(dst, tagSegSyncResp)
-		dst = appendArc(dst, m.Arc)
-		dst = appendBool(dst, m.Clean)
 	case repair.SupersedeQuery:
 		dst = append(dst, tagSupersedeQuery)
 		dst = appendSlice(dst, m.Hints, appendKeyVersion)
@@ -439,8 +436,6 @@ func message(c *wire.Cursor, tag byte) any {
 		return repair.AdoptReq{Arc: arc(c), Tuples: list(c, minTuplePtr, tuplePtr)}
 	case tagSegSyncReq:
 		return repair.SegSyncReq{Arc: arc(c), Digests: list(c, minVarint, (*wire.Cursor).Uvarint)}
-	case tagSegSyncResp:
-		return repair.SegSyncResp{Arc: arc(c), Clean: c.Bool()}
 	case tagSupersedeQuery:
 		return repair.SupersedeQuery{Hints: list(c, minKeyVersion, keyVersion)}
 	case tagSupersedeResp:

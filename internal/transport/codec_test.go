@@ -94,7 +94,6 @@ func codecCases() []codecCase {
 		same("sync-push", repair.SyncPush{Tuples: []*tuple.Tuple{t1}}),
 		same("adopt-req", repair.AdoptReq{Arc: node.Arc{Start: 7, Width: 8}, Tuples: []*tuple.Tuple{t1, t2}}),
 		same("seg-sync-req", repair.SegSyncReq{Arc: node.Arc{Start: 7, Width: 64}, Digests: []uint64{1, 2, 3, 4}}),
-		same("seg-sync-resp", repair.SegSyncResp{Arc: node.Arc{Start: 7, Width: 64}, Clean: true}),
 		same("supersede-query", repair.SupersedeQuery{Hints: []repair.KeyVersion{{Key: "k", Version: tuple.Version{Seq: 2, Writer: 8}}}}),
 		same("supersede-query-nil", repair.SupersedeQuery{}),
 		same("supersede-resp", repair.SupersedeResp{Held: []repair.KeyVersion{{Key: "h", Version: tuple.Version{Seq: 1}}}, Want: []string{"w"}, Newer: []*tuple.Tuple{t2}}),
@@ -201,7 +200,7 @@ func TestCodecGoldenBytes(t *testing.T) {
 // TestCodecRetiredTags: the numbers of deleted encodings stay reserved
 // and decode like any tag this build does not know.
 func TestCodecRetiredTags(t *testing.T) {
-	for _, tag := range []byte{0, 4, 32} {
+	for _, tag := range []byte{0, 4, 26, 32} {
 		if _, err := decodeMessage([]byte{tag, 1, 2, 3}); err != errUnknownTag {
 			t.Errorf("retired tag %d: err = %v, want errUnknownTag", tag, err)
 		}
@@ -347,7 +346,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0, 0xff, 0x00}) // retired tag 0
+	f.Add([]byte{0, 0xff, 0x00})     // retired tag 0
+	f.Add([]byte{26, 7, 0x40, 0x01}) // retired tag 26: a clean SegSyncResp as last encoded
 	f.Add([]byte{tagLimit})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = decodeMessage(data) // must not panic
