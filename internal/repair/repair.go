@@ -362,7 +362,7 @@ func (m *Manager) Covers(p node.Point) bool {
 // intersects the arc — segmented sync uses it to tell shared segments
 // (both sides accountable for the range) from foreign ones (content the
 // requester holds beyond this node's arcs, which is not this node's
-// debt and must not keep the comparison dirty).
+// debt and must not be exchanged).
 func (m *Manager) coversAnyOf(arc node.Arc) bool {
 	for _, a := range m.base.Arcs() {
 		if a.Intersects(arc) {
