@@ -59,7 +59,6 @@ func realMain() int {
 		verify   = flag.String("verify", "", "committed report whose rows the run must reproduce (with -run simscale, scenarios or fuzz)")
 		workers  = flag.String("workers", "1", "comma-separated fabric worker counts to sweep (with -run simscale, scenarios or fuzz)")
 		scenario = flag.String("scenario", "all", "scenario name(s) for -run scenarios (comma-separated, or 'all')")
-		readDist = flag.String("readdist", "", "read-workload key distribution for -run scenarios: uniform (default), zipf, hot, scan")
 		seeds    = flag.Int("seeds", 20, "number of seeded compositions for -run fuzz (seeds are -seed, -seed+1, ...)")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the selected run to this file")
@@ -120,7 +119,7 @@ func realMain() int {
 	case "simscale":
 		err = runSimScale(*seed, *scale, *jsonOut, *verify, ws)
 	case "scenarios":
-		err = runScenarios(*seed, *scale, *scenario, *readDist, *jsonOut, *verify, ws, 0)
+		err = runScenarios(*seed, *scale, *scenario, *jsonOut, *verify, ws, 0)
 	case "fuzz":
 		err = runFuzz(*seed, *seeds, *scale, *jsonOut, *verify, ws)
 	default:

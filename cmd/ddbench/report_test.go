@@ -21,7 +21,7 @@ const (
 // as committed — a change of simulated behaviour fails here, and
 // re-baselines deliberately or not at all.
 func TestCommittedRowsReproduce(t *testing.T) {
-	if err := runScenarios(42, 0.1, "all", "", "", committedScenarios, []int{1, 4}, 0); err != nil {
+	if err := runScenarios(42, 0.1, "all", "", committedScenarios, []int{1, 4}, 0); err != nil {
 		t.Error(err)
 	}
 	// Two of the fuzz report's eight seeds: the recording client and the
@@ -73,7 +73,7 @@ func TestVerifyNamesRowAndField(t *testing.T) {
 			f["digest"] = json.RawMessage(`"0000000000000000"`)
 		}
 	})
-	err := runScenarios(42, 0.1, "slow-node,mass-crash", "", "", path, []int{1, 4}, 0)
+	err := runScenarios(42, 0.1, "slow-node,mass-crash", "", path, []int{1, 4}, 0)
 	if err == nil {
 		t.Fatal("two doctored rows verified clean")
 	}
@@ -106,14 +106,14 @@ func TestFuzzVerifyNamesSeedAndField(t *testing.T) {
 
 func TestVerifyNothingComparedIsAnError(t *testing.T) {
 	path := doctored(t, "scenarios", committedScenarios, func(f map[string]json.RawMessage) { f["nodes"] = json.RawMessage("47") })
-	err := runScenarios(42, 0.1, "all", "", "", path, []int{1, 4}, 0)
+	err := runScenarios(42, 0.1, "all", "", path, []int{1, 4}, 0)
 	if err == nil || !strings.Contains(err.Error(), "nothing compared") {
 		t.Fatalf("err = %v, want \"nothing compared\"", err)
 	}
 }
 
 func TestVerifyRefusesAnotherBenchmarkOrSeed(t *testing.T) {
-	err := runScenarios(43, 0.1, "slow-node", "", "", committedScenarios, []int{1}, 0)
+	err := runScenarios(43, 0.1, "slow-node", "", committedScenarios, []int{1}, 0)
 	if err == nil || !strings.Contains(err.Error(), "seed 42") {
 		t.Errorf("seed 43 against a seed-42 report: err = %v", err)
 	}

@@ -11,9 +11,8 @@ import (
 // over the requested worker counts, merges each scenario's rows into the
 // -json report, compares them against the -verify report, and fails on
 // any row that did not fully converge within maxRecovery rounds (0 = the
-// scenario default). readDist selects the read workload's key
-// distribution ("" = uniform).
-func runScenarios(seed int64, scale float64, scenario, readDist, jsonPath, verifyPath string, workerCounts []int, maxRecovery int) error {
+// scenario default).
+func runScenarios(seed int64, scale float64, scenario, jsonPath, verifyPath string, workerCounts []int, maxRecovery int) error {
 	var names []string
 	if scenario == "" || scenario == "all" {
 		names = experiments.ScenarioNames()
@@ -42,7 +41,6 @@ func runScenarios(seed int64, scale float64, scenario, readDist, jsonPath, verif
 					Nodes:       nodes,
 					Seed:        seed,
 					Workers:     w,
-					ReadDist:    readDist,
 					MaxRecovery: maxRecovery,
 				})
 				if err != nil {

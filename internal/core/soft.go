@@ -15,7 +15,6 @@ import (
 	"datadroplets/internal/epidemic"
 	"datadroplets/internal/membership"
 	"datadroplets/internal/node"
-	"datadroplets/internal/repair"
 	"datadroplets/internal/sim"
 	"datadroplets/internal/tuple"
 )
@@ -64,22 +63,7 @@ type Op struct {
 	// replicas, and one replica storing successive pipelined versions
 	// of a key must not count twice.
 	ackedBy map[node.ID]bool
-	// responders records which persistent nodes answered a Get with
-	// which version, so read-repair can push the winning tuple to stale
-	// responders exactly once each.
-	responders repair.Responders
 }
-
-// lateRepair is the post-completion read-repair state of one Get.
-type lateRepair struct {
-	winner   *tuple.Tuple
-	want     int
-	replies  int
-	deadline sim.Round
-}
-
-// maxLateRepairs bounds the post-completion repair registry.
-const maxLateRepairs = 256
 
 // Hint-miss fallback probing.
 const (
@@ -132,12 +116,6 @@ type SoftNode struct {
 	// key, in submission (= version) order, so pipelined writes to one
 	// key each find their acknowledgement.
 	putsByKey map[string][]uint64
-	// lateRepairs keeps read-repair state for Gets that completed before
-	// every probed replica answered (version-exact completion resolves
-	// the client as soon as the known-latest version arrives). Stragglers
-	// replying with an older version are still repaired from here; the
-	// entry dies when all replies are in or its deadline passes.
-	lateRepairs map[uint64]*lateRepair
 
 	// LocalRead, when set, lets Get answer from a collocated persistent
 	// replica without a fabric round trip: a replica tuple at exactly the
@@ -157,10 +135,6 @@ type SoftNode struct {
 	CacheHits       int64
 	LocalReads      int64
 	PersistentReads int64
-	// ReadRepairs counts winning tuples pushed to stale read responders:
-	// a Get that observes divergent versions among its responding
-	// replicas asynchronously pushes the winner to the stale ones.
-	ReadRepairs int64
 	// Rejected counts read replies whose tuple failed tuple.Validate;
 	// such a reply counts as a miss.
 	Rejected int64
@@ -173,16 +147,15 @@ var _ sim.Machine = (*SoftNode)(nil)
 func NewSoftNode(self node.ID, rng *rand.Rand, persistent membership.Sampler, cfg SoftConfig) *SoftNode {
 	cfg = cfg.normalized()
 	return &SoftNode{
-		Self:        self,
-		rng:         rng,
-		cfg:         cfg,
-		Seq:         dht.NewSequencer(self),
-		Dir:         dht.NewDirectory(0),
-		Cache:       cache.New(cfg.CacheSize),
-		persistent:  persistent,
-		ops:         make(map[uint64]*Op),
-		putsByKey:   make(map[string][]uint64),
-		lateRepairs: make(map[uint64]*lateRepair),
+		Self:       self,
+		rng:        rng,
+		cfg:        cfg,
+		Seq:        dht.NewSequencer(self),
+		Dir:        dht.NewDirectory(0),
+		Cache:      cache.New(cfg.CacheSize),
+		persistent: persistent,
+		ops:        make(map[uint64]*Op),
+		putsByKey:  make(map[string][]uint64),
 	}
 }
 
@@ -240,15 +213,9 @@ func (s *SoftNode) TakeCompleted() []*Op {
 	return out
 }
 
-// expire fails every live op whose deadline has passed (in ID order so
-// runs with equal seeds stay byte-identical) and prunes exhausted
-// late-repair entries.
+// expire fails every live op whose deadline has passed, in ID order so
+// runs with equal seeds stay byte-identical.
 func (s *SoftNode) expire(now sim.Round) {
-	for id, lr := range s.lateRepairs {
-		if now >= lr.deadline {
-			delete(s.lateRepairs, id)
-		}
-	}
 	var due []uint64
 	for id, op := range s.ops {
 		if !op.Done && op.Deadline > 0 && now >= op.Deadline {
@@ -476,7 +443,7 @@ func (s *SoftNode) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 			}
 		}
 	case epidemic.ReadResp:
-		return s.handleReadResp(now, m, from)
+		s.handleReadResp(m, from)
 	case epidemic.ScanResp:
 		if op, ok := s.ops[m.ReqID]; ok && !op.Done {
 			op.Tuples = append(op.Tuples, m.Tuples...)
@@ -511,66 +478,35 @@ func (s *SoftNode) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 	return nil
 }
 
-// handleReadResp folds a persistent-layer read reply into its op and
-// returns any read-repair pushes the reply triggered. Replies arriving
-// after the op resolved are checked against the late-repair registry, so
-// a straggling stale replica is still corrected.
-func (s *SoftNode) handleReadResp(now sim.Round, m epidemic.ReadResp, from node.ID) []sim.Envelope {
+// handleReadResp folds a persistent-layer read reply into its op. A
+// reply for an op that already resolved is dropped.
+func (s *SoftNode) handleReadResp(m epidemic.ReadResp, from node.ID) {
 	op, ok := s.ops[m.ReqID]
 	if !ok || op.Done {
-		return s.lateReadRepair(m, from)
+		return
 	}
 	op.Replies++
 	if m.Tuple != nil && m.Tuple.Validate() != nil {
 		s.Rejected++
 		m.Tuple = nil
 	}
-	var out []sim.Envelope
 	if m.Tuple != nil {
 		s.Seq.Observe(op.Key, m.Tuple.Version)
 		s.Dir.AddHint(op.Key, from)
 		if op.Tuple == nil || op.Tuple.Version.Less(m.Tuple.Version) {
 			op.Tuple = m.Tuple
 		}
-		op.responders.Observe(from, m.Tuple.Version)
-		out = op.responders.Repair(op.Tuple, &s.ReadRepairs)
 		// Version-exact completion: if the soft layer knows the latest
 		// version, only that version completes the read immediately.
 		if !op.Version.IsZero() && m.Tuple.Version == op.Version {
-			s.finishGet(now, op)
-			return out
+			s.finishGet(op)
+			return
 		}
 	}
 	if op.Replies >= op.want {
 		// All probes reported: best effort result.
-		s.finishGet(now, op)
+		s.finishGet(op)
 	}
-	return out
-}
-
-// lateReadRepair handles a read reply for an already-resolved Get: when
-// the responder's version lags the version the Get resolved to, the
-// winner is pushed to it, exactly as if it had answered in time.
-func (s *SoftNode) lateReadRepair(m epidemic.ReadResp, from node.ID) []sim.Envelope {
-	lr, ok := s.lateRepairs[m.ReqID]
-	if !ok {
-		return nil
-	}
-	lr.replies++
-	if lr.replies >= lr.want {
-		delete(s.lateRepairs, m.ReqID)
-	}
-	if m.Tuple == nil {
-		return nil
-	}
-	if m.Tuple.Version.Less(lr.winner.Version) {
-		s.ReadRepairs++
-		return []sim.Envelope{{To: from, Msg: repair.SyncPush{Tuples: []*tuple.Tuple{lr.winner}}}}
-	}
-	if lr.winner.Version.Less(m.Tuple.Version) {
-		lr.winner = m.Tuple // straggler knew better: repair from it next
-	}
-	return nil
 }
 
 // dedupeByKey collapses replica duplicates in scan results, keeping the
@@ -590,27 +526,16 @@ func dedupeByKey(ts []*tuple.Tuple) []*tuple.Tuple {
 	return out
 }
 
-func (s *SoftNode) finishGet(now sim.Round, op *Op) {
+func (s *SoftNode) finishGet(op *Op) {
 	if op.Tuple == nil || op.Tuple.Deleted {
 		op.Tuple = nil
 		op.Err = "not found"
 		s.complete(op)
 		return
 	}
-	// Read-repair outlives the op: replicas that have not answered yet
-	// may still reply stale, and they deserve the winner too.
-	if op.Replies < op.want && len(s.lateRepairs) < maxLateRepairs {
-		deadline := op.Deadline
-		if deadline == 0 {
-			deadline = now + DefaultOpRounds
-		}
-		s.lateRepairs[op.ID] = &lateRepair{
-			winner: op.Tuple, want: op.want, replies: op.Replies, deadline: deadline,
-		}
-	}
-	// The cache, the late-repair entry, any read-repair push and the
-	// completed op share the tuple from here on; the copy a client may
-	// write to is made where the read leaves the system.
+	// The cache and the completed op share the tuple from here on; the
+	// copy a client may write to is made where the read leaves the
+	// system.
 	s.Cache.Put(op.Tuple)
 	s.complete(op)
 }

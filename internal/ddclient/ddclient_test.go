@@ -34,21 +34,30 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-// startNode boots a single-node in-process server and dials it.
+// startNode boots a single-node in-process server and dials it. The
+// port freeAddr picked can be taken by another process before Start
+// binds it, so a failed boot retries on a fresh address, up to 5 times.
 func startNode(t *testing.T, opts ddclient.Options) *ddclient.Client {
 	t.Helper()
-	srv, err := server.New(server.Config{
-		Self:         1,
-		Peers:        []transport.Peer{{ID: node.ID(1), Addr: freeAddr(t)}},
-		ClientAddr:   "127.0.0.1:0",
-		TickInterval: 20 * time.Millisecond,
-		OpTimeout:    2 * time.Second,
-		Seed:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var srv *server.Server
+	var err error
+	for attempt := 0; attempt < 5; attempt++ {
+		srv, err = server.New(server.Config{
+			Self:         1,
+			Peers:        []transport.Peer{{ID: node.ID(1), Addr: freeAddr(t)}},
+			ClientAddr:   "127.0.0.1:0",
+			TickInterval: 20 * time.Millisecond,
+			OpTimeout:    2 * time.Second,
+			Seed:         1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err = srv.Start(); err == nil {
+			break
+		}
 	}
-	if err := srv.Start(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)

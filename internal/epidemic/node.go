@@ -14,6 +14,7 @@ package epidemic
 
 import (
 	"math/rand"
+	"slices"
 
 	"datadroplets/internal/aggregate"
 	"datadroplets/internal/gossip"
@@ -191,11 +192,6 @@ type ReadState struct {
 	Tuple   *tuple.Tuple
 	Replies int
 	Hit     bool
-	// responders records who answered with which version so read-repair
-	// can push the winning tuple to stale responders — detect-and-correct
-	// on the read path, complementing the background range sync; each
-	// responder is repaired at most once.
-	responders repair.Responders
 }
 
 // Node is one persistent-state layer member.
@@ -235,10 +231,8 @@ type Node struct {
 
 	// Stored counts sieve-accepted applications (C4 balance metric).
 	Stored int64
-	// ReadRepairs counts winning tuples pushed to stale read responders.
-	ReadRepairs int64
 	// Rejected counts tuples refused by tuple.Validate where they entered
-	// this node: a WriteCmd or a rumor's first delivery.
+	// this node: a WriteCmd, a pushed rumor or a digest reply's rumor.
 	Rejected int64
 }
 
@@ -434,15 +428,20 @@ func payloadBytes(payload any) int {
 	return n
 }
 
-// onDeliver is the gossip delivery hook: validate, apply the sieve,
-// store, ack.
+// invalidRumor reports a write rumor whose tuple fails tuple.Validate.
+// Handle drops such a rumor before the disseminator marks it seen,
+// caches or relays it, so an invalid write stops at the first node it
+// reaches.
+func invalidRumor(r gossip.Rumor) bool {
+	wp, ok := r.Payload.(WritePayload)
+	return ok && wp.Tuple.Validate() != nil
+}
+
+// onDeliver is the gossip delivery hook: apply the sieve, store, ack.
+// Every rumor it sees passed Handle's check or was published here.
 func (n *Node) onDeliver(r gossip.Rumor) {
 	wp, ok := r.Payload.(WritePayload)
 	if !ok {
-		return
-	}
-	if wp.Tuple.Validate() != nil {
-		n.Rejected++
 		return
 	}
 	keep := wp.Entry == n.Self // publisher always retains (last resort)
@@ -660,7 +659,20 @@ func (n *Node) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 			break
 		}
 		out = n.WriteFrom(now, m.ReplyTo, m.Tuple)
-	case gossip.RumorMsg, gossip.DigestReq, gossip.DigestResp:
+	case gossip.RumorMsg:
+		if invalidRumor(m.Rumor) {
+			n.Rejected++
+			break
+		}
+		out = n.Diss.Handle(now, from, msg)
+	case gossip.DigestResp:
+		if slices.ContainsFunc(m.Rumors, invalidRumor) {
+			kept := slices.DeleteFunc(slices.Clone(m.Rumors), invalidRumor)
+			n.Rejected += int64(len(m.Rumors) - len(kept))
+			m.Rumors = kept
+		}
+		out = n.Diss.Handle(now, from, m)
+	case gossip.DigestReq:
 		out = n.Diss.Handle(now, from, msg)
 	case sizeest.VectorPush, sizeest.VectorReply:
 		out = n.Size.Handle(now, from, msg)
@@ -697,8 +709,6 @@ func (n *Node) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 					st.Tuple = m.Tuple
 				}
 				st.Hit = true
-				st.responders.Observe(from, m.Tuple.Version)
-				out = st.responders.Repair(st.Tuple, &n.ReadRepairs)
 			}
 		}
 	case ScanReq:

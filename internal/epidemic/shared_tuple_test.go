@@ -22,8 +22,8 @@ func checksum(t *tuple.Tuple) uint64 {
 // gossip payload cache and every keeping store retain — in the
 // simulator, one pointer shared by all of them — and nothing may write
 // to it again. Every tuple is deep-hashed as Put hands it over; after
-// dissemination, digest pulls, range repair, supersession, read repair
-// and a crashed node's catch-up have all had it in their hands, each of
+// dissemination, digest pulls, range repair, supersession and a
+// crashed node's catch-up have all had it in their hands, each of
 // those same pointers must hash as it did. Four workers run the nodes'
 // compute phase concurrently, so under -race a write to a shared tuple
 // is reported even where it would restore the bytes.
@@ -55,7 +55,7 @@ func TestSharedTupleNeverMutated(t *testing.T) {
 		case i == 80:
 			c.Net.Revive(c.PersistentIDs()[3]) // catches up by digest pull and range sync
 		case i%8 == 7:
-			_, _ = c.Get(keyOf(i - 3)) // steps the cluster; cache fill, read repair
+			_, _ = c.Get(keyOf(i - 3)) // steps the cluster; cache fill
 		case i%2 == 1:
 			c.Step()
 		}

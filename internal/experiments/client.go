@@ -83,7 +83,8 @@ func randomAlive(net *sim.Network, rng *rand.Rand) (node.ID, bool) {
 }
 
 // randomClient is the unrecorded client: every op enters at a random
-// alive node, and a read's only effect is the read-repair it drives.
+// alive node. A read changes no store; it only adds its probes, their
+// TTL forwards and the replies to the run's traffic.
 type randomClient struct{ *scenarioLoad }
 
 func (c randomClient) write(ki int) {

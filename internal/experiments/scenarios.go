@@ -82,8 +82,10 @@ type ScenarioConfig struct {
 	// convergence is heavy-tailed (flap-storm's last stale bystander
 	// clears around round 600 at seed 42).
 	MaxRecovery int
-	// ReadsPerRound is the read load driving read-repair during the
-	// fault window and recovery. Zero means 4; negative means no reads.
+	// ReadsPerRound is the unrecorded read load during the fault window
+	// and recovery. Zero means 4; negative means no reads. Such reads
+	// change no store, but their probes and TTL forwards draw from the
+	// nodes' samplers, so they shape every run the committed rows record.
 	ReadsPerRound int
 	// ReadDist selects the read workload's key distribution (see
 	// workload.ReadDists): uniform (default), zipf, hot, or scan.
@@ -211,7 +213,6 @@ type ScenarioResult struct {
 	// Repair-traffic counters summed across nodes at the end of the run.
 	SyncSegments         int64 `json:"sync_segments"`
 	TuplesPushed         int64 `json:"tuples_pushed"`
-	ReadRepairs          int64 `json:"read_repairs"`
 	BystandersSuperseded int64 `json:"bystanders_superseded"`
 
 	// Digest-serve cost summed across nodes (store.ServeStats): arc-query
@@ -292,7 +293,6 @@ func (r *ScenarioResult) Digest() uint64 {
 	h = mix(h, math.Float64bits(r.BystanderCopiesEnd))
 	h = mix(h, uint64(r.SyncSegments))
 	h = mix(h, uint64(r.TuplesPushed))
-	h = mix(h, uint64(r.ReadRepairs))
 	h = mix(h, uint64(r.BystandersSuperseded))
 	if r.HistoryDigest != 0 {
 		// Only mixed when a history was recorded: mix(h, 0) != h, and
@@ -433,8 +433,8 @@ func (p *scenarioProbe) converged() bool {
 
 // fullConverged reports total convergence: every key fresh-reachable and
 // not a single live copy — bystander retentions included — behind the
-// latest version. This is the criterion the supersession and read-repair
-// machinery is accountable to.
+// latest version. This is the criterion range repair and supersession
+// are accountable to.
 func (p *scenarioProbe) fullConverged() bool {
 	if p.staleCopies > 0 {
 		return false
@@ -581,7 +581,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	}
 	res.StalenessAtFaultEnd = probe.staleFrac()
 
-	// Recovery: writes stop, reads continue to drive read-repair. Keeper
+	// Recovery: writes stop, reads continue. Keeper
 	// convergence — every key fresh-available, no responsible replica
 	// serving old data — is recorded on the way; the run continues until
 	// *full* convergence, which additionally requires every bystander
@@ -646,7 +646,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			res.TuplesPushed += en.Repair.Pushed
 			res.BystandersSuperseded += en.Repair.Superseded
 		}
-		res.ReadRepairs += en.ReadRepairs
 	}
 	client.report(res)
 	res.DigestHex = fmt.Sprintf("%016x", res.Digest())

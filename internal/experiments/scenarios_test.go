@@ -56,8 +56,7 @@ func TestScenarioNamesCatalogue(t *testing.T) {
 // identical behaviour digest at W ∈ {1, 4} — partitions, overrides,
 // flaps and mass events all execute in the serial commit phase, so the
 // worker count cannot leak into the trace, with segmented sync,
-// supersession hints and read-repair (plus the read workload driving
-// them) all active. The CI scenario matrix runs the same check per
+// supersession hints and the read workload all active. The CI scenario matrix runs the same check per
 // scenario under -race at reduced scale.
 func TestScenarioDigestStableAcrossWorkers(t *testing.T) {
 	for _, name := range ScenarioNames() {

@@ -192,41 +192,6 @@ type (
 	}
 )
 
-// Responders accumulates which replicas answered a read with which
-// version, and issues at-most-once SyncPush repairs of the winning
-// tuple to the stale ones. The soft-node and epidemic read paths share
-// it so the read-repair selection rule lives in exactly one place.
-type Responders []responder
-
-type responder struct {
-	id       node.ID
-	version  tuple.Version
-	repaired bool
-}
-
-// Observe records one responder's answered version.
-func (rs *Responders) Observe(id node.ID, v tuple.Version) {
-	*rs = append(*rs, responder{id: id, version: v})
-}
-
-// Repair pushes winner to every recorded responder whose replied
-// version it supersedes, marking each repaired at most once (a newer
-// winner arriving later repairs the responders recorded before it).
-// fired counts the pushes issued.
-func (rs Responders) Repair(winner *tuple.Tuple, fired *int64) []sim.Envelope {
-	var out []sim.Envelope
-	for i := range rs {
-		r := &rs[i]
-		if r.repaired || !r.version.Less(winner.Version) {
-			continue
-		}
-		r.repaired = true
-		*fired++
-		out = append(out, sim.Envelope{To: r.id, Msg: SyncPush{Tuples: []*tuple.Tuple{winner}}})
-	}
-	return out
-}
-
 // pendingCheck tracks an outstanding walk probe for one arc.
 type pendingCheck struct {
 	arc        node.Arc
@@ -296,7 +261,7 @@ type Manager struct {
 	Superseded    int64 // bystander copies dropped after a Held answer
 	Sweeps        int64 // supersession sweeps actually fired (backoff-visible)
 	CoverageSkips int64 // pushes suppressed because the peer's coverage excludes the key
-	Rejected      int64 // received tuples refused by tuple.Validate
+	Rejected      int64 // received tuples refused by tuple.Validate, and Held versions above tuple.MaxSeq
 }
 
 type pendingOrphan struct {
@@ -804,8 +769,8 @@ func (m *Manager) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 				m.noteDivergence() // the peer knew a version we lacked
 				continue
 			}
-			// Rejected as stale: read-repair the sender so last-resort
-			// copies converge to the latest version.
+			// Rejected as stale: push our newer copy back to the sender
+			// so last-resort copies converge to the latest version.
 			if t.Version.Less(m.st.Version(t.Key)) {
 				if cur, ok := m.st.GetAny(t.Key); ok {
 					newer = append(newer, cur)
@@ -934,6 +899,10 @@ func (m *Manager) handleSupersedeQuery(from node.ID, msg SupersedeQuery) []sim.E
 // is simply absent here, so late responses cannot resurrect it.
 func (m *Manager) handleSupersedeResp(from node.ID, msg SupersedeResp) []sim.Envelope {
 	for _, h := range msg.Held {
+		if h.Version.Seq > tuple.MaxSeq {
+			m.Rejected++
+			continue // above the ceiling: never a floor
+		}
 		cur := m.st.Version(h.Key)
 		if cur.IsZero() || m.Covers(node.HashKey(h.Key)) {
 			continue

@@ -622,6 +622,31 @@ func TestSupersessionNeedsTwoDistinctKeeperConfirmations(t *testing.T) {
 	}
 }
 
+// TestHeldAboveTheCeilingIsRefused: Held answers at a sequence above
+// tuple.MaxSeq, even from two distinct keepers, neither discard a
+// bystander copy nor leave a supersession floor that would refuse the
+// key's later valid writes; each one counts in Rejected.
+func TestHeldAboveTheCeilingIsRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	key := "ceiling-key"
+	st := store.New(rng)
+	m := New(1, rng, &stubSieve{}, st, nil, nil, Config{Replication: 3})
+	st.Apply(mk(key, 2, "copy"))
+
+	held := SupersedeResp{Held: []KeyVersion{{Key: key, Version: tuple.Version{Seq: 1<<64 - 1, Writer: 9}}}}
+	m.Handle(0, 2, held)
+	m.Handle(1, 3, held)
+	if got, ok := st.GetAny(key); !ok || got.Version.Seq != 2 {
+		t.Fatalf("copy = %v, %v after Held above the ceiling; want kept at seq 2", got, ok)
+	}
+	if m.Superseded != 0 || m.Rejected != 2 {
+		t.Fatalf("Superseded = %d, Rejected = %d; want 0 and 2", m.Superseded, m.Rejected)
+	}
+	if !st.Apply(mk(key, 5, "later")) {
+		t.Fatal("a later valid write was refused")
+	}
+}
+
 func TestSupersedeSweepBackoffSchedule(t *testing.T) {
 	// With nothing diverging, consecutive sweeps double their gap from
 	// supersedeEvery up to supersedeMaxEvery; a divergence signal pulls

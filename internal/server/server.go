@@ -504,14 +504,12 @@ type Stats struct {
 
 	// Background repair this node has run (docs/OPERATIONS.md): sub-range
 	// digests exchanged by segmented sync, supersession sweeps fired,
-	// bystander copies retired on keeper confirmation, pushes withheld
-	// because the peer does not cover the key, and winning tuples pushed
-	// to stale read responders.
+	// bystander copies retired on keeper confirmation, and pushes
+	// withheld because the peer does not cover the key.
 	RepairSyncSegments  int64 `json:"repair_sync_segments"`
 	RepairSweeps        int64 `json:"repair_sweeps"`
 	RepairSuperseded    int64 `json:"repair_superseded"`
 	RepairCoverageSkips int64 `json:"repair_coverage_skips"`
-	ReadRepairs         int64 `json:"read_repairs"`
 	// RejectedTuples counts received tuples refused by tuple.Validate
 	// before they reached the store or the version floor.
 	RejectedTuples int64 `json:"rejected_tuples"`
@@ -586,7 +584,6 @@ func (s *Server) StatsSnapshot() (Stats, error) {
 		st.RepairSweeps = en.Repair.Sweeps
 		st.RepairSuperseded = en.Repair.Superseded
 		st.RepairCoverageSkips = en.Repair.CoverageSkips
-		st.ReadRepairs = soft.ReadRepairs + en.ReadRepairs
 		st.RejectedTuples = en.Rejected + en.Repair.Rejected + soft.Rejected
 		return nil
 	})

@@ -50,26 +50,12 @@ func TestStalledPeerDoesNotBlockDriver(t *testing.T) {
 		stallMu.Unlock()
 	}()
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	selfAddr := ln.Addr().String()
-	_ = ln.Close()
 	m := &pingMachine{}
-	h, err := NewHost(Config{
+	h := startHost(t, Config{
 		Self:         1,
-		Peers:        []Peer{{ID: 1, Addr: selfAddr}, {ID: 2, Addr: stall.Addr().String()}},
+		Peers:        []Peer{{ID: 1}, {ID: 2, Addr: stall.Addr().String()}},
 		TickInterval: 50 * time.Millisecond,
-	}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.queueDepth, h.writeDeadline = 64, time.Second
-	if err := h.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(h.Stop)
+	}, m, func(h *Host) { h.queueDepth, h.writeDeadline = 64, time.Second })
 
 	// Big payloads overwhelm the socket buffer quickly.
 	big := repair.SyncPush{Tuples: []*tuple.Tuple{{Key: "k", Value: make([]byte, 64<<10), Version: tuple.Version{Seq: 1, Writer: 1}}}}
@@ -110,14 +96,9 @@ func TestStalledPeerDoesNotBlockDriver(t *testing.T) {
 // now bypasses the mailbox entirely, so a full mailbox must not cost a
 // single self envelope.
 func TestSelfSendNeverDropped(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	_ = ln.Close()
 	m := &pingMachine{}
-	h, err := NewHost(Config{Self: 1, Peers: []Peer{{ID: 1, Addr: addr}}}, m)
+	// This host never starts, so its address is never bound.
+	h, err := NewHost(Config{Self: 1, Peers: []Peer{{ID: 1, Addr: "127.0.0.1:0"}}}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,20 +127,7 @@ func TestSelfSendNeverDropped(t *testing.T) {
 	// Black-box: the same guarantee through a live host, with handlers
 	// that fan out further self work mid-burst.
 	m2 := &pingMachine{}
-	ln2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr2 := ln2.Addr().String()
-	_ = ln2.Close()
-	h2, err := NewHost(Config{Self: 1, Peers: []Peer{{ID: 1, Addr: addr2}}}, m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(h2.Stop)
+	h2 := startHost(t, Config{Self: 1, Peers: []Peer{{ID: 1}}}, m2, nil)
 	if err := h2.Do(func(_ sim.Machine, _ sim.Round) []sim.Envelope {
 		out := make([]sim.Envelope, burst)
 		for i := range out {

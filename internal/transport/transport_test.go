@@ -56,6 +56,43 @@ func startHosts(t *testing.T, n int, build func(id node.ID, peers []Peer) sim.Ma
 	return nil
 }
 
+// startHost starts one host for m, binding cfg.Self's entry of
+// cfg.Peers to a fresh loopback address on each try. As in startHosts, a
+// picked port can be taken before Start binds it, so a failed Start
+// retries on a fresh address, up to 5 times. prepare, when set, adjusts
+// each new host before it starts.
+func startHost(t *testing.T, cfg Config, m sim.Machine, prepare func(*Host)) *Host {
+	t.Helper()
+	var err error
+	for attempt := 0; attempt < 5; attempt++ {
+		ln, lerr := nettestListen(t)
+		if lerr != nil {
+			t.Fatal(lerr)
+		}
+		c := cfg
+		c.Peers = append([]Peer(nil), cfg.Peers...)
+		for i := range c.Peers {
+			if c.Peers[i].ID == c.Self {
+				c.Peers[i].Addr = ln.Addr().String()
+			}
+		}
+		_ = ln.Close()
+		h, herr := NewHost(c, m)
+		if herr != nil {
+			t.Fatal(herr)
+		}
+		if prepare != nil {
+			prepare(h)
+		}
+		if err = h.Start(); err == nil {
+			t.Cleanup(h.Stop)
+			return h
+		}
+	}
+	t.Fatal(err)
+	return nil
+}
+
 // bootHosts is one attempt of startHosts: pick free ports, build the
 // address book, then start every host. On an error, no host it started
 // is left running.

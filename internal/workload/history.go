@@ -146,9 +146,8 @@ func histMix(h, v uint64) uint64 {
 // Read-key distributions for the scenario client workload. The uniform
 // default consumes exactly one rng.Intn(n) per draw — byte-identical to
 // the legacy inline draw — while the skewed options model what
-// production read traffic actually looks like (ROADMAP "repair
-// economics"): a uniform-random read workload almost never revisits a
-// recently-diverged key, so read-repair never observes divergence and a
+// production read traffic actually looks like: a uniform-random read
+// workload almost never revisits a recently-diverged key, so a
 // consistency check against it is artificially easy.
 const (
 	// ReadDistUniform draws keys uniformly (the legacy default).
@@ -157,8 +156,7 @@ const (
 	// a heavy head of hot keys with a long tail.
 	ReadDistZipf = "zipf"
 	// ReadDistHot sends 90% of reads to the hottest 10% of the key
-	// space — the classic hot-key regime, where read-repair carries
-	// real convergence weight.
+	// space — the classic hot-key regime.
 	ReadDistHot = "hot"
 	// ReadDistScan reads sequential key windows (16 keys per run,
 	// restarting at a random position) — scan-heavy traffic that sweeps
