@@ -117,15 +117,16 @@ type SoftNode struct {
 	// key each find their acknowledgement.
 	putsByKey map[string][]uint64
 
-	// LocalRead, when set, lets Get answer from a collocated persistent
-	// replica without a fabric round trip: a replica tuple at exactly the
-	// version the sequencer knows as latest is the reply a fabric read
-	// would complete on. Such a read completes like a cache hit and
-	// caches nothing, since the replica already holds the tuple; it is
-	// shared, not copied (sequenced tuples are immutable). The live
-	// server wires this to its in-process store's Peek and feeds Seq every
-	// version the node receives; the simulation leaves it nil (soft and
-	// persistent nodes are distinct populations there).
+	// LocalRead, when set, lets ReadExact (and so Get) answer from a
+	// collocated persistent replica without a fabric round trip: a
+	// replica tuple at exactly the version the sequencer knows as latest
+	// is the reply a fabric read would complete on. Such a read completes
+	// like a cache hit and caches nothing, since the replica already
+	// holds the tuple; it is shared, not copied (sequenced tuples are
+	// immutable). The live server wires this to its in-process store's
+	// Peek and feeds Seq every version the node receives; the simulation
+	// leaves it nil (soft and persistent nodes are distinct populations
+	// there).
 	LocalRead func(key string) (*tuple.Tuple, bool)
 
 	// CacheHits, LocalReads and PersistentReads split Gets by where they
@@ -285,25 +286,21 @@ func (s *SoftNode) Put(now sim.Round, key string, value []byte, attrs map[string
 	return op.ID, []sim.Envelope{{To: entry, Msg: epidemic.WriteCmd{Tuple: t, ReplyTo: s.Self}}}
 }
 
-// Get serves a read. When the sequencer knows the key's latest version,
-// a tuple at exactly that version — from the cache, else from the
-// collocated replica — completes the read at once, the very rule a
-// fabric read applies to its replies. Anything else reads through the
-// persistent layer: directory hints, with random probing as fallback.
+// Get serves a read. A tuple ReadExact finds completes the read at
+// once; anything else reads through the persistent layer: directory
+// hints, with random probing as fallback.
 func (s *SoftNode) Get(now sim.Round, key string) (uint64, []sim.Envelope) {
 	op := s.newOp(OpGet, key)
-	latest, known := s.Seq.Latest(key)
-	if known {
-		if t, ok := s.exact(key, latest); ok {
+	if t, ok := s.ReadExact(key); ok {
+		if t.Deleted {
+			op.Err = "not found"
+		} else {
 			op.Tuple = t
-			if t.Deleted {
-				op.Tuple = nil
-				op.Err = "not found"
-			}
-			s.complete(op)
-			return op.ID, nil
 		}
+		s.complete(op)
+		return op.ID, nil
 	}
+	latest, _ := s.Seq.Latest(key)
 	s.PersistentReads++
 	hints := s.Dir.Hints(key)
 	probes := s.persistent.Sample(readProbes)
@@ -334,9 +331,20 @@ func (s *SoftNode) Get(now sim.Round, key string) (uint64, []sim.Envelope) {
 	return op.ID, envs
 }
 
-// exact returns key's tuple at version latest from the cache, else from
-// the collocated replica; an older copy reads through the fabric instead.
-func (s *SoftNode) exact(key string, latest tuple.Version) (*tuple.Tuple, bool) {
+// ReadExact is the soft layer's version-exact read, made without an op:
+// when the sequencer knows key's latest version, the tuple at exactly
+// that version from the cache, else from the collocated replica — the
+// very rule a fabric read applies to its replies. ok is false when only
+// an older copy, or none, is at hand: the read must go through the
+// persistent layer (Get). The tuple is shared, not copied, and may be a
+// tombstone, which reads as not found. Get's own fast branch is this
+// call; the live server calls it first, so a read it answers costs no
+// op at all.
+func (s *SoftNode) ReadExact(key string) (*tuple.Tuple, bool) {
+	latest, known := s.Seq.Latest(key)
+	if !known {
+		return nil, false
+	}
 	if t, ok := s.Cache.Get(key, latest); ok {
 		s.CacheHits++
 		return t, true

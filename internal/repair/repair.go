@@ -261,7 +261,7 @@ type Manager struct {
 	Superseded    int64 // bystander copies dropped after a Held answer
 	Sweeps        int64 // supersession sweeps actually fired (backoff-visible)
 	CoverageSkips int64 // pushes suppressed because the peer's coverage excludes the key
-	Rejected      int64 // received tuples refused by tuple.Validate, and Held versions above tuple.MaxSeq
+	Rejected      int64 // received tuples refused by tuple.Validate, and bare versions (Held, hints, sync versions) above tuple.MaxSeq
 }
 
 type pendingOrphan struct {
@@ -855,6 +855,10 @@ func (m *Manager) handleSegSync(from node.ID, msg SegSyncReq) []sim.Envelope {
 func (m *Manager) handleSupersedeQuery(from node.ID, msg SupersedeQuery) []sim.Envelope {
 	var resp SupersedeResp
 	for _, h := range msg.Hints {
+		if h.Version.Seq > tuple.MaxSeq {
+			m.Rejected++
+			continue // above the ceiling: no version to confirm or want
+		}
 		p := node.HashKey(h.Key)
 		covers := m.Covers(p)
 		v := m.st.Version(h.Key)
@@ -982,6 +986,10 @@ func (m *Manager) reconcile(from node.ID, msg SyncVersions) []sim.Envelope {
 	var pull []string
 	var push []*tuple.Tuple
 	for key, theirs := range msg.Versions {
+		if theirs.Seq > tuple.MaxSeq {
+			m.Rejected++
+			continue // above the ceiling: nothing to pull or push
+		}
 		ours, ok := lookup(key)
 		switch {
 		case !ok || ours.Less(theirs):

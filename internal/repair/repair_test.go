@@ -647,6 +647,60 @@ func TestHeldAboveTheCeilingIsRefused(t *testing.T) {
 	}
 }
 
+// TestSyncVersionsAboveTheCeilingAreRefused: a range-sync version list
+// naming sequences above tuple.MaxSeq — for a key the node holds and for
+// one it only covers — pulls nothing, pushes nothing and is no evidence
+// of divergence; each such version counts in Rejected, and the valid
+// entry beside them is reconciled as usual.
+func TestSyncVersionsAboveTheCeilingAreRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	st := store.New(rng)
+	st.Apply(mk("held", 2, "v"))
+	m := New(1, rng, &stubSieve{arcs: []node.Arc{node.FullArc()}}, st, nil, nil, Config{})
+	huge := tuple.Version{Seq: tuple.MaxSeq + 1, Writer: 2}
+	envs := m.Handle(0, 2, SyncVersions{
+		Arc:      node.FullArc(),
+		Versions: map[string]tuple.Version{"held": huge, "covered": {Seq: 1<<64 - 1, Writer: 2}},
+		Coverage: []node.Arc{node.FullArc()},
+	})
+	if len(envs) != 0 || m.diverged || m.Rejected != 2 {
+		t.Fatalf("envelopes %v, diverged %v, Rejected %d; want none, false, 2", envs, m.diverged, m.Rejected)
+	}
+	envs = m.Handle(1, 2, SyncVersions{
+		Arc:      node.FullArc(),
+		Versions: map[string]tuple.Version{"held": huge, "fresh": {Seq: 1, Writer: 2}},
+		Coverage: []node.Arc{node.FullArc()},
+	})
+	if len(envs) != 1 || m.Rejected != 3 {
+		t.Fatalf("envelopes %v, Rejected %d; want one pull of fresh and 3", envs, m.Rejected)
+	}
+	if pull, ok := envs[0].Msg.(SyncPull); !ok || len(pull.Keys) != 1 || pull.Keys[0] != "fresh" {
+		t.Fatalf("reply %#v, want a pull of fresh alone", envs[0].Msg)
+	}
+}
+
+// TestSupersedeHintAboveTheCeilingIsRefused: a bystander hint whose
+// sequence is above tuple.MaxSeq draws no Want from a keeper that
+// covers the key, nor from a fellow holder, and is no evidence of
+// divergence at either; each counts in Rejected.
+func TestSupersedeHintAboveTheCeilingIsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arcs []node.Arc
+	}{{"keeper", []node.Arc{node.FullArc()}}, {"fellow holder", nil}} {
+		rng := rand.New(rand.NewSource(38))
+		st := store.New(rng)
+		st.Apply(mk("held", 2, "v"))
+		m := New(1, rng, &stubSieve{arcs: tc.arcs}, st, nil, nil, Config{Replication: 3})
+		envs := m.Handle(0, 2, SupersedeQuery{Hints: []KeyVersion{
+			{Key: "held", Version: tuple.Version{Seq: tuple.MaxSeq + 1, Writer: 2}},
+		}})
+		if len(envs) != 0 || m.diverged || m.Rejected != 1 {
+			t.Errorf("%s: envelopes %v, diverged %v, Rejected %d; want none, false, 1", tc.name, envs, m.diverged, m.Rejected)
+		}
+	}
+}
+
 func TestSupersedeSweepBackoffSchedule(t *testing.T) {
 	// With nothing diverging, consecutive sweeps double their gap from
 	// supersedeEvery up to supersedeMaxEvery; a divergence signal pulls

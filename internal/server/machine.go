@@ -24,10 +24,11 @@ import (
 // sim.Machine: a soft-state node (sequencer, directory, cache, client
 // op tracking) stacked on an epidemic persistent node, sharing one node
 // ID. It is also the one place a client PUT, DEL or GET runs: submit
-// starts the op, and the end of every Tick and Handle settles the ops
-// that step completed. Dispatch is by message type — the soft-bound
-// reply types (StoreAck, ReadResp, ScanResp, AggResp, RecoverResp) are
-// disjoint from the epidemic-bound ones.
+// answers a version-exact Get at once and starts any other op, and the
+// end of every Tick and Handle settles the ops that step completed.
+// Dispatch is by message type — the soft-bound reply types (StoreAck,
+// ReadResp, ScanResp, AggResp, RecoverResp) are disjoint from the
+// epidemic-bound ones.
 //
 // Every server sequences its own clients' writes (docs/DESIGN.md §4), so
 // Handle first folds the version of every tuple the node receives into
@@ -45,11 +46,11 @@ type machine struct {
 	opRounds sim.Round
 	// pending maps armed op IDs to the slots they will settle.
 	pending map[uint64]*slot
-	// finish settles a slot from its resolved op. It runs wherever the
-	// machine runs — on the transport driver in the live server, inside
-	// the node's compute slot under the simulator — so it may touch only
-	// its slot and atomic counters.
-	finish func(sl *slot, op *core.Op)
+	// finish settles a slot with the response finishOp mapped its
+	// outcome to. It runs wherever the machine runs — on the transport
+	// driver in the live server, inside the node's compute slot under the
+	// simulator — so it may touch only its slot and atomic counters.
+	finish func(sl *slot, st wire.Status, payload []byte)
 }
 
 // newMachine builds node cfg.Self (cfg normalized) of the population ids
@@ -61,7 +62,7 @@ type machine struct {
 // locally — is bridged into the soft half as a synthetic StoreAck, so
 // local storage acknowledges the client op exactly like a remote
 // replica would.
-func newMachine(cfg Config, rng *rand.Rand, ids []node.ID, finish func(*slot, *core.Op)) *machine {
+func newMachine(cfg Config, rng *rand.Rand, ids []node.ID, finish func(*slot, wire.Status, []byte)) *machine {
 	view := membership.NewUniformView(cfg.Self, rng, func() []node.ID { return ids })
 	en := epidemic.New(cfg.Self, rng, view, epidemic.Config{
 		Replication:      cfg.Replication,
@@ -146,21 +147,26 @@ func (m *machine) fold(t *tuple.Tuple) {
 	}
 }
 
-// submit starts the client op sl carries (PUT, DEL or GET) on key; value
-// is a PUT's own copy, which the soft layer takes over. An op that
-// resolves during submission (a version-exact read, a validation
-// failure) is finished at once; any other is armed with its deadline
-// and settles later.
-func (m *machine) submit(now sim.Round, sl *slot, key string, value []byte) []sim.Envelope {
+// submit starts the client op sl carries (PUT, DEL or GET) on its key;
+// a PUT's value is the slot's own copy, which the soft layer takes over.
+// A Get the soft layer answers version-exactly (ReadExact) settles
+// straight from the tuple, with no op made. An op that resolves during
+// submission (a validation failure) is finished at once; any other is
+// armed with its deadline and settles later.
+func (m *machine) submit(now sim.Round, sl *slot) []sim.Envelope {
 	var id uint64
 	var envs []sim.Envelope
 	if sl.kind == wire.OpGet {
-		id, envs = m.soft.Get(now, key)
+		if t, ok := m.soft.ReadExact(sl.key); ok {
+			m.finishRead(sl, t)
+			return nil
+		}
+		id, envs = m.soft.Get(now, sl.key)
 	} else {
-		id, envs = m.soft.Put(now, key, value, nil, nil, sl.kind == wire.OpDel)
+		id, envs = m.soft.Put(now, sl.key, sl.value, nil, nil, sl.kind == wire.OpDel)
 	}
 	if op, _ := m.soft.Op(id); op.Done {
-		m.finish(sl, op)
+		m.finishOp(sl, op)
 		m.soft.ForgetOp(id)
 	} else {
 		m.soft.Arm(id, now+m.opRounds)
@@ -175,10 +181,38 @@ func (m *machine) settle() {
 	for _, op := range m.soft.TakeCompleted() {
 		if sl, ok := m.pending[op.ID]; ok {
 			delete(m.pending, op.ID)
-			m.finish(sl, op)
+			m.finishOp(sl, op)
 		}
 		m.soft.ForgetOp(op.ID)
 	}
+}
+
+// finishOp is the machine's one mapping from a resolved client op to
+// its DDB1 response: TIMEOUT past the deadline, a Get's tuple as
+// finishRead maps it, ERR with the op's error, else OK with the version
+// a PUT or DEL was sequenced at.
+func (m *machine) finishOp(sl *slot, op *core.Op) {
+	switch {
+	case op.Expired:
+		m.finish(sl, wire.StatusTimeout, nil)
+	case op.Kind == core.OpGet:
+		m.finishRead(sl, op.Tuple)
+	case op.Err != "":
+		m.finish(sl, wire.StatusErr, []byte(op.Err))
+	default:
+		m.finish(sl, wire.StatusOK, tuple.AppendVersion(nil, op.Version))
+	}
+}
+
+// finishRead answers a Get with t: NOT_FOUND for none or a tombstone,
+// else VALUE with the shared tuple's value, which the writer copies into
+// the response frame.
+func (m *machine) finishRead(sl *slot, t *tuple.Tuple) {
+	if t == nil || t.Deleted {
+		m.finish(sl, wire.StatusNotFound, nil)
+		return
+	}
+	m.finish(sl, wire.StatusValue, t.Value)
 }
 
 // entrySampler adapts the peer view for the collocated soft layer: the

@@ -16,7 +16,7 @@ import (
 // built as New builds them, entrySampler and LocalRead included — on the
 // simulator's fabric instead of TCP. Client ops are submitted in the
 // serial phase between rounds and settle through the machine's own
-// finish callback (Server.finishOp) inside the compute phase. What the
+// finish callback (Server.opDone) inside the compute phase. What the
 // clients see, the fabric's message counts and every store's digest
 // must be identical whether the compute phase runs on one worker or
 // four.
@@ -58,7 +58,7 @@ type simCluster struct {
 	t        *testing.T
 	workers  int
 	net      *sim.Network
-	srv      Server // finishOp's counters only: no sockets, no host
+	srv      Server // opDone's counters only: no sockets, no host
 	machines map[node.ID]*machine
 	ids      []node.ID
 	trace    []string
@@ -78,7 +78,7 @@ func newSimCluster(t *testing.T, workers int, seed int64, n, r int) *simCluster 
 	for range c.ids {
 		c.net.Spawn(func(id node.ID, rng *rand.Rand) sim.Machine {
 			cfg := Config{Self: id, Replication: r, TickInterval: time.Second, OpTimeout: 50 * time.Second}.normalized()
-			c.machines[id] = newMachine(cfg, rng, c.ids, c.srv.finishOp)
+			c.machines[id] = newMachine(cfg, rng, c.ids, c.srv.opDone)
 			return c.machines[id]
 		})
 	}
@@ -91,15 +91,13 @@ func newSimCluster(t *testing.T, workers int, seed int64, n, r int) *simCluster 
 // the trace.
 func (c *simCluster) do(at node.ID, kind wire.Op, key, value string) *slot {
 	c.t.Helper()
-	sl := &slot{kind: kind, start: time.Now(), done: make(chan struct{})}
+	sl := &slot{kind: kind, start: time.Now(), key: key, value: []byte(value)}
 	c.srv.inflight.Add(1)
-	c.net.Emit(at, c.machines[at].submit(c.net.Round(), sl, key, []byte(value)))
+	c.net.Emit(at, c.machines[at].submit(c.net.Round(), sl))
 	for rounds := 0; ; rounds++ {
-		select {
-		case <-sl.done:
+		if sl.ready.Load() {
 			c.trace = append(c.trace, fmt.Sprintf("%v@%v %v %x in %d rounds", kind, at, sl.status, sl.payload, rounds))
 			return sl
-		default:
 		}
 		if rounds == 60 {
 			c.t.Fatalf("W=%d: %v at node %v did not settle", c.workers, kind, at)

@@ -12,12 +12,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"datadroplets/internal/core"
 	"datadroplets/internal/metrics"
 	"datadroplets/internal/node"
 	"datadroplets/internal/sim"
 	"datadroplets/internal/transport"
-	"datadroplets/internal/tuple"
 	"datadroplets/internal/wire"
 )
 
@@ -98,19 +96,99 @@ type Metrics struct {
 }
 
 // slot is one request's place in a connection's response pipeline. The
-// writer goroutine waits on done and emits slots strictly in request
-// order, which is the protocol's response-matching rule.
+// writer goroutine emits slots strictly in request order, which is the
+// protocol's response-matching rule; it waits for a slot's ready flag,
+// and settle wakes it through the connection's wake channel. key and
+// value are a PUT, DEL or GET's operands for the machine.
 type slot struct {
 	kind    wire.Op
 	start   time.Time
-	done    chan struct{}
+	key     string
+	value   []byte
+	ready   atomic.Bool
 	status  wire.Status
 	payload []byte
+	// wake is the connection's 1-buffered writer wake-up: one pending
+	// token covers any number of settles, since the writer re-checks
+	// its head slot's flag after each one.
+	wake chan struct{}
 }
 
 func (sl *slot) settle(st wire.Status, payload []byte) {
 	sl.status, sl.payload = st, payload
-	close(sl.done)
+	sl.ready.Store(true)
+	select {
+	case sl.wake <- struct{}{}:
+	default:
+	}
+}
+
+// intake is a connection's hand-off to the transport driver. The
+// connection goroutine queues each decoded PUT, DEL or GET and posts
+// drain, built once per connection, only when no drain is outstanding:
+// a burst of pipelined requests costs one Host.Post and one driver
+// wake-up, and the first request of a burst is posted at once rather
+// than held back for the ones behind it.
+type intake struct {
+	s  *Server
+	mu sync.Mutex
+	// queue holds the slots not yet taken by a drain; posted reports a
+	// drain closure that has been posted and has not yet taken them.
+	queue  []*slot
+	posted bool
+	drain  func(sim.Machine, sim.Round) []sim.Envelope
+	// spare is the queue's other buffer: the batch the last drain took,
+	// which the next one hands back. envs is driver-owned scratch for one
+	// drain's envelopes, which the driver has sent before it runs the
+	// next closure.
+	spare []*slot
+	envs  []sim.Envelope
+}
+
+func newIntake(s *Server) *intake {
+	in := &intake{s: s}
+	in.drain = in.run
+	return in
+}
+
+// add queues sl for the machine and posts a drain if none is
+// outstanding. On a stopped host the slot answers BUSY.
+func (in *intake) add(sl *slot) {
+	in.mu.Lock()
+	in.queue = append(in.queue, sl)
+	post := !in.posted
+	in.posted = true
+	in.mu.Unlock()
+	if !post {
+		return
+	}
+	if err := in.s.host.Post(in.drain); err != nil {
+		// No drain was outstanding, so the queue holds sl alone.
+		in.mu.Lock()
+		in.queue, in.posted = in.queue[:0], false
+		in.mu.Unlock()
+		in.s.inflight.Add(-1)
+		in.s.Met.Busy.Inc()
+		sl.settle(wire.StatusBusy, nil)
+	}
+}
+
+// run is the drain closure: on the driver, it submits every queued slot
+// in request order.
+func (in *intake) run(_ sim.Machine, now sim.Round) []sim.Envelope {
+	in.mu.Lock()
+	batch := in.queue
+	in.queue, in.spare = in.spare[:0], batch
+	in.posted = false
+	in.mu.Unlock()
+	clear(in.envs)
+	envs := in.envs[:0]
+	for i, sl := range batch {
+		envs = append(envs, in.s.m.submit(now, sl)...)
+		batch[i] = nil
+	}
+	in.envs = envs
+	return envs
 }
 
 // Server is one live DataDroplets node.
@@ -148,7 +226,7 @@ func New(cfg Config) (*Server, error) {
 		conns:    make(map[net.Conn]struct{}),
 		closedCh: make(chan struct{}),
 	}
-	s.m = newMachine(cfg, rand.New(rand.NewSource(cfg.Seed)), ids, s.finishOp)
+	s.m = newMachine(cfg, rand.New(rand.NewSource(cfg.Seed)), ids, s.opDone)
 	host, err := transport.NewHost(transport.Config{
 		Self:         cfg.Self,
 		Peers:        cfg.Peers,
@@ -237,7 +315,7 @@ func (s *Server) Close() {
 		}
 		s.mu.Unlock()
 		s.host.Stop()
-		// Stop ran every stranded submit closure, so the machine's
+		// Stop ran every stranded drain closure, so the machine's
 		// pending ops are final: anything still registered lost its
 		// deadline ticks. Settle those slots BUSY so no response
 		// pipeline hangs.
@@ -315,17 +393,19 @@ func (s *Server) handleConn(c net.Conn) {
 	// this connection. When it is full this goroutine blocks here instead
 	// of reading the next frame — TCP backpressure does the rest.
 	queue := make(chan *slot, s.cfg.Window)
+	wake := make(chan struct{}, 1)
+	in := newIntake(s)
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
-	go s.writeLoop(c, queue, &writerWG)
+	go s.writeLoop(c, queue, wake, &writerWG)
 	var req wire.Request
 	for {
 		if err := wire.DecodeRequest(r, &req); err != nil {
 			break
 		}
-		sl := &slot{kind: req.Op, start: time.Now(), done: make(chan struct{})}
+		sl := &slot{kind: req.Op, start: time.Now(), wake: wake}
 		queue <- sl
-		s.dispatch(&req, sl)
+		s.dispatch(in, &req, sl)
 	}
 	close(queue)
 	writerWG.Wait()
@@ -333,9 +413,11 @@ func (s *Server) handleConn(c net.Conn) {
 
 // writeLoop emits responses in request order, flushing only when the
 // pipeline would otherwise go idle (batching pipelined responses into
-// few syscalls). A write error degrades it to a drain: slots must keep
-// being consumed or the reader would deadlock against a full queue.
-func (s *Server) writeLoop(c net.Conn, queue chan *slot, wg *sync.WaitGroup) {
+// few syscalls): when the queue is empty, or before it sleeps on wake
+// for the head slot to settle. A write error degrades it to a drain:
+// slots must keep being consumed or the reader would deadlock against a
+// full queue.
+func (s *Server) writeLoop(c net.Conn, queue chan *slot, wake chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
 	w := bufio.NewWriterSize(c, 16<<10)
 	dead := false
@@ -357,13 +439,13 @@ func (s *Server) writeLoop(c net.Conn, queue chan *slot, wg *sync.WaitGroup) {
 			}
 			return
 		}
-		select {
-		case <-sl.done:
-		default:
+		if !sl.ready.Load() {
 			if !dead && w.Flush() != nil {
 				dead = true
 			}
-			<-sl.done
+			for !sl.ready.Load() {
+				<-wake
+			}
 		}
 		if dead {
 			continue
@@ -375,11 +457,12 @@ func (s *Server) writeLoop(c net.Conn, queue chan *slot, wg *sync.WaitGroup) {
 	}
 }
 
-// dispatch submits one decoded request. PUT/DEL/GET are posted to the
-// machine, which settles them when they resolve: the connection
-// goroutine does not wait, so one slow op never serialises a
-// connection's intake. Cheap ops settle before returning.
-func (s *Server) dispatch(req *wire.Request, sl *slot) {
+// dispatch serves one decoded request. PUT, DEL and GET go to the
+// connection's intake, which hands them to the machine on the driver in
+// request order; the machine settles each when it resolves, so the
+// connection goroutine does not wait, and one slow op never serialises
+// a connection's intake. Cheap ops settle before returning.
+func (s *Server) dispatch(in *intake, req *wire.Request, sl *slot) {
 	s.Met.OpsTotal.Inc()
 	if s.draining.Load() {
 		s.Met.Busy.Inc()
@@ -388,23 +471,14 @@ func (s *Server) dispatch(req *wire.Request, sl *slot) {
 	}
 	switch req.Op {
 	case wire.OpPut, wire.OpDel, wire.OpGet:
-		key := req.Key
-		var value []byte
+		sl.key = req.Key
 		if req.Op == wire.OpPut {
 			// Copy: req.Value is the codec's reused buffer. This is the
 			// write's one copy at its origin; the soft layer takes it over.
-			value = append([]byte(nil), req.Value...)
+			sl.value = append([]byte(nil), req.Value...)
 		}
 		s.inflight.Add(1)
-		err := s.host.Post(func(_ sim.Machine, now sim.Round) []sim.Envelope {
-			return s.m.submit(now, sl, key, value)
-		})
-		if err != nil {
-			// Host stopped mid-dispatch: answer BUSY rather than dropping.
-			s.inflight.Add(-1)
-			s.Met.Busy.Inc()
-			sl.settle(wire.StatusBusy, nil)
-		}
+		in.add(sl)
 	case wire.OpNEst:
 		s.readState(sl, func() []byte { return wire.AppendFloat64(nil, s.m.en.NEstimate()) })
 	case wire.OpLen:
@@ -437,36 +511,28 @@ func (s *Server) readState(sl *slot, build func() []byte) {
 	sl.settle(wire.StatusOK, payload)
 }
 
-// finishOp settles a slot from a resolved soft-layer op: the machine's
-// finish callback, so it touches only the slot and atomic counters.
-func (s *Server) finishOp(sl *slot, op *core.Op) {
-	defer s.inflight.Add(-1)
+// opDone is the machine's finish callback: it records the op's
+// latency and outcome counters and settles the slot with the response
+// the machine mapped. It runs on the driver, so it touches only the slot
+// and atomic counters.
+func (s *Server) opDone(sl *slot, st wire.Status, payload []byte) {
 	lat := time.Since(sl.start).Nanoseconds()
-	switch op.Kind {
-	case core.OpPut:
+	switch sl.kind {
+	case wire.OpPut:
 		s.Met.PutLatency.Observe(lat)
-	case core.OpDelete:
+	case wire.OpDel:
 		s.Met.DelLatency.Observe(lat)
-	case core.OpGet:
+	case wire.OpGet:
 		s.Met.GetLatency.Observe(lat)
 	}
-	switch {
-	case op.Expired:
+	switch st {
+	case wire.StatusTimeout:
 		s.Met.Timeouts.Inc()
-		sl.settle(wire.StatusTimeout, nil)
-	case op.Kind == core.OpGet:
-		if op.Tuple == nil {
-			sl.settle(wire.StatusNotFound, nil)
-		} else {
-			sl.settle(wire.StatusValue, op.Tuple.Value)
-		}
-	case op.Err != "":
+	case wire.StatusErr:
 		s.Met.Errors.Inc()
-		sl.settle(wire.StatusErr, []byte(op.Err))
-	default:
-		// PUT/DEL success: the payload is the version it was sequenced at.
-		sl.settle(wire.StatusOK, tuple.AppendVersion(nil, op.Version))
 	}
+	s.inflight.Add(-1)
+	sl.settle(st, payload)
 }
 
 // Stats is the STATS response document.

@@ -11,6 +11,7 @@ import (
 	"datadroplets/internal/node"
 	"datadroplets/internal/sim"
 	"datadroplets/internal/tuple"
+	"datadroplets/internal/wire"
 )
 
 // BenchmarkWritePath is one 1 KiB Put through the two-layer machine as
@@ -55,13 +56,92 @@ func BenchmarkWritePath(b *testing.B) {
 }
 
 // oneNodeMachine is the two-layer machine as Server.New wires it, LocalRead
-// included, on a one-node cluster and without sockets.
+// and the server's finish callback included, on a one-node cluster and
+// without sockets or host.
 func oneNodeMachine() (*core.SoftNode, *epidemic.Node, *machine) {
 	const self = node.ID(1)
 	cfg := Config{Self: self, Seed: 1}.normalized()
-	m := newMachine(cfg, rand.New(rand.NewSource(cfg.Seed)), []node.ID{self}, func(*slot, *core.Op) {})
+	m := newMachine(cfg, rand.New(rand.NewSource(cfg.Seed)), []node.ID{self}, new(Server).opDone)
 	m.Start(0)
 	return m.soft, m.en, m
+}
+
+// localReplica seeds the one-node machine as a replica that has heard
+// of key's version but never cached it, so a Get of key is answered by
+// the collocated replica; it returns the stored tuple.
+func localReplica(soft *core.SoftNode, en *epidemic.Node, key string, size int) *tuple.Tuple {
+	en.St.Apply(&tuple.Tuple{Key: key, Value: make([]byte, size), Version: tuple.Version{Seq: 1, Writer: 2}})
+	soft.Seq.Observe(key, en.St.Version(key))
+	stored, _ := en.St.Peek(key)
+	return stored
+}
+
+// BenchmarkLocalGet is one version-exact Get through machine.submit, as
+// a connection's drain submits it, with a preallocated slot: the soft
+// layer answers from the collocated replica and the slot settles
+// straight from the tuple, with no op, no channel and no copy of the
+// value. CI fails the job above 0 allocs/op.
+func BenchmarkLocalGet(b *testing.B) {
+	soft, en, m := oneNodeMachine()
+	const key = "local/key"
+	stored := localReplica(soft, en, key, 1024)
+	sl := &slot{kind: wire.OpGet, key: key, wake: make(chan struct{}, 1)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sl.ready.Store(false)
+		if envs := m.submit(1, sl); len(envs) != 0 || !sl.ready.Load() {
+			b.Fatalf("get %d not served locally: %d envelopes, ready %v", i, len(envs), sl.ready.Load())
+		}
+		select {
+		case <-sl.wake:
+		default:
+			b.Fatalf("get %d settled without waking the writer", i)
+		}
+	}
+	b.StopTimer()
+	if sl.status != wire.StatusValue || &sl.payload[0] != &stored.Value[0] {
+		b.Fatalf("get answered %v, not the stored value", sl.status)
+	}
+}
+
+// TestLocalGetMakesNoOp: a version-exact Get through machine.submit, of
+// a key the collocated replica holds and of a tombstone in the soft
+// cache, settles its slot during submission and
+// leaves the soft layer's op table and the machine's pending table as
+// they were — no op ID is minted, so the next Put's ID follows the last
+// one's.
+func TestLocalGetMakesNoOp(t *testing.T) {
+	soft, en, m := oneNodeMachine()
+	stored := localReplica(soft, en, "live", 8)
+	// A DEL entered here leaves its tombstone in the soft cache.
+	del, _ := soft.Put(1, "gone", nil, nil, nil, true)
+	soft.ForgetOp(del)
+	first, _ := soft.Put(1, "other", []byte("v"), nil, nil, false)
+	soft.ForgetOp(first)
+	for _, tc := range []struct {
+		key  string
+		want wire.Status
+	}{{"live", wire.StatusValue}, {"gone", wire.StatusNotFound}} {
+		sl := &slot{kind: wire.OpGet, key: tc.key}
+		if envs := m.submit(1, sl); len(envs) != 0 || !sl.ready.Load() || sl.status != tc.want {
+			t.Fatalf("get %s: %d envelopes, ready %v, status %v; want a %v settled locally",
+				tc.key, len(envs), sl.ready.Load(), sl.status, tc.want)
+		}
+		if tc.want == wire.StatusValue && &sl.payload[0] != &stored.Value[0] {
+			t.Fatalf("get %s answered a copy, not the stored value", tc.key)
+		}
+	}
+	if len(m.pending) != 0 {
+		t.Fatalf("machine.pending holds %d slots after local Gets", len(m.pending))
+	}
+	if soft.LocalReads != 1 || soft.CacheHits != 1 {
+		t.Fatalf("LocalReads = %d, CacheHits = %d; want 1 and 1", soft.LocalReads, soft.CacheHits)
+	}
+	next, _ := soft.Put(1, "other", []byte("w"), nil, nil, false)
+	if next != first+1 {
+		t.Fatalf("Put after local Gets has op ID %#x, want %#x: a Get made an op", next, first+1)
+	}
 }
 
 // TestLocalGetCopiesNothing: a Get answered by the collocated replica
@@ -73,9 +153,7 @@ func oneNodeMachine() (*core.SoftNode, *epidemic.Node, *machine) {
 func TestLocalGetCopiesNothing(t *testing.T) {
 	soft, en, _ := oneNodeMachine()
 	const key, size = "local/key", 1024
-	en.St.Apply(&tuple.Tuple{Key: key, Value: make([]byte, size), Version: tuple.Version{Seq: 1, Writer: 2}})
-	soft.Seq.Observe(key, en.St.Version(key))
-	stored, _ := en.St.Peek(key)
+	stored := localReplica(soft, en, key, size)
 	cached := soft.Cache.Len()
 	const gets = 200
 	var before, after runtime.MemStats

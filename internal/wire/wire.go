@@ -208,29 +208,28 @@ func requestHeader(req *Request) (hdr [reqHeaderLen]byte, err error) {
 // backing array when it is large enough. An unknown opcode is not a
 // decode error — the frame is still consumed, and the caller can answer
 // StatusErr without losing framing. io.EOF is returned untouched when
-// the stream ends cleanly between frames.
+// the stream ends cleanly between frames. The header is read in place
+// from r's buffer, and the key is allocated once, as the string itself.
 func DecodeRequest(r *bufio.Reader, req *Request) error {
-	var hdr [reqHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return err // clean EOF between frames stays io.EOF
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return unexpectedEOF(err)
+	hdr, err := header(r, reqHeaderLen)
+	if err != nil {
+		return err
 	}
 	req.Op = Op(hdr[0])
 	keyLen := int(binary.BigEndian.Uint16(hdr[1:3]))
 	valueLen := int(binary.BigEndian.Uint32(hdr[3:7]))
+	if _, err := r.Discard(reqHeaderLen); err != nil {
+		return err
+	}
 	if keyLen > MaxKeyLen {
 		return ErrKeyTooLong
 	}
 	if valueLen > MaxValueLen {
 		return ErrValueTooLong
 	}
-	key := make([]byte, keyLen)
-	if _, err := io.ReadFull(r, key); err != nil {
+	if req.Key, err = readKey(r, keyLen); err != nil {
 		return unexpectedEOF(err)
 	}
-	req.Key = string(key)
 	if cap(req.Value) >= valueLen {
 		req.Value = req.Value[:valueLen]
 	} else {
@@ -240,6 +239,45 @@ func DecodeRequest(r *bufio.Reader, req *Request) error {
 		return unexpectedEOF(err)
 	}
 	return nil
+}
+
+// header returns the next n bytes of r without consuming them, for a
+// frame header the caller parses and then discards. A stream that ends
+// before the first byte returns its error untouched (io.EOF between
+// frames); one that ends inside the header is io.ErrUnexpectedEOF.
+func header(r *bufio.Reader, n int) ([]byte, error) {
+	hdr, err := r.Peek(n)
+	switch {
+	case err == nil:
+		return hdr, nil
+	case len(hdr) == 0:
+		return nil, err
+	default:
+		return nil, unexpectedEOF(err)
+	}
+}
+
+// readKey consumes an n-byte key, copying it out of r's buffer straight
+// into the string; a key longer than that buffer is read through a
+// scratch slice.
+func readKey(r *bufio.Reader, n int) (string, error) {
+	if n == 0 {
+		return "", nil
+	}
+	if n <= r.Size() {
+		b, err := r.Peek(n)
+		if err != nil {
+			return "", err
+		}
+		key := string(b)
+		_, err = r.Discard(n)
+		return key, err
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return "", err
+	}
+	return string(b), nil
 }
 
 // EncodeResponse writes one response frame.
@@ -258,17 +296,18 @@ func EncodeResponse(w *bufio.Writer, resp *Response) error {
 }
 
 // DecodeResponse reads one response frame into resp, reusing
-// resp.Payload's backing array when it is large enough.
+// resp.Payload's backing array when it is large enough. Its header is
+// read in place from r's buffer, as DecodeRequest reads its own.
 func DecodeResponse(r *bufio.Reader, resp *Response) error {
-	var hdr [respHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+	hdr, err := header(r, respHeaderLen)
+	if err != nil {
 		return err
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return unexpectedEOF(err)
 	}
 	resp.Status = Status(hdr[0])
 	payloadLen := int(binary.BigEndian.Uint32(hdr[1:5]))
+	if _, err := r.Discard(respHeaderLen); err != nil {
+		return err
+	}
 	if payloadLen > MaxPayload {
 		return ErrPayloadTooLong
 	}

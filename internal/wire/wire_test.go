@@ -164,6 +164,24 @@ func TestDecodeResponseLengthBomb(t *testing.T) {
 	}
 }
 
+func TestDecodeResponseTruncated(t *testing.T) {
+	raw := []byte{byte(StatusValue), 0, 0, 0, 3, 'a', 'b', 'c'}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want error
+	}{
+		{"empty", nil, io.EOF},
+		{"header cut", raw[:2], io.ErrUnexpectedEOF},
+		{"payload cut", raw[:len(raw)-1], io.ErrUnexpectedEOF},
+	} {
+		var resp Response
+		if err := DecodeResponse(bufio.NewReader(bytes.NewReader(tc.raw)), &resp); err != tc.want {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestEncodeRequestRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
@@ -239,6 +257,80 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if again.Op != req.Op || again.Key != req.Key || !bytes.Equal(again.Value, req.Value) {
 			t.Fatalf("round trip diverged: %+v vs %+v", req, again)
+		}
+	})
+}
+
+// TestDecodeRequestSmallBuffer: a key longer than the reader's buffer
+// is read through a scratch slice, with the same result and the same
+// truncation error as a key the buffer holds.
+func TestDecodeRequestSmallBuffer(t *testing.T) {
+	want := Request{Op: OpPut, Key: strings.Repeat("k", 100), Value: []byte("value")}
+	raw := encodeReq(&want)
+	var got Request
+	if err := DecodeRequest(bufio.NewReaderSize(bytes.NewReader(raw), 16), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Op != want.Op || got.Key != want.Key || !bytes.Equal(got.Value, want.Value) {
+		t.Fatalf("round trip mismatch: got %+v", got)
+	}
+	cut := raw[:reqHeaderLen+50]
+	if err := DecodeRequest(bufio.NewReaderSize(bytes.NewReader(cut), 16), &got); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("key cut: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestDecodeRequestAllocatesOnlyTheKey: with a reused Request whose
+// value buffer is large enough, decoding a frame allocates the key
+// string and nothing else — the header is parsed in the reader's buffer.
+func TestDecodeRequestAllocatesOnlyTheKey(t *testing.T) {
+	raw := encodeReq(&Request{Op: OpPut, Key: "user:1", Value: []byte("alice")})
+	src := bytes.NewReader(raw)
+	r := bufio.NewReader(src)
+	req := Request{Value: make([]byte, 0, 64)}
+	allocs := testing.AllocsPerRun(1000, func() {
+		src.Reset(raw)
+		r.Reset(src)
+		if err := DecodeRequest(r, &req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("DecodeRequest allocates %.1f times per frame, want 1 (the key)", allocs)
+	}
+}
+
+// FuzzDecodeResponse feeds arbitrary bytes through the response decoder,
+// as FuzzDecodeRequest does the request decoder: no panic, no
+// allocation past MaxPayload, and anything it accepts re-encodes to
+// bytes that decode to the same response.
+func FuzzDecodeResponse(f *testing.F) {
+	encode := func(resp *Response) []byte {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		if err := EncodeResponse(w, resp); err != nil {
+			panic(err)
+		}
+		_ = w.Flush()
+		return buf.Bytes()
+	}
+	f.Add(encode(&Response{Status: StatusValue, Payload: []byte("hello")}))
+	f.Add(encode(&Response{Status: StatusOK, Payload: AppendUint64(AppendUint64(nil, 42), 3)}))
+	f.Add(encode(&Response{Status: StatusNotFound}))
+	f.Add([]byte{})
+	f.Add([]byte{byte(StatusOK), 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var resp Response
+		if err := DecodeResponse(bufio.NewReader(bytes.NewReader(data)), &resp); err != nil {
+			return
+		}
+		raw := encode(&resp)
+		var again Response
+		if err := DecodeResponse(bufio.NewReader(bytes.NewReader(raw)), &again); err != nil {
+			t.Fatalf("re-encoded response failed to decode: %v", err)
+		}
+		if again.Status != resp.Status || !bytes.Equal(again.Payload, resp.Payload) {
+			t.Fatalf("round trip diverged: %+v vs %+v", resp, again)
 		}
 	})
 }
