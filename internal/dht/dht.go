@@ -17,7 +17,6 @@ package dht
 import (
 	"sort"
 
-	"datadroplets/internal/flatmap"
 	"datadroplets/internal/node"
 	"datadroplets/internal/tuple"
 )
@@ -179,70 +178,63 @@ func (r *Ring) Intervals(replicas int) []Interval {
 // Sequencer assigns request versions: monotonically increasing per key,
 // tie-broken by the sequencing node's ID. It is the concurrency-control
 // heart of the soft-state layer.
-//
-// The per-key version index is a flat open-addressed table rather than a
-// built-in map: a sequencer in front of a million-key store does one
-// lookup per client write, and the flat layout keeps that lookup a
-// single hash plus a short linear probe over arrays the garbage
-// collector does not chase through buckets.
 type Sequencer struct {
 	self   node.ID
-	latest *flatmap.Map[tuple.Version]
+	latest map[string]tuple.Version
 }
 
 // NewSequencer creates a sequencer owned by self.
 func NewSequencer(self node.ID) *Sequencer {
-	return &Sequencer{self: self, latest: flatmap.New[tuple.Version](0)}
+	return &Sequencer{self: self, latest: make(map[string]tuple.Version)}
 }
 
 // Next allocates the next version for key.
 func (s *Sequencer) Next(key string) tuple.Version {
-	v, _ := s.latest.Slot(key)
-	*v = v.Next(s.self)
-	return *v
+	v := s.latest[key].Next(s.self)
+	s.latest[key] = v
+	return v
 }
 
 // Latest returns the most recent version assigned or observed for key.
 func (s *Sequencer) Latest(key string) (tuple.Version, bool) {
-	return s.latest.Get(key)
+	v, ok := s.latest[key]
+	return v, ok
 }
 
 // Observe records an externally learned version (recovery, handoff); it
 // never moves the sequence backwards.
 func (s *Sequencer) Observe(key string, v tuple.Version) {
-	if cur, ok := s.latest.Slot(key); !ok || cur.Less(v) {
-		*cur = v
+	if cur, ok := s.latest[key]; !ok || cur.Less(v) {
+		s.latest[key] = v
 	}
 }
 
 // Keys returns all sequenced keys (diagnostics and recovery audits).
 func (s *Sequencer) Keys() []string {
-	out := make([]string, 0, s.latest.Len())
-	s.latest.Each(func(k string, _ tuple.Version) {
+	out := make([]string, 0, len(s.latest))
+	for k := range s.latest {
 		out = append(out, k)
-	})
+	}
 	sort.Strings(out)
 	return out
 }
 
 // Len returns the number of sequenced keys.
-func (s *Sequencer) Len() int { return s.latest.Len() }
+func (s *Sequencer) Len() int { return len(s.latest) }
 
 // Wipe clears all state, simulating the catastrophic soft-layer loss of
 // experiment C14. The table capacity is kept: a rebuilt soft node is
 // expected to re-observe a similar key population during recovery.
-func (s *Sequencer) Wipe() { s.latest.Reset() }
+func (s *Sequencer) Wipe() { clear(s.latest) }
 
 // Directory remembers, per key, some persistent-layer nodes known to
 // store it, so reads skip discovery ("maintaining knowledge of some of
-// the nodes that store the data").
-//
-// Like the Sequencer, the per-key index is a flat open-addressed table;
-// the hint lists themselves stay small ordered slices (maxPerKey is 4 by
-// default), appended in place and replaced oldest-first when full.
+// the nodes that store the data"). The hint lists stay small ordered
+// slices (maxPerKey is 4 by default), appended in place and replaced
+// oldest-first when full.
 type Directory struct {
 	maxPerKey int
-	hints     *flatmap.Map[[]node.ID]
+	hints     map[string][]node.ID
 }
 
 // NewDirectory creates a directory keeping at most maxPerKey hints per
@@ -251,12 +243,12 @@ func NewDirectory(maxPerKey int) *Directory {
 	if maxPerKey <= 0 {
 		maxPerKey = 4
 	}
-	return &Directory{maxPerKey: maxPerKey, hints: flatmap.New[[]node.ID](0)}
+	return &Directory{maxPerKey: maxPerKey, hints: make(map[string][]node.ID)}
 }
 
 // AddHint records that id stores key.
 func (d *Directory) AddHint(key string, id node.ID) {
-	hs, ok := d.hints.Get(key)
+	hs, ok := d.hints[key]
 	for _, h := range hs {
 		if h == id {
 			return
@@ -271,24 +263,23 @@ func (d *Directory) AddHint(key string, id node.ID) {
 	}
 	if !ok {
 		// First hint: allocate the key's slice at full fan-in capacity so
-		// later AddHints never reallocate (and therefore never need a
-		// re-Put to refresh the stored header).
+		// later AddHints never reallocate.
 		hs = make([]node.ID, 0, d.maxPerKey)
 	}
-	d.hints.Put(key, append(hs, id))
+	d.hints[key] = append(hs, id)
 }
 
 // Hints returns the known holders of key (most recent last).
 func (d *Directory) Hints(key string) []node.ID {
-	hs, _ := d.hints.Get(key)
+	hs := d.hints[key]
 	out := make([]node.ID, len(hs))
 	copy(out, hs)
 	return out
 }
 
 // Len returns the number of keys with hints.
-func (d *Directory) Len() int { return d.hints.Len() }
+func (d *Directory) Len() int { return len(d.hints) }
 
 // Wipe clears the directory (C14 catastrophic loss), keeping table
 // capacity for the recovery refill.
-func (d *Directory) Wipe() { d.hints.Reset() }
+func (d *Directory) Wipe() { clear(d.hints) }

@@ -10,11 +10,10 @@ import (
 	"datadroplets/internal/tuple"
 )
 
-// TestSequencerDifferentialVsMap drives the flat-indexed Sequencer and a
-// plain-map reference implementation through the same random stream of
+// TestSequencerDifferentialVsMap drives the Sequencer and a plain-map
+// reference implementation through the same random stream of
 // Next/Observe/Wipe operations and demands full agreement — the oracle
-// pattern of the gossip seenTable fuzz test, applied to the replacement
-// index.
+// pattern of the gossip seenTable fuzz test.
 func TestSequencerDifferentialVsMap(t *testing.T) {
 	const self = node.ID(9)
 	rng := rand.New(rand.NewSource(7))

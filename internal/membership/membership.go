@@ -1,19 +1,14 @@
 // Package membership provides the peer-sampling service the epidemic
 // layer builds on: every protocol that "picks fanout random peers" takes
-// a Sampler, and the package offers two interchangeable implementations.
+// a Sampler.
 //
-// UniformView samples from a directly maintained population list. It
-// matches the analytical model behind the paper's fanout math (uniform
-// random peer selection) and is what the large-scale experiments use.
-//
-// Cyclon is a full implementation of the shuffle-based peer-sampling
-// protocol the literature (and the paper's references [19]-[21]) assumes
-// as the substrate: bounded partial views, age-based eviction, and an
-// in-degree distribution that converges to near-uniform. It exists to
-// demonstrate that nothing in DataDroplets needs global membership — the
-// paper's headline dig at Cassandra ("knowing all nodes ... is
-// unattainable"). No experiment or server constructs one: its statistical
-// quality is validated by this package's own tests.
+// UniformView, the one implementation, samples from a directly
+// maintained population list. It matches the analytical model behind the
+// paper's fanout math (uniform random peer selection) and is what the
+// experiments and the live server use. The protocols see only the
+// Sampler interface, so a partial-view sampler (the shuffle-based
+// protocols of the paper's references [19]-[21]) could stand in without
+// touching them.
 package membership
 
 import (
@@ -41,9 +36,9 @@ type BufferedSampler interface {
 }
 
 // CoveringSampler is an optional Sampler extension for samplers that draw
-// from the whole population, the same list on every node (UniformView, not
-// a partial view such as Cyclon's). A node can then tell from its own view
-// what any peer's draw of k reaches.
+// from the whole population, the same list on every node (UniformView; a
+// partial view, different on every node, could not implement it). A node
+// can then tell from its own view what any peer's draw of k reaches.
 type CoveringSampler interface {
 	// Covers reports whether a draw of k peers always returns every peer.
 	Covers(k int) bool

@@ -1,12 +1,10 @@
 package membership
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"datadroplets/internal/node"
-	"datadroplets/internal/sim"
 )
 
 func population(n int) []node.ID {
@@ -97,163 +95,5 @@ func TestUniformViewIsUniform(t *testing.T) {
 	// 19 degrees of freedom; 43.8 is the 0.999 quantile.
 	if chi2 > 43.8 {
 		t.Fatalf("chi2 = %v, sampler not uniform", chi2)
-	}
-}
-
-func buildCyclonNetwork(t *testing.T, n, viewSize, shuffleSize int, seed int64) (*sim.Network, []*Cyclon) {
-	t.Helper()
-	net := sim.New(sim.Config{Seed: seed})
-	machines := make([]*Cyclon, 0, n)
-	// Bootstrap: each node knows a few ring neighbours, a weak topology
-	// that the shuffle must randomise.
-	ids := make([]node.ID, n)
-	for i := range ids {
-		ids[i] = node.ID(i + 1)
-	}
-	for i := 0; i < n; i++ {
-		idx := i
-		net.Spawn(func(id node.ID, rng *rand.Rand) sim.Machine {
-			seeds := []node.ID{ids[(idx+1)%n], ids[(idx+2)%n], ids[(idx+3)%n]}
-			c := NewCyclon(id, rng, viewSize, shuffleSize, seeds)
-			machines = append(machines, c)
-			return c
-		})
-	}
-	return net, machines
-}
-
-func TestCyclonViewInvariants(t *testing.T) {
-	net, machines := buildCyclonNetwork(t, 60, 8, 4, 42)
-	net.Run(50)
-	for _, c := range machines {
-		view := c.View()
-		if len(view) > 8 {
-			t.Fatalf("view exceeded capacity: %d", len(view))
-		}
-		seen := map[node.ID]bool{}
-		for _, id := range view {
-			if id == c.self {
-				t.Fatal("self leaked into view")
-			}
-			if seen[id] {
-				t.Fatalf("duplicate %v in view", id)
-			}
-			seen[id] = true
-		}
-	}
-}
-
-// TestCyclonInDegreeConverges verifies the peer-sampling quality claim:
-// after mixing, the in-degree distribution should be concentrated (no
-// starved nodes, no celebrity nodes), approaching a random graph.
-func TestCyclonInDegreeConverges(t *testing.T) {
-	net, machines := buildCyclonNetwork(t, 100, 10, 5, 7)
-	net.Run(80)
-	indeg := map[node.ID]int{}
-	for _, c := range machines {
-		for _, id := range c.View() {
-			indeg[id]++
-		}
-	}
-	var mean, count float64
-	for _, c := range machines {
-		mean += float64(indeg[c.self])
-		count++
-	}
-	mean /= count
-	var ss float64
-	minDeg := math.MaxFloat64
-	for _, c := range machines {
-		d := float64(indeg[c.self])
-		ss += (d - mean) * (d - mean)
-		if d < minDeg {
-			minDeg = d
-		}
-	}
-	std := math.Sqrt(ss / count)
-	if minDeg == 0 {
-		t.Fatal("some node has zero in-degree after mixing")
-	}
-	// Random-graph in-degree std is ~sqrt(viewSize); allow generous slack.
-	if std > 3*math.Sqrt(10) {
-		t.Fatalf("in-degree std = %v, too concentrated on few nodes", std)
-	}
-}
-
-// TestCyclonEvictsDeadPeers kills a third of the network and checks that
-// live views purge dead entries within a few aging cycles.
-func TestCyclonEvictsDeadPeers(t *testing.T) {
-	net, machines := buildCyclonNetwork(t, 90, 8, 4, 11)
-	net.Run(40)
-	dead := map[node.ID]bool{}
-	for id := node.ID(1); id <= 30; id++ {
-		net.Kill(id, true)
-		dead[id] = true
-	}
-	net.Run(60)
-	var deadRefs, totalRefs int
-	for _, c := range machines {
-		if dead[c.self] {
-			continue
-		}
-		for _, id := range c.View() {
-			totalRefs++
-			if dead[id] {
-				deadRefs++
-			}
-		}
-	}
-	frac := float64(deadRefs) / float64(totalRefs)
-	if frac > 0.10 {
-		t.Fatalf("dead peers still %.0f%% of live views after eviction window", frac*100)
-	}
-}
-
-// TestCyclonConnectivity: after heavy mixing the directed view graph must
-// keep all live nodes reachable from node 1 (no partition), the property
-// dissemination depends on.
-func TestCyclonConnectivity(t *testing.T) {
-	net, machines := buildCyclonNetwork(t, 80, 8, 4, 23)
-	net.Run(60)
-	byID := map[node.ID]*Cyclon{}
-	for _, c := range machines {
-		byID[c.self] = c
-	}
-	visited := map[node.ID]bool{machines[0].self: true}
-	frontier := []node.ID{machines[0].self}
-	for len(frontier) > 0 {
-		next := frontier[:0:0]
-		for _, id := range frontier {
-			for _, nb := range byID[id].View() {
-				if !visited[nb] {
-					visited[nb] = true
-					next = append(next, nb)
-				}
-			}
-		}
-		frontier = next
-	}
-	if len(visited) != 80 {
-		t.Fatalf("view graph reaches %d of 80 nodes", len(visited))
-	}
-}
-
-func TestCyclonSample(t *testing.T) {
-	net, machines := buildCyclonNetwork(t, 30, 8, 4, 31)
-	net.Run(30)
-	c := machines[5]
-	s := c.Sample(4)
-	if len(s) == 0 {
-		t.Fatal("sample empty after mixing")
-	}
-	seen := map[node.ID]bool{}
-	for _, id := range s {
-		if id == c.self || seen[id] {
-			t.Fatalf("bad sample %v", s)
-		}
-		seen[id] = true
-	}
-	if c.One() == node.None {
-		t.Fatal("One returned None on non-empty view")
 	}
 }

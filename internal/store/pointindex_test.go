@@ -65,8 +65,8 @@ func checkAgainstModel(t *testing.T, s *Store, m *storeModel, universe []string)
 		want = append(want, k)
 	}
 	sort.Strings(want)
-	if s.Total() != len(want) || s.byKey.Len() != len(want) {
-		t.Fatalf("Total %d, index %d entries, oracle %d", s.Total(), s.byKey.Len(), len(want))
+	if s.Total() != len(want) || len(s.byKey) != len(want) {
+		t.Fatalf("Total %d, index %d entries, oracle %d", s.Total(), len(s.byKey), len(want))
 	}
 	i := 0
 	for e := s.head.next[0]; e != nil; e = e.next[0] {

@@ -174,11 +174,10 @@ func randomArc(rng *rand.Rand) node.Arc {
 }
 
 // TestRingIndexDifferential drives a randomized apply/update/discard/
-// clear-floor/wipe sequence (the flatmap map-differential test
-// style) and cross-checks every arc-serving API against the full-walk
-// reference plus the from-scratch index invariants along the way. Floor-
-// refused applies and tombstones are part of the op mix: both must leave
-// the index exactly as hot paths left the skiplist.
+// clear-floor/wipe sequence and cross-checks every arc-serving API
+// against the full-walk reference plus the from-scratch index invariants
+// along the way. Floor-refused applies and tombstones are part of the op
+// mix: both must leave the index exactly as hot paths left the skiplist.
 func TestRingIndexDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

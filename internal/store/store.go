@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"datadroplets/internal/flatmap"
 	"datadroplets/internal/node"
 	"datadroplets/internal/tuple"
 )
@@ -60,7 +59,7 @@ type Store struct {
 	// kept equal to the list by Apply/Discard/Wipe. It is the only point
 	// path — find never falls back to a descent — and the list is the
 	// only ordered one.
-	byKey flatmap.Map[*skipNode]
+	byKey map[string]*skipNode
 	total int   // entries including tombstones
 	live  int   // entries excluding tombstones
 	bytes int64 // approximate payload bytes of live entries
@@ -68,9 +67,8 @@ type Store struct {
 	// stats holds per-attribute aggregates maintained in Apply/Discard so
 	// the background protocols (push-sum aggregation, extremes) read
 	// node-local sums in O(1) instead of re-walking and cloning the
-	// whole store every epoch. Flat open-addressed: the lookup runs once
-	// per attribute per write.
-	stats flatmap.Map[*attrStat]
+	// whole store every epoch.
+	stats map[string]*attrStat
 
 	// floors records supersession watermarks: keys whose local copy was
 	// discarded as redundant (Discard), with the highest version known
@@ -79,10 +77,7 @@ type Store struct {
 	// resurrected by late or replayed traffic — gossip redelivery,
 	// in-flight sync pushes, adoption payloads. A strictly newer apply
 	// lifts the floor (the held copy then carries the ordering itself).
-	// Flat open-addressed: the floor check runs on every Apply, the
-	// hottest store write path — and an empty map (the live server's
-	// steady state) answers it without hashing the key.
-	floors    flatmap.Map[floorEntry]
+	floors    map[string]floorEntry
 	floorRing []floorSlot // insertion order, for deterministic eviction
 	floorGen  uint64      // ties ring slots to their map entries
 
@@ -127,8 +122,8 @@ const maxFloors = 8192
 
 // New creates an empty store. The rand source drives skiplist level
 // choice only; determinism of the whole simulation requires it to come
-// from the node's seeded RNG. The three hash tables allocate on first
-// use, so an empty store carries none.
+// from the node's seeded RNG. The three maps stay nil until their first
+// write, so an empty store carries no hash table.
 func New(rng *rand.Rand) *Store {
 	return &Store{
 		rng:  rng,
@@ -149,8 +144,7 @@ func (s *Store) randomLevel() int {
 // find returns the node with the key, or nil: one probe of the point
 // index, whatever the store's size.
 func (s *Store) find(key string) *skipNode {
-	n, _ := s.byKey.Get(key)
-	return n
+	return s.byKey[key]
 }
 
 // descend fills path with the rightmost node before key at every level
@@ -188,7 +182,7 @@ func (s *Store) descend(key string, path *[maxLevel]*skipNode) {
 // immutable once sequenced (docs/DESIGN.md §1), so the caller gives up
 // the right to change t or anything it points to.
 func (s *Store) Apply(t *tuple.Tuple) bool {
-	if f, ok := s.floors.Get(t.Key); ok && !f.v.Less(t.Version) {
+	if f, ok := s.floors[t.Key]; ok && !f.v.Less(t.Version) {
 		return false // at or below the supersession watermark
 	}
 	if existing := s.find(t.Key); existing != nil {
@@ -200,7 +194,7 @@ func (s *Store) Apply(t *tuple.Tuple) bool {
 		existing.tup = t
 		s.idx.replace(existing.point, oldV, t.Version)
 		s.accountAdd(t)
-		s.floors.Del(t.Key) // newer content re-admitted: floor served
+		delete(s.floors, t.Key) // newer content re-admitted: floor served
 		return true
 	}
 	var path [maxLevel]*skipNode
@@ -220,11 +214,14 @@ func (s *Store) Apply(t *tuple.Tuple) bool {
 		path[i].next[i] = n
 	}
 	s.total++
-	s.byKey.Put(t.Key, n)
+	if s.byKey == nil {
+		s.byKey = make(map[string]*skipNode)
+	}
+	s.byKey[t.Key] = n
 	s.idx.add(n)
 	s.idx.maybeGrow(s.total)
 	s.accountAdd(n.tup)
-	s.floors.Del(t.Key) // newer content re-admitted: floor served
+	delete(s.floors, t.Key) // newer content re-admitted: floor served
 	return true
 }
 
@@ -253,31 +250,34 @@ func (s *Store) setFloor(key string, v tuple.Version) {
 	if v.IsZero() {
 		return
 	}
-	if cur, ok := s.floors.Get(key); ok {
+	if cur, ok := s.floors[key]; ok {
 		if cur.v.Less(v) {
 			cur.v = v
-			s.floors.Put(key, cur) // gen unchanged: same ring slot owns it
+			s.floors[key] = cur // gen unchanged: same ring slot owns it
 		}
 		return
 	}
+	if s.floors == nil {
+		s.floors = make(map[string]floorEntry)
+	}
 	s.floorGen++
-	s.floors.Put(key, floorEntry{v: v, gen: s.floorGen})
+	s.floors[key] = floorEntry{v: v, gen: s.floorGen}
 	s.floorRing = append(s.floorRing, floorSlot{key: key, gen: s.floorGen})
-	for s.floors.Len() > maxFloors && len(s.floorRing) > 0 {
+	for len(s.floors) > maxFloors && len(s.floorRing) > 0 {
 		old := s.floorRing[0]
 		s.floorRing = s.floorRing[1:]
-		if e, ok := s.floors.Get(old.key); ok && e.gen == old.gen {
-			s.floors.Del(old.key)
+		if e, ok := s.floors[old.key]; ok && e.gen == old.gen {
+			delete(s.floors, old.key)
 		}
 	}
 	// Compact the ring once it is dominated by dead slots (lifted floors
 	// leave their slots behind): without this, a key cycling through
 	// discard and re-admission grows the ring forever while the map
 	// stays small. Amortised O(1).
-	if len(s.floorRing) > 2*s.floors.Len()+16 {
+	if len(s.floorRing) > 2*len(s.floors)+16 {
 		kept := s.floorRing[:0]
 		for _, sl := range s.floorRing {
-			if e, live := s.floors.Get(sl.key); live && e.gen == sl.gen {
+			if e, live := s.floors[sl.key]; live && e.gen == sl.gen {
 				kept = append(kept, sl)
 			}
 		}
@@ -287,7 +287,7 @@ func (s *Store) setFloor(key string, v tuple.Version) {
 
 // Floor returns the supersession watermark for key, if any.
 func (s *Store) Floor(key string) (tuple.Version, bool) {
-	e, ok := s.floors.Get(key)
+	e, ok := s.floors[key]
 	return e.v, ok
 }
 
@@ -297,7 +297,7 @@ func (s *Store) Floor(key string) (tuple.Version, bool) {
 // version it once retired as a redundant bystander copy, or the range
 // can never restore its replica count from the surviving copies.
 func (s *Store) ClearFloor(key string) {
-	s.floors.Del(key)
+	delete(s.floors, key)
 }
 
 func (s *Store) accountAdd(t *tuple.Tuple) {
@@ -307,10 +307,13 @@ func (s *Store) accountAdd(t *tuple.Tuple) {
 	s.live++
 	s.bytes += int64(len(t.Value))
 	for name, v := range t.Attrs {
-		st, _ := s.stats.Get(name)
+		st := s.stats[name]
 		if st == nil {
+			if s.stats == nil {
+				s.stats = make(map[string]*attrStat)
+			}
 			st = &attrStat{fresh: true}
-			s.stats.Put(name, st)
+			s.stats[name] = st
 		}
 		st.sum += v
 		st.count++
@@ -332,7 +335,7 @@ func (s *Store) accountRemove(t *tuple.Tuple) {
 	s.live--
 	s.bytes -= int64(len(t.Value))
 	for name, v := range t.Attrs {
-		st, _ := s.stats.Get(name)
+		st := s.stats[name]
 		if st == nil {
 			continue // unreachable: every live attr was accounted on add
 		}
@@ -379,7 +382,7 @@ func (s *Store) recomputeExtremes(name string, st *attrStat) {
 // every epoch. The sum is within floating-point accumulation error of a
 // fresh walk (additions and subtractions are applied in arrival order).
 func (s *Store) AttrSum(attr string) (sum float64, count int) {
-	st, _ := s.stats.Get(attr)
+	st := s.stats[attr]
 	if st == nil {
 		return 0, 0
 	}
@@ -391,7 +394,7 @@ func (s *Store) AttrSum(attr string) (sum float64, count int) {
 // fresh; a removal that hit the extreme triggers one lazy O(keys)
 // recompute on the next call.
 func (s *Store) AttrExtremes(attr string) (lo, hi float64, ok bool) {
-	st, _ := s.stats.Get(attr)
+	st := s.stats[attr]
 	if st == nil || st.count == 0 {
 		return 0, 0, false
 	}
@@ -458,7 +461,7 @@ func (s *Store) unlink(n *skipNode) bool {
 		}
 	}
 	s.total--
-	s.byKey.Del(n.key)
+	delete(s.byKey, n.key)
 	s.idx.remove(n)
 	s.accountRemove(n.tup)
 	return true
@@ -475,9 +478,9 @@ func (s *Store) Wipe() {
 	s.total = 0
 	s.live = 0
 	s.bytes = 0
-	s.byKey.Reset()
-	s.stats.Reset()
-	s.floors.Reset()
+	clear(s.byKey)
+	clear(s.stats)
+	clear(s.floors)
 	s.floorRing = nil
 	s.idx = newRingIndex()
 }

@@ -17,6 +17,30 @@ func mk(key string, seq uint64, val string) *tuple.Tuple {
 	return &tuple.Tuple{Key: key, Value: []byte(val), Version: tuple.Version{Seq: seq, Writer: 1}}
 }
 
+// storeSink keeps the store built under AllocsPerRun reachable, so escape
+// analysis cannot put it on the stack and hide its allocations.
+var storeSink *Store
+
+// TestEmptyStoreHoldsNoHashTable: a simulation holds one store per node,
+// most of them empty at 10^5 nodes, so New allocates the store, its
+// skip-list head and the ring-bucket array and no hash table; reads and
+// floor clears of an empty store leave it that way.
+func TestEmptyStoreHoldsNoHashTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	if n := testing.AllocsPerRun(100, func() { storeSink = New(rng) }); n > 4 {
+		t.Fatalf("New allocates %.0f times, want at most 4", n)
+	}
+	s := storeSink
+	s.Version("k")
+	s.Floor("k")
+	s.AttrSum("a")
+	s.ClearFloor("k")
+	s.Wipe()
+	if s.byKey != nil || s.stats != nil || s.floors != nil {
+		t.Fatal("an empty store holds a hash table")
+	}
+}
+
 func TestApplyAndGet(t *testing.T) {
 	s := newStore()
 	if !s.Apply(mk("a", 1, "v1")) {
@@ -347,8 +371,8 @@ func TestFloorEvictionIsBounded(t *testing.T) {
 		s.Apply(mk(k, 1, "v"))
 		s.Discard(k, tuple.Version{})
 	}
-	if s.floors.Len() > maxFloors {
-		t.Fatalf("floors grew to %d, cap is %d", s.floors.Len(), maxFloors)
+	if len(s.floors) > maxFloors {
+		t.Fatalf("floors grew to %d, cap is %d", len(s.floors), maxFloors)
 	}
 	// The newest floor survives; the oldest were evicted.
 	if _, ok := s.Floor(fmt.Sprintf("f-%d", maxFloors+99)); !ok {
@@ -368,8 +392,8 @@ func TestFloorRingCompactsUnderDiscardReadmitCycles(t *testing.T) {
 		s.Apply(mk("cycle", seq, "v"))
 		s.Discard("cycle", tuple.Version{Seq: seq, Writer: 1})
 	}
-	if len(s.floorRing) > 2*s.floors.Len()+16 {
-		t.Fatalf("floorRing grew to %d with only %d live floors", len(s.floorRing), s.floors.Len())
+	if len(s.floorRing) > 2*len(s.floors)+16 {
+		t.Fatalf("floorRing grew to %d with only %d live floors", len(s.floorRing), len(s.floors))
 	}
 	// The surviving floor still works.
 	if s.Apply(mk("cycle", 2000, "replay")) {

@@ -162,12 +162,14 @@ func ReadMagic(r io.Reader) error {
 
 // EncodeRequest writes one request frame. It validates the section
 // lengths so a misbehaving caller cannot emit an unframeable message.
+// The header is rendered into w's free buffer space: a local array handed
+// to Write would escape, one heap allocation per frame.
 func EncodeRequest(w *bufio.Writer, req *Request) error {
-	hdr, err := requestHeader(req)
+	hdr, err := appendRequestHeader(w.AvailableBuffer(), req)
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := w.WriteString(req.Key); err != nil {
@@ -180,28 +182,26 @@ func EncodeRequest(w *bufio.Writer, req *Request) error {
 // AppendRequest appends one request frame to dst, byte for byte what
 // EncodeRequest writes. On a length error dst is returned unchanged.
 func AppendRequest(dst []byte, req *Request) ([]byte, error) {
-	hdr, err := requestHeader(req)
+	out, err := appendRequestHeader(dst, req)
 	if err != nil {
 		return dst, err
 	}
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, req.Key...)
-	return append(dst, req.Value...), nil
+	out = append(out, req.Key...)
+	return append(out, req.Value...), nil
 }
 
-// requestHeader checks a request's section lengths and renders its
-// fixed header.
-func requestHeader(req *Request) (hdr [reqHeaderLen]byte, err error) {
+// appendRequestHeader checks a request's section lengths and appends its
+// fixed header to dst.
+func appendRequestHeader(dst []byte, req *Request) ([]byte, error) {
 	if len(req.Key) > MaxKeyLen {
-		return hdr, ErrKeyTooLong
+		return dst, ErrKeyTooLong
 	}
 	if len(req.Value) > MaxValueLen {
-		return hdr, ErrValueTooLong
+		return dst, ErrValueTooLong
 	}
-	hdr[0] = byte(req.Op)
-	binary.BigEndian.PutUint16(hdr[1:3], uint16(len(req.Key)))
-	binary.BigEndian.PutUint32(hdr[3:7], uint32(len(req.Value)))
-	return hdr, nil
+	dst = append(dst, byte(req.Op))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Key)))
+	return binary.BigEndian.AppendUint32(dst, uint32(len(req.Value))), nil
 }
 
 // DecodeRequest reads one request frame into req, reusing req.Value's
@@ -280,15 +280,15 @@ func readKey(r *bufio.Reader, n int) (string, error) {
 	return string(b), nil
 }
 
-// EncodeResponse writes one response frame.
+// EncodeResponse writes one response frame, its header rendered into
+// w's free buffer space as EncodeRequest renders its own.
 func EncodeResponse(w *bufio.Writer, resp *Response) error {
 	if len(resp.Payload) > MaxPayload {
 		return ErrPayloadTooLong
 	}
-	var hdr [respHeaderLen]byte
-	hdr[0] = byte(resp.Status)
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(resp.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := append(w.AvailableBuffer(), byte(resp.Status))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(resp.Payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(resp.Payload)

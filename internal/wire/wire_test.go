@@ -300,6 +300,63 @@ func TestDecodeRequestAllocatesOnlyTheKey(t *testing.T) {
 	}
 }
 
+// TestEncodersAllocateNothing: each encoder renders its header into the
+// writer's free buffer space, so encoding a frame allocates nothing. The
+// server's writeLoop runs EncodeResponse on every response.
+func TestEncodersAllocateNothing(t *testing.T) {
+	w := bufio.NewWriter(io.Discard)
+	req := Request{Op: OpPut, Key: "user:1", Value: []byte("alice")}
+	resp := Response{Status: StatusValue, Payload: []byte("alice")}
+	for _, enc := range []struct {
+		name   string
+		encode func() error
+	}{
+		{"EncodeRequest", func() error { return EncodeRequest(w, &req) }},
+		{"EncodeResponse", func() error { return EncodeResponse(w, &resp) }},
+	} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := enc.encode(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.1f times per frame, want 0", enc.name, allocs)
+		}
+	}
+}
+
+// TestEncodersAtTheBufferEnd: a header that does not fit in the writer's
+// free space is written as it is with room, byte for byte.
+func TestEncodersAtTheBufferEnd(t *testing.T) {
+	req := Request{Op: OpPut, Key: "user:1", Value: []byte("alice")}
+	resp := Response{Status: StatusValue, Payload: []byte("alice")}
+	encode := func(fill int, enc func(*bufio.Writer) error) []byte {
+		var buf bytes.Buffer
+		w := bufio.NewWriterSize(&buf, 16)
+		w.Write(make([]byte, fill))
+		if err := enc(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()[fill:]
+	}
+	for fill := 10; fill <= 16; fill++ { // 6 down to 0 bytes free
+		encReq := func(w *bufio.Writer) error { return EncodeRequest(w, &req) }
+		if got, want := encode(fill, encReq), encode(0, encReq); !bytes.Equal(got, want) {
+			t.Fatalf("request with %d bytes free: %x, want %x", 16-fill, got, want)
+		}
+		encResp := func(w *bufio.Writer) error { return EncodeResponse(w, &resp) }
+		if got, want := encode(fill, encResp), encode(0, encResp); !bytes.Equal(got, want) {
+			t.Fatalf("response with %d bytes free: %x, want %x", 16-fill, got, want)
+		}
+	}
+}
+
 // FuzzDecodeResponse feeds arbitrary bytes through the response decoder,
 // as FuzzDecodeRequest does the request decoder: no panic, no
 // allocation past MaxPayload, and anything it accepts re-encodes to
