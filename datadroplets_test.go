@@ -108,16 +108,6 @@ func TestFacadeAsyncBatch(t *testing.T) {
 	}
 }
 
-// asyncClient adapts the public facade to workload.AsyncClient without
-// leaking the internal interface into the exported API.
-type asyncClient struct{ c *Cluster }
-
-func (a asyncClient) SubmitPut(key string, value []byte) workload.Waiter {
-	return a.c.PutAsync(key, value, nil, nil)
-}
-func (a asyncClient) SubmitGet(key string) workload.Waiter { return a.c.GetAsync(key) }
-func (a asyncClient) Step()                                { a.c.Step() }
-
 // throughputCluster is the default 32-node deployment the throughput
 // acceptance criterion is stated against.
 func throughputCluster(seed int64) *Cluster {
@@ -126,16 +116,55 @@ func throughputCluster(seed int64) *Cluster {
 	return c
 }
 
-// mixedLoop runs the canonical 512-op mixed workload at the given
-// window and returns the loop stats.
-func mixedLoop(c *Cluster, window int, rngSeed int64) workload.ClosedLoopResult {
+// loopStats summarises one mixedLoop run.
+type loopStats struct{ Ops, Errors, Rounds int }
+
+// mixedLoop runs the canonical 512-op mixed workload through the async
+// API, keeping window ops in flight: half Gets, half 16-byte Puts, over
+// 256 uniformly drawn keys. Each op draws its key, its kind and a Put's
+// value from rng in that order, so equal seeds issue equal requests. A
+// run that outlasts 200 rounds per op stops with its stuck ops uncounted.
+func mixedLoop(c *Cluster, window int, rngSeed int64) loopStats {
+	const total = 512
 	rng := rand.New(rand.NewSource(rngSeed))
-	cl := workload.ClosedLoop{
-		Window: window,
-		Total:  512,
-		Mix:    workload.Mix{ReadFraction: 0.5, Keys: workload.UniformKeys(256, rng)},
+	var st loopStats
+	issued := 0
+	inflight := make([]*Async, 0, window)
+	for st.Ops < total {
+		for ; issued < total && len(inflight) < window; issued++ {
+			key := workload.Key(rng.Intn(256))
+			if rng.Float64() < 0.5 {
+				inflight = append(inflight, c.GetAsync(key))
+				continue
+			}
+			value := make([]byte, 16)
+			rng.Read(value)
+			inflight = append(inflight, c.PutAsync(key, value, nil, nil))
+		}
+		// Reap what resolved at submit (cache hits) before stepping.
+		live := inflight[:0]
+		for _, h := range inflight {
+			switch {
+			case !h.Done():
+				live = append(live, h)
+			case h.Err() != nil:
+				st.Ops++
+				st.Errors++
+			default:
+				st.Ops++
+			}
+		}
+		inflight = live
+		if st.Ops >= total || len(inflight) == 0 {
+			continue
+		}
+		if st.Rounds >= 200*total {
+			break
+		}
+		c.Step()
+		st.Rounds++
 	}
-	return cl.Run(asyncClient{c}, rng)
+	return st
 }
 
 // TestThroughputPipelinedVsSerial enforces the PR's acceptance bar: a

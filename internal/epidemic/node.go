@@ -13,6 +13,7 @@
 package epidemic
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 
@@ -34,14 +35,12 @@ import (
 // SieveKind selects the placement family (§III-A / §III-B1).
 type SieveKind int
 
-// Sieve kinds. Range is the default: it supports exact coverage analysis
-// and walk-based repair. Uniform matches the paper's simplest proposal
-// but cannot be repaired at range granularity. Quantile adds
+// Sieve kinds, all arc sieves, so every node supports exact coverage
+// analysis and walk-based repair. Range is the default. Quantile adds
 // distribution-aware placement on QuantileAttr; Tag collocates by
 // primary tag.
 const (
 	SieveRange SieveKind = iota + 1
-	SieveUniform
 	SieveQuantile
 	SieveTag
 )
@@ -189,7 +188,7 @@ const maxReads = 1024
 // ReadState tracks an outstanding read at its origin.
 type ReadState struct {
 	Key     string
-	Tuple   *tuple.Tuple
+	Tuple   *tuple.Tuple // a stored tuple, shared: never written to
 	Replies int
 	Hit     bool
 }
@@ -211,7 +210,8 @@ type Node struct {
 	Order  *tman.Overlay
 	Aggs   map[string]*aggregate.Aggregator
 
-	baseSieve sieve.Sieve // the configured sieve (pre-repair wrapping)
+	aggOrder  []string       // Aggs' keys, sorted: the order Start and Tick run them
+	baseSieve sieve.ArcSieve // the configured sieve (pre-repair wrapping)
 
 	outbox []sim.Envelope
 
@@ -292,10 +292,7 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, cfg Config) *
 		Replication:  cfg.Replication,
 		SizeEstimate: nEst,
 	}
-	var arcSieve sieve.ArcSieve
 	switch cfg.Sieve {
-	case SieveUniform:
-		n.baseSieve = sieve.NewUniform(self, scfg)
 	case SieveQuantile:
 		histFn := func() *histogram.EquiDepth {
 			if n.Dist == nil {
@@ -303,41 +300,31 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, cfg Config) *
 			}
 			return n.Dist.Histogram()
 		}
-		q := sieve.NewQuantile(self, cfg.QuantileAttr, histFn, scfg)
-		n.baseSieve, arcSieve = q, q
+		n.baseSieve = sieve.NewQuantile(self, cfg.QuantileAttr, histFn, scfg)
 	case SieveTag:
-		tg := sieve.NewTag(self, scfg)
-		n.baseSieve, arcSieve = tg, tg
+		n.baseSieve = sieve.NewTag(self, scfg)
 	default:
-		rg := sieve.NewRange(self, scfg)
-		n.baseSieve, arcSieve = rg, rg
+		n.baseSieve = sieve.NewRange(self, scfg)
 	}
 
 	// Walker probes effective responsibility (repair-aware when present).
 	n.Walker = randomwalk.New(self, rng, sampler, func(q randomwalk.Query) (bool, bool) {
-		covers := false
+		var covers bool
 		if n.Repair != nil {
 			covers = n.Repair.Covers(q.Point)
-		} else if pc, ok := arcSieve.(sieve.PointCoverer); ok && arcSieve != nil {
-			covers = pc.CoversPoint(q.Point)
-		} else if arcSieve != nil {
-			for _, a := range arcSieve.Arcs() {
-				if a.Contains(q.Point) {
-					covers = true
-					break
-				}
-			}
+		} else {
+			covers = n.baseSieve.CoversPoint(q.Point)
 		}
 		// Stored versions are never zero, so a non-zero one means "held".
 		hasKey := q.Key != "" && !n.St.Version(q.Key).IsZero()
 		return covers, hasKey
 	})
 
-	if arcSieve != nil && !cfg.DisableRepair {
+	if !cfg.DisableRepair {
 		rcfg := cfg.Repair
 		rcfg.Replication = cfg.Replication
 		rcfg.NEst = nEst
-		n.Repair = repair.New(self, rng, arcSieve, n.St, n.Walker, sampler, rcfg)
+		n.Repair = repair.New(self, rng, n.baseSieve, n.St, n.Walker, sampler, rcfg)
 	}
 
 	// Gossip dissemination with ln(N̂)+c fanout over the size estimate.
@@ -362,6 +349,7 @@ func New(self node.ID, rng *rand.Rand, sampler membership.Sampler, cfg Config) *
 			Extremes: func() (float64, float64, bool) { return n.localExtremes(a) },
 		})
 	}
+	n.aggOrder = slices.Sorted(maps.Keys(n.Aggs))
 	return n
 }
 
@@ -527,8 +515,8 @@ func (n *Node) Lookup(key string, hints []node.ID, probes, ttl int) (uint64, []s
 		n.readOrder = kept
 	}
 	var envs []sim.Envelope
-	if t, ok := n.St.Get(key); ok {
-		// Local hit: resolve immediately.
+	if t, ok := n.St.Peek(key); ok {
+		// Local hit: resolve immediately, sharing the stored tuple.
 		st := n.reads[reqID]
 		st.Tuple, st.Hit, st.Replies = t, true, 1
 		return reqID, nil
@@ -621,7 +609,7 @@ func (n *Node) Start(now sim.Round) []sim.Envelope {
 	if n.Order != nil {
 		out = append(out, n.Order.Start(now)...)
 	}
-	for _, a := range n.sortedAggs() {
+	for _, a := range n.aggOrder {
 		out = append(out, n.Aggs[a].Start(now)...)
 	}
 	return append(out, n.drain()...)
@@ -643,7 +631,7 @@ func (n *Node) Tick(now sim.Round) []sim.Envelope {
 		n.Order.SetValue(n.orderValue()) // track sieve movement
 		out = append(out, n.Order.Tick(now)...)
 	}
-	for _, a := range n.sortedAggs() {
+	for _, a := range n.aggOrder {
 		out = append(out, n.Aggs[a].Tick(now)...)
 	}
 	return append(out, n.drain()...)
@@ -753,8 +741,12 @@ func (n *Node) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 
 // handleRead answers a probe: hit responds, miss forwards while TTL
 // remains, exhausted TTL reports a miss so origins can count completions.
+//
+// A hit replies with the stored tuple itself, not a copy: stored tuples
+// are immutable (docs/DESIGN.md §1), and the copy a client may change is
+// made where the read leaves the system.
 func (n *Node) handleRead(m ReadReq) []sim.Envelope {
-	if t, ok := n.St.Get(m.Key); ok {
+	if t, ok := n.St.Peek(m.Key); ok {
 		return []sim.Envelope{{To: m.Origin, Msg: ReadResp{ReqID: m.ReqID, Tuple: t}}}
 	}
 	if m.TTL > 0 {
@@ -764,24 +756,6 @@ func (n *Node) handleRead(m ReadReq) []sim.Envelope {
 		}
 	}
 	return []sim.Envelope{{To: m.Origin, Msg: ReadResp{ReqID: m.ReqID, Tuple: nil}}}
-}
-
-// sortedAggs returns aggregation attrs in deterministic order.
-func (n *Node) sortedAggs() []string {
-	if len(n.Aggs) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(n.Aggs))
-	for a := range n.Aggs {
-		out = append(out, a)
-	}
-	// Insertion sort: tiny slice, avoids importing sort for one call.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // NEstimate exposes the node's current system-size estimate.

@@ -247,6 +247,27 @@ func TestLocalLookupImmediate(t *testing.T) {
 	t.Fatal("no holder found")
 }
 
+// TestReadHitSharesStoredTuple: a ReadReq hit replies with the stored
+// tuple itself, which is immutable, so answering a read of a 1 KiB
+// value costs the reply envelope and its boxing, not a copy of the
+// tuple and its value.
+func TestReadHitSharesStoredTuple(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	en := New(1, rng, membership.NewUniformView(1, rng, func() []node.ID { return []node.ID{1, 2} }),
+		Config{DisableRepair: true})
+	stored := &tuple.Tuple{Key: "k", Value: make([]byte, 1024), Version: tuple.Version{Seq: 1, Writer: 1}}
+	en.St.Apply(stored)
+	var req any = ReadReq{Key: "k", ReqID: 1, Origin: 2}
+	var out []sim.Envelope
+	allocs := testing.AllocsPerRun(100, func() { out = en.Handle(0, 2, req) })
+	if len(out) != 1 || out[0].Msg.(ReadResp).Tuple != stored {
+		t.Fatalf("reply = %v, want one ReadResp carrying the stored tuple", out)
+	}
+	if allocs > 3 {
+		t.Fatalf("a ReadReq hit allocates %.0f times, want at most 3", allocs)
+	}
+}
+
 func TestSizeEstimateFeedsFanout(t *testing.T) {
 	const n = 200
 	c := newCluster(n, 19, Config{Replication: 3, FanoutC: 1, DisableRepair: true})

@@ -227,47 +227,6 @@ func CoverageFraction(arcs []Arc) float64 {
 	return f
 }
 
-// Uncovered returns the gaps in the union of arcs as non-wrapping arcs.
-// An empty result means the ring is fully covered.
-func Uncovered(arcs []Arc) []Arc {
-	spans := normalize(arcs)
-	if len(spans) == 0 {
-		return []Arc{FullArc()}
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-	merged := spans[:1]
-	for _, s := range spans[1:] {
-		last := &merged[len(merged)-1]
-		if s.lo <= last.hi || (last.hi < math.MaxUint64 && s.lo == last.hi+1) {
-			if s.hi > last.hi {
-				last.hi = s.hi
-			}
-			continue
-		}
-		merged = append(merged, s)
-	}
-	var gaps []Arc
-	// Gaps between consecutive merged spans.
-	for i := 0; i+1 < len(merged); i++ {
-		lo := merged[i].hi + 1
-		hi := merged[i+1].lo // exclusive end of the gap
-		if hi > lo {
-			gaps = append(gaps, Arc{Start: Point(lo), Width: hi - lo})
-		}
-	}
-	// Wrap-around gap from the end of the last span to the start of the
-	// first. Absent only when the union touches both ring ends.
-	first, last := merged[0], merged[len(merged)-1]
-	if first.lo != 0 || last.hi != math.MaxUint64 {
-		gapStart := Point(last.hi + 1)
-		w := uint64(Point(first.lo) - gapStart)
-		if w > 0 {
-			gaps = append(gaps, Arc{Start: gapStart, Width: w})
-		}
-	}
-	return gaps
-}
-
 // SuccessorIndex returns the index in points (which must be sorted
 // ascending) of the first point >= p, wrapping to 0 past the end. This is
 // the primitive behind consistent-hash lookup and ordered-overlay routing.

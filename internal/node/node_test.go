@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestIDString(t *testing.T) {
@@ -134,97 +133,6 @@ func TestCoverageFraction(t *testing.T) {
 				t.Fatalf("CoverageFraction = %v, want %v", got, tt.want)
 			}
 		})
-	}
-}
-
-func TestUncovered(t *testing.T) {
-	t.Run("full ring has no gaps", func(t *testing.T) {
-		if gaps := Uncovered([]Arc{FullArc()}); len(gaps) != 0 {
-			t.Fatalf("gaps = %v, want none", gaps)
-		}
-	})
-	t.Run("empty input is one full gap", func(t *testing.T) {
-		gaps := Uncovered(nil)
-		if len(gaps) != 1 || gaps[0] != FullArc() {
-			t.Fatalf("gaps = %v, want full arc", gaps)
-		}
-	})
-	t.Run("single arc leaves its complement", func(t *testing.T) {
-		gaps := Uncovered([]Arc{{Start: 1000, Width: 500}})
-		if len(gaps) != 1 {
-			t.Fatalf("gaps = %v, want one", gaps)
-		}
-		if gaps[0].Start != 1500 {
-			t.Fatalf("gap start = %d, want 1500", gaps[0].Start)
-		}
-	})
-	t.Run("adjacent arcs merge", func(t *testing.T) {
-		gaps := Uncovered([]Arc{{0, 100}, {100, 100}})
-		if len(gaps) != 1 || gaps[0].Start != 200 {
-			t.Fatalf("gaps = %v, want single gap from 200", gaps)
-		}
-	})
-	t.Run("gap between spans detected", func(t *testing.T) {
-		gaps := Uncovered([]Arc{{0, 100}, {200, 100}})
-		found := false
-		for _, g := range gaps {
-			if g.Start == 100 && g.Width == 100 {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("gaps = %v, want [100,200)", gaps)
-		}
-	})
-}
-
-// TestCoveragePlusGapsIsFull is the invariant the repair layer relies on:
-// covered fraction plus gap fraction must always equal 1.
-func TestCoveragePlusGapsIsFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(20)
-		arcs := make([]Arc, n)
-		for i := range arcs {
-			arcs[i] = Arc{Start: Point(r.Uint64()), Width: r.Uint64() >> uint(r.Intn(40))}
-		}
-		cov := CoverageFraction(arcs)
-		var gapCov float64
-		for _, g := range Uncovered(arcs) {
-			gapCov += g.Fraction()
-		}
-		return math.Abs(cov+gapCov-1) < 1e-6
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestUncoveredPointsAreUncovered cross-checks interval math against
-// membership testing on random points.
-func TestUncoveredPointsAreUncovered(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 100; iter++ {
-		n := 1 + rng.Intn(10)
-		arcs := make([]Arc, n)
-		for i := range arcs {
-			arcs[i] = Arc{Start: Point(rng.Uint64()), Width: rng.Uint64() >> 2}
-		}
-		gaps := Uncovered(arcs)
-		for _, g := range gaps {
-			if g.Width == 0 {
-				continue
-			}
-			// Probe the first point of each gap.
-			p := g.Start
-			for _, a := range arcs {
-				if a.Contains(p) {
-					t.Fatalf("gap start %d inside arc %v", p, a)
-				}
-			}
-		}
 	}
 }
 

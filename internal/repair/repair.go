@@ -304,16 +304,8 @@ func (m *Manager) Arcs() []node.Arc {
 // probes and orphan sweeps call this per tuple/point, so it checks the
 // base and adopted arcs in place rather than materialising Arcs().
 func (m *Manager) Covers(p node.Point) bool {
-	if pc, ok := m.base.(sieve.PointCoverer); ok {
-		if pc.CoversPoint(p) {
-			return true
-		}
-	} else {
-		for _, a := range m.base.Arcs() {
-			if a.Contains(p) {
-				return true
-			}
-		}
+	if m.base.CoversPoint(p) {
+		return true
 	}
 	for _, a := range m.adopted {
 		if a.Contains(p) {

@@ -18,8 +18,8 @@ import (
 // responsibility layouts.
 type stubSieve struct{ arcs []node.Arc }
 
-func (s *stubSieve) Keep(t *tuple.Tuple) bool {
-	p := t.Point()
+func (s *stubSieve) Keep(t *tuple.Tuple) bool { return s.CoversPoint(t.Point()) }
+func (s *stubSieve) CoversPoint(p node.Point) bool {
 	for _, a := range s.arcs {
 		if a.Contains(p) {
 			return true

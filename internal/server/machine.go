@@ -27,8 +27,9 @@ import (
 // answers a version-exact Get at once and starts any other op, and the
 // end of every Tick and Handle settles the ops that step completed.
 // Dispatch is by message type — the soft-bound reply types (StoreAck,
-// ReadResp, ScanResp, AggResp, RecoverResp) are disjoint from the
-// epidemic-bound ones.
+// ReadResp) are disjoint from the epidemic-bound ones. The server runs
+// no scans, aggregates or soft-state recovery, so no other reply
+// reaches it.
 //
 // Every server sequences its own clients' writes (docs/DESIGN.md §4), so
 // Handle first folds the version of every tuple the node receives into
@@ -103,8 +104,7 @@ func (m *machine) Handle(now sim.Round, from node.ID, msg any) []sim.Envelope {
 	defer m.settle()
 	m.observe(msg)
 	switch msg.(type) {
-	case epidemic.StoreAck, epidemic.ReadResp, epidemic.ScanResp,
-		epidemic.AggResp, epidemic.RecoverResp:
+	case epidemic.StoreAck, epidemic.ReadResp:
 		return m.soft.Handle(now, from, msg)
 	}
 	return m.en.Handle(now, from, msg)

@@ -62,31 +62,3 @@ func AnalyzeArcs(sieves []ArcSieve, probes int) CoverageReport {
 	rep.MeanReplicas = float64(total) / float64(probes)
 	return rep
 }
-
-// UniformCoverageProbability returns the analytic probability that a
-// given key is kept by at least one of n nodes running Uniform sieves
-// with replication r: 1 - (1 - r/n)^n ≈ 1 - e^(-r). This is the paper's
-// "with an uniform redundancy strategy atomic dissemination is not even
-// necessary" argument in closed form, used by experiment C3.
-func UniformCoverageProbability(r int, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	p := float64(r) / float64(n)
-	if p >= 1 {
-		return 1
-	}
-	return 1 - math.Pow(1-p, float64(n))
-}
-
-// ExpectedReplicasUnderPartialDissemination returns the expected number of
-// stored copies of one tuple when dissemination reaches only a fraction
-// `coverage` of n nodes, each keeping with probability r/n. The paper's
-// trade-off (§III-A): effort buys coverage, coverage times sieve
-// probability buys replicas.
-func ExpectedReplicasUnderPartialDissemination(r int, n int, coverage float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return coverage * float64(n) * (float64(r) / float64(n))
-}

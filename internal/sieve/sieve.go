@@ -57,14 +57,14 @@ type ArcSieve interface {
 	// partition is sieve-specific but consistent across nodes using the
 	// same sieve family, which is all coverage analysis needs.
 	Arcs() []node.Arc
-}
-
-// PointCoverer is implemented by arc sieves that answer point-coverage
-// queries against their cached arcs. Hot paths (walk probes, orphan
-// sweeps) prefer it over Arcs(), which copies.
-type PointCoverer interface {
+	// CoversPoint reports whether the current arcs contain p. Hot paths
+	// (walk probes, orphan sweeps) use it rather than Arcs, which copies.
 	CoversPoint(p node.Point) bool
 }
+
+// virtualArcs is the number of arcs a range-based sieve spreads its
+// share over (virtual nodes), which smooths its load.
+const virtualArcs = 4
 
 // Config carries the parameters shared by all sieve families.
 type Config struct {
@@ -76,9 +76,6 @@ type Config struct {
 	// CapacityFactor scales the sieve grain: 2.0 stores twice the
 	// uniform share, 0.5 half. Zero means 1.
 	CapacityFactor float64
-	// VirtualArcs smooths range-based sieves over several smaller arcs
-	// (virtual nodes). Zero means 4.
-	VirtualArcs int
 }
 
 func (c Config) normalized() Config {
@@ -87,9 +84,6 @@ func (c Config) normalized() Config {
 	}
 	if c.CapacityFactor <= 0 {
 		c.CapacityFactor = 1
-	}
-	if c.VirtualArcs < 1 {
-		c.VirtualArcs = 4
 	}
 	return c
 }
@@ -180,7 +174,7 @@ var _ ArcSieve = (*Range)(nil)
 // derived from the node ID (stable across reboots).
 func NewRange(self node.ID, cfg Config) *Range {
 	cfg = cfg.normalized()
-	starts := make([]node.Point, cfg.VirtualArcs)
+	starts := make([]node.Point, virtualArcs)
 	for i := range starts {
 		starts[i] = node.HashID(self + node.ID(uint64(i)<<48))
 	}
@@ -192,7 +186,7 @@ func (r *Range) arcs() []node.Arc {
 	return r.arcCache.get(r.starts, r.cfg.fraction())
 }
 
-// Arcs implements ArcSieve: VirtualArcs arcs, each carrying an equal share
+// Arcs implements ArcSieve: virtualArcs arcs, each carrying an equal share
 // of the node's total fraction. The slice is the caller's to keep.
 func (r *Range) Arcs() []node.Arc {
 	return append([]node.Arc(nil), r.arcs()...)
@@ -203,8 +197,7 @@ func (r *Range) Keep(t *tuple.Tuple) bool {
 	return r.CoversPoint(t.Point())
 }
 
-// CoversPoint reports whether the sieve's current arcs contain p,
-// without materialising a fresh arc slice.
+// CoversPoint implements ArcSieve.
 func (r *Range) CoversPoint(p node.Point) bool {
 	for _, a := range r.arcs() {
 		if a.Contains(p) {
@@ -240,7 +233,7 @@ var _ ArcSieve = (*Quantile)(nil)
 // estimator warms up, during which the fallback range sieve applies).
 func NewQuantile(self node.ID, attr string, hist func() *histogram.EquiDepth, cfg Config) *Quantile {
 	cfg = cfg.normalized()
-	starts := make([]node.Point, cfg.VirtualArcs)
+	starts := make([]node.Point, virtualArcs)
 	for i := range starts {
 		starts[i] = node.HashID(self + node.ID(uint64(i)<<48) + node.ID(uint64(node.HashKey(attr))))
 	}
@@ -273,17 +266,10 @@ func (q *Quantile) Keep(t *tuple.Tuple) bool {
 	if h == nil || !ok {
 		return q.fallback.Keep(t)
 	}
-	p := CDFPoint(h, v)
-	for _, a := range q.arcs() {
-		if a.Contains(p) {
-			return true
-		}
-	}
-	return false
+	return q.CoversPoint(CDFPoint(h, v))
 }
 
-// CoversPoint reports whether the sieve's current CDF-ring arcs contain
-// p, without materialising a fresh arc slice.
+// CoversPoint implements ArcSieve (p is a point of the CDF ring).
 func (q *Quantile) CoversPoint(p node.Point) bool {
 	for _, a := range q.arcs() {
 		if a.Contains(p) {
@@ -350,7 +336,7 @@ func (s *Tag) Keep(t *tuple.Tuple) bool {
 	return s.inner.CoversPoint(node.HashKey(tag))
 }
 
-// CoversPoint reports whether the sieve's current arcs contain p.
+// CoversPoint implements ArcSieve (p is a point of the tag-hash ring).
 func (s *Tag) CoversPoint(p node.Point) bool { return s.inner.CoversPoint(p) }
 
 // Grain implements Sieve.

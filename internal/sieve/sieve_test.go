@@ -97,10 +97,10 @@ func TestUniformCapacityFactor(t *testing.T) {
 }
 
 func TestRangeKeepMatchesArcs(t *testing.T) {
-	s := NewRange(3, Config{Replication: 4, SizeEstimate: fixedSize(50), VirtualArcs: 4})
+	s := NewRange(3, Config{Replication: 4, SizeEstimate: fixedSize(50)})
 	arcs := s.Arcs()
-	if len(arcs) != 4 {
-		t.Fatalf("arcs = %d, want 4", len(arcs))
+	if len(arcs) != virtualArcs {
+		t.Fatalf("arcs = %d, want %d", len(arcs), virtualArcs)
 	}
 	for i := 0; i < 5000; i++ {
 		tt := tup(fmt.Sprintf("key-%d", i))
@@ -187,7 +187,7 @@ func TestQuantileCollocatesNearbyValues(t *testing.T) {
 	}
 	h := histogram.BuildEquiDepth(samples, 40)
 	s := NewQuantile(4, "x", func() *histogram.EquiDepth { return h },
-		Config{Replication: 5, SizeEstimate: fixedSize(20), VirtualArcs: 1})
+		Config{Replication: 5, SizeEstimate: fixedSize(20)})
 	// Find a kept value, then check its close neighbours are kept too.
 	var base float64
 	found := false
@@ -293,32 +293,6 @@ func TestCoverageDetectsGap(t *testing.T) {
 	}
 }
 
-func TestUniformCoverageProbability(t *testing.T) {
-	// 1-(1-r/n)^n ≈ 1-e^-r.
-	got := UniformCoverageProbability(3, 10000)
-	want := 1 - math.Exp(-3)
-	if math.Abs(got-want) > 0.001 {
-		t.Fatalf("p = %v, want ≈%v", got, want)
-	}
-	if UniformCoverageProbability(5, 0) != 0 {
-		t.Fatal("n=0 should yield 0")
-	}
-	if UniformCoverageProbability(10, 5) != 1 {
-		t.Fatal("r>n should yield 1")
-	}
-}
-
-func TestExpectedReplicas(t *testing.T) {
-	// Full dissemination: coverage 1 → r replicas expected.
-	if got := ExpectedReplicasUnderPartialDissemination(5, 1000, 1); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("full coverage replicas = %v", got)
-	}
-	// 60% coverage → 0.6*r.
-	if got := ExpectedReplicasUnderPartialDissemination(5, 1000, 0.6); math.Abs(got-3) > 1e-9 {
-		t.Fatalf("partial coverage replicas = %v", got)
-	}
-}
-
 func TestQuantileValueBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	samples := make([]float64, 5000)
@@ -327,10 +301,10 @@ func TestQuantileValueBounds(t *testing.T) {
 	}
 	h := histogram.BuildEquiDepth(samples, 30)
 	s := NewQuantile(2, "x", func() *histogram.EquiDepth { return h },
-		Config{Replication: 2, SizeEstimate: fixedSize(20), VirtualArcs: 2})
+		Config{Replication: 2, SizeEstimate: fixedSize(20)})
 	bounds := s.ValueBounds()
-	if len(bounds) != 2 {
-		t.Fatalf("bounds = %v", bounds)
+	if len(bounds) != virtualArcs {
+		t.Fatalf("bounds = %v, want %d intervals", bounds, virtualArcs)
 	}
 	for _, b := range bounds {
 		if b[0] > b[1] && !(b[1] < b[0] && b[0] > h.Quantile(0.9)) {

@@ -5,15 +5,12 @@ import (
 	"errors"
 	"fmt"
 
-	"datadroplets/internal/aggregate"
 	"datadroplets/internal/epidemic"
 	"datadroplets/internal/gossip"
-	"datadroplets/internal/histogram"
 	"datadroplets/internal/node"
 	"datadroplets/internal/randomwalk"
 	"datadroplets/internal/repair"
 	"datadroplets/internal/sizeest"
-	"datadroplets/internal/tman"
 	"datadroplets/internal/tuple"
 	"datadroplets/internal/wire"
 )
@@ -30,7 +27,7 @@ import (
 // Rules, normative in docs/PROTOCOL.md §Inter-node framing:
 //
 //   - Tags are append-only. A tag, once assigned, never changes meaning
-//     and is never reused; retired tags (0, 4, 26, 32) stay reserved.
+//     and is never reused; retired tags stay reserved.
 //   - A decoder that meets a tag it does not know — unassigned or
 //     retired — skips that frame (the length prefix alone delimits it)
 //     and keeps the connection: new message types degrade to message
@@ -40,15 +37,22 @@ import (
 //   - An empty list decodes as nil; the version map alone keeps nil and
 //     empty distinct (see appendVersionMap).
 //
-// The message set is the set the protocol machines send. A message or
-// rumor payload outside it has no encoding: appendMessage reports
-// false and the peer writer logs and drops it.
+// The message set is the set a live node sends: the persistent layer's
+// dissemination, size estimation, random walks and range repair, plus
+// the read probes, replies and storage acks of the soft layer above it.
+// Scans, aggregates, soft-state recovery, distribution sketches and the
+// ordered overlay run in the simulator only, and their messages have no
+// encoding. A message or rumor payload outside the set has no encoding:
+// appendMessage reports false and the peer writer logs and drops it.
 
 // Message tags. Append-only: add new tags at the end, never renumber.
-// Tag 0 (the gob frame of the first DDN1 builds), tag 4 (a top-level
-// epidemic.WritePayload), tag 26 (the clean/dirty verdict a segmented
-// range sync once returned) and tag 32 (a bare *tuple.Tuple) are
-// retired.
+// Retired, and reserved: tag 0 (the gob frame of the first DDN1
+// builds), tag 4 (a top-level epidemic.WritePayload), tag 26 (the
+// clean/dirty verdict a segmented range sync once returned), tag 32 (a
+// bare *tuple.Tuple), and the messages no live node sends — tags 8–13
+// (ScanReq, ScanResp, AggReq, AggResp, RecoverReq, RecoverResp), 16–17
+// (SketchPush, SketchReply), 29 (tman.Exchange), 30 (aggregate.Mass)
+// and 31 (WriteCmd, which the server only ever addresses to itself).
 const (
 	tagRumorMsg       byte = 1
 	tagDigestReq      byte = 2
@@ -56,16 +60,8 @@ const (
 	tagStoreAck       byte = 5
 	tagReadReq        byte = 6
 	tagReadResp       byte = 7
-	tagScanReq        byte = 8
-	tagScanResp       byte = 9
-	tagAggReq         byte = 10
-	tagAggResp        byte = 11
-	tagRecoverReq     byte = 12
-	tagRecoverResp    byte = 13
 	tagVectorPush     byte = 14
 	tagVectorReply    byte = 15
-	tagSketchPush     byte = 16
-	tagSketchReply    byte = 17
 	tagWalkMsg        byte = 18
 	tagWalkResult     byte = 19
 	tagSyncReq        byte = 20
@@ -76,9 +72,6 @@ const (
 	tagSegSyncReq     byte = 25
 	tagSupersedeQuery byte = 27
 	tagSupersedeResp  byte = 28
-	tagTManExchange   byte = 29
-	tagAggMass        byte = 30
-	tagWriteCmd       byte = 31
 
 	// tagLimit is the first unassigned tag.
 	tagLimit byte = 33
@@ -96,14 +89,12 @@ const (
 // reader uses them to refuse counts the rest of the frame cannot hold.
 const (
 	minVarint     = 1
-	minString     = 1  // length prefix
-	minTuplePtr   = 1  // presence byte
-	minArc        = 2  // start, width
-	minKeyVersion = 3  // key length, seq, writer
-	minRumor      = 3  // id, hops, payload sub-tag
-	minFloat      = 8  // fixed-width bits
-	minKMVEntry   = 9  // hash, value bits
-	minDescriptor = 10 // id, value bits, age
+	minString     = 1 // length prefix
+	minTuplePtr   = 1 // presence byte
+	minArc        = 2 // start, width
+	minKeyVersion = 3 // key length, seq, writer
+	minRumor      = 3 // id, hops, payload sub-tag
+	minFloat      = 8 // fixed-width bits
 )
 
 // errUnknownTag marks a frame whose tag this build does not know. The
@@ -145,43 +136,6 @@ func appendMessage(dst []byte, msg any) ([]byte, bool) {
 		dst = append(dst, tagReadResp)
 		dst = binary.AppendUvarint(dst, m.ReqID)
 		dst = appendTuplePtr(dst, m.Tuple)
-	case epidemic.ScanReq:
-		dst = append(dst, tagScanReq)
-		dst = wire.AppendString(dst, m.Attr)
-		dst = wire.AppendF64(dst, m.Lo)
-		dst = wire.AppendF64(dst, m.Hi)
-		dst = binary.AppendUvarint(dst, m.ReqID)
-		dst = binary.AppendUvarint(dst, uint64(m.Origin))
-		dst = wire.AppendVarint(dst, int64(m.HopsLeft))
-		dst = appendBool(dst, m.Seeking)
-	case epidemic.ScanResp:
-		dst = append(dst, tagScanResp)
-		dst = binary.AppendUvarint(dst, m.ReqID)
-		dst = appendSlice(dst, m.Tuples, appendTuplePtr)
-		dst = appendBool(dst, m.Done)
-	case epidemic.AggReq:
-		dst = append(dst, tagAggReq)
-		dst = wire.AppendString(dst, m.Attr)
-		dst = binary.AppendUvarint(dst, m.ReqID)
-	case epidemic.AggResp:
-		dst = append(dst, tagAggResp)
-		dst = binary.AppendUvarint(dst, m.ReqID)
-		dst = wire.AppendString(dst, m.Attr)
-		dst = appendBool(dst, m.Known)
-		dst = wire.AppendF64(dst, m.Avg)
-		dst = wire.AppendF64(dst, m.Min)
-		dst = wire.AppendF64(dst, m.Max)
-		dst = wire.AppendF64(dst, m.Sum)
-		dst = wire.AppendF64(dst, m.Count)
-		dst = wire.AppendF64(dst, m.NEstimate)
-	case epidemic.RecoverReq:
-		dst = append(dst, tagRecoverReq)
-		dst = binary.AppendUvarint(dst, m.ReqID)
-		dst = wire.AppendVarint(dst, int64(m.Limit))
-	case epidemic.RecoverResp:
-		dst = append(dst, tagRecoverResp)
-		dst = binary.AppendUvarint(dst, m.ReqID)
-		dst = appendVersionMap(dst, m.Versions)
 	case sizeest.VectorPush:
 		dst = append(dst, tagVectorPush)
 		dst = binary.AppendUvarint(dst, m.Epoch)
@@ -190,12 +144,6 @@ func appendMessage(dst []byte, msg any) ([]byte, bool) {
 		dst = append(dst, tagVectorReply)
 		dst = binary.AppendUvarint(dst, m.Epoch)
 		dst = appendSlice(dst, m.Mins, wire.AppendF64)
-	case histogram.SketchPush:
-		dst = append(dst, tagSketchPush)
-		dst = appendSketch(dst, m.Epoch, m.K, m.Entries)
-	case histogram.SketchReply:
-		dst = append(dst, tagSketchReply)
-		dst = appendSketch(dst, m.Epoch, m.K, m.Entries)
 	case *randomwalk.WalkMsg:
 		dst = append(dst, tagWalkMsg)
 		dst = binary.AppendUvarint(dst, m.SetID)
@@ -240,24 +188,6 @@ func appendMessage(dst []byte, msg any) ([]byte, bool) {
 		dst = appendSlice(dst, m.Held, appendKeyVersion)
 		dst = appendSlice(dst, m.Want, wire.AppendString)
 		dst = appendSlice(dst, m.Newer, appendTuplePtr)
-	case tman.Exchange:
-		dst = append(dst, tagTManExchange)
-		dst = wire.AppendString(dst, m.Attr)
-		dst = appendSlice(dst, m.Entries, appendDescriptor)
-		dst = appendBool(dst, m.Reply)
-	case aggregate.Mass:
-		dst = append(dst, tagAggMass)
-		dst = wire.AppendString(dst, m.Attr)
-		dst = binary.AppendUvarint(dst, m.Epoch)
-		dst = wire.AppendF64(dst, m.Sum)
-		dst = wire.AppendF64(dst, m.Weight)
-		dst = wire.AppendF64(dst, m.Min)
-		dst = wire.AppendF64(dst, m.Max)
-		dst = appendBool(dst, m.HasExt)
-	case epidemic.WriteCmd:
-		dst = append(dst, tagWriteCmd)
-		dst = appendTuplePtr(dst, m.Tuple)
-		dst = binary.AppendUvarint(dst, uint64(m.ReplyTo))
 	default:
 		return dst, false
 	}
@@ -295,28 +225,6 @@ func appendKeyVersion(dst []byte, kv repair.KeyVersion) []byte {
 	return appendVersion(dst, kv.Version)
 }
 
-func appendKMVEntry(dst []byte, e histogram.KMVEntry) []byte {
-	dst = binary.AppendUvarint(dst, e.Hash)
-	return wire.AppendF64(dst, e.Value)
-}
-
-func appendDescriptor(dst []byte, d tman.Descriptor) []byte {
-	dst = binary.AppendUvarint(dst, uint64(d.ID))
-	dst = wire.AppendF64(dst, d.Value)
-	return wire.AppendVarint(dst, int64(d.Age))
-}
-
-func appendSketch(dst []byte, epoch uint64, k int, entries []histogram.KMVEntry) []byte {
-	dst = binary.AppendUvarint(dst, epoch)
-	dst = wire.AppendVarint(dst, int64(k))
-	return appendSlice(dst, entries, appendKMVEntry)
-}
-
-// appendVersionMap writes map entries in whatever order the map yields
-// them — iteration order is irrelevant to the receiver (it rebuilds a
-// map) and sorting would cost allocations on a hot repair path. The
-// count is biased by one, 0 meaning nil, so an empty map arrives empty
-// rather than nil — the one place the format tells the two apart.
 func appendVersionMap(dst []byte, m map[string]tuple.Version) []byte {
 	if m == nil {
 		return binary.AppendUvarint(dst, 0)
@@ -396,28 +304,10 @@ func message(c *wire.Cursor, tag byte) any {
 		return epidemic.ReadReq{Key: c.Str(), ReqID: c.Uvarint(), Origin: id(c), TTL: c.Int()}
 	case tagReadResp:
 		return epidemic.ReadResp{ReqID: c.Uvarint(), Tuple: tuplePtr(c)}
-	case tagScanReq:
-		return epidemic.ScanReq{Attr: c.Str(), Lo: c.F64(), Hi: c.F64(), ReqID: c.Uvarint(),
-			Origin: id(c), HopsLeft: c.Int(), Seeking: c.Bool()}
-	case tagScanResp:
-		return epidemic.ScanResp{ReqID: c.Uvarint(), Tuples: list(c, minTuplePtr, tuplePtr), Done: c.Bool()}
-	case tagAggReq:
-		return epidemic.AggReq{Attr: c.Str(), ReqID: c.Uvarint()}
-	case tagAggResp:
-		return epidemic.AggResp{ReqID: c.Uvarint(), Attr: c.Str(), Known: c.Bool(), Avg: c.F64(),
-			Min: c.F64(), Max: c.F64(), Sum: c.F64(), Count: c.F64(), NEstimate: c.F64()}
-	case tagRecoverReq:
-		return epidemic.RecoverReq{ReqID: c.Uvarint(), Limit: c.Int()}
-	case tagRecoverResp:
-		return epidemic.RecoverResp{ReqID: c.Uvarint(), Versions: versionMap(c)}
 	case tagVectorPush:
 		return sizeest.VectorPush{Epoch: c.Uvarint(), Mins: list(c, minFloat, (*wire.Cursor).F64)}
 	case tagVectorReply:
 		return sizeest.VectorReply{Epoch: c.Uvarint(), Mins: list(c, minFloat, (*wire.Cursor).F64)}
-	case tagSketchPush:
-		return histogram.SketchPush{Epoch: c.Uvarint(), K: c.Int(), Entries: list(c, minKMVEntry, kmvEntry)}
-	case tagSketchReply:
-		return histogram.SketchReply{Epoch: c.Uvarint(), K: c.Int(), Entries: list(c, minKMVEntry, kmvEntry)}
 	case tagWalkMsg:
 		return &randomwalk.WalkMsg{SetID: c.Uvarint(), Origin: id(c), TTL: c.Int(),
 			Query: randomwalk.Query{Point: node.Point(c.Uvarint()), Key: c.Str()}}
@@ -441,13 +331,6 @@ func message(c *wire.Cursor, tag byte) any {
 	case tagSupersedeResp:
 		return repair.SupersedeResp{Held: list(c, minKeyVersion, keyVersion),
 			Want: list(c, minString, (*wire.Cursor).Str), Newer: list(c, minTuplePtr, tuplePtr)}
-	case tagTManExchange:
-		return tman.Exchange{Attr: c.Str(), Entries: list(c, minDescriptor, descriptor), Reply: c.Bool()}
-	case tagAggMass:
-		return aggregate.Mass{Attr: c.Str(), Epoch: c.Uvarint(), Sum: c.F64(), Weight: c.F64(),
-			Min: c.F64(), Max: c.F64(), HasExt: c.Bool()}
-	case tagWriteCmd:
-		return epidemic.WriteCmd{Tuple: tuplePtr(c), ReplyTo: id(c)}
 	default:
 		c.Fail(errUnknownTag)
 		return nil
@@ -482,14 +365,6 @@ func arc(c *wire.Cursor) node.Arc {
 
 func keyVersion(c *wire.Cursor) repair.KeyVersion {
 	return repair.KeyVersion{Key: c.Str(), Version: version(c)}
-}
-
-func kmvEntry(c *wire.Cursor) histogram.KMVEntry {
-	return histogram.KMVEntry{Hash: c.Uvarint(), Value: c.F64()}
-}
-
-func descriptor(c *wire.Cursor) tman.Descriptor {
-	return tman.Descriptor{ID: id(c), Value: c.F64(), Age: c.Int()}
 }
 
 // versionMap is the one count-sized allocation outside list: the count

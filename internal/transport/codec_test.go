@@ -11,15 +11,12 @@ import (
 	"strings"
 	"testing"
 
-	"datadroplets/internal/aggregate"
 	"datadroplets/internal/epidemic"
 	"datadroplets/internal/gossip"
-	"datadroplets/internal/histogram"
 	"datadroplets/internal/node"
 	"datadroplets/internal/randomwalk"
 	"datadroplets/internal/repair"
 	"datadroplets/internal/sizeest"
-	"datadroplets/internal/tman"
 	"datadroplets/internal/tuple"
 	"datadroplets/internal/wire"
 )
@@ -55,7 +52,7 @@ func codecCases() []codecCase {
 	t1, t2 := sampleTuple(), sampleTuple()
 	t2.Key, t2.Value, t2.Deleted = "other", nil, true
 	write := epidemic.WritePayload{Tuple: t1, Origin: 1, Entry: 2}
-	twoVersions := epidemic.RecoverResp{ReqID: 1, Versions: map[string]tuple.Version{"a": {Seq: 1, Writer: 2}, "b": {Seq: 9, Writer: 1}}}
+	twoVersions := repair.SyncVersions{Arc: node.Arc{Start: 1, Width: 2}, Versions: map[string]tuple.Version{"a": {Seq: 1, Writer: 2}, "b": {Seq: 9, Writer: 1}}}
 	return []codecCase{
 		same("rumor-write", gossip.RumorMsg{Rumor: gossip.Rumor{ID: 9, Hops: 2, Payload: write}}),
 		same("rumor-no-payload", gossip.RumorMsg{Rumor: gossip.Rumor{ID: 11}}),
@@ -69,26 +66,16 @@ func codecCases() []codecCase {
 		same("read-req", epidemic.ReadReq{Key: "k", ReqID: 77, Origin: 3, TTL: 4}),
 		same("read-resp", epidemic.ReadResp{ReqID: 77, Tuple: t2}),
 		same("read-resp-miss", epidemic.ReadResp{ReqID: 78}),
-		same("scan-req", epidemic.ScanReq{Attr: "age", Lo: -10.25, Hi: 99, ReqID: 5, Origin: 2, HopsLeft: 7, Seeking: true}),
-		same("scan-resp", epidemic.ScanResp{ReqID: 5, Tuples: []*tuple.Tuple{t1, t2}, Done: true}),
-		same("scan-resp-nil", epidemic.ScanResp{ReqID: 6}),
-		same("agg-req", epidemic.AggReq{Attr: "age", ReqID: 12}),
-		same("agg-resp", epidemic.AggResp{ReqID: 12, Attr: "age", Known: true, Avg: 1.5, Min: -2, Max: 7, Sum: 100, Count: 3, NEstimate: 1000}),
-		same("recover-req", epidemic.RecoverReq{ReqID: 1, Limit: 64}),
-		{name: "recover-resp", msg: twoVersions, want: twoVersions, mapOrder: true},
-		same("recover-resp-nil-map", epidemic.RecoverResp{ReqID: 2}),
-		same("recover-resp-empty-map", epidemic.RecoverResp{ReqID: 3, Versions: map[string]tuple.Version{}}), // stays empty, not nil
 		same("vector-push", sizeest.VectorPush{Epoch: 3, Mins: []float64{0.25, 0.5}}),
 		same("vector-push-nil", sizeest.VectorPush{Epoch: 4}),
 		same("vector-reply", sizeest.VectorReply{Epoch: 3, Mins: []float64{0.125}}),
-		same("sketch-push", histogram.SketchPush{Epoch: 2, K: 32, Entries: []histogram.KMVEntry{{Hash: 5, Value: 1.5}, {Hash: 9, Value: -3}}}),
-		same("sketch-push-nil", histogram.SketchPush{Epoch: 2, K: 32}),
-		same("sketch-reply", histogram.SketchReply{Epoch: 2, K: 16, Entries: []histogram.KMVEntry{{Hash: 1, Value: 2}}}),
 		same("walk-msg", &randomwalk.WalkMsg{SetID: 8, Origin: 1, TTL: 6, Query: randomwalk.Query{Point: 1 << 50, Key: "k"}}),
 		same("walk-result", randomwalk.WalkResult{SetID: 8, Sample: randomwalk.Sample{Node: 4, Covers: true, HasKey: true}}),
 		same("sync-req", repair.SyncReq{Arc: node.Arc{Start: 100, Width: 1 << 40}, Digest: 0xdeadbeef}),
 		same("sync-versions", repair.SyncVersions{Arc: node.Arc{Start: 1, Width: 2}, Versions: map[string]tuple.Version{"x": {Seq: 3, Writer: 1}}, Coverage: []node.Arc{{Start: 0, Width: 10}, {Start: 50, Width: 5}}}),
+		{name: "sync-versions-two-keys", msg: twoVersions, want: twoVersions, mapOrder: true},
 		same("sync-versions-covers-nothing", repair.SyncVersions{Arc: node.Arc{Start: 1, Width: 2}}),
+		same("sync-versions-empty-map", repair.SyncVersions{Arc: node.Arc{Start: 1, Width: 2}, Versions: map[string]tuple.Version{}}), // stays empty, not nil
 		same("sync-pull", repair.SyncPull{Keys: []string{"a", "b"}}),
 		same("sync-pull-nil", repair.SyncPull{}),
 		same("sync-push", repair.SyncPush{Tuples: []*tuple.Tuple{t1}}),
@@ -98,10 +85,6 @@ func codecCases() []codecCase {
 		same("supersede-query-nil", repair.SupersedeQuery{}),
 		same("supersede-resp", repair.SupersedeResp{Held: []repair.KeyVersion{{Key: "h", Version: tuple.Version{Seq: 1}}}, Want: []string{"w"}, Newer: []*tuple.Tuple{t2}}),
 		same("supersede-resp-nil", repair.SupersedeResp{}),
-		same("tman-exchange", tman.Exchange{Attr: "age", Entries: []tman.Descriptor{{ID: 1, Value: 2.5, Age: 3}, {ID: 2, Value: -1, Age: 0}}, Reply: true}),
-		same("tman-exchange-nil", tman.Exchange{Attr: "age"}),
-		same("agg-mass", aggregate.Mass{Attr: "age", Epoch: 5, Sum: 10, Weight: 0.5, Min: -1, Max: 99, HasExt: true}),
-		same("write-cmd", epidemic.WriteCmd{Tuple: t1, ReplyTo: 6}),
 	}
 }
 
@@ -138,16 +121,22 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // readGolden parses testdata/ddn1_golden.txt: "<case name> <hex>" per
-// line, '#' comments.
-func readGolden(t *testing.T) map[string][]byte {
+// line, '#' comments. Lines after the "[retired]" marker are the bytes
+// of encodings since deleted; they come back in retired.
+func readGolden(t testing.TB) (live, retired map[string][]byte) {
 	t.Helper()
 	raw, err := os.ReadFile("testdata/ddn1_golden.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := map[string][]byte{}
+	live, retired = map[string][]byte{}, map[string][]byte{}
+	section := live
 	for _, line := range strings.Split(string(raw), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if line == "[retired]" {
+			section = retired
 			continue
 		}
 		name, hexBody, ok := strings.Cut(line, " ")
@@ -158,9 +147,9 @@ func readGolden(t *testing.T) map[string][]byte {
 		if err != nil {
 			t.Fatalf("golden line %q: %v", name, err)
 		}
-		golden[name] = body
+		section[name] = body
 	}
-	return golden
+	return live, retired
 }
 
 // TestCodecGoldenBytes pins the wire format itself. The golden file was
@@ -170,7 +159,7 @@ func readGolden(t *testing.T) map[string][]byte {
 // decoder still accepts them. A new message appends a line (the failure
 // prints it); an existing line never changes.
 func TestCodecGoldenBytes(t *testing.T) {
-	golden := readGolden(t)
+	golden, _ := readGolden(t)
 	for _, tc := range codecCases() {
 		if tc.mapOrder {
 			continue
@@ -198,11 +187,33 @@ func TestCodecGoldenBytes(t *testing.T) {
 }
 
 // TestCodecRetiredTags: the numbers of deleted encodings stay reserved
-// and decode like any tag this build does not know.
+// and decode like any tag this build does not know. The golden file's
+// retired section keeps the last bytes each deleted message was sent
+// as, so those exact frames are pinned as skipped, not misread.
 func TestCodecRetiredTags(t *testing.T) {
 	for _, tag := range []byte{0, 4, 26, 32} {
 		if _, err := decodeMessage([]byte{tag, 1, 2, 3}); err != errUnknownTag {
 			t.Errorf("retired tag %d: err = %v, want errUnknownTag", tag, err)
+		}
+	}
+	_, retired := readGolden(t)
+	tags := map[byte]bool{}
+	for name, body := range retired {
+		tags[body[0]] = true
+		if _, err := decodeMessage(body); err != errUnknownTag {
+			t.Errorf("retired golden line %s (tag %d): err = %v, want errUnknownTag", name, body[0], err)
+		}
+	}
+	for _, tag := range []byte{8, 9, 10, 11, 12, 13, 16, 17, 29, 30, 31} {
+		if !tags[tag] {
+			t.Errorf("retired tag %d has no golden line", tag)
+		}
+	}
+	for name, prefix := range retiredCountPrefixes() {
+		for _, count := range hostileCounts {
+			if _, err := decodeMessage(withCount(prefix, count, 0)); err != errUnknownTag {
+				t.Errorf("retired %s with count %#x: err = %v, want errUnknownTag", name, count, err)
+			}
 		}
 	}
 	// The retired rumor payload sub-tag is inside a known tag, so it is
@@ -220,12 +231,8 @@ func countPrefixes() map[string][]byte {
 	return map[string][]byte{
 		"DigestReq.IDs":         {tagDigestReq},
 		"DigestResp.Rumors":     {tagDigestResp},
-		"ScanResp.Tuples":       {tagScanResp, 0},
-		"RecoverResp.Versions":  {tagRecoverResp, 0},
 		"VectorPush.Mins":       {tagVectorPush, 0},
 		"VectorReply.Mins":      {tagVectorReply, 0},
-		"SketchPush.Entries":    {tagSketchPush, 0, 0},
-		"SketchReply.Entries":   {tagSketchReply, 0, 0},
 		"SyncVersions.Versions": {tagSyncVersions, 0, 0},
 		"SyncVersions.Coverage": {tagSyncVersions, 0, 0, 0},
 		"SyncPull.Keys":         {tagSyncPull},
@@ -236,11 +243,25 @@ func countPrefixes() map[string][]byte {
 		"SupersedeResp.Held":    {tagSupersedeResp},
 		"SupersedeResp.Want":    {tagSupersedeResp, 0},
 		"SupersedeResp.Newer":   {tagSupersedeResp, 0, 0},
-		"TManExchange.Entries":  {tagTManExchange, 0},
-		"string length":         {tagAggReq},
+		"string length":         {tagStoreAck},
 		"tuple value length":    append(tupleHead[:len(tupleHead):len(tupleHead)], 2), // flags: has value
 		"tuple attr count":      append(tupleHead[:len(tupleHead):len(tupleHead)], 0),
 		"tuple tag count":       append(tupleHead[:len(tupleHead):len(tupleHead)], 0, 0),
+	}
+}
+
+// retiredCountPrefixes are countPrefixes under retired tags: the list
+// and string counts of the messages no live node sends, as a peer
+// running an older build could still frame them. Their tag alone makes
+// them unknown, whatever count follows.
+func retiredCountPrefixes() map[string][]byte {
+	return map[string][]byte{
+		"ScanResp.Tuples":      {9, 0},
+		"AggReq string length": {10},
+		"RecoverResp.Versions": {13, 0},
+		"SketchPush.Entries":   {16, 0, 0},
+		"SketchReply.Entries":  {17, 0, 0},
+		"TManExchange.Entries": {29, 0},
 	}
 }
 
@@ -266,8 +287,8 @@ func TestDecodeHostileCounts(t *testing.T) {
 		prefix  []byte
 		minElem int
 	}{
-		"SyncPull.Keys":        {[]byte{tagSyncPull}, minString},
-		"RecoverResp.Versions": {[]byte{tagRecoverResp, 0}, minKeyVersion},
+		"SyncPull.Keys":         {[]byte{tagSyncPull}, minString},
+		"SyncVersions.Versions": {[]byte{tagSyncVersions, 0, 0}, minKeyVersion},
 	} {
 		body := make([]byte, wire.MaxNodeFrame)
 		n := copy(body, f.prefix)
@@ -339,11 +360,17 @@ func FuzzDecodeMessage(f *testing.F) {
 	for _, tc := range codecCases() {
 		f.Add(encode(f, tc))
 	}
-	for _, prefix := range countPrefixes() {
-		for _, count := range hostileCounts {
-			f.Add(withCount(prefix, count, 0))
-			f.Add(withCount(prefix, count, 64))
+	for _, prefixes := range []map[string][]byte{countPrefixes(), retiredCountPrefixes()} {
+		for _, prefix := range prefixes {
+			for _, count := range hostileCounts {
+				f.Add(withCount(prefix, count, 0))
+				f.Add(withCount(prefix, count, 64))
+			}
 		}
+	}
+	_, retired := readGolden(f)
+	for _, body := range retired {
+		f.Add(body)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0xff, 0x00})     // retired tag 0

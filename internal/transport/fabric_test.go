@@ -246,7 +246,7 @@ func TestUnencodableMessageIsDroppedAndCounted(t *testing.T) {
 	if err := hosts[0].Do(func(sim.Machine, sim.Round) []sim.Envelope {
 		return []sim.Envelope{
 			{To: 2, Msg: "plain string message"},
-			{To: 2, Msg: epidemic.AggReq{Attr: "real"}},
+			{To: 2, Msg: epidemic.StoreAck{Key: "real"}},
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -261,8 +261,8 @@ func TestUnencodableMessageIsDroppedAndCounted(t *testing.T) {
 	machines[2].mu.Lock()
 	got := machines[2].received[0]
 	machines[2].mu.Unlock()
-	if got != "n0001:{real 0}" {
-		t.Fatalf("received %q, want the AggReq", got)
+	if got != "n0001:{real 0@n0000}" {
+		t.Fatalf("received %q, want the StoreAck", got)
 	}
 	if d, s := hosts[0].Dropped.Value(), hosts[0].Sent.Value(); d != 1 || s != 1 {
 		t.Fatalf("Dropped = %d, Sent = %d; want 1 and 1", d, s)
@@ -301,7 +301,7 @@ func TestHostileCountDropsConnectionNotProcess(t *testing.T) {
 		t.Fatalf("read after the hostile frame: %v, want EOF (connection dropped)", err)
 	}
 	if err := hosts[0].Do(func(sim.Machine, sim.Round) []sim.Envelope {
-		return []sim.Envelope{{To: 2, Msg: epidemic.AggReq{Attr: "still here"}}}
+		return []sim.Envelope{{To: 2, Msg: epidemic.StoreAck{Key: "still here"}}}
 	}); err != nil {
 		t.Fatal(err)
 	}

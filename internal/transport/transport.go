@@ -13,7 +13,10 @@
 //     a dedicated writer goroutine per peer owns dialing, encoding
 //     (the DDN1 binary codec in codec.go, the fabric's only wire format)
 //     and flushing through a bufio writer — flushed on queue drain, not
-//     per envelope, so one syscall carries a burst.
+//     per envelope, so one syscall carries a burst. The codec's message
+//     set is the one a live node sends; a message outside it (a
+//     simulator-only scan, aggregate or overlay exchange) is dropped and
+//     counted, never shipped.
 //   - Self-addressed envelopes go to a driver-owned slice, never the
 //     mailbox: self-delivery is loss-free and allocation-cheap, exactly
 //     like the simulator, and it is the per-client-op fast path (write

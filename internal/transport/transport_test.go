@@ -135,7 +135,7 @@ func TestPointToPointDelivery(t *testing.T) {
 		return m
 	})
 	err := hosts[0].Do(func(m sim.Machine, now sim.Round) []sim.Envelope {
-		return []sim.Envelope{{To: 2, Msg: epidemic.AggReq{Attr: "hello"}}}
+		return []sim.Envelope{{To: 2, Msg: epidemic.StoreAck{Key: "hello"}}}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestPointToPointDelivery(t *testing.T) {
 	machines[2].mu.Lock()
 	got := machines[2].received[0]
 	machines[2].mu.Unlock()
-	if got != "n0001:{hello 0}" {
+	if got != "n0001:{hello 0@n0000}" {
 		t.Fatalf("received %q", got)
 	}
 }
@@ -185,7 +185,7 @@ func TestSendToDeadPeerDropsNotBlocks(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		_ = hosts[0].Do(func(m sim.Machine, now sim.Round) []sim.Envelope {
-			return []sim.Envelope{{To: 2, Msg: epidemic.AggReq{Attr: "into the void"}}}
+			return []sim.Envelope{{To: 2, Msg: epidemic.StoreAck{Key: "into the void"}}}
 		})
 		close(done)
 	}()

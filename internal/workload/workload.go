@@ -9,7 +9,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"datadroplets/internal/sim"
@@ -37,22 +36,6 @@ func ZipfKeys(n int, s float64, rng *rand.Rand) func() string {
 // NormalValues draws attribute values from N(mean, std²).
 func NormalValues(mean, std float64, rng *rand.Rand) func() float64 {
 	return func() float64 { return mean + std*rng.NormFloat64() }
-}
-
-// UniformValues draws attribute values from [lo, hi).
-func UniformValues(lo, hi float64, rng *rand.Rand) func() float64 {
-	return func() float64 { return lo + rng.Float64()*(hi-lo) }
-}
-
-// ParetoValues draws heavy-tailed values (xm minimum, alpha shape).
-func ParetoValues(xm, alpha float64, rng *rand.Rand) func() float64 {
-	return func() float64 {
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		return xm / math.Pow(u, 1/alpha)
-	}
 }
 
 // Dataset is a generated tuple population.
@@ -137,15 +120,4 @@ func ChurnConfig(p ChurnPreset) sim.ChurnConfig {
 	default:
 		return sim.ChurnConfig{}
 	}
-}
-
-// Mix describes a read/write operation mix (YCSB-style).
-type Mix struct {
-	ReadFraction float64
-	Keys         func() string
-}
-
-// NextOp returns true for a read, false for a write.
-func (m Mix) NextOp(rng *rand.Rand) bool {
-	return rng.Float64() < m.ReadFraction
 }

@@ -58,20 +58,10 @@ func TestNormalValues(t *testing.T) {
 	}
 }
 
-func TestParetoValuesBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	next := ParetoValues(1, 2, rng)
-	for i := 0; i < 1000; i++ {
-		if v := next(); v < 1 {
-			t.Fatalf("pareto value %v below xm", v)
-		}
-	}
-}
-
 func TestGenerateDataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := Generate(Options{
-		N: 500, Attr: "price", Values: UniformValues(0, 10, rng),
+		N: 500, Attr: "price", Values: NormalValues(5, 1, rng),
 		Groups: 10, ValueBytes: 8,
 	}, rng)
 	if len(d.Tuples) != 500 {
@@ -111,19 +101,5 @@ func TestChurnPresetsOrdered(t *testing.T) {
 		if cc.TransientPerRound < 10*cc.PermanentPerRound {
 			t.Fatalf("%s: transients should dominate permanents", c)
 		}
-	}
-}
-
-func TestMix(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := Mix{ReadFraction: 0.9}
-	reads := 0
-	for i := 0; i < 10000; i++ {
-		if m.NextOp(rng) {
-			reads++
-		}
-	}
-	if reads < 8800 || reads > 9200 {
-		t.Fatalf("reads = %d of 10000 at 90%%", reads)
 	}
 }
